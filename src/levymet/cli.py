@@ -28,13 +28,10 @@ def _load_config(path):
 
 
 def _cmd_run(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.paths is not None:
-        cfg = replace(cfg, n_paths=args.paths)
-    if args.output is not None:
-        cfg = replace(cfg, output_dir=args.output)
+    overrides = {"master_seed": args.seed, "n_paths": args.paths,
+                 "output_dir": args.output}
+    cfg = replace(_load_config(args.config),
+                  **{k: v for k, v in overrides.items() if v is not None})
     report = run_experiment(cfg)
     write_outputs(report, cfg.output_dir)
     for c in report.checks:

@@ -45,6 +45,13 @@ def _hs_norm(M):
     return float(np.linalg.norm(M))
 
 
+def _diag_exp(lg, overflow_hint):
+    """diag(exp(lg)), refusing entries past the float64 exponent range."""
+    if np.max(np.abs(lg)) > _LOG_OVERFLOW:
+        raise InstabilityError(overflow_hint)
+    return np.diag(np.exp(lg))
+
+
 def _check_finite(M):
     if not np.all(np.isfinite(M)) or np.max(np.abs(M)) > _OVERFLOW_NORM:
         raise InstabilityError("propagator overflow; reduce the step or use "
@@ -59,7 +66,6 @@ class LinearSystem:
     a: np.ndarray
     sigmas: tuple
     drivers: tuple
-    large_jump_guard: bool = True
 
     def __post_init__(self):
         a = np.asarray(self.a, float)
@@ -102,6 +108,12 @@ class _EvaluatorBase:
 
     def propagate(self, t0, t1):  # pragma: no cover - overridden
         raise NotImplementedError
+
+    @property
+    def horizon(self):
+        """Time span covered by every driver path."""
+        los, his = zip(*(p.horizon for p in self.driver_paths))
+        return (max(los), min(his))
 
     def matrix(self, t):
         if t == 0.0:
@@ -184,11 +196,6 @@ class ExactDiagonal2D(_EvaluatorBase):
             self._log_cum.append(cum)
             self._anchor.append(cum[np.searchsorted(times, 0.0, side="right")])
 
-    @property
-    def horizon(self):
-        los, his = zip(*(p.horizon for p in self.driver_paths))
-        return (max(los), min(his))
-
     def _check(self, t):
         lo, hi = self.horizon
         if t < lo - 1e-12 or t > hi + 1e-12:
@@ -206,23 +213,16 @@ class ExactDiagonal2D(_EvaluatorBase):
         return out
 
     def matrix(self, t):
-        lg = self.log_growth(t)
-        if np.max(np.abs(lg)) > _LOG_OVERFLOW:
-            raise InstabilityError("diagonal entry overflows; use "
-                                   "matrix_scaled or log_growth")
-        return np.diag(np.exp(lg))
+        return _diag_exp(self.log_growth(t), "diagonal entry overflows; use "
+                         "matrix_scaled or log_growth")
 
     def inverse(self, t):
-        lg = self.log_growth(t)
-        if np.max(np.abs(lg)) > _LOG_OVERFLOW:
-            raise InstabilityError("diagonal entry overflows; use log_growth")
-        return np.diag(np.exp(-lg))
+        return _diag_exp(-self.log_growth(t),
+                         "diagonal entry overflows; use log_growth")
 
     def propagate(self, t0, t1):
-        lg = self.log_growth(t1) - self.log_growth(t0)
-        if np.max(np.abs(lg)) > _LOG_OVERFLOW:
-            raise InstabilityError("window too long; split it")
-        return np.diag(np.exp(lg))
+        return _diag_exp(self.log_growth(t1) - self.log_growth(t0),
+                         "window too long; split it")
 
     def matrix_scaled(self, t, window=1.0):
         lg = self.log_growth(t)
@@ -305,19 +305,6 @@ class EulerEvaluator(_EvaluatorBase):
         self.scheme = scheme
         self.d = system.d
 
-    @property
-    def horizon(self):
-        los, his = zip(*(p.horizon for p in self.driver_paths))
-        return (max(los), min(his))
-
-    def _jump_events(self, a, b):
-        events = {}
-        for i, p in enumerate(self.driver_paths):
-            times, sizes = p.jumps_in(a, b)
-            for t, s in zip(times, sizes[:, 0]):
-                events.setdefault(float(t), []).append((i, float(s)))
-        return events
-
     def propagate(self, t0, t1):
         lo, hi = self.horizon
         if min(t0, t1) < lo - 1e-12 or max(t0, t1) > hi + 1e-12:
@@ -331,7 +318,7 @@ class EulerEvaluator(_EvaluatorBase):
             return np.linalg.inv(M)
         a_mat = self.system.a
         sig = self.system.sigmas
-        jumps = self._jump_events(t0, t1)
+        jumps = _jump_events(self.driver_paths, t0, t1)
         n = max(1, int(math.ceil((t1 - t0) / self.dt_int - 1e-9)))
         nodes = np.unique(np.concatenate([
             t0 + (t1 - t0) * np.arange(1, n) / n,
@@ -352,11 +339,10 @@ class EulerEvaluator(_EvaluatorBase):
                 _check_finite(M)
             for i, kappa in jumps.get(float(t), ()):
                 J = np.eye(self.d) + kappa * sig[i]
-                if self.system.large_jump_guard:
-                    if abs(np.linalg.det(J)) < 1e-12:
-                        raise SingularityError(
-                            f"jump factor I + u*sigma_{i+1} is singular (u={kappa})"
-                        )
+                if abs(np.linalg.det(J)) < 1e-12:
+                    raise SingularityError(
+                        f"jump factor I + u*sigma_{i+1} is singular (u={kappa})"
+                    )
                 M = J @ M
                 _check_finite(M)
             prev = t
@@ -365,6 +351,18 @@ class EulerEvaluator(_EvaluatorBase):
     def shifted(self, s):
         return EulerEvaluator(self.system, [p.shift(s) for p in self.driver_paths],
                               self.dt_int, self.scheme)
+
+
+def _jump_events(driver_paths, a, b, keep=None):
+    """{time: [(driver index, size)]} for the jumps in (a, b], optionally
+    only those for which ``keep(driver index, size)`` holds."""
+    events = {}
+    for i, p in enumerate(driver_paths):
+        times, sizes = p.jumps_in(a, b)
+        for t, s in zip(times, sizes[:, 0]):
+            if keep is None or keep(i, s):
+                events.setdefault(float(t), []).append((i, float(s)))
+    return events
 
 
 # -- auxiliary linear system and Picard oracle ---------------------------------
@@ -382,12 +380,8 @@ def _psi_grid(system, driver_paths, times):
     C = np.zeros((d, d))
     for s_mat, p in zip(system.sigmas, driver_paths):
         C += float(p.comp_rate) * s_mat
-    jumps = {}
-    for i, p in enumerate(driver_paths):
-        jt, js = p.jumps_in(0.0, times[-1])
-        for t, s in zip(jt, js[:, 0]):
-            if abs(s) <= system.drivers[i].delta:
-                jumps.setdefault(float(t), []).append((i, float(s)))
+    jumps = _jump_events(driver_paths, 0.0, times[-1],
+                         lambda i, s: abs(s) <= system.drivers[i].delta)
     psis = np.empty((len(times), d, d))
     psinvs = np.empty((len(times), d, d))
     psi = np.eye(d)
@@ -420,28 +414,27 @@ def _breakpoints(driver_paths, t, dt_int):
     return np.unique(np.concatenate(nodes))
 
 
-def auxiliary_psi(system, driver_paths, t, dt_int=1e-3):
-    """psi_t of the compensated small-jump auxiliary equation (t >= 0)."""
+def _psi_at(system, driver_paths, t, dt_int):
+    """(psi_t, psi_t^(-1)) for t >= 0."""
     if t < 0.0:
         raise HorizonError("auxiliary system is integrated forward from 0")
     if t == 0.0:
-        return np.eye(system.d)
+        return np.eye(system.d), np.eye(system.d)
     times = _breakpoints(driver_paths, t, dt_int)
-    psis, _ = _psi_grid(system, driver_paths, times)
-    return psis[-1]
+    psis, psinvs = _psi_grid(system, driver_paths, times)
+    return psis[-1], psinvs[-1]
+
+
+def auxiliary_psi(system, driver_paths, t, dt_int=1e-3):
+    """psi_t of the compensated small-jump auxiliary equation (t >= 0)."""
+    return _psi_at(system, driver_paths, t, dt_int)[0]
 
 
 def auxiliary_psi_inverse(system, driver_paths, t, dt_int=1e-3):
     """psi_t^(-1), integrated from its own equation (not by inverting psi):
     d psi^(-1) = -psi^(-1) dZ + jump corrections, which collapses to the
     factor (I + dZ_s)^(-1) at jumps."""
-    if t < 0.0:
-        raise HorizonError("auxiliary system is integrated forward from 0")
-    if t == 0.0:
-        return np.eye(system.d)
-    times = _breakpoints(driver_paths, t, dt_int)
-    _, psinvs = _psi_grid(system, driver_paths, times)
-    return psinvs[-1]
+    return _psi_at(system, driver_paths, t, dt_int)[1]
 
 
 @dataclass
@@ -476,12 +469,8 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
     times = _breakpoints(driver_paths, t, dt_int)
     psis, psinvs = _psi_grid(system, driver_paths, times)
     B = system.drift_matrix()
-    large = {}
-    for i, p in enumerate(driver_paths):
-        jt, js = p.jumps_in(0.0, t)
-        for tt, s in zip(jt, js[:, 0]):
-            if abs(s) > system.drivers[i].delta:
-                large.setdefault(float(tt), []).append((i, float(s)))
+    large = _jump_events(driver_paths, 0.0, t,
+                         lambda i, s: abs(s) > system.drivers[i].delta)
 
     # convergent iterates obey |X^{n+1}-X^n| <= (C3 xi_t)^n / n! * const, so
     # differences may grow until n ~ C3 xi_t; the divergence detector is

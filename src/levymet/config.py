@@ -13,22 +13,20 @@ comments, e.g.::
 
 Unknown keys, duplicate keys, type mismatches, and missing required fields
 are rejected with the key and line number.
+
+Adding a key is adding one field to :class:`ExperimentConfig`: its dotted
+name follows the field name (``tol_angle`` -> ``tol.angle``) and its value
+converter the field type.  Field metadata holds what the type cannot say:
+the atom-list ``parse``/``format`` and the ``measure_kind`` the key
+belongs to (``echo`` prints only the keys of the configured kind).
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ParseError
+from .experiments import EXPERIMENTS
 from .measures import LevyMeasure
-
-EXPERIMENTS = (
-    "example_2d_exact",
-    "example_2d_euler",
-    "stable_1d",
-    "doleans_1d",
-    "flag_convergence",
-    "backward_spectrum",
-)
 
 MEASURE_KINDS = ("none", "atoms", "power_law")
 
@@ -46,6 +44,27 @@ def _parse_atoms(text):
     return tuple(pairs)
 
 
+def _format_atoms(atoms):
+    return ", ".join(f"{u}:{r}" for u, r in atoms)
+
+
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
+def _key(name):
+    """Dotted config key of a field name: measure_kind -> measure.kind."""
+    if name.startswith(("measure_", "tol_")):
+        return name.replace("_", ".", 1)
+    return name
+
+
+_POWER_LAW = {"measure_kind": "power_law"}
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; see the module docstring for the
@@ -53,10 +72,13 @@ class ExperimentConfig:
 
     experiment: str
     measure_kind: str = "none"
-    measure_atoms: tuple = ()
-    measure_alpha: float = 1.5
-    measure_c: float = 1.0
-    measure_cutoff: float = 0.0       # 0 -> use delta
+    measure_atoms: tuple = field(default=(), metadata={
+        "measure_kind": "atoms", "parse": _parse_atoms,
+        "format": _format_atoms})
+    measure_alpha: float = field(default=1.5, metadata=_POWER_LAW)
+    measure_c: float = field(default=1.0, metadata=_POWER_LAW)
+    measure_cutoff: float = field(default=0.0,   # 0 -> use delta
+                                  metadata=_POWER_LAW)
     delta: float = 0.5
     drift: float = 0.0                # 1d experiments
     horizon: float = 200.0
@@ -107,11 +129,7 @@ class ExperimentConfig:
             raise ParseError("fit_points must be >= 2")
         if not self.fit_t_min < self.fit_t_max:
             raise ParseError("fit_t_min must be < fit_t_max")
-        if self.experiment == "flag_convergence" and self.fit_t_max > self.horizon:
-            raise ParseError("fit_t_max must not exceed horizon")
-        if self.experiment == "example_2d_euler" and self.horizon > 100.0:
-            raise ParseError("example_2d_euler needs horizon <= 100 "
-                             "(plain matrices overflow past that)")
+        EXPERIMENTS[self.experiment].check(self)
 
     def build_measure(self):
         if self.measure_kind == "none":
@@ -127,82 +145,17 @@ class ExperimentConfig:
 
     def echo(self):
         """Canonical config text (round-trips through parse_config)."""
-        lines = [f"experiment = {self.experiment}",
-                 f"measure.kind = {self.measure_kind}"]
-        if self.measure_kind == "atoms":
-            atoms = ", ".join(f"{u}:{r}" for u, r in self.measure_atoms)
-            lines.append(f"measure.atoms = {atoms}")
-        if self.measure_kind == "power_law":
-            lines += [f"measure.alpha = {self.measure_alpha}",
-                      f"measure.c = {self.measure_c}",
-                      f"measure.cutoff = {self.measure_cutoff}"]
-        lines += [
-            f"delta = {self.delta}",
-            f"drift = {self.drift}",
-            f"horizon = {self.horizon}",
-            f"dt = {self.dt}",
-            f"dt_int = {self.dt_int}",
-            f"between_jump_scheme = {self.between_jump_scheme}",
-            f"renorm_step = {self.renorm_step}",
-            f"n_paths = {self.n_paths}",
-            f"master_seed = {self.master_seed}",
-            f"group_tol = {self.group_tol}",
-            f"threads = {self.threads}",
-            f"output_dir = {self.output_dir}",
-            f"frame_angle = {self.frame_angle}",
-            f"fit_t_min = {self.fit_t_min}",
-            f"fit_t_max = {self.fit_t_max}",
-            f"fit_points = {self.fit_points}",
-            f"halvings = {self.halvings}",
-            f"tol.spectrum_abs = {self.tol_spectrum_abs}",
-            f"tol.se_mult = {self.tol_se_mult}",
-            f"tol.angle = {self.tol_angle}",
-            f"tol.residual = {self.tol_residual}",
-            f"tol.rel_exact = {self.tol_rel_exact}",
-            f"tol.ratio_lo = {self.tol_ratio_lo}",
-            f"tol.ratio_hi = {self.tol_ratio_hi}",
-            f"tol.slope_slack = {self.tol_slope_slack}",
-        ]
+        lines = []
+        for f in fields(self):
+            # measure.* keys of other measure kinds are left out
+            kind = f.metadata.get("measure_kind", self.measure_kind)
+            if kind == self.measure_kind:
+                fmt = f.metadata.get("format", str)
+                lines.append(f"{_key(f.name)} = {fmt(getattr(self, f.name))}")
         return "\n".join(lines) + "\n"
 
 
-_KEY_TYPES = {
-    "experiment": str,
-    "measure.kind": str,
-    "measure.atoms": _parse_atoms,
-    "measure.alpha": float,
-    "measure.c": float,
-    "measure.cutoff": float,
-    "delta": float,
-    "drift": float,
-    "horizon": float,
-    "dt": float,
-    "dt_int": float,
-    "between_jump_scheme": str,
-    "renorm_step": float,
-    "n_paths": int,
-    "master_seed": int,
-    "group_tol": float,
-    "threads": int,
-    "output_dir": str,
-    "frame_angle": float,
-    "fit_t_min": float,
-    "fit_t_max": float,
-    "fit_points": int,
-    "halvings": int,
-    "tol.spectrum_abs": float,
-    "tol.se_mult": float,
-    "tol.angle": float,
-    "tol.rel_exact": float,
-    "tol.residual": float,
-    "tol.ratio_lo": float,
-    "tol.ratio_hi": float,
-    "tol.slope_slack": float,
-}
-
-
-def _attr_name(key):
-    return key.replace("tol.", "tol_").replace("measure.", "measure_")
+_FIELDS = {_key(f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_config(text):
@@ -219,29 +172,19 @@ def parse_config(text):
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KEY_TYPES:
+        if key not in _FIELDS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ParseError(f"duplicate key {key!r} (lines {seen[key]} and "
                              f"{lineno})")
         seen[key] = lineno
-        conv = _KEY_TYPES[key]
+        f = _FIELDS[key]
+        parse = f.metadata.get("parse",
+                               _parse_float if f.type is float else f.type)
         try:
-            if conv is int:
-                value = int(raw)
-            elif conv is float:
-                value = float(raw)
-                if not math.isfinite(value):
-                    raise ValueError("non-finite value")
-            elif conv is str:
-                value = raw
-            else:
-                value = conv(raw)
+            values[f.name] = parse(raw)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}")
-        values[_attr_name(key)] = value
     if "experiment" not in values:
         raise ParseError("missing required key 'experiment'")
-    known = {f.name for f in fields(ExperimentConfig)}
-    assert set(values) <= known
     return ExperimentConfig(**values)

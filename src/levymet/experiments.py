@@ -7,6 +7,10 @@ errors against analytic targets.  Aggregation is in path-index order, so
 outputs are byte-identical regardless of worker count.  Per-path errors
 are quarantined; an experiment fails outright if more than 1% of its paths
 error out.
+
+Adding an experiment is adding one entry to :data:`EXPERIMENTS` (per-path
+worker, aggregator, optional config check); the config parser validates
+experiment names against that table.
 """
 
 import math
@@ -14,6 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .cocycle import (
     cocycle_residual,
     integrability_alpha,
 )
+from .errors import ConfigurationError, ParseError
 from .measures import scalar_triplet, stable_scaling_residual
 from .oracle import (
     benchmark_drivers,
@@ -74,25 +80,19 @@ class ExperimentReport:
             f"experiment: {self.experiment}",
             f"paths: {len(self.rows)} ok, {len(self.path_errors)} errored",
             f"wall_clock_seconds: {self.wall_clock:.3f}",
-            "",
-            "checks:",
         ]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.check_id}: {c.detail}")
-        lines.append("")
-        lines.append("summary:")
-        for k in sorted(self.summary):
-            lines.append(f"  {k} = {self.summary[k]}")
+
+        def section(title, items):
+            lines.extend(["", title] + [f"  {item}" for item in items])
+
+        section("checks:", [f"[{'PASS' if c.passed else 'FAIL'}] "
+                            f"{c.check_id}: {c.detail}" for c in self.checks])
+        section("summary:", [f"{k} = {self.summary[k]}"
+                             for k in sorted(self.summary)])
         if self.path_errors:
-            lines.append("")
-            lines.append("path errors:")
-            for idx, msg in self.path_errors:
-                lines.append(f"  path {idx}: {msg}")
-        lines.append("")
-        lines.append("config:")
-        for ln in self.config_echo.strip().splitlines():
-            lines.append(f"  {ln}")
+            section("path errors:", [f"path {idx}: {msg}"
+                                     for idx, msg in self.path_errors])
+        section("config:", self.config_echo.strip().splitlines())
         return "\n".join(lines) + "\n"
 
 
@@ -125,19 +125,21 @@ def _rotation(angle):
 # -- per-path workers (module level so process pools can pickle them) -----------
 
 
-def _benchmark_paths(cfg, index):
+def _benchmark_cocycle(cfg, index):
+    """The measure, the two driver paths and the exact cocycle of one
+    benchmark path."""
     measure = cfg.build_measure()
     drivers = benchmark_drivers(measure, cfg.delta)
-    return measure, [
+    paths = [
         sample_two_sided(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
                          path_index=index, driver=i)
         for i in range(2)
     ]
+    return measure, paths, ExactDiagonal2D(paths, measure, cfg.delta)
 
 
 def _row_example_2d_exact(cfg, index):
-    measure, paths = _benchmark_paths(cfg, index)
-    ev = ExactDiagonal2D(paths, measure, cfg.delta)
+    _, _, ev = _benchmark_cocycle(cfg, index)
     T = cfg.horizon
     est = spectrum_qr(ev, T, cfg.renorm_step, cfg.effective_group_tol)
     best = backward_spectrum(ev, T, cfg.renorm_step, cfg.effective_group_tol)
@@ -162,8 +164,7 @@ def _row_example_2d_exact(cfg, index):
 
 
 def _row_example_2d_euler(cfg, index):
-    measure, paths = _benchmark_paths(cfg, index)
-    exact = ExactDiagonal2D(paths, measure, cfg.delta)
+    measure, paths, exact = _benchmark_cocycle(cfg, index)
     system = benchmark_system_2d(measure, cfg.delta)
     T = cfg.horizon
     target = exact.matrix(T)
@@ -193,8 +194,7 @@ def _row_stable_1d(cfg, index):
 
 
 def _row_doleans_1d(cfg, index):
-    measure, paths = _benchmark_paths(cfg, index)
-    ev = ExactDiagonal2D(paths, measure, cfg.delta)
+    _, paths, ev = _benchmark_cocycle(cfg, index)
     dd = StochasticExponential1D(with_drift(paths[0], 2.0))
     rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
     times = np.sort(rng.uniform(0.0, cfg.horizon, 16))
@@ -207,8 +207,7 @@ def _row_doleans_1d(cfg, index):
 
 
 def _row_flag_convergence(cfg, index):
-    measure, paths = _benchmark_paths(cfg, index)
-    ev = ExactDiagonal2D(paths, measure, cfg.delta)
+    measure, _, ev = _benchmark_cocycle(cfg, index)
     gt = ground_truth_2d(measure, cfg.delta)
     params = FlagMetricParams((gt.lambda1, gt.lambda2), gt.gap / 1.0, 2)
     grouping = [(gt.lambda1, 1), (gt.lambda2, 1)]
@@ -225,8 +224,7 @@ def _row_flag_convergence(cfg, index):
 
 
 def _row_backward_spectrum(cfg, index):
-    measure, paths = _benchmark_paths(cfg, index)
-    ev = ExactDiagonal2D(paths, measure, cfg.delta)
+    _, _, ev = _benchmark_cocycle(cfg, index)
     T = cfg.horizon
     est = spectrum_qr(ev, T, cfg.renorm_step, cfg.effective_group_tol)
     best = backward_spectrum(ev, T, cfg.renorm_step, cfg.effective_group_tol)
@@ -242,20 +240,10 @@ def _row_backward_spectrum(cfg, index):
     }
 
 
-_WORKERS = {
-    "example_2d_exact": _row_example_2d_exact,
-    "example_2d_euler": _row_example_2d_euler,
-    "stable_1d": _row_stable_1d,
-    "doleans_1d": _row_doleans_1d,
-    "flag_convergence": _row_flag_convergence,
-    "backward_spectrum": _row_backward_spectrum,
-}
-
-
 def _path_task(args):
     cfg, index = args
     try:
-        return index, _WORKERS[cfg.experiment](cfg, index), None
+        return index, EXPERIMENTS[cfg.experiment].row(cfg, index), None
     except Exception as exc:  # quarantined per path
         return index, None, f"{type(exc).__name__}: {exc}"
 
@@ -263,14 +251,18 @@ def _path_task(args):
 # -- aggregation ------------------------------------------------------------------
 
 
-def _spectrum_csv(rows, d):
-    header = ["path_index"] + [f"Lambda_{k+1}" for k in range(d)] + ["logdet_over_T"]
-    lines = [",".join(header)]
+def _csv(rows, columns, values):
+    """One line per row: its path index, then ``values(row)``."""
+    lines = [",".join(["path_index"] + columns)]
     for r in rows:
-        cells = [str(r["index"])] + [_fmt(v) for v in r["raw"]]
-        cells.append(_fmt(r["logdet_over_T"]))
-        lines.append(",".join(cells))
+        lines.append(",".join([str(r["index"])] +
+                              [_fmt(v) for v in values(r)]))
     return "\n".join(lines) + "\n"
+
+
+def _spectrum_csv(rows, d):
+    columns = [f"Lambda_{k+1}" for k in range(d)] + ["logdet_over_T"]
+    return _csv(rows, columns, lambda r: r["raw"] + [r["logdet_over_T"]])
 
 
 def _basis_csv(rows, key, label, d, angle_key=None):
@@ -278,10 +270,9 @@ def _basis_csv(rows, key, label, d, angle_key=None):
         [f"component_{j+1}" for j in range(d)] + ["principal_angle"]
     lines = [",".join(header)]
     for r in rows:
-        for bi, block in enumerate(r.get(key, [])):
+        for bi, block in enumerate(r[key]):
             arr = np.asarray(block, float)
-            ang = r.get(angle_key, [float("nan")] * (bi + 1))[bi] \
-                if angle_key else float("nan")
+            ang = r[angle_key][bi] if angle_key else float("nan")
             for ci in range(arr.shape[1]):
                 cells = [str(r["index"]), str(bi + 1), str(ci + 1)]
                 cells += [_fmt(v) for v in arr[:, ci]]
@@ -371,14 +362,9 @@ def _agg_example_2d_euler(cfg, rows):
     checks.append(CheckOutcome(
         "cocycle_law_exact", worst <= cfg.tol_residual,
         f"max exact-backend residual {worst:.2e} <= {cfg.tol_residual}"))
-    header = "path_index," + ",".join(
-        f"error_dt_over_{2**k}" for k in range(errs.shape[1])) + "\n"
-    body = "".join(
-        str(r["index"]) + "," + ",".join(_fmt(v) for v in r["euler_errors"]) + "\n"
-        for r in rows)
-    return checks, summary, {"spectrum.csv": header + body,
-                             "flags.csv": "path_index\n",
-                             "oseledets.csv": "path_index\n"}
+    columns = [f"error_dt_over_{2**k}" for k in range(errs.shape[1])]
+    table = _csv(rows, columns, lambda r: r["euler_errors"])
+    return checks, summary, {"spectrum.csv": table}
 
 
 def _agg_stable_1d(cfg, rows):
@@ -400,9 +386,7 @@ def _agg_stable_1d(cfg, rows):
             res = stable_scaling_residual(triplet, measure.alpha, k,
                                           np.array([1.0]))
             summary[f"scaling_residual_k{int(k)}"] = float(res)
-    return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 1),
-                             "flags.csv": "path_index\n",
-                             "oseledets.csv": "path_index\n"}
+    return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 1)}
 
 
 def _agg_doleans_1d(cfg, rows):
@@ -411,11 +395,8 @@ def _agg_doleans_1d(cfg, rows):
         "stochastic_exponential", worst <= cfg.tol_rel_exact,
         f"max |log Y - log M^1| = {worst:.2e} <= {cfg.tol_rel_exact}")]
     summary = {"max_log_defect": worst}
-    header = "path_index,max_log_defect\n"
-    body = "".join(f"{r['index']},{_fmt(r['max_log_defect'])}\n" for r in rows)
-    return checks, summary, {"spectrum.csv": header + body,
-                             "flags.csv": "path_index\n",
-                             "oseledets.csv": "path_index\n"}
+    table = _csv(rows, ["max_log_defect"], lambda r: [r["max_log_defect"]])
+    return checks, summary, {"spectrum.csv": table}
 
 
 def _agg_flag_convergence(cfg, rows):
@@ -432,13 +413,9 @@ def _agg_flag_convergence(cfg, rows):
         ok = True
         detail = "all distances at the rounding floor; vacuously satisfied"
     checks = [CheckOutcome("flag_convergence", ok, detail)]
-    header = "path_index,slope\n"
-    body = "".join(
-        f"{r['index']},{_fmt(r['slope']) if r['slope'] is not None else 'nan'}\n"
-        for r in rows)
-    return checks, summary, {"spectrum.csv": header + body,
-                             "flags.csv": "path_index\n",
-                             "oseledets.csv": "path_index\n"}
+    table = _csv(rows, ["slope"], lambda r: [
+        r["slope"] if r["slope"] is not None else math.nan])
+    return checks, summary, {"spectrum.csv": table}
 
 
 def _agg_backward_spectrum(cfg, rows):
@@ -460,30 +437,59 @@ def _agg_backward_spectrum(cfg, rows):
         "backward_multiplicities", mult_ok,
         "multiplicities reversed on every path" if mult_ok
         else "multiplicity reversal failed on some path"))
-    return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 2),
-                             "flags.csv": "path_index\n",
-                             "oseledets.csv": "path_index\n"}
+    return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 2)}
 
 
-_AGGREGATORS = {
-    "example_2d_exact": _agg_example_2d_exact,
-    "example_2d_euler": _agg_example_2d_euler,
-    "stable_1d": _agg_stable_1d,
-    "doleans_1d": _agg_doleans_1d,
-    "flag_convergence": _agg_flag_convergence,
-    "backward_spectrum": _agg_backward_spectrum,
+def _check_flag_convergence(cfg):
+    if cfg.fit_t_max > cfg.horizon:
+        raise ParseError("fit_t_max must not exceed horizon")
+
+
+def _check_example_2d_euler(cfg):
+    if cfg.horizon > 100.0:
+        raise ParseError(f"{cfg.experiment} needs horizon <= 100 "
+                         "(plain matrices overflow past that)")
+
+
+class Experiment(NamedTuple):
+    """``row(cfg, index)`` -> one path's row; ``aggregate(cfg, rows)`` ->
+    (checks, summary, csv tables); ``check(cfg)`` raises ParseError."""
+
+    row: Callable
+    aggregate: Callable
+    check: Callable = lambda cfg: None
+
+
+EXPERIMENTS = {
+    "example_2d_exact": Experiment(_row_example_2d_exact,
+                                   _agg_example_2d_exact),
+    "example_2d_euler": Experiment(_row_example_2d_euler,
+                                   _agg_example_2d_euler,
+                                   _check_example_2d_euler),
+    "stable_1d": Experiment(_row_stable_1d, _agg_stable_1d),
+    "doleans_1d": Experiment(_row_doleans_1d, _agg_doleans_1d),
+    "flag_convergence": Experiment(_row_flag_convergence,
+                                   _agg_flag_convergence,
+                                   _check_flag_convergence),
+    "backward_spectrum": Experiment(_row_backward_spectrum,
+                                    _agg_backward_spectrum),
 }
 
 
 def _n_workers(cfg):
-    if cfg.threads > 0:
-        n = cfg.threads
-    else:
-        n = int(os.environ.get("LEVY_MET_THREADS", "1") or "1")
-    cap = os.environ.get("LEVY_MET_THREADS")
-    if cap:
-        n = min(n, int(cap))
-    return max(1, n)
+    """Pool size: ``threads`` if set, else LEVY_MET_THREADS, else 1; a set
+    LEVY_MET_THREADS also caps ``threads``."""
+    raw = os.environ.get("LEVY_MET_THREADS", "")
+    if not raw:
+        return max(1, cfg.threads)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ConfigurationError(
+            f"LEVY_MET_THREADS must be a non-negative integer, got {raw!r}")
+    return max(1, min(cfg.threads or cap, cap))
 
 
 def run_experiment(cfg):
@@ -497,7 +503,6 @@ def run_experiment(cfg):
     t0 = time.perf_counter()
     tasks = [(cfg, i) for i in range(cfg.n_paths)]
     workers = _n_workers(cfg)
-    results = []
     if workers > 1 and cfg.n_paths > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_path_task, tasks, chunksize=8))
@@ -511,7 +516,8 @@ def run_experiment(cfg):
             "error_rate", False,
             f"{len(errors)}/{cfg.n_paths} paths errored (>1%)"))
     if rows:
-        agg_checks, summary, tables = _AGGREGATORS[cfg.experiment](cfg, rows)
+        aggregate = EXPERIMENTS[cfg.experiment].aggregate
+        agg_checks, summary, tables = aggregate(cfg, rows)
         checks.extend(agg_checks)
     elif not checks:
         checks.append(CheckOutcome("error_rate", False, "no path succeeded"))

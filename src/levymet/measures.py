@@ -159,26 +159,17 @@ class LevyMeasure:
         if self.kind == ATOMS:
             u, r = self._atom_band(lo, hi)
             return float(np.sum(r * np.vectorize(g)(u))) if u.size else 0.0
-        if self.kind == POWER_LAW:
-            hi = min(hi, self.cutoff)
-            if hi <= lo:
-                return 0.0
-            a, c = self.alpha, self.c
-            dens = lambda u: c * u ** (-1.0 - a)
-            lo_eff = max(lo, EPS_PUNCTURE)
-            if math.isinf(hi):
-                pos = _quad(lambda u: g(u) * dens(u), lo_eff, np.inf, tol)
-                neg = _quad(lambda u: g(-u) * dens(u), lo_eff, np.inf, tol)
-            else:
-                pos = _quad(lambda u: g(u) * dens(u), lo_eff, hi, tol)
-                neg = _quad(lambda u: g(-u) * dens(u), lo_eff, hi, tol)
-            return pos + neg
         hi = min(hi, self.support_bound)
         if hi <= lo:
             return 0.0
+        if self.kind == POWER_LAW:
+            a, c = self.alpha, self.c
+            dens = lambda u: c * abs(u) ** (-1.0 - a)
+        else:
+            dens = self.density
         lo_eff = max(lo, EPS_PUNCTURE)
-        pos = _quad(lambda u: g(u) * self.density(u), lo_eff, hi, tol)
-        neg = _quad(lambda u: g(-u) * self.density(-u), lo_eff, hi, tol)
+        pos = _quad(lambda u: g(u) * dens(u), lo_eff, hi, tol)
+        neg = _quad(lambda u: g(-u) * dens(-u), lo_eff, hi, tol)
         return pos + neg
 
     def _pl_small(self, G, hi, tol):
@@ -195,9 +186,6 @@ class LevyMeasure:
     def _small_integral(self, g, G, hi, tol):
         """Integral of g(u) nu(du) over {0 < |u| <= hi} for integrands that
         vanish quadratically at 0; G = g(u)/u^2 must be smooth and bounded."""
-        if self.kind == ATOMS:
-            u, r = self._atom_band(0.0, hi)
-            return float(np.sum(r * np.vectorize(g)(u))) if u.size else 0.0
         if self.kind == POWER_LAW:
             return self._pl_small(G, hi, tol)
         return self._band_quad(g, 0.0, hi, tol)

@@ -146,10 +146,10 @@ class SpectrumEstimate:
         return self.raw.size
 
 
-def _run_qr(ev, T, renorm_step):
-    """Push a frame over windows covering [0, T] (T may be negative);
-    returns per-direction log growths, the final frame, and the
-    independently accumulated log|det|."""
+def _qr_estimate(ev, T, renorm_step, group_tol):
+    """Push a frame over windows covering [0, T] (T may be negative) and
+    group the per-direction log growths per unit |T|.  log|det| is
+    accumulated independently of the QR diagonal for the sum rule."""
     span = abs(T)
     if span < 10.0 * renorm_step:
         raise ConfigurationError("horizon must be at least 10 renorm steps")
@@ -169,7 +169,12 @@ def _run_qr(ev, T, renorm_step):
         if np.any(diag < 1e-280):
             raise InstabilityError("frame degenerated; shorten renorm_step")
         logs += np.log(diag)
-    return logs, Q, logdet
+    raw = np.sort(logs / span)[::-1]
+    tol = 10.0 / span if group_tol is None else group_tol
+    groups, gap = group_spectrum(raw, tol)
+    return SpectrumEstimate(raw, tuple(g[0] for g in groups),
+                            tuple(g[1] for g in groups), gap, T,
+                            logdet / span, tol)
 
 
 def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
@@ -181,12 +186,7 @@ def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
     """
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    logs, _, logdet = _run_qr(ev, T, renorm_step)
-    raw = np.sort(logs / T)[::-1]
-    tol = 10.0 / T if group_tol is None else group_tol
-    groups, gap = group_spectrum(raw, tol)
-    return SpectrumEstimate(raw, tuple(g[0] for g in groups),
-                            tuple(g[1] for g in groups), gap, T, logdet / T, tol)
+    return _qr_estimate(ev, T, renorm_step, group_tol)
 
 
 def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
@@ -196,12 +196,7 @@ def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
     multiplicities."""
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    logs, _, logdet = _run_qr(ev, -T, renorm_step)
-    raw = np.sort(logs / T)[::-1]
-    tol = 10.0 / T if group_tol is None else group_tol
-    groups, gap = group_spectrum(raw, tol)
-    return SpectrumEstimate(raw, tuple(g[0] for g in groups),
-                            tuple(g[1] for g in groups), gap, -T, logdet / T, tol)
+    return _qr_estimate(ev, -T, renorm_step, group_tol)
 
 
 def vector_exponent(ev, x, T, renorm_step=1.0):
@@ -271,21 +266,9 @@ class Flag:
         return np.hstack(self.blocks[i - 1:])
 
 
-def coordinate_flag(dims):
-    """Flag whose blocks are consecutive coordinate axes."""
-    d = sum(dims)
-    eye = np.eye(d)
-    blocks, k = [], 0
-    for m in dims:
-        blocks.append(eye[:, k:k + m])
-        k += m
-    return Flag(blocks)
-
-
-def random_flag(dims, rng):
-    """Haar-random flag of the given block dimensions."""
-    d = sum(dims)
-    Q, _ = _qr_pos(rng.standard_normal((d, d)))
+def _frame_flag(Q, dims):
+    """Flag whose blocks are consecutive column groups of the orthonormal
+    frame Q, of the given dimensions."""
     blocks, k = [], 0
     for m in dims:
         blocks.append(Q[:, k:k + m])
@@ -293,18 +276,30 @@ def random_flag(dims, rng):
     return Flag(blocks)
 
 
-def flag_at(ev, t, grouping, scale_window=1.0, check=True):
+def coordinate_flag(dims):
+    """Flag whose blocks are consecutive coordinate axes."""
+    return _frame_flag(np.eye(sum(dims)), dims)
+
+
+def random_flag(dims, rng):
+    """Haar-random flag of the given block dimensions."""
+    d = sum(dims)
+    Q, _ = _qr_pos(rng.standard_normal((d, d)))
+    return _frame_flag(Q, dims)
+
+
+def flag_at(ev, t, grouping):
     """Flag of right singular subspaces of phi(t), clustered by the given
     grouping.  The matrix is formed in scaled form (scalar rescaling keeps
     singular directions intact), so long horizons do not overflow; singular
     values that underflow the scaled form are only excluded from the
     consistency check, their directions still come from the SVD."""
     lams, dims = _grouping(grouping)
-    M, logscale = ev.matrix_scaled(t, scale_window)
+    M, logscale = ev.matrix_scaled(t)
     _, s, Vt = np.linalg.svd(M)
     if sum(dims) != M.shape[0]:
         raise StructuralError("grouping does not cover the dimension")
-    if check and t != 0.0:
+    if t != 0.0:
         resolvable = s > s[0] * 1e-13
         rates = np.full(s.shape, -np.inf)
         rates[resolvable] = (np.log(s[resolvable]) + logscale) / t
@@ -322,11 +317,7 @@ def flag_at(ev, t, grouping, scale_window=1.0, check=True):
                             "singular-value clusters inconsistent with grouping"
                         )
             k += m
-    blocks, k = [], 0
-    for m in dims:
-        blocks.append(Vt[k:k + m].T)
-        k += m
-    return Flag(blocks)
+    return _frame_flag(Vt.T, dims)
 
 
 @dataclass(frozen=True)
@@ -399,7 +390,7 @@ class FlagConvergence:
 
 
 def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
-                          target=None, floor=None, renorm_step=1.0):
+                          target=None):
     """Convergence of push-forward frame flags to the limit flag.
 
     The frame (default: identity; pass a rotation to see a nontrivial
@@ -425,10 +416,9 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
 
     exact = (hasattr(ev, "log_growth") and d == 2 and len(lams) == 2
              and target is None)
-    if floor is None:
-        # generic frames saturate at the float alignment level; the log-domain
-        # path resolves distances down to the exp underflow limit
-        floor = 1e-300 if exact else 1e-13
+    # generic frames saturate at the float alignment level; the log-domain
+    # path resolves distances down to the exp underflow limit
+    floor = 1e-300 if exact else 1e-13
     logs = np.empty(t_list.size)
     if exact:
         g00, g10 = abs(frame[0, 0]), abs(frame[1, 0])
@@ -450,9 +440,10 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
         Q = _qr_pos(frame)[0]
         prev = 0.0
         for t in t_list:
-            n = max(1, int(math.ceil(abs(t - prev) / renorm_step - 1e-9)))
-            for a, b in zip(np.linspace(prev, t, n + 1)[:-1],
-                            np.linspace(prev, t, n + 1)[1:]):
+            # renormalise over windows of at most unit length
+            n = max(1, int(math.ceil(abs(t - prev) - 1e-9)))
+            edges = np.linspace(prev, t, n + 1)
+            for a, b in zip(edges[:-1], edges[1:]):
                 Q, _ = _qr_pos(ev.propagate(a, b) @ Q)
             frames.append(Q.copy())
             prev = t
@@ -468,14 +459,6 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
     if int(np.sum(included)) >= 2:
         slope = float(np.polyfit(t_list[included], logs[included], 1)[0])
     return FlagConvergence(t_list, logs, included, slope, params.h)
-
-
-def _frame_flag(Q, dims):
-    blocks, k = [], 0
-    for m in dims:
-        blocks.append(Q[:, k:k + m])
-        k += m
-    return Flag(blocks)
 
 
 # -- Oseledets splitting -------------------------------------------------------------

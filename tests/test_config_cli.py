@@ -1,12 +1,19 @@
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levymet as lm
 from levymet.cli import main
+from levymet.config import MEASURE_KINDS
 from levymet.errors import ParseError
+from levymet.experiments import EXPERIMENTS
+
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
 MINIMAL = """
 experiment = example_2d_exact
@@ -36,9 +43,83 @@ def test_config_round_trip():
     assert lm.parse_config(cfg.echo()) == cfg
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
+_MEASURE_KEYS = {
+    "none": st.fixed_dictionaries({}),
+    "atoms": st.fixed_dictionaries({"measure_atoms": st.lists(
+        st.tuples(_FINITE, _FINITE), min_size=1, max_size=3).map(tuple)}),
+    "power_law": st.fixed_dictionaries({
+        "measure_alpha": _FINITE, "measure_c": _FINITE,
+        "measure_cutoff": _FINITE}),
+}
+_TOL_KEYS = ("tol_spectrum_abs", "tol_se_mult", "tol_angle", "tol_residual",
+             "tol_rel_exact", "tol_ratio_lo", "tol_ratio_hi", "tol_slope_slack")
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs of every experiment and measure kind; measure.* keys
+    are set only for the configured kind, since echo() prints only those."""
+    kind = draw(st.sampled_from(MEASURE_KINDS))
+    horizon = draw(st.floats(min_value=1.0, max_value=100.0))
+    return lm.ExperimentConfig(
+        experiment=draw(st.sampled_from(list(EXPERIMENTS))),
+        measure_kind=kind,
+        **draw(_MEASURE_KEYS[kind]),
+        delta=draw(_POSITIVE),
+        drift=draw(_FINITE),
+        horizon=horizon,
+        dt=draw(_POSITIVE),
+        dt_int=draw(_POSITIVE),
+        between_jump_scheme=draw(st.sampled_from(["euler", "expm"])),
+        renorm_step=draw(_POSITIVE),
+        n_paths=draw(st.integers(min_value=1, max_value=10**6)),
+        master_seed=draw(st.integers(min_value=0, max_value=2**64)),
+        group_tol=draw(_NONNEGATIVE),
+        threads=draw(st.integers(min_value=0, max_value=64)),
+        output_dir=draw(st.text("abcxyz0123456789_-./", min_size=1,
+                                max_size=20)),
+        frame_angle=draw(_NONNEGATIVE),
+        fit_t_min=draw(st.floats(min_value=0.0, max_value=horizon / 2)),
+        fit_t_max=draw(st.floats(min_value=horizon / 2, max_value=horizon,
+                                 exclude_min=True)),
+        fit_points=draw(st.integers(min_value=2, max_value=1000)),
+        halvings=draw(st.integers(min_value=1, max_value=12)),
+        **{name: draw(_FINITE) for name in _TOL_KEYS},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_echo_round_trips_generated_configs(cfg):
+    assert lm.parse_config(cfg.echo()) == cfg
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_parse_and_round_trip(path):
+    cfg = lm.parse_config(path.read_text())
+    assert lm.parse_config(cfg.echo()) == cfg
+
+
+def test_shipped_configs_cover_every_experiment():
+    kinds = {lm.parse_config(p.read_text()).experiment for p in CONFIGS}
+    assert kinds == set(EXPERIMENTS)
+
+
 def test_n_paths_must_be_positive():
     with pytest.raises(ParseError, match="n_paths must be >= 1"):
         lm.parse_config(MINIMAL + "n_paths = 0\n")
+
+
+def test_experiment_specific_checks():
+    with pytest.raises(ParseError, match="fit_t_max must not exceed horizon"):
+        lm.parse_config("experiment = flag_convergence\nhorizon = 50\n")
+    with pytest.raises(ParseError, match=r"^example_2d_euler needs horizon "
+                       r"<= 100 \(plain matrices overflow past that\)$"):
+        lm.parse_config("experiment = example_2d_euler\nhorizon = 150\n")
+    lm.parse_config("experiment = stable_1d\nhorizon = 50\n")  # fit_t_max 100
 
 
 def test_duplicate_key_names_both_lines():
@@ -121,6 +202,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", bad]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_cli_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    cfgfile = _write(tmp_path, "t.cfg", DETERMINISTIC + (
+        "horizon = 40\ndt = 0.5\nn_paths = 2\n"
+        f"output_dir = {tmp_path}/out_t\n"))
+    monkeypatch.setenv("LEVY_MET_THREADS", value)
+    assert main(["run", "--config", cfgfile]) == 2
+    err = capsys.readouterr().err
+    assert "LEVY_MET_THREADS" in err and repr(value) in err
 
 
 def test_cli_selftest(capsys):
