@@ -2,6 +2,8 @@
 
 Every evaluator maps t to an invertible d x d matrix phi(t) with phi(0) = I
 and exposes the window propagator Phi(t0 -> t1) = phi(t1) phi(t0)^(-1).
+``propagators(edges)`` stacks those of consecutive windows; it is the
+stream every window loop consumes, and phi(t) = Phi(0 -> t).
 Negative times use the group convention phi(t) = Phi(t -> 0)^(-1), i.e.
 forward evaluation over the reflected window; this realizes backward-time
 stochastic integrals and automatically satisfies the singular-value
@@ -43,13 +45,6 @@ _LOG_OVERFLOW = 700.0
 
 def _hs_norm(M):
     return float(np.linalg.norm(M))
-
-
-def _diag_exp(lg, overflow_hint):
-    """diag(exp(lg)), refusing entries past the float64 exponent range."""
-    if np.max(np.abs(lg)) > _LOG_OVERFLOW:
-        raise InstabilityError(overflow_hint)
-    return np.diag(np.exp(lg))
 
 
 def _check_finite(M):
@@ -100,14 +95,27 @@ class LinearSystem:
         return B
 
 
+def _windows(t0, t1, step):
+    """Edges of the fewest equal windows of length <= step from t0 to t1."""
+    n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-9)))
+    return np.linspace(t0, t1, n + 1)
+
+
 class _EvaluatorBase:
-    """Shared plumbing: phi from the window propagator, scaled products."""
+    """Shared plumbing on the window-propagator stream ``propagators(edges)``,
+    the (n, d, d) stack of Phi(edges[k] -> edges[k+1]) that every window
+    loop consumes.  A backend overrides ``propagate`` (stacked window by
+    window) or ``propagators`` (then ``propagate`` is its one-window case).
+    """
 
     d = None
-    backend = None
 
-    def propagate(self, t0, t1):  # pragma: no cover - overridden
-        raise NotImplementedError
+    def propagate(self, t0, t1):
+        return self.propagators(np.array([t0, t1], float))[0]
+
+    def propagators(self, edges):
+        stack = [self.propagate(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        return np.array(stack).reshape(-1, self.d, self.d)
 
     @property
     def horizon(self):
@@ -116,14 +124,10 @@ class _EvaluatorBase:
         return (max(los), min(his))
 
     def matrix(self, t):
-        if t == 0.0:
-            return np.eye(self.d)
-        if t > 0.0:
-            return self.propagate(0.0, t)
-        return np.linalg.inv(self.propagate(t, 0.0))
+        return self.propagate(0.0, t)
 
     def inverse(self, t):
-        return np.linalg.inv(self.matrix(t))
+        return self.propagate(t, 0.0)
 
     def matrix_scaled(self, t, window=1.0):
         """(M, logscale) with phi(t) = exp(logscale) * M; the product is
@@ -131,12 +135,10 @@ class _EvaluatorBase:
         overflow.  Scalar rescaling preserves singular subspaces."""
         if t == 0.0:
             return np.eye(self.d), 0.0
-        n = max(1, int(math.ceil(abs(t) / window - 1e-12)))
-        edges = np.linspace(0.0, t, n + 1)
         M = np.eye(self.d)
         logscale = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            M = self.propagate(a, b) @ M
+        for P in self.propagators(_windows(0.0, t, window)):
+            M = P @ M
             nrm = _hs_norm(M)
             if nrm == 0.0 or not math.isfinite(nrm):
                 raise InstabilityError("scaled product degenerated")
@@ -162,7 +164,6 @@ class ExactDiagonal2D(_EvaluatorBase):
     sampled path.
     """
 
-    backend = "exact_diagonal_2d"
     d = 2
 
     def __init__(self, driver_paths, measure, delta, drift_rates=(2.0, -4.0)):
@@ -174,7 +175,6 @@ class ExactDiagonal2D(_EvaluatorBase):
         self.drift_rates = tuple(float(c) for c in drift_rates)
         band = getattr(driver_paths[0], "band", None) or (0.0, self.delta)
         lo = min(band[0], self.delta)
-        self._band = (lo, self.delta)
         self.compensator_integral = measure.log_compensator(lo, self.delta)
         self._log_moment = measure.log_moment(lo, self.delta)
         self._jump_t = []
@@ -196,33 +196,29 @@ class ExactDiagonal2D(_EvaluatorBase):
             self._log_cum.append(cum)
             self._anchor.append(cum[np.searchsorted(times, 0.0, side="right")])
 
-    def _check(self, t):
-        lo, hi = self.horizon
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise HorizonError(f"t={t} outside horizon [{lo}, {hi}]")
-
     def log_growth(self, t):
-        """Vector of log phi(t)_ii; exact in log scale for any horizon."""
-        self._check(t)
-        out = np.empty(2)
+        """log phi(t)_ii, exact in log scale for any horizon: a 2-vector for
+        a scalar t, one row per time for an array of times."""
+        t = np.asarray(t, float)
+        lo, hi = self.horizon
+        outside = (t < lo - 1e-12) | (t > hi + 1e-12)
+        if np.any(outside):
+            raise HorizonError(f"t={t[outside][0]} outside horizon "
+                               f"[{lo}, {hi}]")
         rate = self.compensator_integral - self._log_moment
-        for i in range(2):
-            idx = np.searchsorted(self._jump_t[i], t, side="right")
-            jump_sum = self._log_cum[i][idx] - self._anchor[i]
-            out[i] = (self.drift_rates[i] + rate) * t + jump_sum
-        return out
+        cols = []
+        for c, times, cum, anchor in zip(self.drift_rates, self._jump_t,
+                                         self._log_cum, self._anchor):
+            jump_sum = cum[np.searchsorted(times, t, side="right")] - anchor
+            cols.append((c + rate) * t + jump_sum)
+        return np.stack(cols, axis=-1)
 
-    def matrix(self, t):
-        return _diag_exp(self.log_growth(t), "diagonal entry overflows; use "
-                         "matrix_scaled or log_growth")
-
-    def inverse(self, t):
-        return _diag_exp(-self.log_growth(t),
-                         "diagonal entry overflows; use log_growth")
-
-    def propagate(self, t0, t1):
-        return _diag_exp(self.log_growth(t1) - self.log_growth(t0),
-                         "window too long; split it")
+    def propagators(self, edges):
+        lg = np.diff(self.log_growth(edges), axis=0)
+        if np.any(np.abs(lg) > _LOG_OVERFLOW):
+            raise InstabilityError("diagonal entry overflows; split the "
+                                   "window or use matrix_scaled or log_growth")
+        return np.exp(lg)[:, :, None] * np.eye(2)
 
     def matrix_scaled(self, t, window=1.0):
         lg = self.log_growth(t)
@@ -243,7 +239,6 @@ class StochasticExponential1D(_EvaluatorBase):
     from the path's triplet.  Forward time only.
     """
 
-    backend = "stochastic_exponential_1d"
     d = 1
 
     def __init__(self, path):
@@ -270,9 +265,6 @@ class StochasticExponential1D(_EvaluatorBase):
     def value(self, t):
         return math.exp(self.log_value(t))
 
-    def matrix(self, t):
-        return np.array([[self.value(t)]])
-
     def propagate(self, t0, t1):
         return np.array([[math.exp(self.log_value(t1) - self.log_value(t0))]])
 
@@ -289,8 +281,6 @@ class EulerEvaluator(_EvaluatorBase):
     compensation, Gaussian part) feed an explicit Euler step, or a matrix
     exponential when scheme="expm".
     """
-
-    backend = "euler"
 
     def __init__(self, system, driver_paths, dt_int, scheme="euler"):
         if len(driver_paths) != system.q:
@@ -405,13 +395,14 @@ def _psi_grid(system, driver_paths, times):
     return psis, psinvs
 
 
+def _with_jumps(driver_paths, grid):
+    """Sorted union of a grid from 0 and the jump times in (0, grid[-1]]."""
+    jumps = [p.jumps_in(0.0, grid[-1])[0] for p in driver_paths]
+    return np.unique(np.concatenate([grid] + jumps))
+
+
 def _breakpoints(driver_paths, t, dt_int):
-    n = max(1, int(math.ceil(t / dt_int - 1e-9)))
-    nodes = [t * np.arange(0, n + 1) / n]
-    for p in driver_paths:
-        jt, _ = p.jumps_in(0.0, t)
-        nodes.append(jt)
-    return np.unique(np.concatenate(nodes))
+    return _with_jumps(driver_paths, _windows(0.0, t, dt_int))
 
 
 def _psi_at(system, driver_paths, t, dt_int):
@@ -542,22 +533,15 @@ def integrability_alpha(ev, grid):
     times = np.asarray(grid.times() if hasattr(grid, "times") else grid, float)
     if times[0] != 0.0:
         raise ConfigurationError("grid must start at 0")
-    end = times[-1]
-    extra = []
-    for p in getattr(ev, "driver_paths", []):
-        jt, _ = p.jumps_in(0.0, end)
-        extra.append(jt)
-    eval_times = np.unique(np.concatenate([times] + extra))
+    nodes = _with_jumps(getattr(ev, "driver_paths", []), times)
     M = np.eye(ev.d)
     a_plus = max(0.0, math.log(_hs_norm(M)))
     a_minus = a_plus
-    prev = 0.0
-    for tt in eval_times[1:]:
-        M = ev.propagate(prev, tt) @ M
+    for P in ev.propagators(nodes):
+        M = P @ M
         det = np.linalg.det(M)
         if abs(det) < 1e-300:
             raise SingularityError("propagator numerically singular")
         a_plus = max(a_plus, math.log(_hs_norm(M)))
         a_minus = max(a_minus, math.log(_hs_norm(np.linalg.inv(M))))
-        prev = tt
     return max(0.0, a_plus), max(0.0, a_minus)

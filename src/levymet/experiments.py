@@ -37,7 +37,13 @@ from .oracle import (
     ground_truth_2d,
     integrability_bound,
 )
-from .paths import TimeGrid, sample_two_sided, substream, with_drift
+from .paths import (
+    TimeGrid,
+    check_jump_budget,
+    sample_two_sided,
+    substream,
+    with_drift,
+)
 from .spectrum import (
     FlagMetricParams,
     backward_spectrum,
@@ -440,6 +446,12 @@ def _agg_backward_spectrum(cfg, rows):
     return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 2)}
 
 
+def _check_example_2d_exact(cfg):
+    if cfg.delta >= 1.0:
+        raise ParseError(f"{cfg.experiment} needs delta < 1 (the "
+                         "integrability bound is finite only there)")
+
+
 def _check_flag_convergence(cfg):
     if cfg.fit_t_max > cfg.horizon:
         raise ParseError("fit_t_max must not exceed horizon")
@@ -462,7 +474,8 @@ class Experiment(NamedTuple):
 
 EXPERIMENTS = {
     "example_2d_exact": Experiment(_row_example_2d_exact,
-                                   _agg_example_2d_exact),
+                                   _agg_example_2d_exact,
+                                   _check_example_2d_exact),
     "example_2d_euler": Experiment(_row_example_2d_euler,
                                    _agg_example_2d_euler,
                                    _check_example_2d_euler),
@@ -501,6 +514,9 @@ def run_experiment(cfg):
     from . import __version__
 
     t0 = time.perf_counter()
+    # every experiment's drivers follow this law: fail before any path
+    check_jump_budget(scalar_triplet(measure=cfg.build_measure(),
+                                     delta=cfg.delta), cfg.horizon)
     tasks = [(cfg, i) for i in range(cfg.n_paths)]
     workers = _n_workers(cfg)
     if workers > 1 and cfg.n_paths > 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import LinearSystem
+from .errors import ConfigurationError
 from .measures import LevyTriplet, log_compensator_integral, second_moment_small
 
 BENCHMARK_DRIFTS = (2.0, -4.0)
@@ -83,7 +84,7 @@ def integrability_bound(measure, delta):
     A finite value certifies the integrability hypothesis numerically.
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError("the bound needs 0 < delta < 1")
+        raise ConfigurationError("the bound needs 0 < delta < 1")
     m2 = second_moment_small(measure, delta)
     bound_i1 = math.sqrt(m2) / (1.0 - delta)
     bound_i2 = 4.0 * m2 / (1.0 - delta) ** 2

@@ -138,14 +138,14 @@ def substream(master_seed, path_index=0, driver=0, leg=0):
     return np.random.default_rng(ss)
 
 
-def _draw_jumps(triplet, T, rng):
-    """Marked-Poisson jump draw on (0, T): band [eps_cut, delta] plus the
-    tail above delta.  Returns sorted times and sizes."""
-    m = triplet.measure
+def check_jump_budget(triplet, T):
+    """Jump bands (lo, hi, rate) sampled on (0, T): [eps_cut, delta] and the
+    tail above delta, if of nonzero rate.  Raises ConfigurationError for an
+    infinite rate or an expected jump count above the sampler budget."""
     eps = triplet.effective_cut()
-    times, sizes = [], []
+    bands = []
     for lo, hi in ((eps, triplet.delta), (triplet.delta, math.inf)):
-        rate = m.rate(lo, hi)
+        rate = triplet.measure.rate(lo, hi)
         if rate == 0.0:
             continue
         if not math.isfinite(rate):
@@ -159,9 +159,18 @@ def _draw_jumps(triplet, T, rng):
                 "budget; raise eps_cut (the default variance rule can demand "
                 "unsimulably many small jumps for heavy small-jump activity)"
             )
+        bands.append((lo, hi, rate))
+    return bands
+
+
+def _draw_jumps(triplet, T, rng):
+    """Marked-Poisson jump draw on (0, T) over the bands of
+    :func:`check_jump_budget`.  Returns sorted times and sizes."""
+    times, sizes = [], []
+    for lo, hi, rate in check_jump_budget(triplet, T):
         n = int(rng.poisson(rate * T))
         times.append(rng.uniform(0.0, T, n))
-        sizes.append(m.sample_sizes(rng, n, lo, hi))
+        sizes.append(triplet.measure.sample_sizes(rng, n, lo, hi))
     if times:
         t = np.concatenate(times)
         s = np.concatenate(sizes)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cocycle import _windows
 from .errors import (
     ConfigurationError,
     InstabilityError,
@@ -71,6 +72,18 @@ def _qr_pos(Z):
     sign = np.sign(np.diag(R))
     sign[sign == 0.0] = 1.0
     return Q * sign, np.abs(np.diag(R))
+
+
+def _push(Q, propagators):
+    """Push the frame Q through stacked window propagators, QR-renormalizing
+    after each; returns the new frame and the window-order sums of log R_kk."""
+    logs = np.zeros(Q.shape[1])
+    for B in propagators:
+        Q, diag = _qr_pos(B @ Q)
+        if not np.all((diag >= 1e-280) & np.isfinite(diag)):
+            raise InstabilityError("frame degenerated; shorten renorm_step")
+        logs += np.log(diag)
+    return Q, logs
 
 
 # -- spectrum estimation ----------------------------------------------------------
@@ -153,22 +166,12 @@ def _qr_estimate(ev, T, renorm_step, group_tol):
     span = abs(T)
     if span < 10.0 * renorm_step:
         raise ConfigurationError("horizon must be at least 10 renorm steps")
-    n = int(math.ceil(span / renorm_step - 1e-9))
-    edges = np.linspace(0.0, T, n + 1)
-    d = ev.d
-    Q = np.eye(d)
-    logs = np.zeros(d)
-    logdet = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        B = ev.propagate(a, b)
-        sign, ld = np.linalg.slogdet(B)
-        if sign == 0.0:
-            raise SingularityError("window propagator is singular")
-        logdet += ld
-        Q, diag = _qr_pos(B @ Q)
-        if np.any(diag < 1e-280):
-            raise InstabilityError("frame degenerated; shorten renorm_step")
-        logs += np.log(diag)
+    props = ev.propagators(_windows(0.0, T, renorm_step))
+    signs, lds = np.linalg.slogdet(props)
+    if np.any(signs == 0.0):
+        raise SingularityError("window propagator is singular")
+    logdet = np.cumsum(lds)[-1]  # in window order; np.sum adds pairwise
+    _, logs = _push(np.eye(ev.d), props)
     raw = np.sort(logs / span)[::-1]
     tol = 10.0 / span if group_tol is None else group_tol
     groups, gap = group_spectrum(raw, tol)
@@ -207,18 +210,9 @@ def vector_exponent(ev, x, T, renorm_step=1.0):
         raise ConfigurationError("x must be nonzero")
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    n = max(1, int(math.ceil(T / renorm_step - 1e-9)))
-    edges = np.linspace(0.0, T, n + 1)
-    v = x / nrm
-    acc = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v = ev.propagate(a, b) @ v
-        nv = np.linalg.norm(v)
-        if nv == 0.0 or not math.isfinite(nv):
-            raise InstabilityError("vector norm under/overflowed")
-        acc += math.log(nv)
-        v /= nv
-    return acc / T
+    v = (x / nrm)[:, None]
+    _, logs = _push(v, ev.propagators(_windows(0.0, T, renorm_step)))
+    return float(logs[0]) / T
 
 
 # -- flags -------------------------------------------------------------------------
@@ -438,15 +432,10 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
     else:
         frames = []
         Q = _qr_pos(frame)[0]
-        prev = 0.0
-        for t in t_list:
+        for a, b in zip(np.r_[0.0, t_list[:-1]], t_list):
             # renormalise over windows of at most unit length
-            n = max(1, int(math.ceil(abs(t - prev) - 1e-9)))
-            edges = np.linspace(prev, t, n + 1)
-            for a, b in zip(edges[:-1], edges[1:]):
-                Q, _ = _qr_pos(ev.propagate(a, b) @ Q)
-            frames.append(Q.copy())
-            prev = t
+            Q, _ = _push(Q, ev.propagators(_windows(a, b, 1.0)))
+            frames.append(Q)
         if target is None:
             target = _frame_flag(frames[-1], dims)
         with np.errstate(divide="ignore"):

@@ -148,6 +148,54 @@ def test_doleans_matches_exact_coordinate():
         assert dd.log_value(t) == pytest.approx(ev.log_growth(t)[0], abs=1e-12)
 
 
+# -- window-propagator stream ---------------------------------------------------
+
+
+def _stream_backend(kind):
+    paths = benchmark_paths(ATOM, 3.0, 21)
+    if kind == "exact":
+        return lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    if kind == "doleans":
+        return lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
+    system = lm.benchmark_system_2d(ATOM, 0.5)
+    return lm.EulerEvaluator(system, paths, 0.05, scheme=kind)
+
+
+@pytest.mark.parametrize("kind, edges", [
+    ("exact", [0.0, 0.3, 0.3, 1.1, 2.5, 3.0]),
+    ("exact", [0.4, -0.7, -2.2, -3.0]),
+    ("euler", [0.0, 0.3, 0.3, 1.1, 2.5]),
+    ("euler", [0.4, -0.7, -2.2]),
+    ("expm", [0.0, 0.3, 0.3, 1.1, 2.5]),
+    ("expm", [0.4, -0.7, -2.2]),
+    ("doleans", [0.0, 0.3, 0.3, 1.1, 2.5, 3.0]),
+])
+def test_propagators_stack_per_window_propagate(kind, edges):
+    ev = _stream_backend(kind)
+    stack = ev.propagators(edges)
+    per_window = [ev.propagate(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert stack.shape == (len(edges) - 1, ev.d, ev.d)
+    np.testing.assert_array_equal(stack, np.array(per_window))
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_exact_log_growth_rows_match_scalar_calls(seed):
+    ev = exact_ev(ATOM, 3.0, seed)
+    jumps = ev.driver_paths[0].jumps_in(-3.0, 3.0)[0]
+    times = np.concatenate([[-3.0, -0.3, 0.0, 0.7, 1.9, 3.0], jumps])
+    rows = ev.log_growth(times)
+    assert rows.shape == (times.size, 2)
+    for t, row in zip(times, rows):
+        np.testing.assert_array_equal(row, ev.log_growth(float(t)))
+
+
+@pytest.mark.parametrize("bad", [-3.5, 3.5])
+def test_exact_log_growth_array_outside_horizon(bad):
+    ev = exact_ev(ATOM, 3.0, 23)
+    with pytest.raises(HorizonError, match=f"t={bad} outside horizon"):
+        ev.log_growth(np.array([0.0, 1.0, bad, 2.0]))
+
+
 # -- Euler backend -----------------------------------------------------------------
 
 

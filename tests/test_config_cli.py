@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import levymet as lm
 from levymet.cli import main
 from levymet.config import MEASURE_KINDS
-from levymet.errors import ParseError
+from levymet.errors import ConfigurationError, ParseError
 from levymet.experiments import EXPERIMENTS
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
@@ -64,11 +64,14 @@ def _configs(draw):
     are set only for the configured kind, since echo() prints only those."""
     kind = draw(st.sampled_from(MEASURE_KINDS))
     horizon = draw(st.floats(min_value=1.0, max_value=100.0))
+    experiment = draw(st.sampled_from(list(EXPERIMENTS)))
+    delta = (st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
+             if experiment == "example_2d_exact" else _POSITIVE)
     return lm.ExperimentConfig(
-        experiment=draw(st.sampled_from(list(EXPERIMENTS))),
+        experiment=experiment,
         measure_kind=kind,
         **draw(_MEASURE_KEYS[kind]),
-        delta=draw(_POSITIVE),
+        delta=draw(delta),
         drift=draw(_FINITE),
         horizon=horizon,
         dt=draw(_POSITIVE),
@@ -120,6 +123,28 @@ def test_experiment_specific_checks():
                        r"<= 100 \(plain matrices overflow past that\)$"):
         lm.parse_config("experiment = example_2d_euler\nhorizon = 150\n")
     lm.parse_config("experiment = stable_1d\nhorizon = 50\n")  # fit_t_max 100
+
+
+@pytest.mark.parametrize("delta", ["1", "1.5"])
+def test_example_2d_exact_needs_delta_below_one(tmp_path, capsys, delta):
+    text = MINIMAL + f"delta = {delta}\nn_paths = 2\n"
+    with pytest.raises(ParseError, match=r"^example_2d_exact needs delta < 1"):
+        lm.parse_config(text)
+    cfgfile = _write(tmp_path, "d.cfg", text + f"output_dir = {tmp_path}/out\n")
+    assert main(["run", "--config", cfgfile]) == 2
+    assert "needs delta < 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jump_budget_preflight_before_any_path(tmp_path, capsys):
+    # the power-law defaults demand ~1e22 jumps per leg
+    text = "experiment = stable_1d\nmeasure.kind = power_law\nn_paths = 3\n"
+    with pytest.raises(ConfigurationError, match="expected jump count"):
+        lm.run_experiment(lm.parse_config(text))
+    cfgfile = _write(tmp_path, "j.cfg", text + f"output_dir = {tmp_path}/out\n")
+    assert main(["run", "--config", cfgfile]) == 2
+    assert "expected jump count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_key_names_both_lines():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levymet as lm
+from levymet.errors import ConfigurationError
 
 ATOM = lm.LevyMeasure.from_atoms([(0.2, 3.0)])
 
@@ -60,3 +61,9 @@ def test_integrability_bound_formula():
     assert lm.integrability_bound(ATOM, 0.5) == pytest.approx(expected, rel=1e-13)
     with pytest.raises(ValueError):
         lm.integrability_bound(ATOM, 1.5)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.5])
+def test_integrability_bound_rejects_delta_from_one(delta):
+    with pytest.raises(ConfigurationError, match="0 < delta < 1"):
+        lm.integrability_bound(ATOM, delta)
