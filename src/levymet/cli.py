@@ -8,7 +8,8 @@
 oseledets.csv and report.txt into the output directory, prints the check
 lines, and exits 0 iff every enabled check passed.  Flags override config
 keys.  The worker count is capped by the LEVY_MET_THREADS environment
-variable; outputs do not depend on it.
+variable; outputs do not depend on it.  ``validate`` parses the config,
+makes the checks ``run`` makes before any path, and echoes the config.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import parse_config
 from .errors import LevyMetError, ParseError
-from .experiments import run_experiment, write_outputs
+from .experiments import preflight, run_experiment, write_outputs
 
 
 def _load_config(path):
@@ -44,6 +45,7 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = _load_config(args.config)
+    preflight(cfg)
     sys.stdout.write(cfg.echo())
     print("# config OK")
     return 0

@@ -24,6 +24,7 @@ from .cocycle import _windows
 from .errors import (
     ConfigurationError,
     InstabilityError,
+    LevyMetError,
     ResolutionError,
     SingularityError,
     StructuralError,
@@ -67,23 +68,37 @@ def sym_root_spectrum(M, t):
 
 def _qr_pos(Z):
     """QR factorization with the R diagonal forced positive, which makes
-    frames unique and log R_kk well defined."""
+    frames unique and log R_kk well defined.  Leading axes of Z are batch
+    axes: each matrix is factored on its own."""
     Q, R = np.linalg.qr(Z)
-    sign = np.sign(np.diag(R))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    sign = np.sign(diag)
     sign[sign == 0.0] = 1.0
-    return Q * sign, np.abs(np.diag(R))
+    return Q * sign[..., None, :], np.abs(diag)
 
 
 def _push(Q, propagators):
-    """Push the frame Q through stacked window propagators, QR-renormalizing
-    after each; returns the new frame and the window-order sums of log R_kk."""
-    logs = np.zeros(Q.shape[1])
-    for B in propagators:
-        Q, diag = _qr_pos(B @ Q)
-        if not np.all((diag >= 1e-280) & np.isfinite(diag)):
-            raise InstabilityError("frame degenerated; shorten renorm_step")
-        logs += np.log(diag)
-    return Q, logs
+    """Push frames Q (..., d, k) through stacked window propagators
+    (..., n, d, d), QR-renormalizing after each window.  Leading axes are
+    batch axes that move in lockstep, one LAPACK call per window for the
+    whole batch; a frame with no batch axis is the batch of one.
+
+    Returns the new frames, the window-order sums of log R_kk (..., k) and
+    a mask (...) of the frames that degenerated: an R diagonal below 1e-280
+    or non-finite in some window.  The frame and logs of a degenerated
+    batch entry are meaningless; every other entry is unaffected."""
+    logs = np.zeros(Q.shape[:-2] + Q.shape[-1:])
+    degenerated = np.zeros(Q.shape[:-2], bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(propagators.shape[-3]):
+            Q, diag = _qr_pos(propagators[..., k, :, :] @ Q)
+            degenerated |= ~np.all((diag >= 1e-280) & np.isfinite(diag),
+                                   axis=-1)
+            logs += np.log(diag)
+    return Q, logs, degenerated
+
+
+_DEGENERATED = "frame degenerated; shorten renorm_step"
 
 
 # -- spectrum estimation ----------------------------------------------------------
@@ -159,25 +174,62 @@ class SpectrumEstimate:
         return self.raw.size
 
 
-def _qr_estimate(ev, T, renorm_step, group_tol):
-    """Push a frame over windows covering [0, T] (T may be negative) and
-    group the per-direction log growths per unit |T|.  log|det| is
-    accumulated independently of the QR diagonal for the sum rule."""
+def _qr_estimate(evs, T, renorm_step, group_tol):
+    """Push frames over windows covering [0, T] (T may be negative) for a
+    list of evaluators in lockstep and group each one's log growths per
+    unit |T|.  log|det| is accumulated independently of the QR diagonal for
+    the sum rule.  Returns one entry per evaluator: its SpectrumEstimate,
+    or the LevyMetError its path raised."""
     span = abs(T)
     if span < 10.0 * renorm_step:
         raise ConfigurationError("horizon must be at least 10 renorm steps")
-    props = ev.propagators(_windows(0.0, T, renorm_step))
-    signs, lds = np.linalg.slogdet(props)
-    if np.any(signs == 0.0):
-        raise SingularityError("window propagator is singular")
-    logdet = np.cumsum(lds)[-1]  # in window order; np.sum adds pairwise
-    _, logs = _push(np.eye(ev.d), props)
-    raw = np.sort(logs / span)[::-1]
+    if len({ev.d for ev in evs}) > 1:
+        raise ConfigurationError("evaluators must share one dimension")
+    edges = _windows(0.0, T, renorm_step)
+    out = [None] * len(evs)
+    live, stack = [], []
+    for i, ev in enumerate(evs):
+        try:
+            stack.append(ev.propagators(edges))
+            live.append(i)
+        except LevyMetError as exc:
+            out[i] = exc
+    if not live:
+        return out
+    props = np.stack(stack)  # (paths, windows, d, d)
+    with np.errstate(invalid="ignore"):  # a non-finite window fails its path
+        signs, lds = np.linalg.slogdet(props)
+    logdets = np.cumsum(lds, axis=-1)[:, -1]  # window order; np.sum is pairwise
+    d = props.shape[-1]
+    _, logs, degenerated = _push(np.broadcast_to(np.eye(d), (len(live), d, d)),
+                                 props)
     tol = 10.0 / span if group_tol is None else group_tol
-    groups, gap = group_spectrum(raw, tol)
-    return SpectrumEstimate(raw, tuple(g[0] for g in groups),
-                            tuple(g[1] for g in groups), gap, T,
-                            logdet / span, tol)
+    for j, i in enumerate(live):
+        if np.any(signs[j] == 0.0):
+            out[i] = SingularityError("window propagator is singular")
+        elif degenerated[j]:
+            out[i] = InstabilityError(_DEGENERATED)
+        else:
+            raw = np.sort(logs[j] / span)[::-1]
+            try:
+                groups, gap = group_spectrum(raw, tol)
+                out[i] = SpectrumEstimate(
+                    raw, tuple(g[0] for g in groups),
+                    tuple(g[1] for g in groups), gap, T, logdets[j] / span, tol)
+            except LevyMetError as exc:
+                out[i] = exc
+    return out
+
+
+def _qr_spectra(evs, T, renorm_step, group_tol):
+    """:func:`_qr_estimate` for a list of evaluators, or for one evaluator,
+    whose estimate is returned and whose error is raised."""
+    if isinstance(evs, list):
+        return _qr_estimate(evs, T, renorm_step, group_tol)
+    (est,) = _qr_estimate([evs], T, renorm_step, group_tol)
+    if isinstance(est, LevyMetError):
+        raise est
+    return est
 
 
 def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
@@ -186,20 +238,26 @@ def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
     group_tol defaults to 10/T, so the grouping resolution scales with the
     horizon.  The sum rule sum(raw) = (1/T) log|det phi(T)| is checked with
     a determinant accumulated independently of the QR diagonal.
+
+    ``ev`` may also be a list of evaluators of one dimension, whose frames
+    are pushed in lockstep; the result is then a list with one entry per
+    evaluator, its SpectrumEstimate or the LevyMetError that path raised.
+    Each entry is bitwise the estimate of that evaluator alone.
     """
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return _qr_estimate(ev, T, renorm_step, group_tol)
+    return _qr_spectra(ev, T, renorm_step, group_tol)
 
 
 def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
     """Spectrum of the time-reversed cocycle: growth rates of phi(-t) per
     unit |t|.  For the forward exponents lambda_1 > ... > lambda_p the
     grouped result is lambda^-_k = -lambda_{p+1-k} with reversed
-    multiplicities."""
+    multiplicities.  ``ev`` may be a list of evaluators, as for
+    :func:`spectrum_qr`."""
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return _qr_estimate(ev, -T, renorm_step, group_tol)
+    return _qr_spectra(ev, -T, renorm_step, group_tol)
 
 
 def vector_exponent(ev, x, T, renorm_step=1.0):
@@ -210,8 +268,10 @@ def vector_exponent(ev, x, T, renorm_step=1.0):
         raise ConfigurationError("x must be nonzero")
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    v = (x / nrm)[:, None]
-    _, logs = _push(v, ev.propagators(_windows(0.0, T, renorm_step)))
+    props = ev.propagators(_windows(0.0, T, renorm_step))
+    _, logs, degenerated = _push((x / nrm)[:, None], props)
+    if degenerated:
+        raise InstabilityError(_DEGENERATED)
     return float(logs[0]) / T
 
 
@@ -434,7 +494,9 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
         Q = _qr_pos(frame)[0]
         for a, b in zip(np.r_[0.0, t_list[:-1]], t_list):
             # renormalise over windows of at most unit length
-            Q, _ = _push(Q, ev.propagators(_windows(a, b, 1.0)))
+            Q, _, degenerated = _push(Q, ev.propagators(_windows(a, b, 1.0)))
+            if degenerated:
+                raise InstabilityError(_DEGENERATED)
             frames.append(Q)
         if target is None:
             target = _frame_flag(frames[-1], dims)

@@ -2,6 +2,9 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ import levymet as lm
 from levymet.cli import main
 from levymet.config import MEASURE_KINDS
 from levymet.errors import ConfigurationError, ParseError
+from levymet import experiments
 from levymet.experiments import EXPERIMENTS
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
@@ -147,6 +151,14 @@ def test_jump_budget_preflight_before_any_path(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_validate_runs_the_jump_budget_preflight(tmp_path, capsys):
+    text = "experiment = stable_1d\nmeasure.kind = power_law\n"
+    assert main(["validate", "--config", _write(tmp_path, "v.cfg", text)]) == 2
+    out, err = capsys.readouterr()
+    assert "config OK" not in out
+    assert "error: expected jump count 1.71e+22" in err
+
+
 def test_duplicate_key_names_both_lines():
     text = "experiment = stable_1d\nmeasure.kind = power_law\ndelta = 0.5\ndelta = 0.4\n"
     with pytest.raises(ParseError, match=r"lines 3 and 4"):
@@ -264,3 +276,72 @@ def test_reproducible_outputs_across_worker_counts(tmp_path):
             for name in ("spectrum.csv", "flags.csv", "oseledets.csv")
         }
     assert outs["a"] == outs["b"]
+
+
+def test_batches_split_paths_contiguously():
+    for workers in (1, 2, 3):
+        for n in range(1, 120):
+            batches = experiments._batches(n, workers)
+            assert [i for b in batches for i in b] == list(range(n))
+            sizes = [len(b) for b in batches]
+            assert max(sizes) <= experiments.BATCH_PATHS
+            assert max(sizes) - min(sizes) <= 1
+            assert len(batches) >= min(n, workers)
+
+
+@pytest.mark.parametrize("experiment", ["example_2d_exact", "backward_spectrum"])
+def test_rows_do_not_depend_on_batching(monkeypatch, experiment):
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    cfg = lm.parse_config(MINIMAL.replace("example_2d_exact", experiment) +
+                          "horizon = 40\ndt = 0.5\nmaster_seed = 3\n")
+    k = 5
+    seen = set()
+    # serial 1, 2 and 3 batches; pooled 2 and 4 batches
+    for n_paths, threads in ((k, 1), (17, 1), (33, 1), (k, 2), (33, 2)):
+        report = lm.run_experiment(replace(cfg, n_paths=n_paths,
+                                           threads=threads))
+        assert not report.path_errors
+        seen.add(repr(report.rows[:k]))
+    assert len(seen) == 1
+
+
+class _BreakingPool:
+    """Executor that runs tasks in-process, except that the batch holding
+    path ``broken`` fails as a crashed worker's future does."""
+
+    broken = 2
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        future = Future()
+        if self.broken in task[1]:
+            future.set_exception(BrokenProcessPool(
+                "A process in the process pool was terminated abruptly"))
+        else:
+            future.set_result(fn(task))
+        return future
+
+
+def test_worker_crash_quarantines_its_batch(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _BreakingPool)
+    text = MINIMAL + ("horizon = 40\ndt = 0.5\nn_paths = 4\nthreads = 2\n"
+                      f"output_dir = {tmp_path}/out\n")
+    report = lm.run_experiment(lm.parse_config(text))
+    crash = ("BrokenProcessPool: A process in the process pool was "
+             "terminated abruptly")
+    assert report.path_errors == [(2, crash), (3, crash)]
+    assert [r["index"] for r in report.rows] == [0, 1]
+    assert not report.passed
+    assert report.checks[0].check_id == "error_rate"
+    assert main(["run", "--config", _write(tmp_path, "w.cfg", text)]) == 1
+    assert "[FAIL] error_rate: 2/4 paths errored" in capsys.readouterr().out
+    assert f"path 3: {crash}" in (tmp_path / "out" / "report.txt").read_text()

@@ -385,3 +385,85 @@ def test_vector_exponent_eigendirections():
         assert abs(np.mean(vals) - target) < 4.0 * se + 5e-2
     with pytest.raises(ConfigurationError):
         lm.vector_exponent(exact_ev(ATOM, 20.0, 1), [0.0, 0.0], 20.0)
+
+
+# -- lockstep frame push over batches of paths ----------------------------------------
+
+
+def _exact_stack(seed, T=60.0):
+    return exact_ev(ATOM, T, seed).propagators(lm.cocycle._windows(0.0, T, 1.0))
+
+
+def _push_cases():
+    rng = np.random.default_rng(11)
+    rotation = np.array([[math.cos(0.7), -math.sin(0.7)],
+                         [math.sin(0.7), math.cos(0.7)]])
+    exact = np.stack([_exact_stack(8000 + s) for s in range(5)])
+    return {
+        "exact_identity": (exact, np.eye(2)),
+        "exact_rotated": (exact, rotation),
+        "exact_vector": (exact, np.array([[0.6], [0.8]])),
+        "random_3x3": (rng.standard_normal((7, 40, 3, 3)), haar(3, 12)),
+    }
+
+
+@pytest.mark.parametrize("case", ["exact_identity", "exact_rotated",
+                                  "exact_vector", "random_3x3"])
+def test_push_batch_bitwise_equals_per_path(case):
+    props, frame = _push_cases()[case]
+    singles = [lm.spectrum._push(frame, p) for p in props]
+    for batch in (props[:1], props):
+        frames = np.broadcast_to(frame, (len(batch),) + frame.shape)
+        Q, logs, degenerated = lm.spectrum._push(frames, batch)
+        assert not np.any(degenerated)
+        for k in range(len(batch)):
+            assert np.array_equal(Q[k], singles[k][0])
+            assert np.array_equal(logs[k], singles[k][1])
+
+
+class _Tampered:
+    """An evaluator whose window stack has one window replaced."""
+
+    def __init__(self, ev, window):
+        self.ev, self.window, self.d = ev, window, ev.d
+
+    def propagators(self, edges):
+        props = self.ev.propagators(edges).copy()
+        props[5] = self.window
+        return props
+
+
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("estimate", [lm.spectrum_qr, lm.backward_spectrum])
+@pytest.mark.parametrize("window", [
+    np.zeros((2, 2)),                      # singular window
+    np.diag([1e300, 1e-300]),              # R diagonal below the floor
+    np.full((2, 2), np.inf),               # overflowed window
+])
+def test_degenerate_path_leaves_batch_unchanged(estimate, window):
+    evs = [exact_ev(ATOM, 60.0, 8100 + s) for s in range(4)]
+    evs[2] = _Tampered(evs[2], window)
+    evs.append(exact_ev(ATOM, 30.0, 8104))  # horizon too short: its stack raises
+    batch = estimate(evs, 60.0, 1.0)
+    assert len(batch) == len(evs)
+    for ev, got in zip(evs, batch):
+        try:
+            alone = estimate(ev, 60.0, 1.0)
+        except lm.LevyMetError as exc:
+            assert isinstance(got, type(exc))
+            assert _error_text(got) == _error_text(exc)
+            continue
+        assert np.array_equal(got.raw, alone.raw)
+        assert got.logdet_over_T == alone.logdet_over_T
+        assert (got.lambdas, got.multiplicities, got.gap) == \
+            (alone.lambdas, alone.multiplicities, alone.gap)
+    assert [isinstance(e, lm.LevyMetError) for e in batch] == \
+        [False, False, True, False, True]
+    with pytest.raises(lm.LevyMetError) as info:
+        estimate(evs[2], 60.0, 1.0)
+    assert type(info.value) is type(batch[2])
+    assert str(info.value) in ("window propagator is singular",
+                               "frame degenerated; shorten renorm_step")
