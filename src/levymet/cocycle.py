@@ -17,11 +17,15 @@ Backends:
   driver;
 * :class:`EulerEvaluator` -- jump-adapted Euler for dX = aX dt + sigma_i X dL^i:
   jumps are applied exactly as multiplicative factors (I + u sigma_i), the
-  flow between jumps is explicit Euler or an exact matrix exponential;
+  flow between jumps is explicit Euler or an exact matrix exponential.  All
+  windows of a stream share one (n, d, d) stack of step and jump factors,
+  built from one array lookup of the driver increments, and each window is
+  folded sequentially (M <- F M) in the order a step-by-step loop would use;
 * :func:`picard_solve` -- successive substitution for the equivalent random
   integral equation, used as an independent oracle for the Euler backend.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -47,10 +51,13 @@ def _hs_norm(M):
     return float(np.linalg.norm(M))
 
 
+_OVERFLOW_MSG = ("propagator overflow; reduce the step or use log-scaled "
+                 "evaluation")
+
+
 def _check_finite(M):
     if not np.all(np.isfinite(M)) or np.max(np.abs(M)) > _OVERFLOW_NORM:
-        raise InstabilityError("propagator overflow; reduce the step or use "
-                               "log-scaled evaluation")
+        raise InstabilityError(_OVERFLOW_MSG)
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,31 @@ class LinearSystem:
         for s, tr in zip(self.sigmas, self.drivers):
             B += s * float(tr.drift[0])
         return B
+
+
+def _fold(win, pos, factors, count):
+    """Sequential products M <- F M over each window's factors, in the
+    order given: factor ``factors[m]`` is number ``pos[m]`` of window
+    ``win[m]``, which has ``count`` factors (at least one).  The windows are
+    folded in lockstep, longest first, so the unfinished ones are a prefix
+    of the stack.  Returns the window products and, per window, the
+    position of the first running product that :func:`_check_finite`
+    rejects (``count.max()`` if none)."""
+    W, d = count.size, factors.shape[-1]
+    rank = np.empty(W, int)
+    rank[np.argsort(-count, kind="stable")] = np.arange(W)
+    active = np.sum(count[:, None] > np.arange(count.max()), axis=0)
+    stack = np.zeros((active.size, W, d, d))
+    stack[pos, rank[win]] = factors
+    running = np.zeros_like(stack)  # [j, r]: first j + 1 factors of rank r
+    prod = np.tile(np.eye(d), (W, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, run, m in zip(stack, running, active):
+            prod = np.matmul(step[:m], prod[:m], out=run[:m])
+        bad = ~np.all(np.isfinite(running), axis=(2, 3))
+        bad |= np.max(np.abs(running), axis=(2, 3)) > _OVERFLOW_NORM
+    first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), active.size)
+    return running[count - 1, rank], first_bad[rank]
 
 
 def _windows(t0, t1, step):
@@ -177,6 +209,10 @@ class ExactDiagonal2D(_EvaluatorBase):
         lo = min(band[0], self.delta)
         self.compensator_integral = measure.log_compensator(lo, self.delta)
         self._log_moment = measure.log_moment(lo, self.delta)
+        self._tabulate_jumps()
+
+    def _tabulate_jumps(self):
+        """Per-path jump times and cumulative log(1 + kappa) tables."""
         self._jump_t = []
         self._log_cum = []
         self._anchor = []
@@ -226,8 +262,12 @@ class ExactDiagonal2D(_EvaluatorBase):
         return np.diag(np.exp(lg - s)), s
 
     def shifted(self, s):
-        return ExactDiagonal2D([p.shift(s) for p in self.driver_paths],
-                               self.measure, self.delta, self.drift_rates)
+        """The evaluator on the shifted paths.  The band integrals are
+        shift-invariant, so only the jump tables are rebuilt."""
+        ev = copy.copy(self)
+        ev.driver_paths = [p.shift(s) for p in self.driver_paths]
+        ev._tabulate_jumps()
+        return ev
 
 
 class StochasticExponential1D(_EvaluatorBase):
@@ -275,11 +315,22 @@ class StochasticExponential1D(_EvaluatorBase):
 class EulerEvaluator(_EvaluatorBase):
     """Jump-adapted Euler propagator for dX = a X dt + sigma_i X dL^i.
 
-    The step grid is the uniform dt_int lattice refined by every jump time,
-    so jumps are applied exactly as factors (I + kappa sigma_i); between
-    jumps the continuous increments of the sampled drivers (drift,
-    compensation, Gaussian part) feed an explicit Euler step, or a matrix
-    exponential when scheme="expm".
+    The step grid of a forward window (t0, t1] is the uniform lattice
+    t0 + (t1 - t0) j/n, n = ceil((t1 - t0)/dt_int), refined by every jump
+    time, so jumps are applied exactly as factors (I + kappa sigma_i);
+    between jumps the continuous increments of the sampled drivers (drift,
+    compensation, Gaussian part) feed an explicit Euler step I + G, or
+    expm(G) when scheme="expm", with G = h a + sum_i dc_i sigma_i.
+
+    ``propagators(edges)`` evaluates all windows at once: one node array,
+    one array lookup of the continuous increments per driver, one (n, d, d)
+    stack of step and jump factors.  Each window's factors are then folded
+    in sequence order, M <- F M, every window in lockstep, so the result is
+    bitwise that of stepping window by window; a pairwise reduction would be
+    faster but would change the rounding.  A window raises what its first
+    failing factor raises: a singular jump factor (SingularityError) or a
+    running product that overflows (InstabilityError).  Backward windows
+    are the inverses of the forward ones.
     """
 
     def __init__(self, system, driver_paths, dt_int, scheme="euler"):
@@ -295,48 +346,103 @@ class EulerEvaluator(_EvaluatorBase):
         self.scheme = scheme
         self.d = system.d
 
-    def propagate(self, t0, t1):
+    def propagators(self, edges):
+        edges = np.asarray(edges, float)
+        t0, t1 = edges[:-1], edges[1:]
         lo, hi = self.horizon
-        if min(t0, t1) < lo - 1e-12 or max(t0, t1) > hi + 1e-12:
+        outside = ((np.minimum(t0, t1) < lo - 1e-12)
+                   | (np.maximum(t0, t1) > hi + 1e-12))
+        n_in = int(np.argmax(outside)) if np.any(outside) else t0.size
+        live = np.flatnonzero(t0[:n_in] != t1[:n_in])
+        a, b = np.minimum(t0[live], t1[live]), np.maximum(t0[live], t1[live])
+        M, errors = self._forward_products(a, b)
+        back = np.flatnonzero(t1[live] < t0[live])
+        ok = np.array([errors[k] is None for k in back], bool)
+        singular = np.zeros(back.size, bool)
+        singular[ok] = np.abs(np.linalg.det(M[back[ok]])) == 0.0
+        for k in back[singular]:
+            errors[k] = SingularityError("forward window is singular")
+        failed = [e for e in errors if e is not None]
+        if failed:
+            raise failed[0]
+        if n_in < t0.size:
             raise HorizonError("window outside the sampled horizon")
-        if t0 == t1:
-            return np.eye(self.d)
-        if t1 < t0:
-            M = self.propagate(t1, t0)
-            if abs(np.linalg.det(M)) == 0.0:
-                raise SingularityError("forward window is singular")
-            return np.linalg.inv(M)
-        a_mat = self.system.a
-        sig = self.system.sigmas
-        jumps = _jump_events(self.driver_paths, t0, t1)
-        n = max(1, int(math.ceil((t1 - t0) / self.dt_int - 1e-9)))
-        nodes = np.unique(np.concatenate([
-            t0 + (t1 - t0) * np.arange(1, n) / n,
-            np.asarray(sorted(jumps), float),
-            [t1],
-        ]))
-        M = np.eye(self.d)
-        prev = t0
-        for t in nodes:
-            h = t - prev
-            if h > 0.0:
-                G = h * a_mat
-                for i, p in enumerate(self.driver_paths):
-                    dc = float(p.continuous_increment(prev, t)[0])
-                    G = G + dc * sig[i]
-                step = expm(G) if self.scheme == "expm" else np.eye(self.d) + G
-                M = step @ M
-                _check_finite(M)
-            for i, kappa in jumps.get(float(t), ()):
-                J = np.eye(self.d) + kappa * sig[i]
-                if abs(np.linalg.det(J)) < 1e-12:
-                    raise SingularityError(
-                        f"jump factor I + u*sigma_{i+1} is singular (u={kappa})"
-                    )
-                M = J @ M
-                _check_finite(M)
-            prev = t
-        return M
+        M[back] = np.linalg.inv(M[back])
+        out = np.tile(np.eye(self.d), (t0.size, 1, 1))
+        out[live] = M
+        return out
+
+    def _forward_products(self, a, b):
+        """Products over the forward windows (a_k, b_k] and, per window, the
+        error its first failing factor raises (or None)."""
+        d, W = self.d, a.size
+        if W == 0:
+            return np.empty((0, d, d)), []
+        jw, jt, ji, js = [], [], [], []
+        for k in range(W):
+            for i, p in enumerate(self.driver_paths):
+                times, sizes = p.jumps_in(a[k], b[k])
+                jw.append(np.full(times.size, k))
+                jt.append(times)
+                ji.append(np.full(times.size, i))
+                js.append(sizes[:, 0])
+        jw, jt, ji, js = map(np.concatenate, (jw, jt, ji, js))
+        sw, sp, st = self._steps(a, b, jw, jt)
+
+        G = (st - sp)[:, None, None] * self.system.a
+        for sigma, p in zip(self.system.sigmas, self.driver_paths):
+            dc = p.continuous_increment(sp, st)[:, 0]
+            G = G + dc[:, None, None] * sigma
+        steps = expm(G) if self.scheme == "expm" else np.eye(d) + G
+        jumps = np.eye(d) + js[:, None, None] * np.array(self.system.sigmas)[ji]
+        singular = np.abs(np.linalg.det(jumps)) < 1e-12
+
+        # sequence order: per window and node, the step ending there, then
+        # the jumps at that node by driver
+        win = np.concatenate([sw, jw])
+        order = np.lexsort((np.arange(win.size), np.concatenate([st, jt]), win))
+        win = win[order]
+        count = np.bincount(win, minlength=W)
+        start = np.cumsum(count) - count
+        pos = np.arange(win.size) - start[win]
+        M, first_bad = _fold(win, pos, np.concatenate([steps, jumps])[order],
+                             count)
+        # a singular jump factor is caught before its product is formed
+        sing = np.concatenate([np.zeros(sw.size, bool), singular])[order]
+        first_sing = np.full(W, count.max())
+        np.minimum.at(first_sing, win[sing], pos[sing])
+        errors = [None] * W
+        for k in np.flatnonzero(np.minimum(first_sing, first_bad) < count):
+            if first_sing[k] <= first_bad[k]:
+                f = order[start[k] + first_sing[k]] - sw.size
+                errors[k] = SingularityError(
+                    f"jump factor I + u*sigma_{ji[f] + 1} is singular "
+                    f"(u={float(js[f])})")
+            else:
+                errors[k] = InstabilityError(_OVERFLOW_MSG)
+        return M, errors
+
+    def _steps(self, a, b, jw, jt):
+        """Window, start and end of every step.  The nodes of window k are
+        its lattice a_k + (b_k - a_k) j/n_k (0 < j < n_k), its jump times
+        (window indices jw, times jt) and b_k; a step runs to each node from
+        the one before it (from a_k for the first), if that is earlier."""
+        n = np.maximum(1, np.ceil((b - a) / self.dt_int - 1e-9).astype(int))
+        lw = np.repeat(np.arange(a.size), n - 1)
+        j = 1 + np.arange(lw.size) - np.repeat(np.cumsum(n - 1) - (n - 1), n - 1)
+        w = np.concatenate([lw, jw, np.arange(a.size)])
+        t = np.concatenate([a[lw] + (b - a)[lw] * j / n[lw], jt, b])
+        order = np.lexsort((t, w))
+        w, t = w[order], t[order]
+        new = np.ones(t.size, bool)
+        new[1:] = (w[1:] != w[:-1]) | (t[1:] != t[:-1])
+        w, t = w[new], t[new]
+        prev = np.concatenate([[0.0], t[:-1]])
+        opens = np.ones(t.size, bool)
+        opens[1:] = w[1:] != w[:-1]
+        prev[opens] = a[w[opens]]
+        step = t > prev
+        return w[step], prev[step], t[step]
 
     def shifted(self, s):
         return EulerEvaluator(self.system, [p.shift(s) for p in self.driver_paths],

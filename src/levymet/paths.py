@@ -99,15 +99,19 @@ class JumpPath:
         return self.cont + self._jump_cum[idx]
 
     def _check_in_horizon(self, t):
-        if t < self.t_start - 1e-12 or t > self.t_end + 1e-12:
-            raise HorizonError(f"t={t} outside sampled horizon "
+        outside = (t < self.t_start - 1e-12) | (t > self.t_end + 1e-12)
+        if np.any(outside):
+            raise HorizonError(f"t={t[outside][0]} outside sampled horizon "
                                f"[{self.t_start}, {self.t_end}]")
 
     def continuous_at(self, t):
+        """Interpolated skeleton at t: shape (d,) for a scalar t, one row
+        per time for an array of times."""
+        t = np.asarray(t, float)
         self._check_in_horizon(t)
-        out = np.empty(self.d)
+        out = np.empty(t.shape + (self.d,))
         for j in range(self.d):
-            out[j] = np.interp(t, self.node_times, self.cont[:, j])
+            out[..., j] = np.interp(t, self.node_times, self.cont[:, j])
         return out
 
     def evaluate(self, t):
@@ -287,20 +291,32 @@ class TwoSidedPath:
         return self._base_eval(t + self.offset) - self._anchor
 
     def continuous_at(self, t):
-        s = t + self.offset
-        leg = self.forward if s >= 0.0 else self.backward
-        return leg.continuous_at(s)
+        s = np.asarray(t, float) + self.offset
+        fwd = s >= 0.0
+        out = np.empty(s.shape + (self.d,))
+        out[fwd] = self.forward.continuous_at(s[fwd])
+        out[~fwd] = self.backward.continuous_at(s[~fwd])
+        return out
 
     def continuous_increment(self, t0, t1):
-        s0, s1 = t0 + self.offset, t1 + self.offset
-        if (s0 >= 0.0) == (s1 >= 0.0):
-            leg = self.forward if s0 >= 0.0 else self.backward
-            return leg.continuous_increment(s0, s1)
-        sgn = 1.0 if s1 >= s0 else -1.0
-        a, b = min(s0, s1), max(s0, s1)
-        inc = (self.backward.continuous_increment(a, 0.0)
-               + self.forward.continuous_increment(0.0, b))
-        return sgn * inc
+        """Continuous increment over (t0, t1), elementwise for arrays.  A
+        window crossing the origin adds the backward leg's part up to 0 and
+        the forward leg's part from 0."""
+        s0, s1 = np.broadcast_arrays(np.asarray(t0, float) + self.offset,
+                                     np.asarray(t1, float) + self.offset)
+        fwd0, fwd1 = s0 >= 0.0, s1 >= 0.0
+        out = np.empty(s0.shape + (self.d,))
+        for leg, on in ((self.forward, fwd0 & fwd1),
+                        (self.backward, ~fwd0 & ~fwd1)):
+            out[on] = leg.continuous_increment(s0[on], s1[on])
+        cross = fwd0 != fwd1
+        if np.any(cross):
+            a, b = s0[cross], s1[cross]
+            sgn = np.where(b >= a, 1.0, -1.0)[:, None]
+            inc = (self.backward.continuous_increment(np.minimum(a, b), 0.0)
+                   + self.forward.continuous_increment(0.0, np.maximum(a, b)))
+            out[cross] = sgn * inc
+        return out
 
     def jumps_in(self, a, b):
         """Jump times and sizes with a < s <= b (shift-adjusted times)."""

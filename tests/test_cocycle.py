@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import levymet as lm
+from levymet.cocycle import _check_finite, _jump_events
 from levymet.errors import (
     DegeneracyError,
     HorizonError,
@@ -250,6 +254,264 @@ def test_euler_horizon_error():
     ev = lm.EulerEvaluator(system, paths, 0.01)
     with pytest.raises(HorizonError):
         ev.matrix(3.0)
+
+
+# -- stacked Euler against the per-step loop ------------------------------------
+
+
+def _euler_loop(ev, t0, t1):
+    """Reference: the window propagator stepped node by node in Python, as
+    the Euler backend computed it before its steps were stacked."""
+    lo, hi = ev.horizon
+    if min(t0, t1) < lo - 1e-12 or max(t0, t1) > hi + 1e-12:
+        raise HorizonError("window outside the sampled horizon")
+    if t0 == t1:
+        return np.eye(ev.d)
+    if t1 < t0:
+        M = _euler_loop(ev, t1, t0)
+        if abs(np.linalg.det(M)) == 0.0:
+            raise SingularityError("forward window is singular")
+        return np.linalg.inv(M)
+    a_mat = ev.system.a
+    sig = ev.system.sigmas
+    jumps = _jump_events(ev.driver_paths, t0, t1)
+    n = max(1, int(math.ceil((t1 - t0) / ev.dt_int - 1e-9)))
+    nodes = np.unique(np.concatenate([
+        t0 + (t1 - t0) * np.arange(1, n) / n,
+        np.asarray(sorted(jumps), float),
+        [t1],
+    ]))
+    M = np.eye(ev.d)
+    prev = t0
+    for t in nodes:
+        h = t - prev
+        if h > 0.0:
+            G = h * a_mat
+            for i, p in enumerate(ev.driver_paths):
+                dc = float(p.continuous_increment(prev, t)[0])
+                G = G + dc * sig[i]
+            step = expm(G) if ev.scheme == "expm" else np.eye(ev.d) + G
+            M = step @ M
+            _check_finite(M)
+        for i, kappa in jumps.get(float(t), ()):
+            J = np.eye(ev.d) + kappa * sig[i]
+            if abs(np.linalg.det(J)) < 1e-12:
+                raise SingularityError(
+                    f"jump factor I + u*sigma_{i+1} is singular (u={kappa})"
+                )
+            M = J @ M
+            _check_finite(M)
+        prev = t
+    return M
+
+
+P_CONJ = np.array([[1.0, 0.4], [-0.3, 1.2]])
+
+
+def conjugated_system(measure, delta, P=P_CONJ):
+    """The benchmark system conjugated by P: a' = P a P^-1, sigma' = P sigma P^-1."""
+    base = lm.benchmark_system_2d(measure, delta)
+    Pi = np.linalg.inv(P)
+    return lm.LinearSystem(P @ base.a @ Pi,
+                           tuple(P @ s @ Pi for s in base.sigmas), base.drivers)
+
+
+def _hand_leg(node_times, jump_times, jump_sizes, seed):
+    """Forward leg on [0, 2] with a random continuous skeleton and the given
+    jumps; its nodes are the given ones plus the jump times."""
+    nodes = np.union1d(node_times, jump_times)
+    cont = np.concatenate([[0.0], np.cumsum(
+        np.random.default_rng(seed).normal(0.0, 0.3, nodes.size - 1))])
+    return lm.JumpPath(lm.TimeGrid(0.0, 2.0, 0.25), nodes, cont,
+                       np.asarray(jump_times, float),
+                       np.asarray(jump_sizes, float)[:, None])
+
+
+def lattice_jump_paths():
+    """Two drivers whose forward jumps sit on the dt_int = 0.125 lattice of
+    windows starting at 0 (0.25, 0.5, 1.0) and coincide across the drivers
+    (0.375, 0.5, 1.0); the backward legs are sampled."""
+    sampled = benchmark_paths(ATOM, 2.0, 41)
+    grid = np.linspace(0.0, 2.0, 9)
+    legs = [_hand_leg(grid, [0.25, 0.375, 0.5, 1.0, 1.3],
+                      [0.3, -0.2, 0.1, 0.25, -0.4], 1),
+            _hand_leg(grid, [0.375, 0.5, 0.7, 1.0],
+                      [0.15, -0.35, 0.2, 0.45], 2)]
+    return [lm.two_sided(leg, p.backward) for leg, p in zip(legs, sampled)]
+
+
+EULER_EDGES = [
+    [0.0, 1.7],
+    [1.6, 0.2],
+    [-1.8, -0.35],
+    [-0.4, -1.9],
+    [-1.3, 0.9],
+    [1.1, -0.6],
+    [0.0, 0.25, 0.5, 0.5, 1.0, 0.375, -0.8, -0.8, -1.9, 1.2],
+    list(np.linspace(-1.9, 1.9, 13)),
+]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "expm"])
+@pytest.mark.parametrize("paths_kind", ["sampled", "shifted", "lattice"])
+def test_euler_stack_bitwise_equals_step_loop(scheme, paths_kind):
+    if paths_kind == "lattice":
+        paths = lattice_jump_paths()
+    else:
+        paths = benchmark_paths(ATOM, 2.0, 42)
+    for system in (lm.benchmark_system_2d(ATOM, 0.5), conjugated_system(ATOM, 0.5)):
+        ev = lm.EulerEvaluator(system, paths, 0.125, scheme=scheme)
+        if paths_kind == "shifted":
+            ev = ev.shifted(0.0731)
+            assert ev.horizon[1] < 2.0
+        for edges in EULER_EDGES:
+            loop = np.array([_euler_loop(ev, a, b)
+                             for a, b in zip(edges[:-1], edges[1:])])
+            assert ev.propagators(edges).tobytes() == loop.tobytes()
+        for t in (-1.7, -0.125, 0.0, 0.5, 1.0, 1.85):
+            assert ev.matrix(t).tobytes() == _euler_loop(ev, 0.0, t).tobytes()
+            assert ev.inverse(t).tobytes() == _euler_loop(ev, t, 0.0).tobytes()
+
+
+def _blowup_path(jump_time, kappa):
+    """Forward-only driver on [0, 1]: a continuous skeleton flat up to 0.6
+    that rises by 1e305 on (0.6, 0.7], and one jump."""
+    nodes = np.union1d([0.0, 0.3, 0.6, 0.7, 1.0], [jump_time])
+    cont = np.where(nodes > 0.6, 1e305, 0.0)
+    return lm.JumpPath(lm.TimeGrid(0.0, 1.0, 0.25), nodes, cont,
+                       np.array([jump_time]), np.array([[kappa]]))
+
+
+def _blowup_evaluator(jump_time):
+    # the jump factor diag(0, 0.5) is singular but keeps the second
+    # coordinate alive, so a later overflowing step still overflows
+    drivers = (lm.scalar_triplet(),)
+    system = lm.LinearSystem(np.zeros((2, 2)), (np.diag([2.0, 1.0]),), drivers)
+    return lm.EulerEvaluator(system, [_blowup_path(jump_time, -0.5)], 0.1)
+
+
+def _loop_error(ev, edges):
+    for a, b in zip(edges[:-1], edges[1:]):
+        try:
+            _euler_loop(ev, a, b)
+        except lm.LevyMetError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("jump_time, edges, first", [
+    # one window: singular jump factor, then overflowing step
+    (0.3, [0.0, 1.0], SingularityError),
+    # one window: overflowing step, then singular jump factor
+    (0.9, [0.0, 1.0], lm.InstabilityError),
+    # overflow in the first window, singular jump in the second
+    (0.9, [0.0, 0.8, 1.0], lm.InstabilityError),
+    # singular jump in the first window, overflow in the second (backward)
+    (0.9, [0.8, 1.0, 0.0], SingularityError),
+    # a failing window before a window outside the horizon
+    (0.3, [0.0, 1.0, 0.5, 3.0], SingularityError),
+])
+def test_euler_first_failing_factor_wins(jump_time, edges, first):
+    ev = _blowup_evaluator(jump_time)
+    loop = _loop_error(ev, edges)
+    assert type(loop) is first
+    with pytest.raises(first) as stacked:
+        ev.propagators(edges)
+    assert str(stacked.value) == str(loop)
+
+
+def test_euler_stack_horizon_after_good_windows():
+    ev = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
+                           benchmark_paths(ATOM, 2.0, 43), 0.1)
+    with pytest.raises(HorizonError, match="window outside"):
+        ev.propagators([0.0, 1.0, 2.5, 1.0])
+    assert ev.propagators([0.4]).shape == (0, 2, 2)
+
+
+# -- non-diagonal oracle: the benchmark conjugated by P ----------------------------
+
+
+def test_euler_conjugated_system_is_conjugated_euler():
+    # every factor of the conjugated system is P F P^-1, so the products
+    # agree up to rounding
+    paths = benchmark_paths(ATOM, 2.0, 44)
+    Pi = np.linalg.inv(P_CONJ)
+    for scheme in ("euler", "expm"):
+        base = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5), paths,
+                                 0.01, scheme=scheme)
+        conj = lm.EulerEvaluator(conjugated_system(ATOM, 0.5), paths, 0.01,
+                                 scheme=scheme)
+        for t in (-1.6, 0.7, 1.5):
+            want = P_CONJ @ base.matrix(t) @ Pi
+            err = np.linalg.norm(conj.matrix(t) - want) / np.linalg.norm(want)
+            assert err < 1e-12
+
+
+def test_euler_conjugated_first_order_against_exact():
+    paths = benchmark_paths(ATOM, 2.0, 15)
+    system = conjugated_system(ATOM, 0.5)
+    exact = (P_CONJ @ lm.ExactDiagonal2D(paths, ATOM, 0.5).matrix(1.5)
+             @ np.linalg.inv(P_CONJ))
+    errs = [np.linalg.norm(lm.EulerEvaluator(system, paths, 0.02 / 2**k)
+                           .matrix(1.5) - exact) for k in range(5)]
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(1.7 <= r <= 2.3 for r in ratios)
+
+
+def test_euler_and_expm_schemes_agree_to_first_order():
+    paths = benchmark_paths(ATOM, 2.0, 45)
+    system = conjugated_system(ATOM, 0.5)
+    gaps = []
+    for k in range(5):
+        dt = 0.02 / 2**k
+        euler = lm.EulerEvaluator(system, paths, dt, scheme="euler")
+        expm_ev = lm.EulerEvaluator(system, paths, dt, scheme="expm")
+        gaps.append(np.linalg.norm(euler.matrix(1.5) - expm_ev.matrix(1.5)))
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(1.7 <= r <= 2.3 for r in ratios)
+
+
+@pytest.mark.parametrize("seed", [47, 48])
+def test_euler_conjugated_spectrum_matches_exact(seed):
+    T, h = 50.0, 0.0025
+    paths = benchmark_paths(ATOM, T, seed)
+    euler = lm.spectrum_qr(lm.EulerEvaluator(conjugated_system(ATOM, 0.5),
+                                             paths, h), T)
+    exact = lm.spectrum_qr(lm.ExactDiagonal2D(paths, ATOM, 0.5), T)
+    # Tolerance.  Between jumps coordinate i of the diagonal system grows at
+    # r_i = c_i - comp_rate, and an Euler step turns r h into log(1 + r h),
+    # off by at most (r h)^2 / (2 (1 - |r| h)): a bias of at most
+    # r_i^2 h / (2 (1 - |r_i| h)) per unit time.  Conjugating by P moves the
+    # top estimate (1/T) log |P E P^-1 e_1| off (1/T) log E_11 by at most
+    # log(cond P)/T above and -log(sigma_min(P) |(P^-1)_11|)/T below; by the
+    # sum rule the second exponent moves by the same amount.
+    r = np.array([2.0, -4.0]) - paths[0].comp_rate
+    bias = r**2 * h / (2.0 * (1.0 - np.abs(r) * h))
+    Pi = np.linalg.inv(P_CONJ)
+    conj = max(math.log(np.linalg.cond(P_CONJ)),
+               -math.log(np.linalg.svd(P_CONJ, compute_uv=False)[-1]
+                         * abs(Pi[0, 0]))) / T
+    assert np.all(np.abs(euler.raw - exact.raw) <= bias + conj)
+    # the leading Euler bias is what separates them: explicit Euler
+    # underestimates each growth rate
+    assert np.all(euler.raw < exact.raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(-2.5, 2.5), seed=st.integers(0, 2**16))
+def test_exact_shifted_equals_fresh_evaluator(s, seed):
+    paths = benchmark_paths(ATOM, 3.0, seed)
+    shifted = lm.ExactDiagonal2D(paths, ATOM, 0.5).shifted(s)
+    fresh = lm.ExactDiagonal2D([p.shift(s) for p in paths], ATOM, 0.5)
+    lo, hi = fresh.horizon
+    assert shifted.horizon == (lo, hi)
+    times = np.concatenate([np.linspace(lo, hi, 9),
+                            fresh.driver_paths[0].jumps_in(lo, hi)[0]])
+    assert (shifted.log_growth(times).tobytes()
+            == fresh.log_growth(times).tobytes())
+    for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+        assert shifted.matrix(t).tobytes() == fresh.matrix(t).tobytes()
 
 
 # -- auxiliary system and Picard oracle ---------------------------------------------

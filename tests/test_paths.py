@@ -242,3 +242,63 @@ def test_path_csv_dump():
     assert lines[0] == "t,component_1,is_jump"
     n_jump_rows = sum(1 for ln in lines[1:] if ln.endswith(",1"))
     assert n_jump_rows == ts.forward.jump_times.size + ts.backward.jump_times.size
+
+
+# -- array lookups -------------------------------------------------------------
+
+
+def _lookup_times(lo, hi, seed, extra=()):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(lo, hi, 40), [lo, hi], extra])
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_jump_path_array_lookups_match_scalar_calls(seed):
+    p = lm.sample_forward(lm.scalar_triplet(gauss=0.6, measure=ATOM, delta=0.5),
+                          lm.TimeGrid(0.0, 3.0, 0.1), seed)
+    t0 = _lookup_times(0.0, 3.0, seed, p.jump_times[:3])
+    t1 = _lookup_times(0.0, 3.0, seed + 1, p.node_times[5:8])
+    at = p.continuous_at(t0)
+    inc = p.continuous_increment(t0, t1)
+    assert at.shape == inc.shape == (t0.size, 1)
+    for k in range(t0.size):
+        assert at[k].tobytes() == p.continuous_at(float(t0[k])).tobytes()
+        assert (inc[k].tobytes()
+                == p.continuous_increment(float(t0[k]), float(t1[k])).tobytes())
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.83, -1.37])
+def test_two_sided_array_lookups_match_scalar_calls(offset):
+    path = lm.sample_two_sided(lm.scalar_triplet(gauss=0.6, measure=ATOM),
+                               3.0, 0.1, 53).shift(offset)
+    lo, hi = path.horizon
+    # windows on either side of 0, across it in both directions, and ending
+    # exactly at the base origin
+    t0 = _lookup_times(lo, hi, 54, [-offset, 0.5 - offset, -offset - 0.5])
+    t1 = _lookup_times(lo, hi, 55, [0.4 - offset, -offset, -offset + 0.7])
+    assert np.any(t0 + offset < 0.0) and np.any(t1 + offset >= 0.0)
+    assert np.any((t0 + offset < 0.0) != (t1 + offset < 0.0))
+    at = path.continuous_at(t1)
+    inc = path.continuous_increment(t0, t1)
+    for k in range(t0.size):
+        assert at[k].tobytes() == path.continuous_at(float(t1[k])).tobytes()
+        assert (inc[k].tobytes()
+                == path.continuous_increment(float(t0[k]), float(t1[k])).tobytes())
+    # a scalar end against an array of starts broadcasts
+    np.testing.assert_array_equal(path.continuous_increment(t0, 0.0),
+                                  -path.continuous_increment(0.0, t0))
+
+
+def test_array_lookups_outside_horizon():
+    fwd = lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 56)
+    with pytest.raises(HorizonError, match="t=2.5 outside"):
+        fwd.continuous_at(np.array([0.5, 2.5, 1.0]))
+    with pytest.raises(HorizonError):
+        fwd.continuous_increment(np.array([0.1, 0.2]), np.array([1.0, -0.1]))
+    ts = lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 57).shift(0.5)
+    with pytest.raises(HorizonError):
+        ts.continuous_at(np.array([-1.0, 1.6]))
+    with pytest.raises(HorizonError):
+        ts.continuous_increment(np.array([-2.6, 0.0]), np.array([0.3, 0.4]))
+    with pytest.raises(HorizonError):
+        ts.continuous_increment(np.array([0.0, -1.0]), np.array([0.3, 1.6]))
