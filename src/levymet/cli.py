@@ -53,12 +53,14 @@ def _cmd_validate(args):
 
 def _selftest():
     """Quick deterministic checks of the basic identities."""
-    from .cocycle import ExactDiagonal2D, StochasticExponential1D
+    from .cocycle import (EulerEvaluator, ExactDiagonal2D, LinearSystem,
+                          StochasticExponential1D)
     from .measures import LevyMeasure, scalar_triplet
     from .oracle import benchmark_drivers, ground_truth_2d
     from .paths import TimeGrid, sample_forward, sample_two_sided
-    from .spectrum import (FlagMetricParams, coordinate_flag, exterior_power_norm,
-                           flag_distance, group_spectrum, spectrum_qr)
+    from .spectrum import (FlagMetricParams, backward_spectrum, coordinate_flag,
+                           exterior_power_norm, flag_distance, group_spectrum,
+                           oseledets_spaces, spectrum_qr)
 
     failures = []
 
@@ -105,6 +107,17 @@ def _selftest():
     # exterior power of a diagonal matrix is the product of entries
     check("exterior_power",
           abs(exterior_power_norm(np.diag([3.0, 2.0]), 2) - 6.0) < 1e-12)
+
+    # Oseledets spaces of expm(A t), A = P diag(2, -1, -4) P^-1, are span(P e_i);
+    # at T = 40 the slow ones sit e^-120 below the fast ones (2-d hides that)
+    P = np.eye(3) + 0.5 * np.random.default_rng(0).standard_normal((3, 3))
+    flow = EulerEvaluator(LinearSystem(
+        P @ np.diag([2.0, -1.0, -4.0]) @ np.linalg.inv(P), (np.zeros((3, 3)),),
+        (tri,)), [sample_two_sided(tri, 40.0, 1.0, 5)], 1.0, "expm")
+    split = oseledets_spaces(spectrum_qr(flow, 40.0).flag,
+                             backward_spectrum(flow, 40.0).flag)
+    worst = max(split.angles_to([P[:, i:i + 1] for i in range(3)]))
+    check("oseledets_3d", worst < 1e-6, f"max principal angle {worst:.1e}")
 
     # unit stochastic exponential at t = 0
     dd = StochasticExponential1D(sample_two_sided(tri, 1.0, 0.5, 4))

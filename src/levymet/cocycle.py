@@ -161,23 +161,6 @@ class _EvaluatorBase:
     def inverse(self, t):
         return self.propagate(t, 0.0)
 
-    def matrix_scaled(self, t, window=1.0):
-        """(M, logscale) with phi(t) = exp(logscale) * M; the product is
-        renormalized every ``window`` time units so long horizons do not
-        overflow.  Scalar rescaling preserves singular subspaces."""
-        if t == 0.0:
-            return np.eye(self.d), 0.0
-        M = np.eye(self.d)
-        logscale = 0.0
-        for P in self.propagators(_windows(0.0, t, window)):
-            M = P @ M
-            nrm = _hs_norm(M)
-            if nrm == 0.0 or not math.isfinite(nrm):
-                raise InstabilityError("scaled product degenerated")
-            M /= nrm
-            logscale += math.log(nrm)
-        return M, logscale
-
 
 class ExactDiagonal2D(_EvaluatorBase):
     """Closed-form cocycle of the decoupled benchmark system
@@ -253,13 +236,8 @@ class ExactDiagonal2D(_EvaluatorBase):
         lg = np.diff(self.log_growth(edges), axis=0)
         if np.any(np.abs(lg) > _LOG_OVERFLOW):
             raise InstabilityError("diagonal entry overflows; split the "
-                                   "window or use matrix_scaled or log_growth")
+                                   "window or use log_growth")
         return np.exp(lg)[:, :, None] * np.eye(2)
-
-    def matrix_scaled(self, t, window=1.0):
-        lg = self.log_growth(t)
-        s = float(np.max(lg))
-        return np.diag(np.exp(lg - s)), s
 
     def shifted(self, s):
         """The evaluator on the shifted paths.  The band integrals are
@@ -640,14 +618,15 @@ def integrability_alpha(ev, grid):
     if times[0] != 0.0:
         raise ConfigurationError("grid must start at 0")
     nodes = _with_jumps(getattr(ev, "driver_paths", []), times)
-    M = np.eye(ev.d)
-    a_plus = max(0.0, math.log(_hs_norm(M)))
-    a_minus = a_plus
-    for P in ev.propagators(nodes):
-        M = P @ M
-        det = np.linalg.det(M)
-        if abs(det) < 1e-300:
-            raise SingularityError("propagator numerically singular")
-        a_plus = max(a_plus, math.log(_hs_norm(M)))
-        a_minus = max(a_minus, math.log(_hs_norm(np.linalg.inv(M))))
-    return max(0.0, a_plus), max(0.0, a_minus)
+    props = ev.propagators(nodes)
+    M, phis = np.eye(ev.d), np.empty_like(props)
+    for k, P in enumerate(props):
+        M = phis[k] = P @ M
+    if np.any(np.abs(np.linalg.det(phis)) < 1e-300):
+        raise SingularityError("propagator numerically singular")
+    # per-matrix norms: a batched sum of squares rounds differently
+    floor = max(0.0, math.log(_hs_norm(np.eye(ev.d))))
+    a_plus = max([floor] + [math.log(_hs_norm(phi)) for phi in phis])
+    a_minus = max([floor] + [math.log(_hs_norm(inv))
+                             for inv in np.linalg.inv(phis)])
+    return a_plus, a_minus

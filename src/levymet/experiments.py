@@ -55,7 +55,6 @@ from .paths import (
 from .spectrum import (
     FlagMetricParams,
     backward_spectrum,
-    flag_at,
     flag_convergence_rate,
     oseledets_spaces,
     spectrum_qr,
@@ -209,10 +208,7 @@ def _benchmark_cocycle(cfg, index):
 
 
 def _finish_example_2d_exact(cfg, index, ev, est, best):
-    T = cfg.horizon
-    f_fwd = flag_at(ev, T, est)
-    f_bwd = flag_at(ev, -T, best)
-    split = oseledets_spaces(f_fwd, f_bwd, angle_tol=cfg.tol_angle)
+    split = oseledets_spaces(est.flag, best.flag, angle_tol=cfg.tol_angle)
     targets = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
     angles = split.angles_to(targets)
     a_plus, a_minus = integrability_alpha(ev, TimeGrid(0.0, 1.0, 0.05))
@@ -225,7 +221,7 @@ def _finish_example_2d_exact(cfg, index, ev, est, best):
         "angles": [float(a) for a in angles],
         "alpha_plus": a_plus,
         "alpha_minus": a_minus,
-        "flag_blocks": [b.tolist() for b in f_fwd.blocks],
+        "flag_blocks": [b.tolist() for b in est.flag.blocks],
         "oseledets": [E.tolist() for E in split.subspaces],
     }
 

@@ -9,10 +9,13 @@ R diagonal accumulate the growth rates.  This is the overflow-free
 equivalent of diagonalizing (phi^T phi)^(1/2t); the literal construction
 is kept in :func:`sym_root_spectrum` as a small-horizon cross-check.
 
-Flags follow the right-singular-subspace construction: blocks U_i collect
-singular directions whose rates cluster at a common exponent; the nested
-V_i = U_p + ... + U_i form the flag, and the metric is the largest
-projector-product norm between blocks raised to h/|lambda_i - lambda_j|.
+Flags come from the same push through phi(t)^T = P_1^T ... P_n^T (Ginelli
+et al., PRL 99, 130601, 2007): the identity frame's columns, by log R_kk,
+converge to the right singular directions of phi(t), the slow ones exactly
+orthogonal to the fast ones, so none underflows.  Blocks U_i collect the
+columns whose rates cluster at one exponent; the nested V_i = U_p + ... +
+U_i form the flag, and the metric is the largest projector-product norm
+between blocks raised to h/|lambda_i - lambda_j|.
 """
 
 import math
@@ -101,6 +104,11 @@ def _push(Q, propagators):
 _DEGENERATED = "frame degenerated; shorten renorm_step"
 
 
+def _transposed(props):
+    """The window stack of phi^T in push order, C-contiguous."""
+    return np.ascontiguousarray(np.swapaxes(props[..., ::-1, :, :], -1, -2))
+
+
 # -- spectrum estimation ----------------------------------------------------------
 
 
@@ -137,7 +145,8 @@ class SpectrumEstimate:
     raw: Lambda_1 >= ... >= Lambda_d (units 1/time); lambdas/multiplicities:
     the grouped distinct exponents; gap: smallest inter-group separation;
     horizon: signed time span used; logdet_over_T: independently accumulated
-    (1/|T|) log|det phi|, which must match sum(raw).
+    (1/|T|) log|det phi|, which must match sum(raw); flag: the
+    :func:`flag_at` of phi(horizon) with this grouping.
     """
 
     raw: np.ndarray
@@ -147,6 +156,7 @@ class SpectrumEstimate:
     horizon: float
     logdet_over_T: float
     group_tol: float
+    flag: "Flag | None" = None
 
     def __post_init__(self):
         self.raw = np.asarray(self.raw, float)
@@ -177,9 +187,10 @@ class SpectrumEstimate:
 def _qr_estimate(evs, T, renorm_step, group_tol):
     """Push frames over windows covering [0, T] (T may be negative) for a
     list of evaluators in lockstep and group each one's log growths per
-    unit |T|.  log|det| is accumulated independently of the QR diagonal for
-    the sum rule.  Returns one entry per evaluator: its SpectrumEstimate,
-    or the LevyMetError its path raised."""
+    unit |T|; the same push takes a second frame per evaluator through the
+    transposed stack for its flag.  log|det| is accumulated independently
+    of the QR diagonal for the sum rule.  Returns one entry per evaluator:
+    its SpectrumEstimate, or the LevyMetError its path raised."""
     span = abs(T)
     if span < 10.0 * renorm_step:
         raise ConfigurationError("horizon must be at least 10 renorm steps")
@@ -200,14 +211,15 @@ def _qr_estimate(evs, T, renorm_step, group_tol):
     with np.errstate(invalid="ignore"):  # a non-finite window fails its path
         signs, lds = np.linalg.slogdet(props)
     logdets = np.cumsum(lds, axis=-1)[:, -1]  # window order; np.sum is pairwise
-    d = props.shape[-1]
-    _, logs, degenerated = _push(np.broadcast_to(np.eye(d), (len(live), d, d)),
-                                 props)
+    # entries 0..n-1 push the spectrum frames, n..2n-1 the flag frames
+    n, d = len(live), props.shape[-1]
+    Q, logs, degenerated = _push(np.broadcast_to(np.eye(d), (2 * n, d, d)),
+                                 np.concatenate([props, _transposed(props)]))
     tol = 10.0 / span if group_tol is None else group_tol
     for j, i in enumerate(live):
         if np.any(signs[j] == 0.0):
             out[i] = SingularityError("window propagator is singular")
-        elif degenerated[j]:
+        elif degenerated[j] or degenerated[n + j]:
             out[i] = InstabilityError(_DEGENERATED)
         else:
             raw = np.sort(logs[j] / span)[::-1]
@@ -215,7 +227,8 @@ def _qr_estimate(evs, T, renorm_step, group_tol):
                 groups, gap = group_spectrum(raw, tol)
                 out[i] = SpectrumEstimate(
                     raw, tuple(g[0] for g in groups),
-                    tuple(g[1] for g in groups), gap, T, logdets[j] / span, tol)
+                    tuple(g[1] for g in groups), gap, T, logdets[j] / span, tol,
+                    _cut_flag(Q[n + j], logs[n + j], T, groups))
             except LevyMetError as exc:
                 out[i] = exc
     return out
@@ -342,36 +355,34 @@ def random_flag(dims, rng):
     return _frame_flag(Q, dims)
 
 
+def _cut_flag(Q, logs, t, grouping):
+    """Flag of the frame Q pushed through phi(t)^T with log R_kk ``logs``:
+    columns in stable decreasing order of logs (on a diagonal cocycle Q
+    stays +-I and the sort alone orders it), each one's rate per unit |t|
+    nearest its own block's exponent, signed zeros made +0.0."""
+    lams, dims = _grouping(grouping)
+    if sum(dims) != Q.shape[-1]:
+        raise StructuralError("grouping does not cover the dimension")
+    order = np.argsort(-logs, kind="stable")
+    if t != 0.0:
+        dist = np.abs(logs[order, None] / abs(t) - np.array(lams))
+        own = dist[np.arange(order.size), np.repeat(np.arange(len(dims)), dims)]
+        if np.any(dist.min(axis=1) < own):
+            raise ResolutionError("frame growth rates inconsistent with grouping")
+    return _frame_flag(Q[:, order] + 0.0, dims)
+
+
 def flag_at(ev, t, grouping):
     """Flag of right singular subspaces of phi(t), clustered by the given
-    grouping.  The matrix is formed in scaled form (scalar rescaling keeps
-    singular directions intact), so long horizons do not overflow; singular
-    values that underflow the scaled form are only excluded from the
-    consistency check, their directions still come from the SVD."""
-    lams, dims = _grouping(grouping)
-    M, logscale = ev.matrix_scaled(t)
-    _, s, Vt = np.linalg.svd(M)
-    if sum(dims) != M.shape[0]:
-        raise StructuralError("grouping does not cover the dimension")
-    if t != 0.0:
-        resolvable = s > s[0] * 1e-13
-        rates = np.full(s.shape, -np.inf)
-        rates[resolvable] = (np.log(s[resolvable]) + logscale) / t
-        if t < 0.0:
-            rates = -rates  # growth per unit |t| for reversed time
-        k = 0
-        for lam_i, (lam, m) in enumerate(zip(lams, dims)):
-            blk = rates[k:k + m]
-            ok = np.isfinite(blk)
-            if np.any(ok):
-                others = [l for j, l in enumerate(lams) if j != lam_i]
-                for r in blk[ok]:
-                    if others and min(abs(r - l) for l in others) < abs(r - lam):
-                        raise ResolutionError(
-                            "singular-value clusters inconsistent with grouping"
-                        )
-            k += m
-    return _frame_flag(Vt.T, dims)
+    grouping: the identity frame pushed through phi(t)^T over unit windows
+    (see the module docstring), so no horizon overflows or loses a slow
+    direction.  With renorm_step = 1 it is the flag that spectrum_qr
+    (t > 0) and backward_spectrum (t < 0) attach to their estimates."""
+    props = ev.propagators(_windows(0.0, t, 1.0))
+    Q, logs, degenerated = _push(np.eye(ev.d), _transposed(props))
+    if degenerated:
+        raise InstabilityError(_DEGENERATED)
+    return _cut_flag(Q, logs, t, grouping)
 
 
 @dataclass(frozen=True)

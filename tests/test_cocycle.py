@@ -99,10 +99,6 @@ def test_exact_log_growth_scaled_form():
     ev = exact_ev(ATOM, 300.0, 11, dt=1.0)
     with pytest.raises(lm.InstabilityError):
         ev.matrix(300.0)
-    M, logscale = ev.matrix_scaled(300.0)
-    lg = ev.log_growth(300.0)
-    assert logscale == pytest.approx(float(np.max(lg)))
-    assert M[0, 0] == pytest.approx(1.0)
 
 
 # -- stochastic exponential -------------------------------------------------------
@@ -667,6 +663,58 @@ def test_integrability_sup_monotone_in_grid():
     coarse, _ = lm.integrability_alpha(ev, lm.TimeGrid(0.0, 1.0, 0.5))
     fine, _ = lm.integrability_alpha(ev, lm.TimeGrid(0.0, 1.0, 0.05))
     assert fine >= coarse - 1e-15
+
+
+def _alpha_loop(ev, grid):
+    """integrability_alpha node by node, one running product at a time:
+    the reference the stacked version must equal bitwise."""
+    times = np.asarray(grid.times(), float)
+    nodes = lm.cocycle._with_jumps(getattr(ev, "driver_paths", []), times)
+    M = np.eye(ev.d)
+    a_plus = max(0.0, math.log(np.linalg.norm(M)))
+    a_minus = a_plus
+    for P in ev.propagators(nodes):
+        M = P @ M
+        if abs(np.linalg.det(M)) < 1e-300:
+            raise SingularityError("propagator numerically singular")
+        a_plus = max(a_plus, math.log(np.linalg.norm(M)))
+        a_minus = max(a_minus, math.log(np.linalg.norm(np.linalg.inv(M))))
+    return max(0.0, a_plus), max(0.0, a_minus)
+
+
+def _alpha_backends():
+    paths = benchmark_paths(ATOM, 2.0, 38)
+    tri = lm.scalar_triplet(measure=ATOM, delta=0.5)
+    yield lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    yield lm.EulerEvaluator(conjugated_system(ATOM, 0.5), paths, 0.01)
+    yield lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5), paths, 0.02,
+                            scheme="expm")
+    yield lm.StochasticExponential1D(lm.sample_two_sided(tri, 2.0, 0.1, 39))
+    for seed in range(100, 200):
+        yield exact_ev(ATOM, 2.0, seed)
+
+
+def test_integrability_alpha_bitwise_equals_node_loop():
+    for ev in _alpha_backends():
+        for grid in (lm.TimeGrid(0.0, 1.0, 0.05), lm.TimeGrid(0.0, 2.0, 0.5)):
+            assert lm.integrability_alpha(ev, grid) == _alpha_loop(ev, grid)
+
+
+class _Shrinking:
+    """A cocycle whose running product turns numerically singular at its
+    second node: every window multiplies the determinant by 1e-200."""
+
+    d = 2
+
+    def propagators(self, edges):
+        return np.tile(np.diag([1e-100, 1e-100]), (len(edges) - 1, 1, 1))
+
+
+def test_integrability_alpha_singular_node():
+    grid = lm.TimeGrid(0.0, 1.0, 0.05)
+    for alpha in (lm.integrability_alpha, _alpha_loop):
+        with pytest.raises(SingularityError):
+            alpha(_Shrinking(), grid)
 
 
 def test_linear_system_validation():

@@ -258,6 +258,11 @@ def test_cli_selftest(capsys):
     assert "[FAIL]" not in out
 
 
+def test_cli_selftest_checks_3d_oseledets_spaces(capsys):
+    assert main(["selftest"]) == 0
+    assert "[PASS] oseledets_3d: max principal angle" in capsys.readouterr().out
+
+
 def test_reproducible_outputs_across_worker_counts(tmp_path):
     cfgfile = _write(tmp_path, "r.cfg", MINIMAL + (
         "horizon = 40\ndt = 0.5\nn_paths = 6\nmaster_seed = 77\n"))

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import levymet as lm
 from levymet.errors import (
@@ -467,3 +470,173 @@ def test_degenerate_path_leaves_batch_unchanged(estimate, window):
     assert type(info.value) is type(batch[2])
     assert str(info.value) in ("window propagator is singular",
                                "frame degenerated; shorten renorm_step")
+
+
+# -- flags and Oseledets spaces from the transposed push ------------------------------
+
+
+class _LinearFlow:
+    """Deterministic cocycle phi(t) = expm(A t)."""
+
+    def __init__(self, A):
+        self.A, self.d = np.asarray(A, float), len(A)
+
+    def propagators(self, edges):
+        return expm(np.diff(edges)[:, None, None] * self.A)
+
+
+def _conjugated_flow(P, rates):
+    return _LinearFlow(P @ np.diag(rates) @ np.linalg.inv(P))
+
+
+def _sine(A, B):
+    """Largest sine of the principal angles between span(A) and span(B),
+    of equal dimension; unlike arccos of the cosines it resolves angles
+    down to rounding."""
+    qa, _ = np.linalg.qr(A)
+    qb, _ = np.linalg.qr(B)
+    return float(np.linalg.norm(qa - qb @ (qb.T @ qa), 2))
+
+
+def _flag_errors(P, F, Fb):
+    """Worst sine between the forward flag's V_i and span(P e_i..e_d), the
+    backward flag's V^-_i and span(P e_1..e_{d+1-i}), and each Oseledets
+    space E_i and span(P e_i); for distinct rates all are exact."""
+    d = P.shape[0]
+    split = lm.oseledets_spaces(F, Fb)
+    errs = [_sine(F.nested_basis(i + 1), P[:, i:]) for i in range(d)]
+    errs += [_sine(Fb.nested_basis(i + 1), P[:, :d - i]) for i in range(d)]
+    errs += [_sine(E, P[:, i:i + 1]) for i, E in enumerate(split.subspaces)]
+    return max(errs)
+
+
+P_3D = np.eye(3) + 0.5 * np.random.default_rng(0).standard_normal((3, 3))
+
+
+def test_flags_and_oseledets_3d_long_horizon():
+    # (lambda_2 - lambda_3) T = 600: an SVD of phi(T) cannot resolve V_3
+    ev = _conjugated_flow(P_3D, [2.0, -1.0, -4.0])
+    T = 200.0
+    est, best = lm.spectrum_qr(ev, T, 1.0), lm.backward_spectrum(ev, T, 1.0)
+    assert est.multiplicities == (1, 1, 1)
+    F, Fb = lm.flag_at(ev, T, est), lm.flag_at(ev, -T, best)
+    assert _flag_errors(P_3D, F, Fb) < 1e-8
+    assert max(lm.oseledets_spaces(F, Fb).angles_to(
+        [P_3D[:, i:i + 1] for i in range(3)])) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       top=st.floats(-3.0, 3.0), gaps=st.lists(st.floats(1.0, 3.0),
+                                                min_size=3, max_size=3))
+def test_flags_and_oseledets_of_conjugated_flows(d, seed, top, gaps):
+    # P = U diag(s) V with s in [0.5, 2]: cond(P) <= 4; gaps >= 1 over
+    # T = 40 put the finite-horizon error near cond(P)^2 e^-40
+    rng = np.random.default_rng(seed)
+    P = haar(d, rng.integers(2**31)) * rng.uniform(0.5, 2.0, d) \
+        @ haar(d, rng.integers(2**31))
+    rates = top - np.concatenate([[0.0], np.cumsum(gaps[:d - 1])])
+    ev = _conjugated_flow(P, rates)
+    est, best = lm.spectrum_qr(ev, 40.0, 1.0), lm.backward_spectrum(ev, 40.0, 1.0)
+    assert est.multiplicities == (1,) * d
+    assert _flag_errors(P, est.flag, best.flag) < 1e-8
+
+
+def conjugated_benchmark_3d(seed, T):
+    """Two compensated atom drivers acting on the coordinates of P:
+    a = P diag(2, -1, -4) P^-1, sigma_1 = P diag(1, 0, 1/2) P^-1,
+    sigma_2 = P diag(0, 1, -1/2) P^-1.  Every factor of the cocycle is
+    P (diagonal) P^-1, so its Oseledets spaces are span(P e_i) on every
+    path."""
+    Pi = np.linalg.inv(P_CONJ_3D)
+    drivers = lm.benchmark_drivers(ATOM, 0.5)
+    system = lm.LinearSystem(
+        P_CONJ_3D @ np.diag([2.0, -1.0, -4.0]) @ Pi,
+        (P_CONJ_3D @ np.diag([1.0, 0.0, 0.5]) @ Pi,
+         P_CONJ_3D @ np.diag([0.0, 1.0, -0.5]) @ Pi), drivers)
+    paths = [lm.sample_two_sided(drivers[i], T, 0.5, seed, driver=i)
+             for i in range(2)]
+    return lm.EulerEvaluator(system, paths, EULER_DT_3D, scheme="expm")
+
+
+P_CONJ_3D = np.array([[1.0, 0.4, -0.2], [-0.3, 1.2, 0.5], [0.1, -0.6, 0.9]])
+EULER_DT_3D = 0.05
+
+
+@pytest.mark.parametrize("seed", [900, 901])
+def test_oseledets_conjugated_euler_benchmark_3d(seed):
+    # Tolerance.  In P coordinates each computed factor (expm step or jump
+    # I + u sigma_i) is diagonal up to a rounding error of a few
+    # u cond(P), u = 2^-53.  An error that mixes mode j into a faster mode
+    # i is damped by e^{-g h} per step of length h, g the smallest rate
+    # gap (the drift gaps are 3; jumps of 0.2 move them by under 0.4, so
+    # g >= 2), so the accumulated error stays below its per-step size
+    # over 1 - e^{-g h}.  Mapping back to the standard basis costs another
+    # cond(P); the finite-horizon term, about cond(P)^2 e^{-g T}, is far
+    # below that at T = 50.  Factor 100 covers the few roundings per
+    # factor.  Measured: below 1e-15, against a tolerance of 5.5e-13.
+    T = 50.0
+    ev = conjugated_benchmark_3d(seed, T)
+    est, best = lm.spectrum_qr(ev, T, 1.0), lm.backward_spectrum(ev, T, 1.0)
+    assert est.multiplicities == (1, 1, 1)
+    cond = np.linalg.cond(P_CONJ_3D)
+    tol = (100.0 * np.finfo(float).eps * cond**2
+           / (1.0 - math.exp(-2.0 * EULER_DT_3D)))
+    assert _flag_errors(P_CONJ_3D, est.flag, best.flag) < tol
+
+
+def _assert_same_flag(F, G):
+    assert F.dims == G.dims
+    for a, b in zip(F.blocks, G.blocks):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_exact_flags_are_positive_zero_axes():
+    ev = exact_ev(ATOM, 60.0, 8300)
+    e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    for estimate, t, want in ((lm.spectrum_qr, 60.0, (e1, e2)),
+                              (lm.backward_spectrum, -60.0, (e2, e1))):
+        est = estimate(ev, 60.0, 1.0)
+        for F in (est.flag, lm.flag_at(ev, t, est)):
+            _assert_same_flag(F, lm.Flag(want))
+            assert not any(np.any(np.signbit(b)) for b in F.blocks)
+
+
+@pytest.mark.parametrize("estimate,sign", [(lm.spectrum_qr, 1.0),
+                                           (lm.backward_spectrum, -1.0)])
+def test_batch_flags_bitwise_equal_flag_at(estimate, sign):
+    evs = [exact_ev(ATOM, 60.0, 8400 + s) for s in range(3)]
+    evs += [_conjugated_flow(haar(2, 20 + s), [1.5, -2.0]) for s in range(2)]
+    for est, ev in zip(estimate(evs, 60.0, 1.0), evs):
+        _assert_same_flag(est.flag, lm.flag_at(ev, sign * 60.0, est))
+        _assert_same_flag(est.flag, estimate(ev, 60.0, 1.0).flag)
+
+
+@pytest.mark.parametrize("estimate", [lm.spectrum_qr, lm.backward_spectrum])
+def test_degenerate_flag_half_leaves_batch_unchanged(estimate):
+    # a shear window keeps the forward frame at +-I but degenerates the
+    # transposed push: row norm 1e290, so R_22 = 1e-290 there
+    shear = np.array([[1.0, 1e290], [0.0, 1.0]])
+    evs = [exact_ev(ATOM, 60.0, 8500 + s) for s in range(4)]
+    evs[1] = _Tampered(evs[1], shear)
+    evs.append(exact_ev(ATOM, 30.0, 8504))  # horizon too short: its stack raises
+    props = evs[1].propagators(lm.cocycle._windows(0.0, 60.0, 1.0))
+    assert not lm.spectrum._push(np.eye(2), props)[2]
+    assert lm.spectrum._push(np.eye(2), lm.spectrum._transposed(props))[2]
+    batch = estimate(evs, 60.0, 1.0)
+    assert [isinstance(e, lm.LevyMetError) for e in batch] == \
+        [False, True, False, False, True]
+    assert _error_text(batch[1]) == \
+        "InstabilityError: frame degenerated; shorten renorm_step"
+    with pytest.raises(lm.InstabilityError):
+        lm.flag_at(evs[1], 60.0, [(2.0, 1), (-4.0, 1)])
+    for ev, got in zip(evs, batch):
+        if isinstance(got, lm.LevyMetError):
+            with pytest.raises(type(got)):
+                estimate(ev, 60.0, 1.0)
+            continue
+        alone = estimate(ev, 60.0, 1.0)
+        assert np.array_equal(got.raw, alone.raw)
+        assert got.logdet_over_T == alone.logdet_over_T
+        _assert_same_flag(got.flag, alone.flag)
