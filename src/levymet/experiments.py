@@ -3,7 +3,8 @@
 Every experiment samples ``n_paths`` independent two-sided paths from
 substreams keyed by (master_seed, path_index, driver, leg), runs the
 estimation pipeline per path, and aggregates ensemble means with standard
-errors against analytic targets.
+errors against analytic targets.  ``stable_1d`` samples the forward leg
+only (leg 0), the one its estimate reads.
 
 Paths run in contiguous batches of at most :data:`BATCH_PATHS` indices, at
 least one batch per worker.  An experiment's ``rows(cfg, indices)`` turns
@@ -48,6 +49,7 @@ from .oracle import (
 from .paths import (
     TimeGrid,
     check_jump_budget,
+    sample_forward,
     sample_two_sided,
     substream,
     with_drift,
@@ -247,11 +249,13 @@ def _row_example_2d_euler(cfg, index):
 
 
 def _row_stable_1d(cfg, index):
-    measure = cfg.build_measure()
-    triplet = scalar_triplet(drift=0.0, measure=measure, delta=cfg.delta)
-    path = sample_two_sided(triplet, cfg.horizon, cfg.dt, cfg.master_seed,
-                            path_index=index, driver=0)
-    dd = StochasticExponential1D(with_drift(path, cfg.drift))
+    """log Y_T / T reads the path on [0, T] only, so only the forward leg is
+    sampled, from the substream of leg 0 of ``sample_two_sided``."""
+    triplet = scalar_triplet(drift=cfg.drift, measure=cfg.build_measure(),
+                             delta=cfg.delta)
+    path = sample_forward(triplet, TimeGrid(0.0, cfg.horizon, cfg.dt),
+                          substream(cfg.master_seed, index, 0, 0))
+    dd = StochasticExponential1D(path)
     lam = dd.log_value(cfg.horizon) / cfg.horizon
     return {"index": index, "raw": [lam], "logdet_over_T": lam}
 

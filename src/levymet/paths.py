@@ -183,12 +183,25 @@ def _draw_jumps(triplet, T, rng):
     return np.empty(0), np.empty(0)
 
 
+def _merge_nodes(grid_times, jump_times):
+    """Sorted union of two sorted time arrays, each value once: bitwise
+    ``np.unique(np.concatenate([grid_times, jump_times]))``.  The stable
+    sort (timsort) finds the two sorted runs and merges them in linear
+    time, where ``np.unique`` sorts from scratch."""
+    nodes = np.concatenate([grid_times, jump_times])
+    nodes.sort(kind="stable")
+    keep = np.empty(nodes.size, bool)
+    keep[:1] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=keep[1:])
+    return nodes[keep]
+
+
 def _sample_raw(triplet, T, dt, rng):
     """Forward-style sample on [0, T]: node times (grid + jump times),
     continuous skeleton, jump list."""
     grid = TimeGrid(0.0, T, dt)
     jt, js = _draw_jumps(triplet, T, rng)
-    node_times = np.unique(np.concatenate([grid.times(), jt]))
+    node_times = _merge_nodes(grid.times(), jt)
     d = triplet.d
     comp = triplet.compensation_rate()
     cont = np.outer(node_times, triplet.drift)

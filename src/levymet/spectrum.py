@@ -527,13 +527,26 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
 
 
 def principal_angles(A, B):
-    """Principal angles between the column spans of A and B (radians)."""
+    """Principal angles between the column spans of A and B (radians), in
+    increasing order.
+
+    Knyazev–Argentati split (SIAM J. Sci. Comput. 23, 2002): the sines are
+    the singular values of qb - qa (qa^T qb), with qa the wider basis; an
+    angle with cos^2 >= 1/2 is the arcsin of its sine, any other the
+    arccos of its cosine, so angles near 0 resolve to rounding rather than
+    to the ~1.5e-8 floor of arccos.
+    """
     A = np.atleast_2d(np.asarray(A, float))
     B = np.atleast_2d(np.asarray(B, float))
     qa, _ = np.linalg.qr(A)
     qb, _ = np.linalg.qr(B)
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
+    if qb.shape[1] > qa.shape[1]:
+        qa, qb = qb, qa
+    m = qa.T @ qb
+    cos = np.linalg.svd(m, compute_uv=False)
+    sin = np.linalg.svd(qb - qa @ m, compute_uv=False)[::-1]
+    return np.where(cos * cos >= 0.5, np.arcsin(np.clip(sin, 0.0, 1.0)),
+                    np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def _intersect(A, B, angle_tol):

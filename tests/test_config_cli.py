@@ -350,3 +350,43 @@ def test_worker_crash_quarantines_its_batch(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", _write(tmp_path, "w.cfg", text)]) == 1
     assert "[FAIL] error_rate: 2/4 paths errored" in capsys.readouterr().out
     assert f"path 3: {crash}" in (tmp_path / "out" / "report.txt").read_text()
+
+
+def _stable_row_two_sided(cfg, index):
+    """The stable_1d row computed from a two-sided path: a zero-drift
+    triplet sampled on [-T, T], the drift added by ``with_drift``."""
+    triplet = lm.scalar_triplet(drift=0.0, measure=cfg.build_measure(),
+                                delta=cfg.delta)
+    path = lm.sample_two_sided(triplet, cfg.horizon, cfg.dt, cfg.master_seed,
+                               path_index=index, driver=0)
+    dd = lm.StochasticExponential1D(lm.with_drift(path, cfg.drift))
+    lam = dd.log_value(cfg.horizon) / cfg.horizon
+    return {"index": index, "raw": [lam], "logdet_over_T": lam}
+
+
+STABLE_MEASURES = {
+    "power_law": "measure.kind = power_law\nmeasure.alpha = 0.8\n"
+                 "measure.c = 0.5\nhorizon = 3\n",
+    "atoms": "measure.kind = atoms\nmeasure.atoms = 0.2:3.0\nhorizon = 40\n",
+}
+
+
+@pytest.mark.parametrize("measure", sorted(STABLE_MEASURES))
+def test_stable_row_bitwise_equals_two_sided_row(measure):
+    cfg = lm.parse_config("experiment = stable_1d\ndrift = 1.3\ndt = 0.5\n"
+                          "master_seed = 17\n" + STABLE_MEASURES[measure])
+    for index in range(4):
+        row = experiments._row_stable_1d(cfg, index)
+        assert repr(row) == repr(_stable_row_two_sided(cfg, index))
+
+
+def test_stable_1d_samples_no_backward_leg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_1d sampled a backward leg")
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(lm.paths, "sample_backward", refuse)
+    text = "experiment = stable_1d\n" + STABLE_MEASURES["atoms"] + "n_paths = 3\n"
+    report = lm.run_experiment(lm.parse_config(text))
+    assert not report.path_errors
+    assert [r["index"] for r in report.rows] == [0, 1, 2]

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import levymet as lm
 from levymet.errors import ConfigurationError, HorizonError, StructuralError
-from levymet.paths import substream
+from levymet.paths import _merge_nodes, substream
 
 ATOM = lm.LevyMeasure.from_atoms([(0.2, 3.0)])
 ATOM_TRIPLET = lm.scalar_triplet(measure=ATOM, delta=0.5)
@@ -302,3 +304,45 @@ def test_array_lookups_outside_horizon():
         ts.continuous_increment(np.array([-2.6, 0.0]), np.array([0.3, 0.4]))
     with pytest.raises(HorizonError):
         ts.continuous_increment(np.array([0.0, -1.0]), np.array([0.3, 1.6]))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, float).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_steps=st.integers(1, 40), dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+       data=st.data())
+def test_node_merge_bitwise_equals_unique(n_steps, dt, data):
+    grid = lm.TimeGrid(0.0, n_steps * dt, dt).times()
+    T = float(grid[-1])
+    drawn = data.draw(st.lists(st.floats(0.0, T), max_size=60))
+    # jump times that hit grid values (0.0 and T among them), some repeated
+    hits = data.draw(st.lists(st.sampled_from(grid.tolist()), max_size=10))
+    jt = np.sort(np.array(drawn + hits + [0.0, T], float))
+    merged = _merge_nodes(grid, jt)
+    assert np.array_equal(_bits(merged),
+                          _bits(np.unique(np.concatenate([grid, jt]))))
+    assert np.array_equal(_bits(_merge_nodes(grid, np.empty(0))), _bits(grid))
+
+
+GROUP_PATH = lm.sample_two_sided(ATOM_TRIPLET, 3.0, 0.25, 61)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0), u=st.floats(-1.0, 1.0))
+@example(s=-0.5, t=1.0, u=0.3)    # s < 0 < s + t: the window crosses 0
+@example(s=0.7, t=-1.0, u=-0.6)   # s > 0 > s + t
+@example(s=0.0, t=-0.25, u=0.25)  # shifts onto grid nodes
+def test_shift_group_law_property(s, t, u):
+    p = GROUP_PATH
+    twice, once = p.shift(s).shift(t), p.shift(s + t)
+    assert twice.offset == once.offset
+    assert np.array_equal(twice.evaluate(u), once.evaluate(u))
+    assert np.array_equal(twice.continuous_increment(0.0, u),
+                          once.continuous_increment(0.0, u))
+    for got, want in zip(twice.jumps_in(-1.0, u), once.jumps_in(-1.0, u)):
+        assert np.array_equal(got, want)
+    increment = p.evaluate(s + u) - p.evaluate(s)
+    np.testing.assert_allclose(p.shift(s).evaluate(u), increment,
+                               rtol=0.0, atol=1e-12)

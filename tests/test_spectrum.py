@@ -200,6 +200,29 @@ def test_flag_at_rotated_system():
     assert float(np.max(lm.principal_angles(F.blocks[1], Q[:, 1:]))) < 1e-6
 
 
+def test_principal_angles_resolve_tiny_angles():
+    # v + 1e-10 w is exactly representable, so the angle is atan(1e-10);
+    # arccos of its cosine would read 0 (the cosine rounds to 1)
+    e = np.eye(4)
+    v, w = e[:, :1], np.array([[0.0], [0.6], [0.0], [0.8]])
+    for A, B in ((v, v + 1e-10 * w), (v + 1e-10 * w, v)):
+        angle = lm.principal_angles(A, B)
+        assert angle.shape == (1,)
+        assert angle[0] == pytest.approx(1e-10, rel=1e-6)
+    # the wider basis may come either side; angles in increasing order
+    A = np.hstack([v, e[:, 2:3]])
+    B = np.hstack([v + 1e-10 * w, e[:, 2:3]])
+    for X, Y in ((A, B), (B, A), (A, B[:, :1]), (B[:, :1], A)):
+        angles = lm.principal_angles(X, Y)
+        assert angles[-1] == pytest.approx(1e-10, rel=1e-6)
+        assert np.all(angles[:-1] == 0.0)
+    # large angles come from the cosine, exact axes give exactly 0 and pi/2
+    c, s = math.cos(1.2), math.sin(1.2)
+    assert lm.principal_angles(e[:, :1], c * e[:, :1] + s * e[:, 1:2])[0] == \
+        pytest.approx(1.2, rel=1e-15)
+    assert lm.principal_angles(e[:, :2], e[:, 1:3]).tolist() == [0.0, math.pi / 2]
+
+
 def test_flag_at_inconsistent_grouping():
     ev = exact_ev(EMPTY, 20.0, 46)
     with pytest.raises(ResolutionError):
@@ -523,6 +546,17 @@ def test_flags_and_oseledets_3d_long_horizon():
     assert _flag_errors(P_3D, F, Fb) < 1e-8
     assert max(lm.oseledets_spaces(F, Fb).angles_to(
         [P_3D[:, i:i + 1] for i in range(3)])) < 1e-7
+
+
+def test_oseledets_angles_resolve_below_arccos_floor():
+    # V_3 and the Oseledets spaces sit ~5e-14 rad off span(P e_i) at
+    # T = 10; arccos of the cosines reads V_3 as 1.49e-8
+    ev = _conjugated_flow(P_3D, [2.0, -1.0, -4.0])
+    est, best = lm.spectrum_qr(ev, 10.0, 1.0), lm.backward_spectrum(ev, 10.0, 1.0)
+    F, Fb = lm.flag_at(ev, 10.0, est), lm.flag_at(ev, -10.0, best)
+    assert lm.principal_angles(F.nested_basis(3), P_3D[:, 2:])[0] < 1e-12
+    assert max(lm.oseledets_spaces(F, Fb).angles_to(
+        [P_3D[:, i:i + 1] for i in range(3)])) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
