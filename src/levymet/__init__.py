@@ -53,6 +53,7 @@ from .cocycle import (
     auxiliary_psi,
     auxiliary_psi_inverse,
     cocycle_residual,
+    euler_propagators,
     integrability_alpha,
     picard_solve,
 )

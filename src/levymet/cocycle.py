@@ -21,6 +21,8 @@ Backends:
   windows of a stream share one (n, d, d) stack of step and jump factors,
   built from one array lookup of the driver increments, and each window is
   folded sequentially (M <- F M) in the order a step-by-step loop would use;
+  :func:`euler_propagators` folds the windows of several evaluators, each
+  at its own step size, in one lockstep;
 * :func:`picard_solve` -- successive substitution for the equivalent random
   integral equation, used as an independent oracle for the Euler backend.
 """
@@ -38,6 +40,7 @@ from .errors import (
     DivergenceError,
     HorizonError,
     InstabilityError,
+    LevyMetError,
     SingularityError,
     StructuralError,
     SupportError,
@@ -121,9 +124,11 @@ def _fold(win, pos, factors, count):
     with np.errstate(over="ignore", invalid="ignore"):
         for step, run, m in zip(stack, running, active):
             prod = np.matmul(step[:m], prod[:m], out=run[:m])
-        bad = ~np.all(np.isfinite(running), axis=(2, 3))
-        bad |= np.max(np.abs(running), axis=(2, 3)) > _OVERFLOW_NORM
-    first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), active.size)
+        ok = np.abs(running) <= _OVERFLOW_NORM  # False for inf and nan
+    first_bad = np.full(W, active.size)
+    if not ok.all():  # per-matrix reductions are slow; only on failure
+        bad = ~ok.all(axis=(2, 3))
+        first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), active.size)
     return running[count - 1, rank], first_bad[rank]
 
 
@@ -156,7 +161,12 @@ class _EvaluatorBase:
         return (max(los), min(his))
 
     def matrix(self, t):
-        return self.propagate(0.0, t)
+        """phi(t); an array of times gives the (n, d, d) stack of phi at
+        each."""
+        if np.ndim(t) == 0:
+            return self.propagate(0.0, t)
+        return np.array([self.propagate(0.0, x) for x in t]).reshape(
+            -1, self.d, self.d)
 
     def inverse(self, t):
         return self.propagate(t, 0.0)
@@ -233,7 +243,17 @@ class ExactDiagonal2D(_EvaluatorBase):
         return np.stack(cols, axis=-1)
 
     def propagators(self, edges):
-        lg = np.diff(self.log_growth(edges), axis=0)
+        return self._exp(np.diff(self.log_growth(edges), axis=0))
+
+    def matrix(self, t):
+        if np.ndim(t) == 0:
+            return super().matrix(t)
+        lg = self.log_growth(np.concatenate([[0.0], t]))
+        return self._exp(lg[1:] - lg[0])
+
+    @staticmethod
+    def _exp(lg):
+        """diag(exp(row)) for each row of window log-growths."""
         if np.any(np.abs(lg) > _LOG_OVERFLOW):
             raise InstabilityError("diagonal entry overflows; split the "
                                    "window or use log_growth")
@@ -241,10 +261,25 @@ class ExactDiagonal2D(_EvaluatorBase):
 
     def shifted(self, s):
         """The evaluator on the shifted paths.  The band integrals are
-        shift-invariant, so only the jump tables are rebuilt."""
+        shift-invariant, and so is each cumulative jump table while the
+        shifted horizon keeps every jump of its path, taken as ``jumps_in``
+        takes it: then the jump times move by s and the anchor is re-read.
+        Otherwise the tables are rebuilt."""
         ev = copy.copy(self)
         ev.driver_paths = [p.shift(s) for p in self.driver_paths]
-        ev._tabulate_jumps()
+        ev._jump_t, ev._anchor = [], []
+        for p, cum in zip(ev.driver_paths, self._log_cum):
+            times = np.concatenate([p.backward.jump_times,
+                                    p.forward.jump_times])
+            lo, hi = p.horizon
+            cut = np.searchsorted(times, [lo + p.offset, hi + p.offset],
+                                  side="right")
+            if cum.size != times.size + 1 or cut[0] > 0 or cut[1] < times.size:
+                ev._tabulate_jumps()
+                return ev
+            times = times - p.offset
+            ev._jump_t.append(times)
+            ev._anchor.append(cum[np.searchsorted(times, 0.0, side="right")])
         return ev
 
 
@@ -308,7 +343,8 @@ class EulerEvaluator(_EvaluatorBase):
     faster but would change the rounding.  A window raises what its first
     failing factor raises: a singular jump factor (SingularityError) or a
     running product that overflows (InstabilityError).  Backward windows
-    are the inverses of the forward ones.
+    are the inverses of the forward ones.  ``matrix`` of an array of times
+    folds phi at each in one stack.
     """
 
     def __init__(self, system, driver_paths, dt_int, scheme="euler"):
@@ -326,46 +362,45 @@ class EulerEvaluator(_EvaluatorBase):
 
     def propagators(self, edges):
         edges = np.asarray(edges, float)
-        t0, t1 = edges[:-1], edges[1:]
-        lo, hi = self.horizon
-        outside = ((np.minimum(t0, t1) < lo - 1e-12)
-                   | (np.maximum(t0, t1) > hi + 1e-12))
-        n_in = int(np.argmax(outside)) if np.any(outside) else t0.size
-        live = np.flatnonzero(t0[:n_in] != t1[:n_in])
-        a, b = np.minimum(t0[live], t1[live]), np.maximum(t0[live], t1[live])
-        M, errors = self._forward_products(a, b)
-        back = np.flatnonzero(t1[live] < t0[live])
-        ok = np.array([errors[k] is None for k in back], bool)
-        singular = np.zeros(back.size, bool)
-        singular[ok] = np.abs(np.linalg.det(M[back[ok]])) == 0.0
-        for k in back[singular]:
-            errors[k] = SingularityError("forward window is singular")
-        failed = [e for e in errors if e is not None]
-        if failed:
-            raise failed[0]
-        if n_in < t0.size:
-            raise HorizonError("window outside the sampled horizon")
-        M[back] = np.linalg.inv(M[back])
-        out = np.tile(np.eye(self.d), (t0.size, 1, 1))
-        out[live] = M
-        return out
+        return self._between(edges[:-1], edges[1:])
 
-    def _forward_products(self, a, b):
-        """Products over the forward windows (a_k, b_k] and, per window, the
-        error its first failing factor raises (or None)."""
+    def matrix(self, t):
+        if np.ndim(t) == 0:
+            return super().matrix(t)
+        t = np.asarray(t, float)
+        return self._between(np.zeros_like(t), t)
+
+    def _between(self, t0, t1):
+        """Phi(t0_k -> t1_k) on lattices of step dt_int; raises what
+        :func:`euler_propagators` reports."""
+        stack, = euler_propagators([(self, t0, t1,
+                                     np.full(t0.shape, self.dt_int))])
+        if isinstance(stack, Exception):
+            raise stack
+        return stack
+
+    def _factors(self, a, b, h):
+        """Factors of the forward windows (a_k, b_k] on lattices of step h_k,
+        in sequence order: per window and node, the step ending there, then
+        the jumps at that node by driver.  Returns the window and position
+        of every factor, the factors, the factor count of every window, the
+        position of its first singular jump factor (its count if none), and
+        per window the error that factor raises (or None).  Windows with
+        equal ends share one jump lookup."""
         d, W = self.d, a.size
-        if W == 0:
-            return np.empty((0, d, d)), []
+        spans = {}
         jw, jt, ji, js = [], [], [], []
         for k in range(W):
-            for i, p in enumerate(self.driver_paths):
-                times, sizes = p.jumps_in(a[k], b[k])
+            key = (a[k], b[k])
+            if key not in spans:
+                spans[key] = [p.jumps_in(*key) for p in self.driver_paths]
+            for i, (times, sizes) in enumerate(spans[key]):
                 jw.append(np.full(times.size, k))
                 jt.append(times)
                 ji.append(np.full(times.size, i))
                 js.append(sizes[:, 0])
         jw, jt, ji, js = map(np.concatenate, (jw, jt, ji, js))
-        sw, sp, st = self._steps(a, b, jw, jt)
+        sw, sp, st = self._steps(a, b, h, jw, jt)
 
         G = (st - sp)[:, None, None] * self.system.a
         for sigma, p in zip(self.system.sigmas, self.driver_paths):
@@ -375,37 +410,32 @@ class EulerEvaluator(_EvaluatorBase):
         jumps = np.eye(d) + js[:, None, None] * np.array(self.system.sigmas)[ji]
         singular = np.abs(np.linalg.det(jumps)) < 1e-12
 
-        # sequence order: per window and node, the step ending there, then
-        # the jumps at that node by driver
         win = np.concatenate([sw, jw])
         order = np.lexsort((np.arange(win.size), np.concatenate([st, jt]), win))
         win = win[order]
         count = np.bincount(win, minlength=W)
         start = np.cumsum(count) - count
         pos = np.arange(win.size) - start[win]
-        M, first_bad = _fold(win, pos, np.concatenate([steps, jumps])[order],
-                             count)
         # a singular jump factor is caught before its product is formed
         sing = np.concatenate([np.zeros(sw.size, bool), singular])[order]
-        first_sing = np.full(W, count.max())
+        first_sing = count.copy()
         np.minimum.at(first_sing, win[sing], pos[sing])
         errors = [None] * W
-        for k in np.flatnonzero(np.minimum(first_sing, first_bad) < count):
-            if first_sing[k] <= first_bad[k]:
-                f = order[start[k] + first_sing[k]] - sw.size
-                errors[k] = SingularityError(
-                    f"jump factor I + u*sigma_{ji[f] + 1} is singular "
-                    f"(u={float(js[f])})")
-            else:
-                errors[k] = InstabilityError(_OVERFLOW_MSG)
-        return M, errors
+        for k in np.flatnonzero(first_sing < count):
+            f = order[start[k] + first_sing[k]] - sw.size
+            errors[k] = SingularityError(
+                f"jump factor I + u*sigma_{ji[f] + 1} is singular "
+                f"(u={float(js[f])})")
+        factors = np.concatenate([steps, jumps])[order]
+        return win, pos, factors, count, first_sing, errors
 
-    def _steps(self, a, b, jw, jt):
+    def _steps(self, a, b, h, jw, jt):
         """Window, start and end of every step.  The nodes of window k are
-        its lattice a_k + (b_k - a_k) j/n_k (0 < j < n_k), its jump times
-        (window indices jw, times jt) and b_k; a step runs to each node from
-        the one before it (from a_k for the first), if that is earlier."""
-        n = np.maximum(1, np.ceil((b - a) / self.dt_int - 1e-9).astype(int))
+        its lattice a_k + (b_k - a_k) j/n_k (0 < j < n_k, n_k the fewest
+        steps of length <= h_k), its jump times (window indices jw, times
+        jt) and b_k; a step runs to each node from the one before it (from
+        a_k for the first), if that is earlier."""
+        n = np.maximum(1, np.ceil((b - a) / h - 1e-9).astype(int))
         lw = np.repeat(np.arange(a.size), n - 1)
         j = 1 + np.arange(lw.size) - np.repeat(np.cumsum(n - 1) - (n - 1), n - 1)
         w = np.concatenate([lw, jw, np.arange(a.size)])
@@ -425,6 +455,70 @@ class EulerEvaluator(_EvaluatorBase):
     def shifted(self, s):
         return EulerEvaluator(self.system, [p.shift(s) for p in self.driver_paths],
                               self.dt_int, self.scheme)
+
+
+def euler_propagators(jobs):
+    """Window propagators of several Euler evaluators from one lockstep
+    :func:`_fold`.
+
+    A job is (ev, t0, t1, h): an :class:`EulerEvaluator`, the ends of its
+    windows Phi(t0_k -> t1_k) and the step size h_k of each window's
+    lattice.  ``ev.propagators(edges)`` is the one-job case, with
+    consecutive windows and h_k = ev.dt_int; a halving ladder is one window
+    per step size.  The evaluators share one dimension.  Returns per job
+    the (n, d, d) stack, bitwise what each window folded on its own gives,
+    or the error ``propagators`` would raise: that of the first window with
+    a failing factor, else a HorizonError if a window leaves the sampled
+    horizon.
+    """
+    plans, built = [], []
+    for ev, t0, t1, h in jobs:
+        t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
+        lo, hi = ev.horizon
+        outside = ((np.minimum(t0, t1) < lo - 1e-12)
+                   | (np.maximum(t0, t1) > hi + 1e-12))
+        n_in = int(np.argmax(outside)) if np.any(outside) else t0.size
+        live = np.flatnonzero(t0[:n_in] != t1[:n_in])
+        back = np.flatnonzero(t1[live] < t0[live])
+        plans.append((ev, t0.size, n_in, live, back))
+        if live.size:
+            a = np.minimum(t0[live], t1[live])
+            b = np.maximum(t0[live], t1[live])
+            built.append(ev._factors(a, b, np.asarray(h, float)[live]))
+    if built:
+        win, pos, factors, count, first_sing, errors = zip(*built)
+        ends = np.cumsum([c.size for c in count])
+        starts = ends - [c.size for c in count]
+        M, first_bad = _fold(
+            np.concatenate([w + s for w, s in zip(win, starts)]),
+            np.concatenate(pos), np.concatenate(factors),
+            np.concatenate(count))
+    out, k = [], 0
+    for ev, n, n_in, live, back in plans:
+        prods, errs = np.empty((0, ev.d, ev.d)), []
+        if live.size:
+            prods, errs = M[starts[k]:ends[k]], errors[k]
+            # a running product overflows before any singular jump factor
+            overflow = first_bad[starts[k]:ends[k]] < first_sing[k]
+            for j in np.flatnonzero(overflow):
+                errs[j] = InstabilityError(_OVERFLOW_MSG)
+            k += 1
+        ok = np.array([errs[j] is None for j in back], bool)
+        singular = np.zeros(back.size, bool)
+        singular[ok] = np.abs(np.linalg.det(prods[back[ok]])) == 0.0
+        for j in back[singular]:
+            errs[j] = SingularityError("forward window is singular")
+        failed = [e for e in errs if e is not None]
+        if failed:
+            out.append(failed[0])
+        elif n_in < n:
+            out.append(HorizonError("window outside the sampled horizon"))
+        else:
+            prods[back] = np.linalg.inv(prods[back])
+            stack = np.tile(np.eye(ev.d), (n, 1, 1))
+            stack[live] = prods
+            out.append(stack)
+    return out
 
 
 def _jump_events(driver_paths, a, b, keep=None):
@@ -603,11 +697,28 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
 
 
 def cocycle_residual(ev, s, t):
-    """Hilbert-Schmidt defect of the cocycle law at (s, t):
-    || phi(t+s) - phi(t, theta_s .) phi(s) ||."""
-    direct = ev.matrix(s + t)
-    composed = ev.shifted(s).matrix(t) @ ev.matrix(s)
-    return _hs_norm(direct - composed)
+    """Hilbert-Schmidt defect of the cocycle law,
+    || phi(t+s) - phi(t, theta_s .) phi(s) ||, at (s, t), or one per pair
+    for equal-length arrays s and t.  phi(s+t) and phi(s) of all pairs come
+    from one stacked ``matrix`` call; if that raises, the pairs are
+    evaluated one at a time, so the error is the first failing pair's."""
+    s_all = np.atleast_1d(np.asarray(s, float))
+    t_all = np.atleast_1d(np.asarray(t, float))
+    n = s_all.size
+    try:
+        stacked = ev.matrix(np.concatenate([s_all + t_all, s_all]))
+    except LevyMetError:
+        stacked = None
+
+    def phi(k, x):
+        return ev.matrix(x) if stacked is None else stacked[k]
+
+    res = np.empty(n)
+    for k, (a, b) in enumerate(zip(s_all.tolist(), t_all.tolist())):
+        direct = phi(k, a + b)
+        composed = ev.shifted(a).matrix(b) @ phi(n + k, a)
+        res[k] = _hs_norm(direct - composed)
+    return res if np.ndim(s) else float(res[0])
 
 
 def integrability_alpha(ev, grid):

@@ -9,12 +9,15 @@ only (leg 0), the one its estimate reads.
 Paths run in contiguous batches of at most :data:`BATCH_PATHS` indices, at
 least one batch per worker.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples; the two spectrum experiments
-push the QR frames of a whole batch in lockstep, the others run its paths
-one at a time.  A path's row does not depend on the batch it falls in, and
-aggregation is in path-index order, so outputs are byte-identical
-regardless of worker count.  Per-path errors are quarantined as
-``"<Type>: <msg>"``, and so is every path of a batch whose worker crashed;
-an experiment fails outright if more than 1% of its paths error out.
+push the QR frames of a whole batch in lockstep, ``example_2d_euler`` folds
+the Euler factors of every rung of its batch's halving ladders in one
+lockstep and stacks each path's cocycle-law probes, and the others run
+their paths one at a time.  A path's row does not depend on the batch it
+falls in, and aggregation is in path-index order, so outputs are
+byte-identical regardless of worker count.  Per-path errors are
+quarantined as ``"<Type>: <msg>"``, and so is every path of a batch whose
+worker crashed; an experiment fails outright if more than 1% of its paths
+error out.
 
 Adding an experiment is adding one entry to :data:`EXPERIMENTS` (batch
 worker, aggregator, optional config check); the config parser validates
@@ -36,6 +39,7 @@ from .cocycle import (
     ExactDiagonal2D,
     StochasticExponential1D,
     cocycle_residual,
+    euler_propagators,
     integrability_alpha,
 )
 from .errors import ConfigurationError, ParseError
@@ -161,39 +165,62 @@ def _each_path(row):
     return rows
 
 
-def _with_spectra(finish):
-    """``rows(cfg, indices)`` of an experiment that needs both QR spectra
-    of every path's exact benchmark cocycle.  It builds the cocycles,
-    estimates the forward and backward spectra of the batch with one
-    lockstep call each, and then finishes each path with
-    ``finish(cfg, index, ev, est, best)``.  A path reports its first error, the forward spectrum's before
-    the backward one's."""
+def _lockstep(build, stages, finish):
+    """``rows(cfg, indices)`` of an experiment that runs a stage of its
+    work on a whole batch at once.  It builds each path with
+    ``build(cfg, index)``, calls every ``stage(cfg, built)`` once on the
+    list of built paths (one result per path, an Exception for a path that
+    failed there), and finishes each path with
+    ``finish(cfg, index, built_path, *stage_results)``.  A path reports its
+    first error: its build's, then the stages' in order, then its finish's;
+    an exception out of a stage call fails every path."""
     def rows(cfg, indices):
         out, built = {}, {}
         for i in indices:
-            parts, err = _attempt(_benchmark_cocycle, cfg, i)
+            parts, err = _attempt(build, cfg, i)
             if err is None:
-                built[i] = parts[2]
+                built[i] = parts
             else:
                 out[i] = (i, None, err)
-        evs = list(built.values())
-        args = (cfg.horizon, cfg.renorm_step, cfg.effective_group_tol)
+        paths = list(built.values())
 
-        def spectra(estimate):
+        def run(stage):
             try:
-                return estimate(evs, *args)
+                return stage(cfg, paths)
             except Exception as exc:  # an error of the call fails every path
-                return [exc] * len(evs)
+                return [exc] * len(paths)
 
-        fwd, bwd = spectra(spectrum_qr), spectra(backward_spectrum)
-        for (i, ev), est, best in zip(built.items(), fwd, bwd):
-            failed = [e for e in (est, best) if isinstance(e, Exception)]
+        results = [run(stage) for stage in stages]
+        for (i, parts), *res in zip(built.items(), *results):
+            failed = [e for e in res if isinstance(e, Exception)]
             if failed:
                 out[i] = (i, None, _error_text(failed[0]))
             else:
-                out[i] = (i, *_attempt(finish, cfg, i, ev, est, best))
+                out[i] = (i, *_attempt(finish, cfg, i, parts, *res))
         return [out[i] for i in indices]
     return rows
+
+
+def _exact_cocycle(cfg, index):
+    return _benchmark_cocycle(cfg, index)[2]
+
+
+def _forward_spectra(cfg, evs):
+    return spectrum_qr(evs, cfg.horizon, cfg.renorm_step,
+                       cfg.effective_group_tol)
+
+
+def _backward_spectra(cfg, evs):
+    return backward_spectrum(evs, cfg.horizon, cfg.renorm_step,
+                             cfg.effective_group_tol)
+
+
+def _with_spectra(finish):
+    """``rows(cfg, indices)`` of an experiment that needs both lockstep QR
+    spectra of every path's exact benchmark cocycle, then
+    ``finish(cfg, index, ev, est, best)``."""
+    return _lockstep(_exact_cocycle, (_forward_spectra, _backward_spectra),
+                     finish)
 
 
 def _benchmark_cocycle(cfg, index):
@@ -228,24 +255,34 @@ def _finish_example_2d_exact(cfg, index, ev, est, best):
     }
 
 
-def _row_example_2d_euler(cfg, index):
+def _ladder_path(cfg, index):
+    """The exact benchmark cocycle of one path, its phi(T) with norm, and
+    the path's Euler evaluator."""
     measure, paths, exact = _benchmark_cocycle(cfg, index)
-    system = benchmark_system_2d(measure, cfg.delta)
-    T = cfg.horizon
-    target = exact.matrix(T)
-    scale = float(np.linalg.norm(target))
-    errors = []
-    for k in range(cfg.halvings + 1):
-        ev = EulerEvaluator(system, paths, cfg.dt_int / 2.0**k,
-                            scheme=cfg.between_jump_scheme)
-        errors.append(float(np.linalg.norm(ev.matrix(T) - target)) / scale)
-    rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
-    residual = 0.0
-    for _ in range(8):
-        s = float(rng.uniform(-0.9, 0.9))
-        t = float(rng.uniform(-0.9, 0.9))
-        residual = max(residual, cocycle_residual(exact, s, t))
-    return {"index": index, "euler_errors": errors, "exact_residual": residual}
+    target = exact.matrix(cfg.horizon)
+    euler = EulerEvaluator(benchmark_system_2d(measure, cfg.delta), paths,
+                           cfg.dt_int, scheme=cfg.between_jump_scheme)
+    return exact, target, float(np.linalg.norm(target)), euler
+
+
+def _ladder_rungs(cfg, built):
+    """Stage of :func:`_lockstep`: phi(T) of every path at the step sizes
+    dt_int / 2^k, k = 0..halvings, one window per rung, in one fold."""
+    rungs = cfg.halvings + 1
+    steps = cfg.dt_int / 2.0 ** np.arange(rungs)
+    return euler_propagators([(euler, np.zeros(rungs),
+                               np.full(rungs, cfg.horizon), steps)
+                              for *_, euler in built])
+
+
+def _finish_example_2d_euler(cfg, index, built, rungs):
+    exact, target, scale, _ = built
+    errors = [float(np.linalg.norm(M - target)) / scale for M in rungs]
+    probes = substream(cfg.master_seed, path_index=index, driver=7,
+                       leg=7).uniform(-0.9, 0.9, 16)
+    residuals = cocycle_residual(exact, probes[0::2], probes[1::2])
+    return {"index": index, "euler_errors": errors,
+            "exact_residual": max([0.0] + residuals.tolist())}
 
 
 def _row_stable_1d(cfg, index):
@@ -535,7 +572,8 @@ EXPERIMENTS = {
     "example_2d_exact": Experiment(_with_spectra(_finish_example_2d_exact),
                                    _agg_example_2d_exact,
                                    _check_example_2d_exact),
-    "example_2d_euler": Experiment(_each_path(_row_example_2d_euler),
+    "example_2d_euler": Experiment(_lockstep(_ladder_path, (_ladder_rungs,),
+                                             _finish_example_2d_euler),
                                    _agg_example_2d_euler,
                                    _check_example_2d_euler),
     "stable_1d": Experiment(_each_path(_row_stable_1d), _agg_stable_1d),

@@ -15,6 +15,7 @@ adds an offset and re-anchors at the new origin, so the group law
 theta_s theta_t = theta_{s+t} holds exactly.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -268,13 +269,15 @@ class TwoSidedPath:
             raise StructuralError("legs must meet at 0")
         if np.any(forward.evaluate(0.0) != 0.0) or np.any(backward.evaluate(0.0) != 0.0):
             raise StructuralError("legs must vanish at the origin")
-        lo, hi = backward.t_start, forward.t_end
-        if not (lo <= offset <= hi):
-            raise HorizonError("shift offset leaves the sampled horizon")
         self.forward = forward
         self.backward = backward
+        self._move_to(offset)
+
+    def _move_to(self, offset):
+        if not (self.backward.t_start <= offset <= self.forward.t_end):
+            raise HorizonError("shift offset leaves the sampled horizon")
         self.offset = float(offset)
-        self._anchor = self._base_eval(self.offset)
+        self._anchor = None  # base(offset), read on the first evaluate
 
     @property
     def d(self):
@@ -301,6 +304,8 @@ class TwoSidedPath:
         return self.forward.evaluate(s) if s >= 0.0 else self.backward.evaluate(s)
 
     def evaluate(self, t):
+        if self._anchor is None:
+            self._anchor = self._base_eval(self.offset)
         return self._base_eval(t + self.offset) - self._anchor
 
     def continuous_at(self, t):
@@ -343,8 +348,11 @@ class TwoSidedPath:
         return times, sizes
 
     def shift(self, t):
-        """The shifted path s -> self(t + s) - self(t)."""
-        return TwoSidedPath(self.forward, self.backward, self.offset + t)
+        """The shifted path s -> self(t + s) - self(t).  Its legs are this
+        path's, already checked, so only the new offset is."""
+        out = copy.copy(self)
+        out._move_to(self.offset + t)
+        return out
 
 
 def two_sided(fwd, bwd):

@@ -550,12 +550,14 @@ def principal_angles(A, B):
 
 
 def _intersect(A, B, angle_tol):
-    """Orthonormal basis of span(A) and span(B)'s intersection: directions
-    whose principal cosine is >= 1 - angle_tol."""
-    M = A.T @ B
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    keep = s >= 1.0 - angle_tol
-    basis = A @ U[:, keep]
+    """Orthonormal basis of span(A) and span(B)'s intersection (A and B
+    orthonormal): the principal directions in span(A) whose principal
+    angle, as :func:`principal_angles` measures it, is <= angle_tol.  The
+    angles increase as the cosines fall, so those directions are the
+    leading left singular vectors of A^T B."""
+    U, _, _ = np.linalg.svd(A.T @ B, full_matrices=False)
+    keep = int(np.sum(principal_angles(A, B) <= angle_tol))
+    basis = A @ U[:, :keep]
     if basis.shape[1] == 0:
         return basis
     Q, _ = np.linalg.qr(basis)

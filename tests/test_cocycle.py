@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -425,6 +425,83 @@ def test_euler_stack_horizon_after_good_windows():
     assert ev.propagators([0.4]).shape == (0, 2, 2)
 
 
+LADDER_STEPS = 0.125 / 2.0 ** np.arange(4)
+
+
+def _ladder_jobs(scheme):
+    """One job per path kind and system: the halving ladder on (0, 1.85]
+    (lattice-aligned jumps fall on its first rungs), then windows of
+    other step sizes, backward ones and ones across 0 included."""
+    t0 = np.concatenate([np.zeros(4), [1.6, -1.3, -0.4, 0.5]])
+    t1 = np.concatenate([np.full(4, 1.85), [0.2, 0.9, -1.9, 0.5]])
+    h = np.concatenate([LADDER_STEPS, [0.1, 0.0625, 0.3, 0.125]])
+    for paths_kind in ("sampled", "shifted", "lattice"):
+        paths = (lattice_jump_paths() if paths_kind == "lattice"
+                 else benchmark_paths(ATOM, 2.0, 42))
+        for system in (lm.benchmark_system_2d(ATOM, 0.5),
+                       conjugated_system(ATOM, 0.5)):
+            ev = lm.EulerEvaluator(system, paths, 0.01, scheme=scheme)
+            if paths_kind == "shifted":
+                ev = ev.shifted(0.0731)
+            yield ev, t0, t1, h
+
+
+@pytest.mark.parametrize("scheme", ["euler", "expm"])
+def test_euler_ladder_batch_bitwise_equals_step_loop(scheme):
+    # every window of every job from one fold, each equal to the step loop
+    # of an evaluator whose dt_int is that window's step size
+    jobs = list(_ladder_jobs(scheme))
+    stacks = lm.euler_propagators(jobs)
+    assert len(stacks) == len(jobs)
+    for (ev, t0, t1, h), stack in zip(jobs, stacks):
+        assert stack.shape == (t0.size, 2, 2)
+        for k in range(t0.size):
+            rung = lm.EulerEvaluator(ev.system, ev.driver_paths, h[k],
+                                     scheme=scheme)
+            loop = _euler_loop(rung, t0[k], t1[k])
+            assert stack[k].tobytes() == loop.tobytes()
+            if t0[k] == 0.0:
+                assert stack[k].tobytes() == rung.matrix(t1[k]).tobytes()
+
+
+def test_euler_matrix_of_times_stacks_scalar_calls():
+    ev = lm.EulerEvaluator(conjugated_system(ATOM, 0.5),
+                           benchmark_paths(ATOM, 2.0, 49), 0.05)
+    times = np.array([0.7, -1.2, 0.0, 1.9, 0.7])
+    stack = ev.matrix(times)
+    assert stack.shape == (5, 2, 2)
+    for t, M in zip(times, stack):
+        assert M.tobytes() == ev.matrix(float(t)).tobytes()
+    with pytest.raises(HorizonError):
+        ev.matrix(np.array([0.5, 2.5]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_euler_batch_failing_job_leaves_others_unchanged():
+    good = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
+                             benchmark_paths(ATOM, 2.0, 43), 0.1)
+    edges = np.array([0.0, 0.8, 1.0, 0.0])
+    cases = [
+        (good, edges),
+        (_blowup_evaluator(0.3), np.array([0.0, 0.5, 1.0])),  # singular
+        (_blowup_evaluator(0.9), np.array([0.0, 1.0])),  # overflow
+        (good, np.array([0.0, 1.0, 2.5])),  # leaves the horizon
+        (good, np.array([0.4])),  # no window
+        (good, edges[::-1]),
+    ]
+    jobs = [(ev, e[:-1], e[1:], np.full(e.size - 1, ev.dt_int))
+            for ev, e in cases]
+    for (ev, e), out in zip(cases, lm.euler_propagators(jobs)):
+        try:
+            want = ev.propagators(e)
+        except lm.LevyMetError as exc:
+            loop = _loop_error(ev, e)
+            assert type(out) is type(exc) is type(loop)
+            assert str(out) == str(exc) == str(loop)
+        else:
+            assert out.tobytes() == want.tobytes()
+
+
 # -- non-diagonal oracle: the benchmark conjugated by P ----------------------------
 
 
@@ -640,6 +717,132 @@ def test_residual_euler_halves_under_refinement():
     ratios = [a / b for a, b in zip(res, res[1:])]
     assert all(r > 1.5 for r in ratios)
     assert res[-1] < 0.01 * 1.0  # <= C*dt with a modest constant
+
+
+def _residual_reference(paths, s, t):
+    """The cocycle-law residual of the exact benchmark backend, term by
+    term, with the shifted evaluator built afresh on the shifted paths."""
+    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    shifted = lm.ExactDiagonal2D([p.shift(s) for p in paths], ATOM, 0.5)
+    return float(np.linalg.norm(ev.matrix(s + t)
+                                - shifted.matrix(t) @ ev.matrix(s)))
+
+
+# pairs whose windows (s, s + t) cross 0, start or end at it, or do not
+RESIDUAL_PAIRS = [(0.6, -1.1), (-0.8, 1.5), (0.3, 0.4), (-0.5, -0.7),
+                  (0.0, 1.2), (1.2, 0.0), (0.9, -0.9), (-1.4, 2.1)]
+
+
+@pytest.mark.parametrize("seed", [50, 51])
+def test_residual_arrays_equal_scalar_calls(seed):
+    paths = benchmark_paths(ATOM, 3.0, seed)
+    s, t = np.array(RESIDUAL_PAIRS).T
+    doleans = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
+    backends = [  # the Doléans-Dade exponential runs forward only
+        (lm.ExactDiagonal2D(paths, ATOM, 0.5), s, t),
+        (lm.EulerEvaluator(conjugated_system(ATOM, 0.5), paths, 0.05), s, t),
+        (doleans, np.abs(s) / 2, np.abs(t) / 2),
+    ]
+    for ev, s_, t_ in backends:
+        res = lm.cocycle_residual(ev, s_, t_)
+        assert res.shape == (s.size,)
+        assert res.tolist() == [lm.cocycle_residual(ev, float(a), float(b))
+                                for a, b in zip(s_, t_)]
+    res = lm.cocycle_residual(backends[0][0], s, t)
+    assert res.tolist() == [_residual_reference(paths, a, b)
+                            for a, b in RESIDUAL_PAIRS]
+
+
+def test_residual_array_reports_first_failing_pair():
+    ev = exact_ev(ATOM, 3.0, 52)
+    # the second pair shifts past the horizon, the third evaluates past it
+    s, t = np.array([0.5, 3.5, 1.0]), np.array([0.2, -1.0, 2.5])
+    with pytest.raises(HorizonError, match="shift offset leaves"):
+        lm.cocycle_residual(ev, s, t)
+    with pytest.raises(HorizonError, match="t=3.5 outside horizon"):
+        lm.cocycle_residual(ev, s[::-1], t[::-1])
+
+
+def _end_jump_paths():
+    """Benchmark paths on [-2, 2] whose forward legs carry a jump exactly
+    at their end, 2.0, and others inside."""
+    sampled = benchmark_paths(ATOM, 2.0, 53)
+    grid = np.linspace(0.0, 2.0, 9)
+    legs = [_hand_leg(grid, [0.4, 1.1, 2.0], [0.2, -0.3, 0.25], 3),
+            _hand_leg(grid, [0.9, 2.0], [0.15, 0.3], 4)]
+    return [lm.two_sided(leg, p.backward) for leg, p in zip(legs, sampled)]
+
+
+def test_exact_shifted_rebuilds_a_cut_jump_table():
+    # shifted by -0.3 the horizon ends at (2 + 0.3) - 0.3, one ulp below
+    # 2.0 once the offset is added back, so jumps_in drops the end jump
+    paths = _end_jump_paths()
+    assert (2.0 + 0.3) - 0.3 < 2.0
+    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    for shifts in ([-0.3], [-0.3, 0.3], [0.7], [0.7, -1.1]):
+        moved, fresh_paths = ev, paths
+        for s in shifts:
+            moved = moved.shifted(s)
+            fresh_paths = [p.shift(s) for p in fresh_paths]
+        fresh = lm.ExactDiagonal2D(fresh_paths, ATOM, 0.5)
+        lo, hi = fresh.horizon
+        assert moved.horizon == (lo, hi)
+        times = np.concatenate([np.linspace(lo, hi, 11),
+                                fresh.driver_paths[0].jumps_in(lo, hi)[0]])
+        assert (moved.log_growth(times).tobytes()
+                == fresh.log_growth(times).tobytes())
+    assert (ev.shifted(-0.3)._jump_t[0].size
+            == ev._jump_t[0].size - 1)
+    s, t = np.array([-0.3, 0.2, -0.3]), np.array([0.9, -0.5, -1.2])
+    res = lm.cocycle_residual(ev, s, t)
+    assert res.tolist() == [_residual_reference(paths, a, b)
+                            for a, b in zip(s, t)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       pairs=st.lists(st.tuples(st.floats(-1.4, 1.4), st.floats(-1.4, 1.4)),
+                      min_size=1, max_size=6))
+@example(seed=0, pairs=[(0.6, -1.1), (-0.8, 1.5), (1.3, -1.4)])
+def test_cocycle_law_exact_backend(seed, pairs):
+    ev = exact_ev(ATOM, 3.0, seed)
+    s, t = np.array(pairs).T
+    res = lm.cocycle_residual(ev, s, t)
+    norms = np.linalg.norm(ev.matrix(s + t), axis=(1, 2))
+    assert np.all(res <= 1e-12 * norms)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_liouville_identity_euler_expm(seed):
+    # det expm(G) = e^(tr G), so the log-determinant of every window is
+    # tr(a) h + sum_i tr(sigma_i) dc_i over its steps plus
+    # log|det(I + u sigma_i)| over its jumps; summed over the windows the
+    # steps telescope to the increments over (0, T].  phi(T) itself is too
+    # ill-conditioned for slogdet: sum window by window.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 0.5, (3, 3))
+    sigmas = tuple(rng.normal(0.0, 0.5, (3, 3)) for _ in range(2))
+    assert np.linalg.norm(a @ sigmas[0] - sigmas[0] @ a) > 1e-3
+    drivers = (lm.scalar_triplet(gauss=0.3, measure=ATOM, delta=0.5),
+               lm.scalar_triplet(measure=ATOM, delta=0.5))
+    T = 5.0
+    paths = [lm.sample_two_sided(drivers[i], T, 0.1, seed, driver=i)
+             for i in range(2)]
+    ev = lm.EulerEvaluator(lm.LinearSystem(a, sigmas, drivers), paths, 0.01,
+                           scheme="expm")
+    sign, logdet = np.linalg.slogdet(ev.propagators(np.linspace(0.0, T, 6)))
+    assert np.all(sign != 0.0)
+    terms = [np.trace(a) * T]
+    for sigma, p in zip(sigmas, paths):
+        dc = float(p.continuous_increment(0.0, T)[0])
+        terms.append(np.trace(sigma) * dc)
+        _, sizes = p.jumps_in(0.0, T)
+        terms.extend(np.linalg.slogdet(np.eye(3) + u * sigma)[1]
+                     for u in sizes[:, 0])
+    assert len(terms) > 10
+    assert abs(float(np.sum(logdet)) - math.fsum(terms)) <= \
+        1e-10 * max(1.0, math.fsum(abs(x) for x in terms))
 
 
 def test_integrability_identity_cocycle_1d():

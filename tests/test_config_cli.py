@@ -6,6 +6,7 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +309,90 @@ def test_rows_do_not_depend_on_batching(monkeypatch, experiment):
         assert not report.path_errors
         seen.add(repr(report.rows[:k]))
     assert len(seen) == 1
+
+
+def _euler_row_per_rung(cfg, index):
+    """The example_2d_euler row one rung and one residual probe at a time:
+    an Euler evaluator per step size dt_int / 2^k, and the scalar
+    cocycle-law residual of each probe (s, t) drawn in turn."""
+    measure, paths, exact = experiments._benchmark_cocycle(cfg, index)
+    system = lm.benchmark_system_2d(measure, cfg.delta)
+    target = exact.matrix(cfg.horizon)
+    scale = float(np.linalg.norm(target))
+    errors = []
+    for k in range(cfg.halvings + 1):
+        ev = lm.EulerEvaluator(system, paths, cfg.dt_int / 2.0**k,
+                               scheme=cfg.between_jump_scheme)
+        errors.append(float(np.linalg.norm(ev.matrix(cfg.horizon) - target))
+                      / scale)
+    rng = lm.paths.substream(cfg.master_seed, path_index=index, driver=7,
+                             leg=7)
+    residual = 0.0
+    for _ in range(8):
+        s = float(rng.uniform(-0.9, 0.9))
+        t = float(rng.uniform(-0.9, 0.9))
+        residual = max(residual, lm.cocycle_residual(exact, s, t))
+    return {"index": index, "euler_errors": errors, "exact_residual": residual}
+
+
+def _per_rung_triple(cfg, index):
+    try:
+        return (index, _euler_row_per_rung(cfg, index), None)
+    except lm.LevyMetError as exc:
+        return (index, None, f"{type(exc).__name__}: {exc}")
+
+
+EULER = """
+experiment = example_2d_euler
+measure.kind = atoms
+delta = 0.5
+horizon = 2
+dt = 0.1
+dt_int = 0.08
+halvings = 3
+master_seed = 31
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    "measure.atoms = 0.2:3.0\n",
+    "measure.atoms = 0.2:3.0, -0.3:1.0\nbetween_jump_scheme = expm\n",
+])
+def test_euler_rows_equal_per_rung_rows_in_any_batch(extra):
+    cfg = lm.parse_config(EULER + extra)
+    rows = EXPERIMENTS["example_2d_euler"].rows
+    batch = rows(cfg, tuple(range(7)))
+    assert [triple[0] for triple in batch] == list(range(7))
+    for i in range(7):
+        want = repr(_per_rung_triple(cfg, i))
+        assert repr(rows(cfg, (i,))[0]) == want
+        assert repr(batch[i]) == want
+    assert repr(rows(cfg, (5, 2))) == repr([batch[5], batch[2]])
+
+
+def test_euler_failing_rung_quarantines_only_its_path():
+    # 1 + u is 1e-13: the exact backend takes the jump, the Euler jump
+    # factor is singular (|det| < 1e-12), so a path with a forward jump
+    # fails at its first rung and the others keep their rows
+    cfg = lm.parse_config(EULER.replace("delta = 0.5", "delta = 1.0") +
+                          "measure.atoms = -0.9999999999999:0.2\n")
+    batch = EXPERIMENTS["example_2d_euler"].rows(cfg, tuple(range(8)))
+    failed = [i for i, row, err in batch if err is not None]
+    assert 0 < len(failed) < 8
+    for triple in batch:
+        assert repr(triple) == repr(_per_rung_triple(cfg, triple[0]))
+    assert all(batch[i][2].startswith("SingularityError: jump factor")
+               for i in failed)
+
+
+def test_euler_failing_residual_reports_its_first_probe():
+    # at T = 0.5 some probe (s, t) leaves the horizon
+    cfg = lm.parse_config(EULER.replace("horizon = 2", "horizon = 0.5") +
+                          "measure.atoms = 0.2:3.0\n")
+    batch = EXPERIMENTS["example_2d_euler"].rows(cfg, tuple(range(4)))
+    assert all(err.startswith("HorizonError") for _, _, err in batch)
+    assert [repr(t) for t in batch] == [repr(_per_rung_triple(cfg, i))
+                                        for i in range(4)]
 
 
 class _BreakingPool:

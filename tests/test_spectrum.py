@@ -388,6 +388,32 @@ def test_oseledets_resolution_error():
         lm.oseledets_spaces(F, F)
 
 
+@pytest.mark.parametrize("angle, tol, dim", [
+    (0.01, 1e-3, 0),  # 1 - cos(0.01) = 5e-5 is below 1e-3, the angle is not
+    (5e-4, 1e-3, 1),
+    (1e-10, 1e-9, 1),  # below the arccos floor of the cosine
+    (3e-9, 1e-9, 0),
+])
+def test_intersect_compares_principal_angles(angle, tol, dim):
+    e1 = np.array([[1.0], [0.0]])
+    v = np.array([[math.cos(angle)], [math.sin(angle)]])
+    basis = lm.spectrum._intersect(e1, v, tol)
+    assert basis.shape == (2, dim)
+    if dim:
+        assert abs(abs(basis[0, 0]) - 1.0) < 1e-15
+
+
+def test_intersect_keeps_only_the_close_directions():
+    # span(e1, e2) and span(e1 rotated by 5e-4 towards e3, e2 rotated by
+    # 0.01 towards e3) share the direction near e1 at tolerance 1e-3
+    e = np.eye(3)
+    B = np.hstack([math.cos(5e-4) * e[:, :1] + math.sin(5e-4) * e[:, 2:],
+                   math.cos(0.01) * e[:, 1:2] + math.sin(0.01) * e[:, 2:]])
+    basis = lm.spectrum._intersect(e[:, :2], B, 1e-3)
+    assert basis.shape == (3, 1)
+    assert lm.principal_angles(basis, e[:, :1])[0] < 1e-12
+
+
 def test_oseledets_type_mismatch():
     F = lm.coordinate_flag((1, 2))
     G = lm.coordinate_flag((1, 2))
