@@ -53,7 +53,6 @@ from .cocycle import (
     auxiliary_psi,
     auxiliary_psi_inverse,
     cocycle_residual,
-    euler_propagators,
     integrability_alpha,
     picard_solve,
 )

@@ -21,8 +21,8 @@ Backends:
   windows of a stream share one (n, d, d) stack of step and jump factors,
   built from one array lookup of the driver increments, and each window is
   folded sequentially (M <- F M) in the order a step-by-step loop would use;
-  :func:`euler_propagators` folds the windows of several evaluators, each
-  at its own step size, in one lockstep;
+  :func:`_euler_propagators` folds the windows of several evaluators, each
+  at its own step size, in lockstep groups of bounded size;
 * :func:`picard_solve` -- successive substitution for the equivalent random
   integral equation, used as an independent oracle for the Euler backend.
 """
@@ -343,8 +343,7 @@ class EulerEvaluator(_EvaluatorBase):
     faster but would change the rounding.  A window raises what its first
     failing factor raises: a singular jump factor (SingularityError) or a
     running product that overflows (InstabilityError).  Backward windows
-    are the inverses of the forward ones.  ``matrix`` of an array of times
-    folds phi at each in one stack.
+    are the inverses of the forward ones.
     """
 
     def __init__(self, system, driver_paths, dt_int, scheme="euler"):
@@ -362,19 +361,9 @@ class EulerEvaluator(_EvaluatorBase):
 
     def propagators(self, edges):
         edges = np.asarray(edges, float)
-        return self._between(edges[:-1], edges[1:])
-
-    def matrix(self, t):
-        if np.ndim(t) == 0:
-            return super().matrix(t)
-        t = np.asarray(t, float)
-        return self._between(np.zeros_like(t), t)
-
-    def _between(self, t0, t1):
-        """Phi(t0_k -> t1_k) on lattices of step dt_int; raises what
-        :func:`euler_propagators` reports."""
-        stack, = euler_propagators([(self, t0, t1,
-                                     np.full(t0.shape, self.dt_int))])
+        t0, t1 = edges[:-1], edges[1:]
+        stack, = _euler_propagators([(self, t0, t1,
+                                      np.full(t0.shape, self.dt_int))])
         if isinstance(stack, Exception):
             raise stack
         return stack
@@ -457,22 +446,39 @@ class EulerEvaluator(_EvaluatorBase):
                               self.dt_int, self.scheme)
 
 
-def euler_propagators(jobs):
-    """Window propagators of several Euler evaluators from one lockstep
-    :func:`_fold`.
+# Byte budget of one fold.  _euler_propagators sorts the windows of a batch
+# by lattice length and folds them in groups whose (longest lattice, windows,
+# d, d) float64 stack stays within it, so the factor arrays and running
+# products stay near one group's size however many paths and rungs the batch
+# has (jumps add factors beyond the lattice).  A window over the budget is
+# folded alone.  An euler_ladder batch (at most 16 paths x 5 rungs of at most
+# ~420 factors, d = 2, about 1 MB) is one group.
+_FOLD_BYTES = 2 * 2**20
+
+
+def _euler_propagators(jobs):
+    """Window propagators of several Euler evaluators from lockstep
+    :func:`_fold` calls.
 
     A job is (ev, t0, t1, h): an :class:`EulerEvaluator`, the ends of its
     windows Phi(t0_k -> t1_k) and the step size h_k of each window's
     lattice.  ``ev.propagators(edges)`` is the one-job case, with
     consecutive windows and h_k = ev.dt_int; a halving ladder is one window
-    per step size.  The evaluators share one dimension.  Returns per job
-    the (n, d, d) stack, bitwise what each window folded on its own gives,
-    or the error ``propagators`` would raise: that of the first window with
-    a failing factor, else a HorizonError if a window leaves the sampled
-    horizon.
+    per step size.  The evaluators share one dimension.  The windows of all
+    jobs are sorted by lattice length and cut into groups of at most
+    :data:`_FOLD_BYTES`; a group builds its factors with one ``_factors``
+    call per job in it and folds them in one :func:`_fold`.  Returns per
+    job the (n, d, d) stack, bitwise what each window folded on its own
+    gives, or the error ``propagators`` would raise: that of the first
+    window with a failing factor, else a HorizonError if a window leaves
+    the sampled horizon.
     """
-    plans, built = [], []
-    for ev, t0, t1, h in jobs:
+    jobs = list(jobs)
+    if not jobs:
+        return []
+    plans, windows, prods, errs = [], [], [], []
+    job_of, local, steps = [], [], []
+    for j, (ev, t0, t1, h) in enumerate(jobs):
         t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
         lo, hi = ev.horizon
         outside = ((np.minimum(t0, t1) < lo - 1e-12)
@@ -481,42 +487,57 @@ def euler_propagators(jobs):
         live = np.flatnonzero(t0[:n_in] != t1[:n_in])
         back = np.flatnonzero(t1[live] < t0[live])
         plans.append((ev, t0.size, n_in, live, back))
-        if live.size:
-            a = np.minimum(t0[live], t1[live])
-            b = np.maximum(t0[live], t1[live])
-            built.append(ev._factors(a, b, np.asarray(h, float)[live]))
-    if built:
+        a = np.minimum(t0[live], t1[live])
+        b = np.maximum(t0[live], t1[live])
+        h = np.asarray(h, float)[live]
+        windows.append((a, b, h))
+        prods.append(np.empty((live.size, ev.d, ev.d)))
+        errs.append([None] * live.size)
+        job_of.append(np.full(live.size, j))
+        local.append(np.arange(live.size))
+        steps.append(np.maximum(1, np.ceil((b - a) / h - 1e-9)))
+    job_of, local, steps = map(np.concatenate, (job_of, local, steps))
+    order = np.argsort(-steps, kind="stable")
+    cap = _FOLD_BYTES // (8 * jobs[0][0].d ** 2)
+    i = 0
+    while i < order.size:
+        group = order[i:i + max(1, int(cap // steps[order[i]]))]
+        i += group.size
+        sels = [(j, np.sort(local[group[job_of[group] == j]]))
+                for j in np.unique(job_of[group])]
+        built = [jobs[j][0]._factors(*(x[sel] for x in windows[j]))
+                 for j, sel in sels]
         win, pos, factors, count, first_sing, errors = zip(*built)
-        ends = np.cumsum([c.size for c in count])
-        starts = ends - [c.size for c in count]
+        stop = np.cumsum([c.size for c in count])
+        start = stop - [c.size for c in count]
         M, first_bad = _fold(
-            np.concatenate([w + s for w, s in zip(win, starts)]),
+            np.concatenate([w + s for w, s in zip(win, start)]),
             np.concatenate(pos), np.concatenate(factors),
             np.concatenate(count))
-    out, k = [], 0
-    for ev, n, n_in, live, back in plans:
-        prods, errs = np.empty((0, ev.d, ev.d)), []
-        if live.size:
-            prods, errs = M[starts[k]:ends[k]], errors[k]
+        for (j, sel), s, e, fs, group_errs in zip(sels, start, stop,
+                                                 first_sing, errors):
+            prods[j][sel] = M[s:e]
+            for k, err in zip(sel, group_errs):
+                errs[j][k] = err
             # a running product overflows before any singular jump factor
-            overflow = first_bad[starts[k]:ends[k]] < first_sing[k]
-            for j in np.flatnonzero(overflow):
-                errs[j] = InstabilityError(_OVERFLOW_MSG)
-            k += 1
-        ok = np.array([errs[j] is None for j in back], bool)
+            for k in sel[first_bad[s:e] < fs]:
+                errs[j][k] = InstabilityError(_OVERFLOW_MSG)
+    out = []
+    for (ev, n, n_in, live, back), P, E in zip(plans, prods, errs):
+        ok = np.array([E[j] is None for j in back], bool)
         singular = np.zeros(back.size, bool)
-        singular[ok] = np.abs(np.linalg.det(prods[back[ok]])) == 0.0
+        singular[ok] = np.abs(np.linalg.det(P[back[ok]])) == 0.0
         for j in back[singular]:
-            errs[j] = SingularityError("forward window is singular")
-        failed = [e for e in errs if e is not None]
+            E[j] = SingularityError("forward window is singular")
+        failed = [e for e in E if e is not None]
         if failed:
             out.append(failed[0])
         elif n_in < n:
             out.append(HorizonError("window outside the sampled horizon"))
         else:
-            prods[back] = np.linalg.inv(prods[back])
+            P[back] = np.linalg.inv(P[back])
             stack = np.tile(np.eye(ev.d), (n, 1, 1))
-            stack[live] = prods
+            stack[live] = P
             out.append(stack)
     return out
 

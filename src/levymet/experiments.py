@@ -10,8 +10,9 @@ Paths run in contiguous batches of at most :data:`BATCH_PATHS` indices, at
 least one batch per worker.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples; the two spectrum experiments
 push the QR frames of a whole batch in lockstep, ``example_2d_euler`` folds
-the Euler factors of every rung of its batch's halving ladders in one
-lockstep and stacks each path's cocycle-law probes, and the others run
+the Euler factors of every rung of its batch's halving ladders in lockstep
+(in groups of bounded size, so long horizons do not multiply the buffers
+by the batch) and stacks each path's cocycle-law probes, and the others run
 their paths one at a time.  A path's row does not depend on the batch it
 falls in, and aggregation is in path-index order, so outputs are
 byte-identical regardless of worker count.  Per-path errors are
@@ -38,8 +39,8 @@ from .cocycle import (
     EulerEvaluator,
     ExactDiagonal2D,
     StochasticExponential1D,
+    _euler_propagators,
     cocycle_residual,
-    euler_propagators,
     integrability_alpha,
 )
 from .errors import ConfigurationError, ParseError
@@ -267,12 +268,13 @@ def _ladder_path(cfg, index):
 
 def _ladder_rungs(cfg, built):
     """Stage of :func:`_lockstep`: phi(T) of every path at the step sizes
-    dt_int / 2^k, k = 0..halvings, one window per rung, in one fold."""
+    dt_int / 2^k, k = 0..halvings, one window per rung, all folded in
+    lockstep."""
     rungs = cfg.halvings + 1
     steps = cfg.dt_int / 2.0 ** np.arange(rungs)
-    return euler_propagators([(euler, np.zeros(rungs),
-                               np.full(rungs, cfg.horizon), steps)
-                              for *_, euler in built])
+    return _euler_propagators([(euler, np.zeros(rungs),
+                                np.full(rungs, cfg.horizon), steps)
+                               for *_, euler in built])
 
 
 def _finish_example_2d_euler(cfg, index, built, rungs):

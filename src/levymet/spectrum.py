@@ -543,7 +543,15 @@ def principal_angles(A, B):
     if qb.shape[1] > qa.shape[1]:
         qa, qb = qb, qa
     m = qa.T @ qb
-    cos = np.linalg.svd(m, compute_uv=False)
+    return _split_angles(qa, qb, m, np.linalg.svd(m, compute_uv=False))
+
+
+def _split_angles(qa, qb, m, cos):
+    """The angles of :func:`principal_angles` from orthonormal bases qa and
+    qb, m = qa^T qb and its singular values ``cos`` (decreasing); the
+    sines come from the narrower basis."""
+    if qb.shape[1] > qa.shape[1]:
+        qa, qb, m = qb, qa, m.T
     sin = np.linalg.svd(qb - qa @ m, compute_uv=False)[::-1]
     return np.where(cos * cos >= 0.5, np.arcsin(np.clip(sin, 0.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))
@@ -555,8 +563,9 @@ def _intersect(A, B, angle_tol):
     angle, as :func:`principal_angles` measures it, is <= angle_tol.  The
     angles increase as the cosines fall, so those directions are the
     leading left singular vectors of A^T B."""
-    U, _, _ = np.linalg.svd(A.T @ B, full_matrices=False)
-    keep = int(np.sum(principal_angles(A, B) <= angle_tol))
+    M = A.T @ B
+    U, cos, _ = np.linalg.svd(M, full_matrices=False)
+    keep = int(np.sum(_split_angles(A, B, M, cos) <= angle_tol))
     basis = A @ U[:, :keep]
     if basis.shape[1] == 0:
         return basis

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,7 +452,7 @@ def test_euler_ladder_batch_bitwise_equals_step_loop(scheme):
     # every window of every job from one fold, each equal to the step loop
     # of an evaluator whose dt_int is that window's step size
     jobs = list(_ladder_jobs(scheme))
-    stacks = lm.euler_propagators(jobs)
+    stacks = lm.cocycle._euler_propagators(jobs)
     assert len(stacks) == len(jobs)
     for (ev, t0, t1, h), stack in zip(jobs, stacks):
         assert stack.shape == (t0.size, 2, 2)
@@ -477,7 +478,10 @@ def test_euler_matrix_of_times_stacks_scalar_calls():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_euler_batch_failing_job_leaves_others_unchanged():
+@pytest.mark.parametrize("budget", [None, 1])
+def test_euler_batch_failing_job_leaves_others_unchanged(monkeypatch, budget):
+    if budget is not None:  # every window folded alone
+        monkeypatch.setattr(lm.cocycle, "_FOLD_BYTES", budget)
     good = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
                              benchmark_paths(ATOM, 2.0, 43), 0.1)
     edges = np.array([0.0, 0.8, 1.0, 0.0])
@@ -491,7 +495,7 @@ def test_euler_batch_failing_job_leaves_others_unchanged():
     ]
     jobs = [(ev, e[:-1], e[1:], np.full(e.size - 1, ev.dt_int))
             for ev, e in cases]
-    for (ev, e), out in zip(cases, lm.euler_propagators(jobs)):
+    for (ev, e), out in zip(cases, lm.cocycle._euler_propagators(jobs)):
         try:
             want = ev.propagators(e)
         except lm.LevyMetError as exc:
@@ -500,6 +504,38 @@ def test_euler_batch_failing_job_leaves_others_unchanged():
             assert str(out) == str(exc) == str(loop)
         else:
             assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 600, 3000])
+def test_euler_batch_groups_fold_bitwise_like_one_group(monkeypatch, budget):
+    # a fold budget of 1 byte folds every window alone, the others cut the
+    # sorted windows into groups mixing jobs and rungs
+    jobs = list(_ladder_jobs("euler"))
+    whole = lm.cocycle._euler_propagators(jobs)
+    monkeypatch.setattr(lm.cocycle, "_FOLD_BYTES", budget)
+    for want, got in zip(whole, lm.cocycle._euler_propagators(jobs)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _ladder_peak_bytes(n_paths):
+    """Peak traced allocation of one batch call on the halving ladders
+    (0, 2] at 1e-3 / 2^k, k = 0..3, of n_paths benchmark paths."""
+    steps = 1e-3 / 2.0 ** np.arange(4)
+    jobs = [(lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
+                               benchmark_paths(ATOM, 2.0, 60 + i), 1e-3),
+             np.zeros(4), np.full(4, 2.0), steps) for i in range(n_paths)]
+    tracemalloc.start()
+    try:
+        lm.cocycle._euler_propagators(jobs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_euler_batch_peak_memory_does_not_grow_with_the_batch():
+    # the four rungs hold 30k factors a path; folded all at once, 8 paths'
+    # buffers would be 4x those of 2 paths
+    assert _ladder_peak_bytes(8) < 1.5 * _ladder_peak_bytes(2)
 
 
 # -- non-diagonal oracle: the benchmark conjugated by P ----------------------------
