@@ -1,9 +1,10 @@
 """Linear cocycle evaluators over sampled Lévy paths.
 
-Every evaluator maps t to an invertible d x d matrix phi(t) with phi(0) = I
-and exposes the window propagator Phi(t0 -> t1) = phi(t1) phi(t0)^(-1).
-``propagators(edges)`` stacks those of consecutive windows; it is the
-stream every window loop consumes, and phi(t) = Phi(0 -> t).
+Every evaluator maps t to an invertible d x d matrix phi(t) with phi(0) = I.
+A backend implements one hook, ``propagate(t0, t1)``: the propagators
+Phi(t0 -> t1) = phi(t1) phi(t0)^(-1) of equal-shape arrays of window ends.
+The stream every window loop consumes, ``propagators(edges)`` over
+consecutive windows, phi(t) = Phi(0 -> t) and its inverse derive from it.
 Negative times use the group convention phi(t) = Phi(t -> 0)^(-1), i.e.
 forward evaluation over the reflected window; this realizes backward-time
 stochastic integrals and automatically satisfies the singular-value
@@ -18,7 +19,7 @@ Backends:
 * :class:`EulerEvaluator` -- jump-adapted Euler for dX = aX dt + sigma_i X dL^i:
   jumps are applied exactly as multiplicative factors (I + u sigma_i), the
   flow between jumps is explicit Euler or an exact matrix exponential.  All
-  windows of a stream share one (n, d, d) stack of step and jump factors,
+  windows of a ``propagate`` call share one stack of step and jump factors,
   built from one array lookup of the driver increments, and each window is
   folded sequentially (M <- F M) in the order a step-by-step loop would use;
   :func:`_euler_propagators` folds the windows of several evaluators, each
@@ -45,6 +46,7 @@ from .errors import (
     StructuralError,
     SupportError,
 )
+from .paths import _merge_nodes
 
 _OVERFLOW_NORM = 1e300
 _LOG_OVERFLOW = 700.0
@@ -139,20 +141,16 @@ def _windows(t0, t1, step):
 
 
 class _EvaluatorBase:
-    """Shared plumbing on the window-propagator stream ``propagators(edges)``,
-    the (n, d, d) stack of Phi(edges[k] -> edges[k+1]) that every window
-    loop consumes.  A backend overrides ``propagate`` (stacked window by
-    window) or ``propagators`` (then ``propagate`` is its one-window case).
-    """
+    """Shared plumbing on the one hook a backend implements,
+    ``propagate(t0, t1)``: for equal-shape arrays of window ends, the
+    ``t0.shape + (d, d)`` stack of Phi(t0 -> t1).  The stream, phi and its
+    inverse are each one ``propagate`` call."""
 
     d = None
 
-    def propagate(self, t0, t1):
-        return self.propagators(np.array([t0, t1], float))[0]
-
     def propagators(self, edges):
-        stack = [self.propagate(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        return np.array(stack).reshape(-1, self.d, self.d)
+        """The (n, d, d) stack of Phi(edges[k] -> edges[k+1])."""
+        return self.propagate(edges[:-1], edges[1:])
 
     @property
     def horizon(self):
@@ -161,15 +159,11 @@ class _EvaluatorBase:
         return (max(los), min(his))
 
     def matrix(self, t):
-        """phi(t); an array of times gives the (n, d, d) stack of phi at
-        each."""
-        if np.ndim(t) == 0:
-            return self.propagate(0.0, t)
-        return np.array([self.propagate(0.0, x) for x in t]).reshape(
-            -1, self.d, self.d)
+        """phi(t); an array of times gives the stack of phi at each."""
+        return self.propagate(np.zeros(np.shape(t)), t)
 
     def inverse(self, t):
-        return self.propagate(t, 0.0)
+        return self.propagate(t, np.zeros(np.shape(t)))
 
 
 class ExactDiagonal2D(_EvaluatorBase):
@@ -242,22 +236,13 @@ class ExactDiagonal2D(_EvaluatorBase):
             cols.append((c + rate) * t + jump_sum)
         return np.stack(cols, axis=-1)
 
-    def propagators(self, edges):
-        return self._exp(np.diff(self.log_growth(edges), axis=0))
-
-    def matrix(self, t):
-        if np.ndim(t) == 0:
-            return super().matrix(t)
-        lg = self.log_growth(np.concatenate([[0.0], t]))
-        return self._exp(lg[1:] - lg[0])
-
-    @staticmethod
-    def _exp(lg):
-        """diag(exp(row)) for each row of window log-growths."""
+    def propagate(self, t0, t1):
+        ends = self.log_growth(np.stack([t0, t1]))
+        lg = ends[1] - ends[0]
         if np.any(np.abs(lg) > _LOG_OVERFLOW):
             raise InstabilityError("diagonal entry overflows; split the "
                                    "window or use log_growth")
-        return np.exp(lg)[:, :, None] * np.eye(2)
+        return np.exp(lg)[..., None] * np.eye(2)
 
     def shifted(self, s):
         """The evaluator on the shifted paths.  The band integrals are
@@ -319,7 +304,10 @@ class StochasticExponential1D(_EvaluatorBase):
         return math.exp(self.log_value(t))
 
     def propagate(self, t0, t1):
-        return np.array([[math.exp(self.log_value(t1) - self.log_value(t0))]])
+        # math.exp, window by window: np.exp may round differently
+        vals = [math.exp(self.log_value(b) - self.log_value(a))
+                for a, b in zip(np.ravel(t0).tolist(), np.ravel(t1).tolist())]
+        return np.reshape(vals, np.shape(t0) + (1, 1))
 
     def shifted(self, s):
         return StochasticExponential1D(self.path.shift(s))
@@ -335,7 +323,7 @@ class EulerEvaluator(_EvaluatorBase):
     compensation, Gaussian part) feed an explicit Euler step I + G, or
     expm(G) when scheme="expm", with G = h a + sum_i dc_i sigma_i.
 
-    ``propagators(edges)`` evaluates all windows at once: one node array,
+    ``propagate(t0, t1)`` evaluates all windows at once: one node array,
     one array lookup of the continuous increments per driver, one (n, d, d)
     stack of step and jump factors.  Each window's factors are then folded
     in sequence order, M <- F M, every window in lockstep, so the result is
@@ -359,14 +347,13 @@ class EulerEvaluator(_EvaluatorBase):
         self.scheme = scheme
         self.d = system.d
 
-    def propagators(self, edges):
-        edges = np.asarray(edges, float)
-        t0, t1 = edges[:-1], edges[1:]
-        stack, = _euler_propagators([(self, t0, t1,
-                                      np.full(t0.shape, self.dt_int))])
+    def propagate(self, t0, t1):
+        t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
+        stack, = _euler_propagators([(self, t0.ravel(), t1.ravel(),
+                                      np.full(t0.size, self.dt_int))])
         if isinstance(stack, Exception):
             raise stack
-        return stack
+        return stack.reshape(t0.shape + (self.d, self.d))
 
     def _factors(self, a, b, h):
         """Factors of the forward windows (a_k, b_k] on lattices of step h_k,
@@ -462,14 +449,13 @@ def _euler_propagators(jobs):
 
     A job is (ev, t0, t1, h): an :class:`EulerEvaluator`, the ends of its
     windows Phi(t0_k -> t1_k) and the step size h_k of each window's
-    lattice.  ``ev.propagators(edges)`` is the one-job case, with
-    consecutive windows and h_k = ev.dt_int; a halving ladder is one window
-    per step size.  The evaluators share one dimension.  The windows of all
+    lattice.  ``ev.propagate(t0, t1)`` is the one-job case, with
+    h_k = ev.dt_int; a halving ladder is one window per step size.  The evaluators share one dimension.  The windows of all
     jobs are sorted by lattice length and cut into groups of at most
     :data:`_FOLD_BYTES`; a group builds its factors with one ``_factors``
     call per job in it and folds them in one :func:`_fold`.  Returns per
     job the (n, d, d) stack, bitwise what each window folded on its own
-    gives, or the error ``propagators`` would raise: that of the first
+    gives, or the error ``propagate`` would raise: that of the first
     window with a failing factor, else a HorizonError if a window leaves
     the sampled horizon.
     """
@@ -596,8 +582,8 @@ def _psi_grid(system, driver_paths, times):
 
 def _with_jumps(driver_paths, grid):
     """Sorted union of a grid from 0 and the jump times in (0, grid[-1]]."""
-    jumps = [p.jumps_in(0.0, grid[-1])[0] for p in driver_paths]
-    return np.unique(np.concatenate([grid] + jumps))
+    return _merge_nodes(grid, *(p.jumps_in(0.0, grid[-1])[0]
+                                for p in driver_paths))
 
 
 def _breakpoints(driver_paths, t, dt_int):

@@ -541,10 +541,17 @@ def _agg_backward_spectrum(cfg, rows):
     return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 2)}
 
 
+def _check_qr_horizon(cfg):
+    if cfg.horizon < 10.0 * cfg.renorm_step:
+        raise ParseError(f"{cfg.experiment} needs horizon >= 10 * "
+                         "renorm_step (at least 10 QR windows)")
+
+
 def _check_example_2d_exact(cfg):
     if cfg.delta >= 1.0:
         raise ParseError(f"{cfg.experiment} needs delta < 1 (the "
                          "integrability bound is finite only there)")
+    _check_qr_horizon(cfg)
 
 
 def _check_flag_convergence(cfg):
@@ -584,7 +591,8 @@ EXPERIMENTS = {
                                    _agg_flag_convergence,
                                    _check_flag_convergence),
     "backward_spectrum": Experiment(_with_spectra(_finish_backward_spectrum),
-                                    _agg_backward_spectrum),
+                                    _agg_backward_spectrum,
+                                    _check_qr_horizon),
 }
 
 # Largest batch of paths.  Each path of a batch keeps its evaluator alive
@@ -632,9 +640,10 @@ def _settle(result, indices):
 
 
 def preflight(cfg):
-    """Checks of a parsed config that ``run`` and ``validate`` both make
-    before any path: the expected jump count of the drivers, which every
-    experiment samples from this law.  Raises ConfigurationError."""
+    """Checks that ``run`` and ``validate`` both make before any path, on
+    the drivers every experiment samples: their grid on [0, horizon] at
+    step dt and their expected jump count.  Raises ConfigurationError."""
+    TimeGrid(0.0, cfg.horizon, cfg.dt)
     check_jump_budget(scalar_triplet(measure=cfg.build_measure(),
                                      delta=cfg.delta), cfg.horizon)
 

@@ -184,12 +184,12 @@ def _draw_jumps(triplet, T, rng):
     return np.empty(0), np.empty(0)
 
 
-def _merge_nodes(grid_times, jump_times):
-    """Sorted union of two sorted time arrays, each value once: bitwise
-    ``np.unique(np.concatenate([grid_times, jump_times]))``.  The stable
-    sort (timsort) finds the two sorted runs and merges them in linear
-    time, where ``np.unique`` sorts from scratch."""
-    nodes = np.concatenate([grid_times, jump_times])
+def _merge_nodes(*times):
+    """Sorted union of sorted time arrays, each value once: bitwise
+    ``np.unique(np.concatenate(times))``.  The stable sort (timsort) finds
+    the sorted runs and merges them, where ``np.unique`` sorts from
+    scratch."""
+    nodes = np.concatenate(times)
     nodes.sort(kind="stable")
     keep = np.empty(nodes.size, bool)
     keep[:1] = True
@@ -244,14 +244,10 @@ def sample_backward(triplet, grid, rng_seed):
     _, nt, cont, jt, js, comp = _sample_raw(triplet, T, grid.dt, rng)
     node_times = -nt[::-1]
     jump_times = -jt[::-1]
-    jump_sizes = js[::-1] if js.size else js
-    if js.size:
-        js2 = jump_sizes if jump_sizes.ndim == 2 else jump_sizes[:, None]
-        # accumulate in evaluation order so the value at 0 cancels exactly
-        total_jump = np.cumsum(js2, axis=0)[-1]
-    else:
-        total_jump = np.zeros(triplet.d)
-    cont_b = -cont[::-1] - np.atleast_1d(total_jump)[None, :]
+    jump_sizes = js[::-1]
+    # accumulate in evaluation order so the value at 0 cancels exactly
+    total_jump = np.cumsum(jump_sizes)[-1:] if js.size else np.zeros(triplet.d)
+    cont_b = -cont[::-1] - total_jump[None, :]
     return JumpPath(grid, node_times, cont_b, jump_times, jump_sizes,
                     triplet=triplet, comp_rate=comp,
                     band=(triplet.effective_cut(), triplet.delta))

@@ -12,6 +12,7 @@ from levymet.cocycle import _check_finite, _jump_events
 from levymet.errors import (
     DegeneracyError,
     HorizonError,
+    LevyMetError,
     SingularityError,
     StructuralError,
 )
@@ -175,8 +176,29 @@ def test_propagators_stack_per_window_propagate(kind, edges):
     ev = _stream_backend(kind)
     stack = ev.propagators(edges)
     per_window = [ev.propagate(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert per_window[0].shape == (ev.d, ev.d)
     assert stack.shape == (len(edges) - 1, ev.d, ev.d)
     np.testing.assert_array_equal(stack, np.array(per_window))
+    # non-consecutive windows, some across 0, in a (2, n) array of ends
+    e = np.array(edges)
+    t0, t1 = np.array([e, e[::-1]]), np.array([e[::-1], np.roll(e, 1)])
+    pairs = ev.propagate(t0, t1)
+    assert pairs.shape == t0.shape + (ev.d, ev.d)
+    np.testing.assert_array_equal(
+        pairs, [[ev.propagate(a, b) for a, b in zip(r0, r1)]
+                for r0, r1 in zip(t0, t1)])
+    np.testing.assert_array_equal(ev.matrix(e), [ev.matrix(t) for t in e])
+    np.testing.assert_array_equal(ev.inverse(e), [ev.inverse(t) for t in e])
+    # a time outside the horizon after a good one
+    bad = np.array([e[1], 99.0, e[0]])
+    assert _raised(ev.matrix, bad) == _raised(
+        lambda ts: [ev.matrix(t) for t in ts], bad)
+
+
+def _raised(call, *args):
+    with pytest.raises(LevyMetError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
 
 
 @pytest.mark.parametrize("seed", [21, 22])

@@ -72,6 +72,11 @@ def _configs(draw):
     experiment = draw(st.sampled_from(list(EXPERIMENTS)))
     delta = (st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
              if experiment == "example_2d_exact" else _POSITIVE)
+    # the QR experiments need at least 10 renorm steps in the horizon
+    renorm_step = (st.floats(min_value=1e-6, max_value=horizon / 10).filter(
+        lambda r: horizon >= 10.0 * r)
+        if experiment in ("example_2d_exact", "backward_spectrum")
+        else _POSITIVE)
     return lm.ExperimentConfig(
         experiment=experiment,
         measure_kind=kind,
@@ -82,7 +87,7 @@ def _configs(draw):
         dt=draw(_POSITIVE),
         dt_int=draw(_POSITIVE),
         between_jump_scheme=draw(st.sampled_from(["euler", "expm"])),
-        renorm_step=draw(_POSITIVE),
+        renorm_step=draw(renorm_step),
         n_paths=draw(st.integers(min_value=1, max_value=10**6)),
         master_seed=draw(st.integers(min_value=0, max_value=2**64)),
         group_tol=draw(_NONNEGATIVE),
@@ -158,6 +163,39 @@ def test_validate_runs_the_jump_budget_preflight(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "config OK" not in out
     assert "error: expected jump count 1.71e+22" in err
+
+
+def _fails_before_any_path(tmp_path, capsys, text, message):
+    """``validate`` and ``run`` both exit 2 with one error line naming
+    ``message``, and ``run`` writes nothing."""
+    cfgfile = _write(tmp_path, "p.cfg", text + f"output_dir = {tmp_path}/out\n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", cfgfile]) == 2
+        out, err = capsys.readouterr()
+        assert "config OK" not in out
+        assert err.count("error:") == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment",
+                         ["example_2d_exact", "stable_1d", "flag_convergence"])
+def test_horizon_off_the_dt_grid_fails_before_any_path(tmp_path, capsys,
+                                                       experiment):
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 20\ndt = 0.3\n"
+            "fit_t_max = 20\nn_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text,
+                           "(t_end - t_start)/dt must be an integer")
+
+
+@pytest.mark.parametrize("experiment",
+                         ["example_2d_exact", "backward_spectrum"])
+def test_qr_horizon_below_ten_renorm_steps_fails_before_any_path(
+        tmp_path, capsys, experiment):
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 5\ndt = 0.5\nn_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text,
+                           "needs horizon >= 10 * renorm_step")
 
 
 def test_duplicate_key_names_both_lines():

@@ -323,6 +323,11 @@ def test_node_merge_bitwise_equals_unique(n_steps, dt, data):
     merged = _merge_nodes(grid, jt)
     assert np.array_equal(_bits(merged),
                           _bits(np.unique(np.concatenate([grid, jt]))))
+    # a third sorted input, e.g. a second driver's jump times
+    kt = np.sort(np.array(data.draw(st.lists(st.floats(0.0, T), max_size=30))
+                          + hits, float))
+    assert np.array_equal(_bits(_merge_nodes(grid, jt, kt)),
+                          _bits(np.unique(np.concatenate([grid, jt, kt]))))
     assert np.array_equal(_bits(_merge_nodes(grid, np.empty(0))), _bits(grid))
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -161,6 +161,35 @@ def test_sum_rule_invariant_enforced():
     with pytest.raises(StructuralError):
         lm.SpectrumEstimate(np.array([2.0, -4.0]), (2.0, -4.0), (1, 1), 6.0,
                             10.0, 7.5, 0.1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), scheme=st.sampled_from(["euler", "expm"]),
+       backward=st.booleans())
+def test_sum_rule_euler_dense_systems(seed, scheme, backward):
+    # dense, non-commuting 3x3 systems with a Gaussian part; the default
+    # group_tol, 10/T
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 0.5, (3, 3))
+    sigmas = tuple(rng.normal(0.0, 0.5, (3, 3)) for _ in range(2))
+    assert np.linalg.norm(a @ sigmas[0] - sigmas[0] @ a) > 1e-3
+    drivers = (lm.scalar_triplet(gauss=0.3, measure=ATOM, delta=0.5),
+               lm.scalar_triplet(measure=ATOM, delta=0.5))
+    T = 20.0
+    paths = [lm.sample_two_sided(drivers[i], T, 0.1, seed, driver=i)
+             for i in range(2)]
+    ev = lm.EulerEvaluator(lm.LinearSystem(a, sigmas, drivers), paths, 0.01,
+                           scheme=scheme)
+    try:
+        est = (lm.backward_spectrum if backward else lm.spectrum_qr)(ev, T)
+    except ResolutionError as exc:
+        # about one draw in 240 (seeds 150-449): at this horizon the frame
+        # pushed through phi^T ranks its rates unlike the QR grouping, the
+        # flag cut refuses, and there is no estimate to check
+        assert "inconsistent with grouping" in str(exc)
+        reject()
+    assert abs(float(np.sum(est.raw)) - est.logdet_over_T) <= \
+        1e-12 * max(1.0, abs(est.logdet_over_T))
 
 
 # -- flags --------------------------------------------------------------------------
