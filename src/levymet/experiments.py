@@ -8,21 +8,23 @@ only (leg 0), the one its estimate reads.
 
 Paths run in contiguous batches of at most :data:`BATCH_PATHS` indices, at
 least one batch per worker.  An experiment's ``rows(cfg, indices)`` turns
-one batch into (index, row, error) triples; the two spectrum experiments
-push the QR frames of a whole batch in lockstep, ``example_2d_euler`` folds
-the Euler factors of every rung of its batch's halving ladders in lockstep
-(in groups of bounded size, so long horizons do not multiply the buffers
-by the batch) and stacks each path's cocycle-law probes, and the others run
-their paths one at a time.  A path's row does not depend on the batch it
-falls in, and aggregation is in path-index order, so outputs are
-byte-identical regardless of worker count.  Per-path errors are
-quarantined as ``"<Type>: <msg>"``, and so is every path of a batch whose
-worker crashed; an experiment fails outright if more than 1% of its paths
-error out.
+one batch into (index, row, error) triples, and every experiment gets it
+from :func:`_lockstep`: build each path, run at most one stage on the
+whole batch, finish each path.  The two spectrum experiments push the
+forward and backward QR frames of a batch in one lockstep push;
+``example_2d_euler`` folds the Euler factors of every rung of its batch's
+halving ladders in lockstep (in groups of bounded size, so long horizons do
+not multiply the buffers by the batch) and stacks each path's cocycle-law
+probes; the others have no stage, their build being the row.  A path's
+row does not depend on the batch it falls in, and aggregation is in
+path-index order, so outputs are byte-identical regardless of worker
+count.  Per-path errors are quarantined as ``"<Type>: <msg>"``, and so is
+every path of a batch whose worker crashed; an experiment fails outright
+if more than 1% of its paths error out.
 
 Adding an experiment is adding one entry to :data:`EXPERIMENTS` (batch
-worker, aggregator, optional config check); the config parser validates
-experiment names against that table.
+rows from :func:`_lockstep`, aggregator, optional config check); the
+config parser validates experiment names against that table.
 """
 
 import math
@@ -61,10 +63,9 @@ from .paths import (
 )
 from .spectrum import (
     FlagMetricParams,
-    backward_spectrum,
+    _qr_estimate,
     flag_convergence_rate,
     oseledets_spaces,
-    spectrum_qr,
 )
 
 
@@ -158,46 +159,32 @@ def _attempt(fn, *args):
         return None, _error_text(exc)
 
 
-def _each_path(row):
-    """``rows(cfg, indices)`` of an experiment that runs its paths one at a
-    time, ``row(cfg, index)`` giving one path's row."""
-    def rows(cfg, indices):
-        return [(i, *_attempt(row, cfg, i)) for i in indices]
-    return rows
-
-
-def _lockstep(build, stages, finish):
-    """``rows(cfg, indices)`` of an experiment that runs a stage of its
-    work on a whole batch at once.  It builds each path with
-    ``build(cfg, index)``, calls every ``stage(cfg, built)`` once on the
-    list of built paths (one result per path, an Exception for a path that
-    failed there), and finishes each path with
-    ``finish(cfg, index, built_path, *stage_results)``.  A path reports its
-    first error: its build's, then the stages' in order, then its finish's;
-    an exception out of a stage call fails every path."""
+def _lockstep(build, stage=None, finish=None):
+    """``rows(cfg, indices)`` of an experiment.  It builds each path with
+    ``build(cfg, index)``; without a stage, the built value is the row.
+    A stage runs once on the whole batch, ``stage(cfg, built)`` on the list
+    of built paths, with one result per path (an Exception for a path that
+    failed there), and ``finish(cfg, index, built_path, result)`` makes
+    each row.  A path reports its first error: its build's, then the
+    stage's, then its finish's; an exception out of the stage call fails
+    every built path."""
     def rows(cfg, indices):
         out, built = {}, {}
         for i in indices:
-            parts, err = _attempt(build, cfg, i)
-            if err is None:
-                built[i] = parts
+            value, err = _attempt(build, cfg, i)
+            if err is None and stage is not None:
+                built[i] = value
             else:
-                out[i] = (i, None, err)
-        paths = list(built.values())
-
-        def run(stage):
-            try:
-                return stage(cfg, paths)
-            except Exception as exc:  # an error of the call fails every path
-                return [exc] * len(paths)
-
-        results = [run(stage) for stage in stages]
-        for (i, parts), *res in zip(built.items(), *results):
-            failed = [e for e in res if isinstance(e, Exception)]
-            if failed:
-                out[i] = (i, None, _error_text(failed[0]))
+                out[i] = (i, value, err)
+        try:
+            results = stage(cfg, list(built.values())) if built else []
+        except Exception as exc:  # an error of the call fails every path
+            results = [exc] * len(built)
+        for (i, value), res in zip(built.items(), results):
+            if isinstance(res, Exception):
+                out[i] = (i, None, _error_text(res))
             else:
-                out[i] = (i, *_attempt(finish, cfg, i, parts, *res))
+                out[i] = (i, *_attempt(finish, cfg, i, value, res))
         return [out[i] for i in indices]
     return rows
 
@@ -206,22 +193,15 @@ def _exact_cocycle(cfg, index):
     return _benchmark_cocycle(cfg, index)[2]
 
 
-def _forward_spectra(cfg, evs):
-    return spectrum_qr(evs, cfg.horizon, cfg.renorm_step,
-                       cfg.effective_group_tol)
-
-
-def _backward_spectra(cfg, evs):
-    return backward_spectrum(evs, cfg.horizon, cfg.renorm_step,
-                             cfg.effective_group_tol)
-
-
-def _with_spectra(finish):
-    """``rows(cfg, indices)`` of an experiment that needs both lockstep QR
-    spectra of every path's exact benchmark cocycle, then
-    ``finish(cfg, index, ev, est, best)``."""
-    return _lockstep(_exact_cocycle, (_forward_spectra, _backward_spectra),
-                     finish)
+def _spectra(cfg, evs):
+    """Stage of :func:`_lockstep`: the forward and backward QR spectra of
+    every path, all in one push.  Per path (est, best), or its first error,
+    the forward one before the backward one."""
+    T = cfg.horizon
+    out = _qr_estimate([(ev, T) for ev in evs] + [(ev, -T) for ev in evs],
+                       cfg.renorm_step, cfg.effective_group_tol)
+    return [next((e for e in pair if isinstance(e, Exception)), pair)
+            for pair in zip(out[:len(evs)], out[len(evs):])]
 
 
 def _benchmark_cocycle(cfg, index):
@@ -237,7 +217,8 @@ def _benchmark_cocycle(cfg, index):
     return measure, paths, ExactDiagonal2D(paths, measure, cfg.delta)
 
 
-def _finish_example_2d_exact(cfg, index, ev, est, best):
+def _finish_example_2d_exact(cfg, index, ev, spectra):
+    est, best = spectra
     split = oseledets_spaces(est.flag, best.flag, angle_tol=cfg.tol_angle)
     targets = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
     angles = split.angles_to(targets)
@@ -329,7 +310,8 @@ def _row_flag_convergence(cfg, index):
     }
 
 
-def _finish_backward_spectrum(cfg, index, ev, est, best):
+def _finish_backward_spectrum(cfg, index, ev, spectra):
+    est, best = spectra
     p = est.p
     pair_sums = [best.lambdas[k] + est.lambdas[p - 1 - k] for k in range(p)]
     return {
@@ -578,21 +560,20 @@ class Experiment(NamedTuple):
 
 
 EXPERIMENTS = {
-    "example_2d_exact": Experiment(_with_spectra(_finish_example_2d_exact),
-                                   _agg_example_2d_exact,
-                                   _check_example_2d_exact),
-    "example_2d_euler": Experiment(_lockstep(_ladder_path, (_ladder_rungs,),
-                                             _finish_example_2d_euler),
-                                   _agg_example_2d_euler,
-                                   _check_example_2d_euler),
-    "stable_1d": Experiment(_each_path(_row_stable_1d), _agg_stable_1d),
-    "doleans_1d": Experiment(_each_path(_row_doleans_1d), _agg_doleans_1d),
-    "flag_convergence": Experiment(_each_path(_row_flag_convergence),
+    "example_2d_exact": Experiment(
+        _lockstep(_exact_cocycle, _spectra, _finish_example_2d_exact),
+        _agg_example_2d_exact, _check_example_2d_exact),
+    "example_2d_euler": Experiment(
+        _lockstep(_ladder_path, _ladder_rungs, _finish_example_2d_euler),
+        _agg_example_2d_euler, _check_example_2d_euler),
+    "stable_1d": Experiment(_lockstep(_row_stable_1d), _agg_stable_1d),
+    "doleans_1d": Experiment(_lockstep(_row_doleans_1d), _agg_doleans_1d),
+    "flag_convergence": Experiment(_lockstep(_row_flag_convergence),
                                    _agg_flag_convergence,
                                    _check_flag_convergence),
-    "backward_spectrum": Experiment(_with_spectra(_finish_backward_spectrum),
-                                    _agg_backward_spectrum,
-                                    _check_qr_horizon),
+    "backward_spectrum": Experiment(
+        _lockstep(_exact_cocycle, _spectra, _finish_backward_spectrum),
+        _agg_backward_spectrum, _check_qr_horizon),
 }
 
 # Largest batch of paths.  Each path of a batch keeps its evaluator alive

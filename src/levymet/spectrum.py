@@ -146,7 +146,9 @@ class SpectrumEstimate:
     the grouped distinct exponents; gap: smallest inter-group separation;
     horizon: signed time span used; logdet_over_T: independently accumulated
     (1/|T|) log|det phi|, which must match sum(raw); flag: the
-    :func:`flag_at` of phi(horizon) with this grouping.
+    :func:`flag_at` of phi(horizon) with this grouping.  If that flag could
+    not be cut, the exponents stand and reading ``flag`` raises the cut's
+    error.
     """
 
     raw: np.ndarray
@@ -156,7 +158,7 @@ class SpectrumEstimate:
     horizon: float
     logdet_over_T: float
     group_tol: float
-    flag: "Flag | None" = None
+    _flag: "Flag | LevyMetError | None" = None
 
     def __post_init__(self):
         self.raw = np.asarray(self.raw, float)
@@ -172,6 +174,12 @@ class SpectrumEstimate:
             )
 
     @property
+    def flag(self):
+        if isinstance(self._flag, LevyMetError):
+            raise self._flag
+        return self._flag
+
+    @property
     def p(self):
         return len(self.lambdas)
 
@@ -184,30 +192,32 @@ class SpectrumEstimate:
         return self.raw.size
 
 
-def _qr_estimate(evs, T, renorm_step, group_tol):
-    """Push frames over windows covering [0, T] (T may be negative) for a
-    list of evaluators in lockstep and group each one's log growths per
-    unit |T|; the same push takes a second frame per evaluator through the
-    transposed stack for its flag.  log|det| is accumulated independently
-    of the QR diagonal for the sum rule.  Returns one entry per evaluator:
-    its SpectrumEstimate, or the LevyMetError its path raised."""
-    span = abs(T)
-    if span < 10.0 * renorm_step:
+def _qr_estimate(jobs, renorm_step, group_tol):
+    """QR estimates of (evaluator, T) jobs in one lockstep push.  Every
+    job covers [0, T] with windows of at most renorm_step; T is signed (a
+    negative T is the time-reversed cocycle) and all jobs share one |T| and
+    one dimension.  Each job pushes two frames: one through phi for its
+    log growths, grouped per unit |T|, and one through the transposed stack
+    for its flag.  log|det| is accumulated independently of the QR diagonal
+    for the sum rule.  Returns one entry per job: its SpectrumEstimate, or
+    the LevyMetError its path raised."""
+    if len({abs(T) for _, T in jobs}) > 1:
+        raise ConfigurationError("jobs must share one horizon length |T|")
+    if any(abs(T) < 10.0 * renorm_step for _, T in jobs):
         raise ConfigurationError("horizon must be at least 10 renorm steps")
-    if len({ev.d for ev in evs}) > 1:
+    if len({ev.d for ev, _ in jobs}) > 1:
         raise ConfigurationError("evaluators must share one dimension")
-    edges = _windows(0.0, T, renorm_step)
-    out = [None] * len(evs)
+    out = [None] * len(jobs)
     live, stack = [], []
-    for i, ev in enumerate(evs):
+    for i, (ev, T) in enumerate(jobs):
         try:
-            stack.append(ev.propagators(edges))
+            stack.append(ev.propagators(_windows(0.0, T, renorm_step)))
             live.append(i)
         except LevyMetError as exc:
             out[i] = exc
     if not live:
         return out
-    props = np.stack(stack)  # (paths, windows, d, d)
+    props = np.stack(stack)  # (jobs, windows, d, d)
     with np.errstate(invalid="ignore"):  # a non-finite window fails its path
         signs, lds = np.linalg.slogdet(props)
     logdets = np.cumsum(lds, axis=-1)[:, -1]  # window order; np.sum is pairwise
@@ -215,8 +225,10 @@ def _qr_estimate(evs, T, renorm_step, group_tol):
     n, d = len(live), props.shape[-1]
     Q, logs, degenerated = _push(np.broadcast_to(np.eye(d), (2 * n, d, d)),
                                  np.concatenate([props, _transposed(props)]))
-    tol = 10.0 / span if group_tol is None else group_tol
     for j, i in enumerate(live):
+        T = jobs[i][1]
+        span = abs(T)
+        tol = 10.0 / span if group_tol is None else group_tol
         if np.any(signs[j] == 0.0):
             out[i] = SingularityError("window propagator is singular")
         elif degenerated[j] or degenerated[n + j]:
@@ -225,21 +237,23 @@ def _qr_estimate(evs, T, renorm_step, group_tol):
             raw = np.sort(logs[j] / span)[::-1]
             try:
                 groups, gap = group_spectrum(raw, tol)
+                try:
+                    cut = _cut_flag(Q[n + j], logs[n + j], T, groups)
+                except LevyMetError as exc:  # the exponents stand without it
+                    cut = exc
                 out[i] = SpectrumEstimate(
                     raw, tuple(g[0] for g in groups),
                     tuple(g[1] for g in groups), gap, T, logdets[j] / span, tol,
-                    _cut_flag(Q[n + j], logs[n + j], T, groups))
+                    cut)
             except LevyMetError as exc:
                 out[i] = exc
     return out
 
 
-def _qr_spectra(evs, T, renorm_step, group_tol):
-    """:func:`_qr_estimate` for a list of evaluators, or for one evaluator,
-    whose estimate is returned and whose error is raised."""
-    if isinstance(evs, list):
-        return _qr_estimate(evs, T, renorm_step, group_tol)
-    (est,) = _qr_estimate([evs], T, renorm_step, group_tol)
+def _one_job(ev, T, renorm_step, group_tol):
+    """The estimate of one job of :func:`_qr_estimate`, whose error is
+    raised."""
+    (est,) = _qr_estimate([(ev, T)], renorm_step, group_tol)
     if isinstance(est, LevyMetError):
         raise est
     return est
@@ -250,27 +264,24 @@ def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
 
     group_tol defaults to 10/T, so the grouping resolution scales with the
     horizon.  The sum rule sum(raw) = (1/T) log|det phi(T)| is checked with
-    a determinant accumulated independently of the QR diagonal.
-
-    ``ev`` may also be a list of evaluators of one dimension, whose frames
-    are pushed in lockstep; the result is then a list with one entry per
-    evaluator, its SpectrumEstimate or the LevyMetError that path raised.
-    Each entry is bitwise the estimate of that evaluator alone.
+    a determinant accumulated independently of the QR diagonal.  A batch of
+    evaluators, in either time direction, is one call of
+    ``_qr_estimate``; each of its estimates is bitwise the one this
+    function returns for that evaluator.
     """
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return _qr_spectra(ev, T, renorm_step, group_tol)
+    return _one_job(ev, T, renorm_step, group_tol)
 
 
 def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
     """Spectrum of the time-reversed cocycle: growth rates of phi(-t) per
     unit |t|.  For the forward exponents lambda_1 > ... > lambda_p the
     grouped result is lambda^-_k = -lambda_{p+1-k} with reversed
-    multiplicities.  ``ev`` may be a list of evaluators, as for
-    :func:`spectrum_qr`."""
+    multiplicities.  It is the job (ev, -T) of ``_qr_estimate``."""
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return _qr_spectra(ev, -T, renorm_step, group_tol)
+    return _one_job(ev, -T, renorm_step, group_tol)
 
 
 def vector_exponent(ev, x, T, renorm_step=1.0):

@@ -392,20 +392,49 @@ master_seed = 31
 """
 
 
-@pytest.mark.parametrize("extra", [
-    "measure.atoms = 0.2:3.0\n",
-    "measure.atoms = 0.2:3.0, -0.3:1.0\nbetween_jump_scheme = expm\n",
-])
-def test_euler_rows_equal_per_rung_rows_in_any_batch(extra):
-    cfg = lm.parse_config(EULER + extra)
-    rows = EXPERIMENTS["example_2d_euler"].rows
+# keys that give each experiment real rows on EULER's short horizon: ten
+# QR windows, fit times inside the horizon
+_SHORT = {"example_2d_exact": "renorm_step = 0.2\n",
+          "backward_spectrum": "renorm_step = 0.2\n",
+          "flag_convergence": "fit_t_min = 0.5\nfit_t_max = 2\n"}
+
+
+@pytest.mark.parametrize("experiment,extra", [
+    pytest.param("example_2d_euler", extra, id=extra) for extra in (
+        "measure.atoms = 0.2:3.0\n",
+        "measure.atoms = 0.2:3.0, -0.3:1.0\nbetween_jump_scheme = expm\n")
+] + [pytest.param(name, "measure.atoms = 0.2:3.0\n" + _SHORT.get(name, ""),
+                  id=name) for name in EXPERIMENTS if name != "example_2d_euler"])
+def test_euler_rows_equal_per_rung_rows_in_any_batch(experiment, extra):
+    # every experiment: each triple of a batch, its error included, is
+    # bitwise the triple of that path run alone; the Euler rows are also
+    # those of one rung and one probe at a time
+    cfg = lm.parse_config(EULER.replace("example_2d_euler", experiment) + extra)
+    rows = EXPERIMENTS[experiment].rows
     batch = rows(cfg, tuple(range(7)))
     assert [triple[0] for triple in batch] == list(range(7))
     for i in range(7):
-        want = repr(_per_rung_triple(cfg, i))
-        assert repr(rows(cfg, (i,))[0]) == want
+        want = repr(rows(cfg, (i,))[0])
         assert repr(batch[i]) == want
+        if experiment == "example_2d_euler":
+            assert repr(_per_rung_triple(cfg, i)) == want
     assert repr(rows(cfg, (5, 2))) == repr([batch[5], batch[2]])
+
+
+def test_stage_error_fails_every_built_path():
+    def build(cfg, index):
+        if index == 1:
+            raise lm.errors.HorizonError("no path")
+        return index
+
+    def stage(cfg, built):
+        raise lm.errors.SingularityError("stage broke")
+
+    rows = experiments._lockstep(build, stage, lambda *args: {})
+    assert rows(None, (0, 1, 2)) == [
+        (0, None, "SingularityError: stage broke"),
+        (1, None, "HorizonError: no path"),
+        (2, None, "SingularityError: stage broke")]
 
 
 def test_euler_failing_rung_quarantines_only_its_path():

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import levymet as lm
+from levymet import experiments
 from levymet.errors import (
     ConfigurationError,
     ResolutionError,
@@ -163,33 +164,51 @@ def test_sum_rule_invariant_enforced():
                             10.0, 7.5, 0.1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), scheme=st.sampled_from(["euler", "expm"]),
-       backward=st.booleans())
-def test_sum_rule_euler_dense_systems(seed, scheme, backward):
-    # dense, non-commuting 3x3 systems with a Gaussian part; the default
-    # group_tol, 10/T
+def dense_euler_ev(seed, scheme, T):
+    """A dense, non-commuting 3x3 system with a Gaussian part, on the paths
+    of ``seed``."""
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 0.5, (3, 3))
     sigmas = tuple(rng.normal(0.0, 0.5, (3, 3)) for _ in range(2))
     assert np.linalg.norm(a @ sigmas[0] - sigmas[0] @ a) > 1e-3
     drivers = (lm.scalar_triplet(gauss=0.3, measure=ATOM, delta=0.5),
                lm.scalar_triplet(measure=ATOM, delta=0.5))
-    T = 20.0
     paths = [lm.sample_two_sided(drivers[i], T, 0.1, seed, driver=i)
              for i in range(2)]
-    ev = lm.EulerEvaluator(lm.LinearSystem(a, sigmas, drivers), paths, 0.01,
-                           scheme=scheme)
-    try:
-        est = (lm.backward_spectrum if backward else lm.spectrum_qr)(ev, T)
-    except ResolutionError as exc:
-        # about one draw in 240 (seeds 150-449): at this horizon the frame
-        # pushed through phi^T ranks its rates unlike the QR grouping, the
-        # flag cut refuses, and there is no estimate to check
-        assert "inconsistent with grouping" in str(exc)
-        reject()
+    return lm.EulerEvaluator(lm.LinearSystem(a, sigmas, drivers), paths, 0.01,
+                             scheme=scheme)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), scheme=st.sampled_from(["euler", "expm"]),
+       backward=st.booleans())
+def test_sum_rule_euler_dense_systems(seed, scheme, backward):
+    # the default group_tol, 10/T; a flag that cannot be cut leaves the
+    # estimate standing (see test_uncut_flag_keeps_its_spectrum)
+    T = 20.0
+    ev = dense_euler_ev(seed, scheme, T)
+    est = (lm.backward_spectrum if backward else lm.spectrum_qr)(ev, T)
     assert abs(float(np.sum(est.raw)) - est.logdet_over_T) <= \
         1e-12 * max(1.0, abs(est.logdet_over_T))
+
+
+def test_uncut_flag_keeps_its_spectrum():
+    # seed 448 at T = 20: the rates 0.352, -0.024, -0.613 group as
+    # (0.164 x2, -0.613), but the frame pushed through phi^T ranks its
+    # rates 0.358, -0.307, -0.335, so the flag cannot be cut; the spectrum
+    # and its sum rule are sound, and only reading the flag raises
+    ev = dense_euler_ev(448, "euler", 20.0)
+    est = lm.spectrum_qr(ev, 20.0)
+    assert est.multiplicities == (2, 1)
+    assert abs(float(np.sum(est.raw)) - est.logdet_over_T) <= 1e-12
+    with pytest.raises(ResolutionError, match="inconsistent with grouping"):
+        est.flag
+    # the example_2d_exact finish quarantines such a path
+    cfg = lm.parse_config("experiment = example_2d_exact\n")
+    best = lm.backward_spectrum(ev, 20.0)
+    assert experiments._attempt(experiments._finish_example_2d_exact, cfg, 0,
+                                ev, (est, best)) == \
+        (None, "ResolutionError: frame growth rates inconsistent with grouping")
 
 
 # -- flags --------------------------------------------------------------------------
@@ -280,18 +299,54 @@ def test_flag_distance_axioms():
     assert lm.flag_distance(f, f, params) == 0.0
     swapped = lm.Flag((f.blocks[1], f.blocks[0]))
     assert lm.flag_distance(f, swapped, params) == pytest.approx(1.0)
-    rng = np.random.default_rng(10)
-    p3 = lm.FlagMetricParams((1.0, -1.0), 1.0, 3)
-    for _ in range(50):
-        F = lm.random_flag((1, 2), rng)
-        G = lm.random_flag((1, 2), rng)
-        d1 = lm.flag_distance(F, G, p3)
-        d2 = lm.flag_distance(G, F, p3)
-        assert d1 >= 0.0
-        assert d1 == pytest.approx(d2, abs=1e-14)
     with pytest.raises(StructuralError):
         lm.flag_distance(lm.coordinate_flag((1, 1)), lm.coordinate_flag((2,)),
                          params)
+
+
+@st.composite
+def _metric_triples(draw):
+    """Valid metric parameters, exponents spaced by (d-1) h times a factor
+    in [1, 3], and a flag triple: three Haar-random flags, or a flag and
+    two successive rotations of it by 1e-15 to 1e-1."""
+    dims = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1)]))
+    d, p = sum(dims), len(dims)
+    h = draw(st.floats(0.1, 2.0))
+    gaps = draw(st.lists(st.floats(1.0, 3.0), min_size=p - 1, max_size=p - 1))
+    lambdas = draw(st.floats(-3.0, 3.0)) - \
+        (d - 1) * h * np.concatenate([[0.0], np.cumsum(gaps)])
+    params = lm.FlagMetricParams(tuple(lambdas), h, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flags = [lm.random_flag(dims, rng)]
+    near = draw(st.booleans())
+    for _ in range(2):
+        if near:
+            eps = 10.0 ** draw(st.floats(-15.0, -1.0))
+            turn = eps * rng.standard_normal((d, d))
+            R = lm.spectrum._qr_pos(np.eye(d) + turn)[0]
+            flags.append(lm.Flag([R @ b for b in flags[-1].blocks]))
+        else:
+            flags.append(lm.random_flag(dims, rng))
+    return params, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(_metric_triples())
+def test_flag_distance_axioms_on_random_and_near_triples(case):
+    params, flags = case
+    # d(F, F) is 0 up to rounding: each ||U_i^T U_j|| is a few eps, raised
+    # to h / |lambda_i - lambda_j| >= h / (lambda_1 - lambda_p)
+    spread = max(params.lambdas) - min(params.lambdas)
+    floor = (16.0 * np.finfo(float).eps) ** (params.h / spread)
+    dist = {(i, j): lm.flag_distance(flags[i], flags[j], params)
+            for i in range(3) for j in range(3)}
+    for (i, j), v in dist.items():
+        assert v >= 0.0
+        assert v == pytest.approx(dist[j, i], abs=1e-14)
+        if i == j:
+            assert v <= floor
+    for i, j, k in itertools.permutations(range(3)):
+        assert dist[i, k] <= dist[i, j] + dist[j, k] + 1e-14
 
 
 def test_flag_convergence_exact_log_domain():
@@ -518,6 +573,13 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+def _batch(estimate, evs, T):
+    """The batch of ``evs`` in ``estimate``'s time direction, one call of
+    the QR entry."""
+    sign = 1.0 if estimate is lm.spectrum_qr else -1.0
+    return lm.spectrum._qr_estimate([(ev, sign * T) for ev in evs], 1.0, None)
+
+
 @pytest.mark.parametrize("estimate", [lm.spectrum_qr, lm.backward_spectrum])
 @pytest.mark.parametrize("window", [
     np.zeros((2, 2)),                      # singular window
@@ -528,7 +590,7 @@ def test_degenerate_path_leaves_batch_unchanged(estimate, window):
     evs = [exact_ev(ATOM, 60.0, 8100 + s) for s in range(4)]
     evs[2] = _Tampered(evs[2], window)
     evs.append(exact_ev(ATOM, 30.0, 8104))  # horizon too short: its stack raises
-    batch = estimate(evs, 60.0, 1.0)
+    batch = _batch(estimate, evs, 60.0)
     assert len(batch) == len(evs)
     for ev, got in zip(evs, batch):
         try:
@@ -697,7 +759,7 @@ def test_exact_flags_are_positive_zero_axes():
 def test_batch_flags_bitwise_equal_flag_at(estimate, sign):
     evs = [exact_ev(ATOM, 60.0, 8400 + s) for s in range(3)]
     evs += [_conjugated_flow(haar(2, 20 + s), [1.5, -2.0]) for s in range(2)]
-    for est, ev in zip(estimate(evs, 60.0, 1.0), evs):
+    for est, ev in zip(_batch(estimate, evs, 60.0), evs):
         _assert_same_flag(est.flag, lm.flag_at(ev, sign * 60.0, est))
         _assert_same_flag(est.flag, estimate(ev, 60.0, 1.0).flag)
 
@@ -713,7 +775,7 @@ def test_degenerate_flag_half_leaves_batch_unchanged(estimate):
     props = evs[1].propagators(lm.cocycle._windows(0.0, 60.0, 1.0))
     assert not lm.spectrum._push(np.eye(2), props)[2]
     assert lm.spectrum._push(np.eye(2), lm.spectrum._transposed(props))[2]
-    batch = estimate(evs, 60.0, 1.0)
+    batch = _batch(estimate, evs, 60.0)
     assert [isinstance(e, lm.LevyMetError) for e in batch] == \
         [False, True, False, False, True]
     assert _error_text(batch[1]) == \
@@ -729,3 +791,18 @@ def test_degenerate_flag_half_leaves_batch_unchanged(estimate):
         assert np.array_equal(got.raw, alone.raw)
         assert got.logdet_over_T == alone.logdet_over_T
         _assert_same_flag(got.flag, alone.flag)
+
+
+def test_qr_entry_mixes_time_directions():
+    # forward and backward jobs share one push; each is bitwise its own call
+    evs = [exact_ev(ATOM, 60.0, 8600 + s) for s in range(2)]
+    evs.append(_conjugated_flow(haar(2, 30), [1.5, -2.0]))
+    jobs = [(ev, T) for T in (60.0, -60.0) for ev in evs]
+    for (ev, T), got in zip(jobs, lm.spectrum._qr_estimate(jobs, 1.0, None)):
+        alone = (lm.spectrum_qr if T > 0 else lm.backward_spectrum)(ev, 60.0)
+        assert got.horizon == alone.horizon == T
+        assert np.array_equal(got.raw, alone.raw)
+        assert got.logdet_over_T == alone.logdet_over_T
+        _assert_same_flag(got.flag, alone.flag)
+    with pytest.raises(ConfigurationError, match="one horizon length"):
+        lm.spectrum._qr_estimate([(evs[0], 60.0), (evs[0], -50.0)], 1.0, None)
