@@ -51,6 +51,9 @@ from .paths import _merge_nodes
 _OVERFLOW_NORM = 1e300
 _LOG_OVERFLOW = 700.0
 
+# Drift rates (c_1, c_2) of the decoupled 2d benchmark system.
+BENCHMARK_DRIFTS = (2.0, -4.0)
+
 
 def _hs_norm(M):
     return float(np.linalg.norm(M))
@@ -171,8 +174,8 @@ class ExactDiagonal2D(_EvaluatorBase):
 
         dX^1 = c_1 X^1 dt + X^1 dL^1,   dX^2 = c_2 X^2 dt + X^2 dL^2,
 
-    with compensated small-jump drivers sharing one measure.  phi(t) is
-    diagonal with log-entries
+    with (c_1, c_2) = BENCHMARK_DRIFTS and compensated small-jump drivers
+    sharing one measure.  phi(t) is diagonal with log-entries
 
         (c_i + I - K) t + sum_{0 < s <= t} log(1 + kappa^i_s)
 
@@ -184,14 +187,15 @@ class ExactDiagonal2D(_EvaluatorBase):
     """
 
     d = 2
+    # relative slack of the |u| <= delta test on the drivers' jumps
+    _DELTA_SLACK = 1 + 1e-12
 
-    def __init__(self, driver_paths, measure, delta, drift_rates=(2.0, -4.0)):
+    def __init__(self, driver_paths, measure, delta):
         if len(driver_paths) != 2:
             raise StructuralError("need exactly two scalar driver paths")
         self.driver_paths = list(driver_paths)
         self.measure = measure
         self.delta = float(delta)
-        self.drift_rates = tuple(float(c) for c in drift_rates)
         band = getattr(driver_paths[0], "band", None) or (0.0, self.delta)
         lo = min(band[0], self.delta)
         self.compensator_integral = measure.log_compensator(lo, self.delta)
@@ -211,7 +215,7 @@ class ExactDiagonal2D(_EvaluatorBase):
             sizes = sizes[:, 0]
             if np.any(sizes <= -1.0):
                 raise SingularityError("jump factor 1 + u hit zero or below")
-            if np.any(np.abs(sizes) > self.delta * (1 + 1e-12)):
+            if np.any(np.abs(sizes) > self.delta * self._DELTA_SLACK):
                 raise SupportError("driver carries jumps above delta; the "
                                    "closed form covers small jumps only")
             self._jump_t.append(times)
@@ -230,7 +234,7 @@ class ExactDiagonal2D(_EvaluatorBase):
                                f"[{lo}, {hi}]")
         rate = self.compensator_integral - self._log_moment
         cols = []
-        for c, times, cum, anchor in zip(self.drift_rates, self._jump_t,
+        for c, times, cum, anchor in zip(BENCHMARK_DRIFTS, self._jump_t,
                                          self._log_cum, self._anchor):
             jump_sum = cum[np.searchsorted(times, t, side="right")] - anchor
             cols.append((c + rate) * t + jump_sum)
@@ -450,10 +454,11 @@ def _euler_propagators(jobs):
     A job is (ev, t0, t1, h): an :class:`EulerEvaluator`, the ends of its
     windows Phi(t0_k -> t1_k) and the step size h_k of each window's
     lattice.  ``ev.propagate(t0, t1)`` is the one-job case, with
-    h_k = ev.dt_int; a halving ladder is one window per step size.  The evaluators share one dimension.  The windows of all
-    jobs are sorted by lattice length and cut into groups of at most
-    :data:`_FOLD_BYTES`; a group builds its factors with one ``_factors``
-    call per job in it and folds them in one :func:`_fold`.  Returns per
+    h_k = ev.dt_int; a halving ladder is one window per step size.  The
+    evaluators share one dimension.  The windows of all jobs are sorted by
+    lattice length and cut into groups of at most :data:`_FOLD_BYTES`; a
+    group builds its factors with one ``_factors`` call per job in it and
+    folds them in one :func:`_fold`.  Returns per
     job the (n, d, d) stack, bitwise what each window folded on its own
     gives, or the error ``propagate`` would raise: that of the first
     window with a failing factor, else a HorizonError if a window leaves
@@ -732,7 +737,7 @@ def integrability_alpha(ev, grid):
     """sup over grid nodes and jump times of log+ ||phi(t)|| and of
     log+ ||phi(t)^(-1)|| on [0, t_end]; empirical one-path versions of the
     integrability functionals of the spectral theorem."""
-    times = np.asarray(grid.times() if hasattr(grid, "times") else grid, float)
+    times = grid.times()
     if times[0] != 0.0:
         raise ConfigurationError("grid must start at 0")
     nodes = _with_jumps(getattr(ev, "driver_paths", []), times)

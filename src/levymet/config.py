@@ -31,6 +31,13 @@ from .measures import LevyMeasure
 MEASURE_KINDS = ("none", "atoms", "power_law")
 
 
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
 def _parse_atoms(text):
     pairs = []
     for item in text.split(","):
@@ -38,7 +45,7 @@ def _parse_atoms(text):
         if not item:
             continue
         loc, _, rate = item.partition(":")
-        pairs.append((float(loc), float(rate)))
+        pairs.append((_parse_float(loc), _parse_float(rate)))
     if not pairs:
         raise ValueError("empty atom list")
     return tuple(pairs)
@@ -46,13 +53,6 @@ def _parse_atoms(text):
 
 def _format_atoms(atoms):
     return ", ".join(f"{u}:{r}" for u, r in atoms)
-
-
-def _parse_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("non-finite value")
-    return value
 
 
 def _key(name):
@@ -120,7 +120,7 @@ class ExperimentConfig:
         for name in ("delta", "horizon", "dt", "dt_int", "renorm_step"):
             if getattr(self, name) <= 0.0:
                 raise ParseError(f"{name} must be > 0")
-        for name in ("group_tol", "threads", "frame_angle"):
+        for name in ("master_seed", "group_tol", "threads", "frame_angle"):
             if getattr(self, name) < 0:
                 raise ParseError(f"{name} must be >= 0")
         if self.halvings < 1:
@@ -138,10 +138,6 @@ class ExperimentConfig:
             return LevyMeasure.from_atoms(self.measure_atoms)
         cutoff = self.measure_cutoff if self.measure_cutoff > 0.0 else self.delta
         return LevyMeasure.power_law(self.measure_alpha, self.measure_c, cutoff)
-
-    @property
-    def effective_group_tol(self):
-        return self.group_tol if self.group_tol > 0.0 else 10.0 / self.horizon
 
     def echo(self):
         """Canonical config text (round-trips through parse_config)."""

@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cocycle import (
+    BENCHMARK_DRIFTS,
     EulerEvaluator,
     ExactDiagonal2D,
     StochasticExponential1D,
@@ -45,8 +46,8 @@ from .cocycle import (
     cocycle_residual,
     integrability_alpha,
 )
-from .errors import ConfigurationError, ParseError
-from .measures import scalar_triplet, stable_scaling_residual
+from .errors import ConfigurationError, ParseError, SupportError
+from .measures import ATOMS, scalar_triplet, stable_scaling_residual
 from .oracle import (
     benchmark_drivers,
     benchmark_system_2d,
@@ -62,6 +63,7 @@ from .paths import (
     with_drift,
 )
 from .spectrum import (
+    _QR_MIN_WINDOWS,
     FlagMetricParams,
     _qr_estimate,
     flag_convergence_rate,
@@ -195,11 +197,12 @@ def _exact_cocycle(cfg, index):
 
 def _spectra(cfg, evs):
     """Stage of :func:`_lockstep`: the forward and backward QR spectra of
-    every path, all in one push.  Per path (est, best), or its first error,
-    the forward one before the backward one."""
+    every path, all in one push, grouped at ``group_tol`` (0 leaves the
+    10/horizon default of the push).  Per path (est, best), or its first
+    error, the forward one before the backward one."""
     T = cfg.horizon
     out = _qr_estimate([(ev, T) for ev in evs] + [(ev, -T) for ev in evs],
-                       cfg.renorm_step, cfg.effective_group_tol)
+                       cfg.renorm_step, cfg.group_tol or None)
     return [next((e for e in pair if isinstance(e, Exception)), pair)
             for pair in zip(out[:len(evs)], out[len(evs):])]
 
@@ -282,7 +285,7 @@ def _row_stable_1d(cfg, index):
 
 def _row_doleans_1d(cfg, index):
     _, paths, ev = _benchmark_cocycle(cfg, index)
-    dd = StochasticExponential1D(with_drift(paths[0], 2.0))
+    dd = StochasticExponential1D(with_drift(paths[0], BENCHMARK_DRIFTS[0]))
     rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
     times = np.sort(rng.uniform(0.0, cfg.horizon, 16))
     worst = 0.0
@@ -524,9 +527,10 @@ def _agg_backward_spectrum(cfg, rows):
 
 
 def _check_qr_horizon(cfg):
-    if cfg.horizon < 10.0 * cfg.renorm_step:
-        raise ParseError(f"{cfg.experiment} needs horizon >= 10 * "
-                         "renorm_step (at least 10 QR windows)")
+    if cfg.horizon < _QR_MIN_WINDOWS * cfg.renorm_step:
+        raise ParseError(f"{cfg.experiment} needs horizon >= "
+                         f"{_QR_MIN_WINDOWS} * renorm_step (at least "
+                         f"{_QR_MIN_WINDOWS} QR windows)")
 
 
 def _check_example_2d_exact(cfg):
@@ -545,6 +549,11 @@ def _check_example_2d_euler(cfg):
     if cfg.horizon > 100.0:
         raise ParseError(f"{cfg.experiment} needs horizon <= 100 "
                          "(plain matrices overflow past that)")
+    steps = cfg.horizon / (cfg.dt_int / 2.0 ** cfg.halvings)
+    if steps > 1e6:
+        raise ParseError(f"{cfg.experiment}'s finest rung needs {steps:.3g} "
+                         "Euler steps per path, above 1e6; raise dt_int or "
+                         "lower halvings")
 
 
 class Experiment(NamedTuple):
@@ -623,10 +632,24 @@ def _settle(result, indices):
 def preflight(cfg):
     """Checks that ``run`` and ``validate`` both make before any path, on
     the drivers every experiment samples: their grid on [0, horizon] at
-    step dt and their expected jump count.  Raises ConfigurationError."""
+    step dt, their expected jump count, and their jump sizes.  No jump
+    factor 1 + u may be <= 0, and every experiment but ``stable_1d`` builds
+    the exact benchmark cocycle, which takes no jump above delta.  Raises
+    a LevyMetError."""
     TimeGrid(0.0, cfg.horizon, cfg.dt)
-    check_jump_budget(scalar_triplet(measure=cfg.build_measure(),
-                                     delta=cfg.delta), cfg.horizon)
+    measure = cfg.build_measure()
+    lowest = (min(measure.atom_locs, default=0.0) if measure.kind == ATOMS
+              else -measure.support_bound)
+    if lowest <= -1.0:
+        raise SupportError(f"the measure charges u = {lowest} <= -1, where "
+                           "the jump factor 1 + u is not positive")
+    if (cfg.experiment != "stable_1d" and measure.support_bound
+            > cfg.delta * ExactDiagonal2D._DELTA_SLACK):
+        raise SupportError(f"the measure charges |u| up to "
+                           f"{measure.support_bound} > delta = {cfg.delta}; "
+                           "the exact benchmark cocycle takes small jumps only")
+    check_jump_budget(scalar_triplet(measure=measure, delta=cfg.delta),
+                      cfg.horizon)
 
 
 def run_experiment(cfg):

@@ -145,7 +145,6 @@ class LevyMeasure:
                                   tol=1e-8)
         if not math.isfinite(val):
             raise SupportError("measure is not square-integrable near 0")
-        self.square_mass = val
 
     # -- band integrals ------------------------------------------------------
     # All bands are {lo < |u| <= hi}.
@@ -172,7 +171,7 @@ class LevyMeasure:
         neg = _quad(lambda u: g(-u) * dens(-u), lo_eff, hi, tol)
         return pos + neg
 
-    def _pl_small(self, G, hi, tol):
+    def _pl_small(self, G, hi):
         """Power-law integral of u^2*G(u) nu(du) over {0 < |u| <= hi} via an
         algebraic-weight rule: the endpoint factor u^(1-alpha) is handled by
         the quadrature weight, so no puncture is needed."""
@@ -181,14 +180,14 @@ class LevyMeasure:
         if hi <= 0.0:
             return 0.0
         sym = lambda u: c * (G(u) + G(-u))
-        return _quad(sym, 0.0, hi, tol, weight="alg", wvar=(1.0 - a, 0.0))
+        return _quad(sym, 0.0, hi, DEFAULT_TOL, weight="alg", wvar=(1.0 - a, 0.0))
 
-    def _small_integral(self, g, G, hi, tol):
+    def _small_integral(self, g, G, hi):
         """Integral of g(u) nu(du) over {0 < |u| <= hi} for integrands that
         vanish quadratically at 0; G = g(u)/u^2 must be smooth and bounded."""
         if self.kind == POWER_LAW:
-            return self._pl_small(G, hi, tol)
-        return self._band_quad(g, 0.0, hi, tol)
+            return self._pl_small(G, hi)
+        return self._band_quad(g, 0.0, hi)
 
     # -- public integrals -----------------------------------------------------
 
@@ -210,13 +209,13 @@ class LevyMeasure:
             lo = EPS_PUNCTURE
         return self._band_quad(lambda u: 1.0, lo, hi)
 
-    def mean(self, lo, hi, tol=DEFAULT_TOL):
+    def mean(self, lo, hi):
         """Integral of u nu(du) over {lo < |u| <= hi} (compensation rate)."""
         if self.kind == POWER_LAW:
             return 0.0  # symmetric
-        return self._band_quad(lambda u: u, lo, hi, tol)
+        return self._band_quad(lambda u: u, lo, hi)
 
-    def second_moment(self, lo, hi, tol=DEFAULT_TOL):
+    def second_moment(self, lo, hi):
         """Integral of u^2 nu(du) over {lo < |u| <= hi}."""
         if self.kind == POWER_LAW:
             a, c = self.alpha, self.c
@@ -225,7 +224,7 @@ class LevyMeasure:
                 return 0.0
             lo = max(lo, 0.0)
             return 2.0 * c * (hi ** (2.0 - a) - lo ** (2.0 - a)) / (2.0 - a)
-        return self._band_quad(lambda u: u * u, max(lo, 0.0), hi, tol)
+        return self._band_quad(lambda u: u * u, max(lo, 0.0), hi)
 
     def _require_support_above_minus_one(self, hi):
         if self.kind == ATOMS:
@@ -235,7 +234,7 @@ class LevyMeasure:
         elif min(hi, self.support_bound) >= 1.0:
             raise SupportError("log(1+u) integrand needs support inside (-1, 1)")
 
-    def log_compensator(self, lo, hi, tol=DEFAULT_TOL):
+    def log_compensator(self, lo, hi):
         """Integral of (log(1+u) - u) nu(du) over {lo < |u| <= hi}.
 
         The integrand is O(u^2) at 0, so lo = 0 is admissible for every kind.
@@ -249,10 +248,10 @@ class LevyMeasure:
             return (math.log1p(u) - u) / (u * u)
 
         if lo <= 0.0:
-            return self._small_integral(g, G, hi, tol)
-        return self._band_quad(g, lo, hi, tol)
+            return self._small_integral(g, G, hi)
+        return self._band_quad(g, lo, hi)
 
-    def log_moment(self, lo, hi, tol=DEFAULT_TOL):
+    def log_moment(self, lo, hi):
         """Integral of log(1+u) nu(du) over {lo < |u| <= hi}.
 
         Requires lo > 0 for infinite-activity measures with alpha >= 1
@@ -276,10 +275,10 @@ class LevyMeasure:
                 return math.log1p(u) / u
 
             sym = lambda u: c * (H(u) - H(-u))
-            return _quad(sym, 0.0, hi_eff, tol, weight="alg", wvar=(-a, 0.0))
-        return self._band_quad(lambda u: math.log1p(u), max(lo, 0.0), hi, tol)
+            return _quad(sym, 0.0, hi_eff, DEFAULT_TOL, weight="alg", wvar=(-a, 0.0))
+        return self._band_quad(lambda u: math.log1p(u), max(lo, 0.0), hi)
 
-    def char_exponent_jump(self, z, delta, tol=DEFAULT_TOL):
+    def char_exponent_jump(self, z, delta):
         """Jump part of the characteristic exponent at real z:
         compensated below delta, raw above."""
         z = float(z)
@@ -307,13 +306,13 @@ class LevyMeasure:
                 return 0.0
             return g_im(u) / (u * u)
 
-        re = self._small_integral(g_re, G_re, delta, tol)
-        im = self._small_integral(g_im, G_im, delta, tol)
+        re = self._small_integral(g_re, G_re, delta)
+        im = self._small_integral(g_im, G_im, delta)
 
         # large jumps: integrand e^{izu} - 1, no compensation
         if self.support_bound > delta:
-            re += self._band_quad(g_re, delta, math.inf, tol)
-            im += self._band_quad(lambda u: math.sin(z * u), delta, math.inf, tol)
+            re += self._band_quad(g_re, delta, math.inf)
+            im += self._band_quad(lambda u: math.sin(z * u), delta, math.inf)
         return complex(re, im)
 
     # -- sampling --------------------------------------------------------------
@@ -397,10 +396,10 @@ class LevyTriplet:
         """Same law, tagged for negative-time sampling."""
         return replace(self, direction="backward")
 
-    def effective_cut(self, target_variance=1e-6):
+    def effective_cut(self):
         """Small-jump simulation floor: jumps below it are dropped together
         with their compensation, leaving a mean-zero error of variance
-        <= target_variance per unit time."""
+        <= 1e-6 per unit time."""
         if self.eps_cut is not None:
             return self.eps_cut
         m = self.measure
@@ -408,12 +407,12 @@ class LevyTriplet:
             return 0.0
         if m.kind == POWER_LAW:
             a, c = m.alpha, m.c
-            eps = ((2.0 - a) * target_variance / (2.0 * c)) ** (1.0 / (2.0 - a))
+            eps = ((2.0 - a) * 1e-6 / (2.0 * c)) ** (1.0 / (2.0 - a))
             return min(eps, m.cutoff)
         lo, hi = 0.0, m.support_bound
         for _ in range(80):  # bisect the residual second moment
             mid = 0.5 * (lo + hi)
-            if m.second_moment(0.0, mid, tol=1e-9) < target_variance:
+            if m._band_quad(lambda u: u * u, 0.0, mid, 1e-9) < 1e-6:
                 lo = mid
             else:
                 hi = mid
@@ -435,21 +434,21 @@ def scalar_triplet(drift=0.0, gauss=0.0, measure=None, delta=0.5, **kw):
 # -- module-level operations ----------------------------------------------------
 
 
-def log_compensator_integral(measure, delta, tol=DEFAULT_TOL):
+def log_compensator_integral(measure, delta):
     """Integral of (log(1+u) - u) nu(du) over {|u| <= delta}.
 
     Exact atom sums for the atom kind; algebraic-weight quadrature for the
     built-in power law; punctured adaptive quadrature for user densities.
     """
-    return measure.log_compensator(0.0, delta, tol=tol)
+    return measure.log_compensator(0.0, delta)
 
 
-def second_moment_small(measure, delta, tol=DEFAULT_TOL):
+def second_moment_small(measure, delta):
     """Integral of u^2 nu(du) over {|u| <= delta}."""
-    return measure.second_moment(0.0, delta, tol=tol)
+    return measure.second_moment(0.0, delta)
 
 
-def characteristic_exponent(triplet, z, tol=DEFAULT_TOL):
+def characteristic_exponent(triplet, z):
     """Characteristic exponent Psi(z) of the triplet at a real vector z.
 
     Psi(z) = -<z, Qz>/2 + i<z, gamma> + jump integral with compensation
@@ -463,15 +462,15 @@ def characteristic_exponent(triplet, z, tol=DEFAULT_TOL):
         q = triplet.gaussian @ triplet.gaussian.T
         val += -0.5 * float(z @ q @ z)
     if not triplet.measure.is_empty:
-        val += triplet.measure.char_exponent_jump(float(z[0]), triplet.delta, tol=tol)
+        val += triplet.measure.char_exponent_jump(float(z[0]), triplet.delta)
     return val
 
 
-def stable_scaling_residual(triplet, alpha, k, z, tol=DEFAULT_TOL):
+def stable_scaling_residual(triplet, alpha, k, z):
     """|Psi(kz) - k^alpha Psi(z)|: zero exactly when the triplet is
     alpha-stable, strictly positive e.g. for truncated power laws."""
     if k <= 0.0:
         raise ConfigurationError("scaling factor k must be > 0")
     z = np.atleast_1d(np.asarray(z, float))
-    return abs(characteristic_exponent(triplet, k * z, tol=tol)
-               - k**alpha * characteristic_exponent(triplet, z, tol=tol))
+    return abs(characteristic_exponent(triplet, k * z)
+               - k**alpha * characteristic_exponent(triplet, z))

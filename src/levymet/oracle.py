@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import LinearSystem
+from .cocycle import BENCHMARK_DRIFTS, LinearSystem
 from .errors import ConfigurationError
 from .measures import LevyTriplet, log_compensator_integral, second_moment_small
-
-BENCHMARK_DRIFTS = (2.0, -4.0)
 
 
 @dataclass(frozen=True)

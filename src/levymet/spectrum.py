@@ -37,14 +37,14 @@ from .errors import (
 # -- singular values and exterior powers -----------------------------------------
 
 
-def singular_values(M, rank_tol=1e-13):
+def singular_values(M):
     """Singular values in descending order; raises if the smallest one
     indicates a numerically singular matrix."""
     M = np.asarray(M, float)
     if not np.all(np.isfinite(M)):
         raise SingularityError("matrix has non-finite entries")
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= 1e-13 * s[0]:
         raise SingularityError("matrix is numerically singular")
     return s
 
@@ -192,9 +192,14 @@ class SpectrumEstimate:
         return self.raw.size
 
 
+# Fewest renorm windows a QR estimate accepts.
+_QR_MIN_WINDOWS = 10
+
+
 def _qr_estimate(jobs, renorm_step, group_tol):
     """QR estimates of (evaluator, T) jobs in one lockstep push.  Every
-    job covers [0, T] with windows of at most renorm_step; T is signed (a
+    job covers [0, T] with at least _QR_MIN_WINDOWS windows of at most
+    renorm_step, and a group_tol of None means 10/|T|; T is signed (a
     negative T is the time-reversed cocycle) and all jobs share one |T| and
     one dimension.  Each job pushes two frames: one through phi for its
     log growths, grouped per unit |T|, and one through the transposed stack
@@ -203,8 +208,9 @@ def _qr_estimate(jobs, renorm_step, group_tol):
     the LevyMetError its path raised."""
     if len({abs(T) for _, T in jobs}) > 1:
         raise ConfigurationError("jobs must share one horizon length |T|")
-    if any(abs(T) < 10.0 * renorm_step for _, T in jobs):
-        raise ConfigurationError("horizon must be at least 10 renorm steps")
+    if any(abs(T) < _QR_MIN_WINDOWS * renorm_step for _, T in jobs):
+        raise ConfigurationError(
+            f"horizon must be at least {_QR_MIN_WINDOWS} renorm steps")
     if len({ev.d for ev, _ in jobs}) > 1:
         raise ConfigurationError("evaluators must share one dimension")
     out = [None] * len(jobs)
@@ -419,16 +425,6 @@ class FlagMetricParams:
                         "metric parameters violate |l_i - l_j|/h >= d-1"
                     )
 
-    @classmethod
-    def from_spectrum(cls, est, h=None):
-        """Default h = gap/(d-1) from a grouped spectrum estimate."""
-        if est.gap is None:
-            raise ResolutionError("single exponent: the flag metric needs a gap")
-        d = est.d
-        if h is None:
-            h = est.gap / max(1, d - 1)
-        return cls(tuple(est.lambdas), float(h), d)
-
 
 def flag_distance(F, G, params):
     """max over i != j of ||P_i Ptilde_j||_HS^(h/|lambda_i - lambda_j|),
@@ -474,7 +470,9 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
     leading blocks span the images of the leading frame directions, which
     align with the limiting flag at rate e^(-h(d-1) t) per adjacent pair.
     Returns the log-distance series and the fitted slope over the points
-    above the floating-point floor.
+    above the floating-point floor.  A generic frame is aligned to ~1e-13,
+    and ``flag_distance`` raises that to h/|lambda_i - lambda_j|, so its
+    floor is 1e-13^(h/spread), spread the largest exponent difference.
 
     For a diagonal closed-form backend (d = 2) with the coordinate target,
     the log-distance is computed in the log domain, so the decay stays
@@ -494,7 +492,8 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
              and target is None)
     # generic frames saturate at the float alignment level; the log-domain
     # path resolves distances down to the exp underflow limit
-    floor = 1e-300 if exact else 1e-13
+    spread = max(params.lambdas) - min(params.lambdas)
+    floor = 1e-300 if exact else 1e-13 ** (params.h / spread)
     logs = np.empty(t_list.size)
     if exact:
         g00, g10 = abs(frame[0, 0]), abs(frame[1, 0])
@@ -605,7 +604,7 @@ class OseledetsSplit:
                 for E, T_ in zip(self.subspaces, targets)]
 
 
-def oseledets_spaces(F_fwd, F_bwd, angle_tol=1e-6, rank_tol=1e-8):
+def oseledets_spaces(F_fwd, F_bwd, angle_tol=1e-6):
     """Oseledets spaces E_i = V_i  intersect  V^-_{p+1-i} from the forward
     and backward flags, via principal-angle intersections.  Checks the
     dimension of every intersection and the direct-sum property."""
@@ -628,7 +627,7 @@ def oseledets_spaces(F_fwd, F_bwd, angle_tol=1e-6, rank_tol=1e-8):
         subspaces.append(E)
     stacked = np.hstack(subspaces)
     smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-    if smin <= rank_tol:
+    if smin <= 1e-8:
         raise ResolutionError("summands do not span: smallest singular value "
                               f"{smin:.3e}")
     return OseledetsSplit(tuple(subspaces), F_fwd.dims)

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -40,7 +41,11 @@ def test_minimal_config_defaults():
     assert cfg.horizon == 200.0
     assert cfg.n_paths == 100
     assert cfg.measure_atoms == ((0.2, 3.0),)
-    assert cfg.effective_group_tol == pytest.approx(0.05)
+    # group_tol = 0 leaves the spectrum's default, 10/horizon
+    assert cfg.group_tol == 0.0
+    ((est, best),) = experiments._spectra(
+        cfg, [experiments._exact_cocycle(cfg, 0)])
+    assert est.group_tol == best.group_tol == 10.0 / cfg.horizon
 
 
 def test_config_round_trip():
@@ -77,6 +82,12 @@ def _configs(draw):
         lambda r: horizon >= 10.0 * r)
         if experiment in ("example_2d_exact", "backward_spectrum")
         else _POSITIVE)
+    # the Euler ladder's finest rung takes at most 1e6 steps
+    halvings = draw(st.integers(min_value=1, max_value=12))
+    dt_int = (st.floats(min_value=horizon * 2.0**halvings / 1e6,
+                        max_value=1e6).filter(
+        lambda h: horizon / (h / 2.0**halvings) <= 1e6)
+        if experiment == "example_2d_euler" else _POSITIVE)
     return lm.ExperimentConfig(
         experiment=experiment,
         measure_kind=kind,
@@ -85,7 +96,7 @@ def _configs(draw):
         drift=draw(_FINITE),
         horizon=horizon,
         dt=draw(_POSITIVE),
-        dt_int=draw(_POSITIVE),
+        dt_int=draw(dt_int),
         between_jump_scheme=draw(st.sampled_from(["euler", "expm"])),
         renorm_step=draw(renorm_step),
         n_paths=draw(st.integers(min_value=1, max_value=10**6)),
@@ -99,7 +110,7 @@ def _configs(draw):
         fit_t_max=draw(st.floats(min_value=horizon / 2, max_value=horizon,
                                  exclude_min=True)),
         fit_points=draw(st.integers(min_value=2, max_value=1000)),
-        halvings=draw(st.integers(min_value=1, max_value=12)),
+        halvings=halvings,
         **{name: draw(_FINITE) for name in _TOL_KEYS},
     )
 
@@ -196,6 +207,87 @@ def test_qr_horizon_below_ten_renorm_steps_fails_before_any_path(
             "measure.atoms = 0.2:3.0\nhorizon = 5\ndt = 0.5\nn_paths = 3\n")
     _fails_before_any_path(tmp_path, capsys, text,
                            "needs horizon >= 10 * renorm_step")
+
+
+# a short run of every experiment: 10 QR windows, fit times in the horizon
+_SHORT_RUN = ("horizon = 10\ndt = 0.5\nfit_t_min = 1\nfit_t_max = 10\n"
+              "n_paths = 3\n")
+
+
+@pytest.mark.parametrize("experiment,measure,message", [
+    pytest.param(name, "measure.atoms = -1.2:1, 0.2:3\n",
+                 "charges u = -1.2 <= -1", id=f"{name}-atom_below_-1")
+    for name in EXPERIMENTS] + [
+    pytest.param(name, "measure.atoms = 0.7:1\n",
+                 "charges |u| up to 0.7 > delta = 0.5",
+                 id=f"{name}-atom_above_delta")
+    for name in EXPERIMENTS if name != "stable_1d"] + [
+    pytest.param("doleans_1d", "measure.atoms = -1:1\ndelta = 1.5\n",
+                 "charges u = -1.0 <= -1", id="atom_at_-1"),
+    pytest.param("stable_1d", "measure.atoms = -1.5:1, 0.2:1\n",
+                 "charges u = -1.5 <= -1", id="stable_atom_below_-1"),
+    pytest.param("stable_1d", "measure.kind = power_law\nmeasure.alpha = 0.5\n"
+                 "measure.c = 0.1\nmeasure.cutoff = 1\n",
+                 "charges u = -1.0 <= -1", id="power_law_cutoff_1"),
+])
+def test_bad_jump_measure_fails_before_any_path(
+        tmp_path, capsys, experiment, measure, message):
+    kind = "" if "measure.kind" in measure else "measure.kind = atoms\n"
+    text = f"experiment = {experiment}\n{kind}{measure}{_SHORT_RUN}"
+    with pytest.raises(lm.errors.SupportError, match=re.escape(message)):
+        lm.run_experiment(lm.parse_config(text))
+    _fails_before_any_path(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("experiment,measure", [
+    # jumps of size delta are small jumps; stable_1d takes large ones too
+    ("example_2d_exact", "measure.atoms = 0.5:1, -0.5:1\n"),
+    ("stable_1d", "measure.atoms = 0.7:1, -0.9:1\n"),
+])
+def test_preflight_keeps_measures_every_path_takes(experiment, measure):
+    cfg = lm.parse_config(f"experiment = {experiment}\nmeasure.kind = atoms\n"
+                          f"{measure}{_SHORT_RUN}")
+    experiments.preflight(cfg)
+    assert not lm.run_experiment(cfg).path_errors
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("master_seed = -1\nmeasure.atoms = 0.2:3.0\n",
+     "master_seed must be >= 0"),
+    ("measure.atoms = inf:1\n",
+     "line 3: bad value for 'measure.atoms': non-finite value"),
+    ("measure.atoms = 0.2:nan\n",
+     "line 3: bad value for 'measure.atoms': non-finite value"),
+], ids=["negative_seed", "infinite_atom", "nan_rate"])
+def test_bad_values_fail_at_parse(tmp_path, capsys, extra, message):
+    text = ("experiment = example_2d_exact\nmeasure.kind = atoms\n" + extra
+            + _SHORT_RUN)
+    with pytest.raises(ParseError, match=message):
+        lm.parse_config(text)
+    _fails_before_any_path(tmp_path, capsys, text, "config error: " + message)
+
+
+def test_negative_seed_flag_fails_before_any_path(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "s.cfg", MINIMAL + _SHORT_RUN +
+                     f"output_dir = {tmp_path}/out\n")
+    assert main(["run", "--config", cfgfile, "--seed", "-1"]) == 2
+    assert "config error: master_seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_euler_ladder_over_the_step_budget_fails_at_parse(tmp_path, capsys):
+    # 2 / (1e-9 / 2^4) = 3.2e10 steps on the finest rung
+    text = ("experiment = example_2d_euler\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 2\ndt_int = 1e-9\n"
+            "n_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text,
+                           "finest rung needs 3.2e+10 Euler steps")
+    # exactly 1e6 steps: 7.62939453125 / 2^-17
+    edge = ("experiment = example_2d_euler\nhorizon = 7.62939453125\n"
+            "dt_int = 0.03125\nhalvings = {}\n")
+    lm.parse_config(edge.format(12))
+    with pytest.raises(ParseError, match=r"needs 2e\+06 Euler steps"):
+        lm.parse_config(edge.format(13))
 
 
 def test_duplicate_key_names_both_lines():

@@ -665,6 +665,26 @@ def test_flags_and_oseledets_3d_long_horizon():
         [P_3D[:, i:i + 1] for i in range(3)])) < 1e-7
 
 
+def test_flag_convergence_floor_follows_the_metric():
+    # the selftest's expm flow of P diag(2, -1, -4) P^-1 with h = 1.5: the
+    # distances fall at rate h until t = 5, then sit at the frame's ~1e-13
+    # alignment raised to h/spread = 1/4, about e^-7.5, which a fixed 1e-13
+    # floor would let into the fit (all 30 points, slope -0.13)
+    tri = lm.scalar_triplet(drift=1.0)
+    flow = lm.EulerEvaluator(lm.LinearSystem(
+        P_3D @ np.diag([2.0, -1.0, -4.0]) @ np.linalg.inv(P_3D),
+        (np.zeros((3, 3)),), (tri,)),
+        [lm.sample_two_sided(tri, 40.0, 1.0, 5)], 1.0, "expm")
+    c, s = math.cos(0.7), math.sin(0.7)
+    frame = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    params = lm.FlagMetricParams((2.0, -1.0, -4.0), 1.5, 3)
+    conv = lm.flag_convergence_rate(flow, [(2.0, 1), (-1.0, 1), (-4.0, 1)],
+                                    params, np.arange(1.0, 31.0), frame=frame)
+    assert conv.floor_reached
+    assert int(np.sum(conv.included)) == 4
+    assert conv.slope == pytest.approx(-1.5, abs=0.05)
+
+
 def test_oseledets_angles_resolve_below_arccos_floor():
     # V_3 and the Oseledets spaces sit ~5e-14 rad off span(P e_i) at
     # T = 10; arccos of the cosines reads V_3 as 1.49e-8
