@@ -137,10 +137,16 @@ def _fold(win, pos, factors, count):
     return running[count - 1, rank], first_bad[rank]
 
 
+def _window_count(span, step):
+    """The fewest equal windows of length <= step that cover span, at least
+    one, elementwise for arrays; a span within rounding of a whole number
+    of steps gets that number."""
+    return np.maximum(1, np.ceil(np.abs(span) / step - 1e-9).astype(int))
+
+
 def _windows(t0, t1, step):
     """Edges of the fewest equal windows of length <= step from t0 to t1."""
-    n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-9)))
-    return np.linspace(t0, t1, n + 1)
+    return np.linspace(t0, t1, _window_count(t1 - t0, step) + 1)
 
 
 class _EvaluatorBase:
@@ -196,8 +202,9 @@ class ExactDiagonal2D(_EvaluatorBase):
         self.driver_paths = list(driver_paths)
         self.measure = measure
         self.delta = float(delta)
-        band = getattr(driver_paths[0], "band", None) or (0.0, self.delta)
-        lo = min(band[0], self.delta)
+        triplet = driver_paths[0].triplet  # None: the band is (0, delta)
+        lo = (0.0 if triplet is None
+              else min(triplet.effective_cut(), self.delta))
         self.compensator_integral = measure.log_compensator(lo, self.delta)
         self._log_moment = measure.log_moment(lo, self.delta)
         self._tabulate_jumps()
@@ -415,7 +422,7 @@ class EulerEvaluator(_EvaluatorBase):
         steps of length <= h_k), its jump times (window indices jw, times
         jt) and b_k; a step runs to each node from the one before it (from
         a_k for the first), if that is earlier."""
-        n = np.maximum(1, np.ceil((b - a) / h - 1e-9).astype(int))
+        n = _window_count(b - a, h)
         lw = np.repeat(np.arange(a.size), n - 1)
         j = 1 + np.arange(lw.size) - np.repeat(np.cumsum(n - 1) - (n - 1), n - 1)
         w = np.concatenate([lw, jw, np.arange(a.size)])
@@ -486,7 +493,7 @@ def _euler_propagators(jobs):
         errs.append([None] * live.size)
         job_of.append(np.full(live.size, j))
         local.append(np.arange(live.size))
-        steps.append(np.maximum(1, np.ceil((b - a) / h - 1e-9)))
+        steps.append(_window_count(b - a, h))
     job_of, local, steps = map(np.concatenate, (job_of, local, steps))
     order = np.argsort(-steps, kind="stable")
     cap = _FOLD_BYTES // (8 * jobs[0][0].d ** 2)
@@ -559,7 +566,8 @@ def _psi_grid(system, driver_paths, times):
     d = system.d
     C = np.zeros((d, d))
     for s_mat, p in zip(system.sigmas, driver_paths):
-        C += float(p.comp_rate) * s_mat
+        if p.triplet is not None:
+            C += p.triplet.compensation_rate() * s_mat
     jumps = _jump_events(driver_paths, 0.0, times[-1],
                          lambda i, s: abs(s) <= system.drivers[i].delta)
     psis = np.empty((len(times), d, d))

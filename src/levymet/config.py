@@ -120,9 +120,10 @@ class ExperimentConfig:
         for name in ("delta", "horizon", "dt", "dt_int", "renorm_step"):
             if getattr(self, name) <= 0.0:
                 raise ParseError(f"{name} must be > 0")
-        for name in ("master_seed", "group_tol", "threads", "frame_angle"):
+        for name in ("master_seed", "group_tol", "threads", "frame_angle",
+                     "fit_t_min", "measure_cutoff"):
             if getattr(self, name) < 0:
-                raise ParseError(f"{name} must be >= 0")
+                raise ParseError(f"{_key(name)} must be >= 0")
         if self.halvings < 1:
             raise ParseError("halvings must be >= 1")
         if self.fit_points < 2:

@@ -55,6 +55,7 @@ from .oracle import (
     integrability_bound,
 )
 from .paths import (
+    SAMPLER_BUDGET,
     TimeGrid,
     check_jump_budget,
     sample_forward,
@@ -632,11 +633,15 @@ def _settle(result, indices):
 def preflight(cfg):
     """Checks that ``run`` and ``validate`` both make before any path, on
     the drivers every experiment samples: their grid on [0, horizon] at
-    step dt, their expected jump count, and their jump sizes.  No jump
-    factor 1 + u may be <= 0, and every experiment but ``stable_1d`` builds
-    the exact benchmark cocycle, which takes no jump above delta.  Raises
-    a LevyMetError."""
-    TimeGrid(0.0, cfg.horizon, cfg.dt)
+    step dt and its size, their expected jump count, and their jump sizes.
+    No jump factor 1 + u may be <= 0, and every experiment but
+    ``stable_1d`` builds the exact benchmark cocycle, which takes no jump
+    above delta.  Raises a LevyMetError."""
+    steps = TimeGrid(0.0, cfg.horizon, cfg.dt).n_steps
+    if steps > SAMPLER_BUDGET:
+        raise ConfigurationError(
+            f"the sampling grid has {steps:.3g} steps per leg, above the "
+            f"sampler budget of {SAMPLER_BUDGET:.0e}; raise dt")
     measure = cfg.build_measure()
     lowest = (min(measure.atom_locs, default=0.0) if measure.kind == ATOMS
               else -measure.support_bound)

@@ -17,7 +17,7 @@ exponent of the Lévy–Khintchine formula.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -360,14 +360,13 @@ class LevyMeasure:
 @dataclass(frozen=True)
 class LevyTriplet:
     """Drift b, Gaussian factor A, jump measure, and small-jump threshold
-    delta of a Lévy process; ``direction`` tags which time axis the triplet
-    is sampled on."""
+    delta of a Lévy process.  One triplet drives both time directions; the
+    sampling grid says which."""
 
     drift: np.ndarray
     gaussian: np.ndarray | None
     measure: LevyMeasure
     delta: float
-    direction: str = "forward"
     eps_cut: float | None = None
 
     def __post_init__(self):
@@ -383,18 +382,12 @@ class LevyTriplet:
             object.__setattr__(self, "gaussian", A)
         if not self.delta > 0.0:
             raise ConfigurationError("delta must be > 0")
-        if self.direction not in ("forward", "backward"):
-            raise ConfigurationError("direction must be 'forward' or 'backward'")
         if not self.measure.is_empty and self.d != 1:
             raise StructuralError("jump measures are scalar; use d = 1 drivers")
 
     @property
     def d(self):
         return self.drift.shape[0]
-
-    def backward(self):
-        """Same law, tagged for negative-time sampling."""
-        return replace(self, direction="backward")
 
     def effective_cut(self):
         """Small-jump simulation floor: jumps below it are dropped together

@@ -54,12 +54,12 @@ class JumpPath:
 
     ``values`` (continuous part plus all jumps at times <= node) is what a
     càdlàg reader sees at the nodes; ``cont`` is the skeleton used for
-    interpolation.  Node times include every jump time.
+    interpolation.  Node times include every jump time.  ``triplet`` is the
+    law the path was sampled from (None for a hand-built path); its
+    simulated band and compensation rate are read from it, not stored.
     """
 
-    def __init__(self, grid, node_times, cont, jump_times, jump_sizes,
-                 *, triplet=None, comp_rate=0.0, band=None):
-        self.grid = grid
+    def __init__(self, node_times, cont, jump_times, jump_sizes, triplet=None):
         self.node_times = np.asarray(node_times, float)
         cont = np.asarray(cont, float)
         if cont.ndim == 1:
@@ -71,8 +71,6 @@ class JumpPath:
             sizes = sizes[:, None]
         self.jump_sizes = sizes if sizes.size else np.empty((0, cont.shape[1]))
         self.triplet = triplet
-        self.comp_rate = comp_rate
-        self.band = band  # (eps_cut, delta) actually simulated
         if self.node_times.shape[0] != self.cont.shape[0]:
             raise StructuralError("node_times and cont length mismatch")
         self._jump_cum = np.vstack([np.zeros(self.d), np.cumsum(self.jump_sizes, axis=0)])
@@ -143,10 +141,16 @@ def substream(master_seed, path_index=0, driver=0, leg=0):
     return np.random.default_rng(ss)
 
 
+# Most grid steps, and most expected jumps, one leg may sample.  Each step
+# or jump adds a node time and a skeleton row of 8 bytes per component, so
+# at the budget each of a leg's arrays takes about 40 MB per component.
+SAMPLER_BUDGET = 5e6
+
+
 def check_jump_budget(triplet, T):
     """Jump bands (lo, hi, rate) sampled on (0, T): [eps_cut, delta] and the
     tail above delta, if of nonzero rate.  Raises ConfigurationError for an
-    infinite rate or an expected jump count above the sampler budget."""
+    infinite rate or an expected jump count above :data:`SAMPLER_BUDGET`."""
     eps = triplet.effective_cut()
     bands = []
     for lo, hi in ((eps, triplet.delta), (triplet.delta, math.inf)):
@@ -158,7 +162,7 @@ def check_jump_budget(triplet, T):
                 "infinite simulable jump rate; set eps_cut > 0 for "
                 "infinite-activity measures"
             )
-        if rate * T > 5e6:
+        if rate * T > SAMPLER_BUDGET:
             raise ConfigurationError(
                 f"expected jump count {rate * T:.2e} exceeds the sampler "
                 "budget; raise eps_cut (the default variance rule can demand "
@@ -197,60 +201,41 @@ def _merge_nodes(*times):
     return nodes[keep]
 
 
-def _sample_raw(triplet, T, dt, rng):
-    """Forward-style sample on [0, T]: node times (grid + jump times),
-    continuous skeleton, jump list."""
-    grid = TimeGrid(0.0, T, dt)
-    jt, js = _draw_jumps(triplet, T, rng)
+def sample_forward(triplet, grid, rng_seed):
+    """Sample a forward path on [0, T] from the Lévy–Itô decomposition:
+    drift + Gaussian part + compensated small jumps on [eps_cut, delta]
+    + raw jumps above delta.  Node times are the grid plus every jump
+    time.  Deterministic given the seed.
+    """
+    if grid.t_start != 0.0:
+        raise ConfigurationError("forward grid must start at 0")
+    rng = _as_rng(rng_seed)
+    jt, js = _draw_jumps(triplet, grid.t_end, rng)
     node_times = _merge_nodes(grid.times(), jt)
-    d = triplet.d
-    comp = triplet.compensation_rate()
     cont = np.outer(node_times, triplet.drift)
     if not triplet.measure.is_empty:
-        cont = cont - comp * node_times[:, None]
+        cont = cont - triplet.compensation_rate() * node_times[:, None]
     if triplet.gaussian is not None:
         A = triplet.gaussian
         dW = rng.standard_normal((node_times.size - 1, A.shape[1]))
         dW *= np.sqrt(np.diff(node_times))[:, None]
         W = np.vstack([np.zeros(A.shape[1]), np.cumsum(dW, axis=0)])
         cont = cont + W @ A.T
-    return grid, node_times, cont, jt, js, comp
-
-
-def sample_forward(triplet, grid, rng_seed):
-    """Sample a forward path on [0, T] from the Lévy–Itô decomposition:
-    drift + Gaussian part + compensated small jumps on [eps_cut, delta]
-    + raw jumps above delta.  Deterministic given the seed.
-    """
-    if triplet.direction != "forward":
-        raise ConfigurationError("triplet is not tagged for forward sampling")
-    if grid.t_start != 0.0:
-        raise ConfigurationError("forward grid must start at 0")
-    rng = _as_rng(rng_seed)
-    g, nt, cont, jt, js, comp = _sample_raw(triplet, grid.t_end, grid.dt, rng)
-    return JumpPath(g, nt, cont, jt, js, triplet=triplet, comp_rate=comp,
-                    band=(triplet.effective_cut(), triplet.delta))
+    return JumpPath(node_times, cont, jt, js, triplet)
 
 
 def sample_backward(triplet, grid, rng_seed):
     """Sample a negative-time path on [t_start, 0] by reflecting an
-    independent forward-style sample: L(t) = -F((-t)-)."""
-    if triplet.direction != "backward":
-        raise ConfigurationError("triplet is not tagged for backward sampling")
+    independent forward sample: L(t) = -F((-t)-)."""
     if grid.t_end != 0.0:
         raise ConfigurationError("backward grid must end at 0")
-    rng = _as_rng(rng_seed)
-    T = -grid.t_start
-    _, nt, cont, jt, js, comp = _sample_raw(triplet, T, grid.dt, rng)
-    node_times = -nt[::-1]
-    jump_times = -jt[::-1]
-    jump_sizes = js[::-1]
+    fwd = sample_forward(triplet, TimeGrid(0.0, -grid.t_start, grid.dt),
+                         rng_seed)
+    jump_sizes = fwd.jump_sizes[::-1]
     # accumulate in evaluation order so the value at 0 cancels exactly
-    total_jump = np.cumsum(jump_sizes)[-1:] if js.size else np.zeros(triplet.d)
-    cont_b = -cont[::-1] - total_jump[None, :]
-    return JumpPath(grid, node_times, cont_b, jump_times, jump_sizes,
-                    triplet=triplet, comp_rate=comp,
-                    band=(triplet.effective_cut(), triplet.delta))
+    total_jump = np.cumsum(jump_sizes, axis=0)[-1] if jump_sizes.size else 0.0
+    return JumpPath(-fwd.node_times[::-1], -fwd.cont[::-1] - total_jump,
+                    -fwd.jump_times[::-1], jump_sizes, triplet)
 
 
 class TwoSidedPath:
@@ -287,14 +272,6 @@ class TwoSidedPath:
     @property
     def triplet(self):
         return self.forward.triplet
-
-    @property
-    def comp_rate(self):
-        return self.forward.comp_rate
-
-    @property
-    def band(self):
-        return self.forward.band
 
     def _base_eval(self, s):
         return self.forward.evaluate(s) if s >= 0.0 else self.backward.evaluate(s)
@@ -371,7 +348,7 @@ def sample_two_sided(triplet, T, dt, master_seed, path_index=0, driver=0):
     (master_seed, path_index, driver, leg)."""
     fwd = sample_forward(triplet, TimeGrid(0.0, T, dt),
                          substream(master_seed, path_index, driver, 0))
-    bwd = sample_backward(triplet.backward(), TimeGrid(-T, 0.0, dt),
+    bwd = sample_backward(triplet, TimeGrid(-T, 0.0, dt),
                           substream(master_seed, path_index, driver, 1))
     return TwoSidedPath(fwd, bwd)
 
@@ -383,9 +360,8 @@ def with_drift(path, rate):
         return TwoSidedPath(with_drift(path.forward, rate),
                             with_drift(path.backward, rate), path.offset)
     cont = path.cont + np.asarray(rate, float) * path.node_times[:, None]
-    return JumpPath(path.grid, path.node_times, cont, path.jump_times,
-                    path.jump_sizes, triplet=path.triplet,
-                    comp_rate=path.comp_rate, band=path.band)
+    return JumpPath(path.node_times, cont, path.jump_times, path.jump_sizes,
+                    path.triplet)
 
 
 def dump_path_csv(path, stream):

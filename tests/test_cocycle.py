@@ -74,9 +74,8 @@ def test_exact_negative_time_uses_backward_leg():
 def test_exact_singular_jump_rejected():
     paths = benchmark_paths(ATOM, 2.0, 3)
     p = paths[0].forward
-    bad = lm.JumpPath(p.grid, p.node_times, p.cont, np.array([0.7]),
-                      np.array([[-1.0]]), triplet=p.triplet,
-                      comp_rate=p.comp_rate, band=p.band)
+    bad = lm.JumpPath(p.node_times, p.cont, np.array([0.7]),
+                      np.array([[-1.0]]), p.triplet)
     two = lm.two_sided(bad, paths[0].backward)
     with pytest.raises(SingularityError):
         lm.ExactDiagonal2D([two, paths[1]], ATOM, 0.5)
@@ -123,9 +122,8 @@ def test_doleans_brownian_exponential_martingale():
 def test_doleans_single_jump_hand_formula():
     # one jump of 0.5 at s = 0.3, no continuous part:
     # Y_1 = exp(Gamma_1) * (1.5) * exp(-0.5) = 1.5
-    grid = lm.TimeGrid(0.0, 1.0, 0.5)
     nodes = np.array([0.0, 0.3, 0.5, 1.0])
-    p = lm.JumpPath(grid, nodes, np.zeros((4, 1)), np.array([0.3]),
+    p = lm.JumpPath(nodes, np.zeros((4, 1)), np.array([0.3]),
                     np.array([[0.5]]))
     dd = lm.StochasticExponential1D(p)
     assert dd.value(1.0) == pytest.approx(1.5, rel=1e-14)
@@ -133,9 +131,8 @@ def test_doleans_single_jump_hand_formula():
 
 
 def test_doleans_degenerate_jump():
-    grid = lm.TimeGrid(0.0, 1.0, 0.5)
     nodes = np.array([0.0, 0.5, 1.0])
-    p = lm.JumpPath(grid, nodes, np.zeros((3, 1)), np.array([0.5]),
+    p = lm.JumpPath(nodes, np.zeros((3, 1)), np.array([0.5]),
                     np.array([[-1.0]]))
     dd = lm.StochasticExponential1D(p)
     with pytest.raises(DegeneracyError):
@@ -341,8 +338,7 @@ def _hand_leg(node_times, jump_times, jump_sizes, seed):
     nodes = np.union1d(node_times, jump_times)
     cont = np.concatenate([[0.0], np.cumsum(
         np.random.default_rng(seed).normal(0.0, 0.3, nodes.size - 1))])
-    return lm.JumpPath(lm.TimeGrid(0.0, 2.0, 0.25), nodes, cont,
-                       np.asarray(jump_times, float),
+    return lm.JumpPath(nodes, cont, np.asarray(jump_times, float),
                        np.asarray(jump_sizes, float)[:, None])
 
 
@@ -397,8 +393,8 @@ def _blowup_path(jump_time, kappa):
     that rises by 1e305 on (0.6, 0.7], and one jump."""
     nodes = np.union1d([0.0, 0.3, 0.6, 0.7, 1.0], [jump_time])
     cont = np.where(nodes > 0.6, 1e305, 0.0)
-    return lm.JumpPath(lm.TimeGrid(0.0, 1.0, 0.25), nodes, cont,
-                       np.array([jump_time]), np.array([[kappa]]))
+    return lm.JumpPath(nodes, cont, np.array([jump_time]),
+                       np.array([[kappa]]))
 
 
 def _blowup_evaluator(jump_time):
@@ -611,13 +607,13 @@ def test_euler_conjugated_spectrum_matches_exact(seed):
                                              paths, h), T)
     exact = lm.spectrum_qr(lm.ExactDiagonal2D(paths, ATOM, 0.5), T)
     # Tolerance.  Between jumps coordinate i of the diagonal system grows at
-    # r_i = c_i - comp_rate, and an Euler step turns r h into log(1 + r h),
-    # off by at most (r h)^2 / (2 (1 - |r| h)): a bias of at most
+    # r_i = c_i - (compensation rate), and an Euler step turns r h into
+    # log(1 + r h), off by at most (r h)^2 / (2 (1 - |r| h)): a bias of at most
     # r_i^2 h / (2 (1 - |r_i| h)) per unit time.  Conjugating by P moves the
     # top estimate (1/T) log |P E P^-1 e_1| off (1/T) log E_11 by at most
     # log(cond P)/T above and -log(sigma_min(P) |(P^-1)_11|)/T below; by the
     # sum rule the second exponent moves by the same amount.
-    r = np.array([2.0, -4.0]) - paths[0].comp_rate
+    r = np.array([2.0, -4.0]) - paths[0].triplet.compensation_rate()
     bias = r**2 * h / (2.0 * (1.0 - np.abs(r) * h))
     Pi = np.linalg.inv(P_CONJ)
     conj = max(math.log(np.linalg.cond(P_CONJ)),
@@ -868,6 +864,34 @@ def test_cocycle_law_exact_backend(seed, pairs):
     res = lm.cocycle_residual(ev, s, t)
     norms = np.linalg.norm(ev.matrix(s + t), axis=(1, 2))
     assert np.all(res <= 1e-12 * norms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), d=st.sampled_from([2, 3]),
+       s=st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True),
+       t=st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True))
+def test_cocycle_law_dense_euler_expm(seed, d, s, t):
+    # A dense random system has no closed form, so the defect is measured
+    # against m = max |phi| over s, s + t and 0.  The shifted evaluator
+    # steps on a lattice anchored at s, so Euler keeps a defect of order
+    # dt_int.  With no drift or Gaussian part the skeleton is the line
+    # -comp t, every step is expm(h (a - comp sigma)), and expm steps
+    # compose to rounding.  The defect of one draw is not monotone in
+    # dt_int, so each rung gets its own bound.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, (d, d))
+    sigma = rng.normal(0.0, 0.5, (d, d))
+    driver = lm.scalar_triplet(
+        measure=lm.LevyMeasure.from_atoms([(0.2, 3.0), (-0.3, 1.0)]),
+        delta=0.5)
+    system = lm.LinearSystem(a, (sigma,), (driver,))
+    paths = [lm.sample_two_sided(driver, 3.0, 0.1, seed)]
+    for dt_int in (0.02, 0.01, 0.005):
+        for scheme, bound in (("euler", dt_int), ("expm", 1e-12)):
+            ev = lm.EulerEvaluator(system, paths, dt_int, scheme=scheme)
+            m = np.linalg.norm(ev.matrix(np.array([s, s + t, 0.0])),
+                               axis=(1, 2)).max()
+            assert lm.cocycle_residual(ev, s, t) <= bound * m
 
 
 @settings(max_examples=8, deadline=None)

@@ -62,7 +62,7 @@ _MEASURE_KEYS = {
         st.tuples(_FINITE, _FINITE), min_size=1, max_size=3).map(tuple)}),
     "power_law": st.fixed_dictionaries({
         "measure_alpha": _FINITE, "measure_c": _FINITE,
-        "measure_cutoff": _FINITE}),
+        "measure_cutoff": _NONNEGATIVE}),
 }
 _TOL_KEYS = ("tol_spectrum_abs", "tol_se_mult", "tol_angle", "tol_residual",
              "tol_rel_exact", "tol_ratio_lo", "tol_ratio_hi", "tol_slope_slack")
@@ -265,6 +265,38 @@ def test_bad_values_fail_at_parse(tmp_path, capsys, extra, message):
     with pytest.raises(ParseError, match=message):
         lm.parse_config(text)
     _fails_before_any_path(tmp_path, capsys, text, "config error: " + message)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("experiment = flag_convergence\nfit_t_min = -40\n",
+     "fit_t_min must be >= 0"),
+    ("experiment = stable_1d\nmeasure.kind = power_law\n"
+     "measure.cutoff = -3\n", "measure.cutoff must be >= 0"),
+], ids=["negative_fit_t_min", "negative_cutoff"])
+def test_negative_fit_start_and_cutoff_fail_at_parse(tmp_path, capsys, text,
+                                                     message):
+    text += "horizon = 10\ndt = 0.5\nfit_t_max = 10\nn_paths = 3\n"
+    with pytest.raises(ParseError, match=message):
+        lm.parse_config(text)
+    _fails_before_any_path(tmp_path, capsys, text, "config error: " + message)
+
+
+def test_sampling_grid_over_the_budget_fails_before_any_path(tmp_path, capsys):
+    # 200 / 1e-6 = 2e8 steps per leg, 1.6 GB per array of grid times.  Only
+    # validate and preflight are called: neither samples a path.
+    text = ("experiment = example_2d_exact\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\ndt = 0.000001\n")
+    with pytest.raises(ConfigurationError, match=r"2e\+08 steps per leg"):
+        experiments.preflight(lm.parse_config(text))
+    assert main(["validate", "--config", _write(tmp_path, "g.cfg", text)]) == 2
+    out, err = capsys.readouterr()
+    assert "config OK" not in out
+    assert err.count("error:") == 1 and "above the sampler budget" in err
+    # the budget's edge: 5e6 steps pass, one more fails
+    edge = "experiment = stable_1d\nhorizon = {}\ndt = 0.000001\n"
+    experiments.preflight(lm.parse_config(edge.format(5)))
+    with pytest.raises(ConfigurationError, match=r"5e\+06 steps per leg"):
+        experiments.preflight(lm.parse_config(edge.format(5.000001)))
 
 
 def test_negative_seed_flag_fails_before_any_path(tmp_path, capsys):

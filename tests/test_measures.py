@@ -166,8 +166,5 @@ def test_effective_cut_variance_rule():
 def test_triplet_validation():
     with pytest.raises(ConfigurationError):
         lm.LevyTriplet(np.zeros(1), None, ATOM, delta=0.0)
-    with pytest.raises(ConfigurationError):
-        lm.LevyTriplet(np.zeros(1), None, ATOM, delta=0.5, direction="sideways")
     tri = lm.scalar_triplet(measure=ATOM, delta=0.5)
-    assert tri.backward().direction == "backward"
     assert tri.compensation_rate() == pytest.approx(0.6, rel=1e-14)

@@ -32,7 +32,7 @@ def test_pure_drift_forward_path():
 
 
 def test_pure_drift_backward_path():
-    tri = lm.scalar_triplet(drift=1.0).backward()
+    tri = lm.scalar_triplet(drift=1.0)
     p = lm.sample_backward(tri, lm.TimeGrid(-2.0, 0.0, 0.5), 2)
     assert p.evaluate(-2.0)[0] == pytest.approx(-2.0)
     assert p.evaluate(0.0)[0] == 0.0
@@ -40,18 +40,19 @@ def test_pure_drift_backward_path():
 
 
 def test_zero_triplet_backward_is_zero():
-    tri = lm.scalar_triplet().backward()
+    tri = lm.scalar_triplet()
     p = lm.sample_backward(tri, lm.TimeGrid(-2.0, 0.0, 0.5), 3)
     for t in (-2.0, -1.1, 0.0):
         assert p.evaluate(t)[0] == 0.0
 
 
 def test_direction_tags_enforced():
+    # the grid is the direction: forward from 0, backward up to 0
     tri = lm.scalar_triplet(drift=1.0)
     with pytest.raises(ConfigurationError):
-        lm.sample_backward(tri, lm.TimeGrid(-1.0, 0.0, 0.5), 1)
+        lm.sample_backward(tri, lm.TimeGrid(0.0, 1.0, 0.5), 1)
     with pytest.raises(ConfigurationError):
-        lm.sample_forward(tri.backward(), lm.TimeGrid(0.0, 1.0, 0.5), 1)
+        lm.sample_forward(tri, lm.TimeGrid(-1.0, 0.0, 0.5), 1)
 
 
 def test_forward_jump_count_monte_carlo():
@@ -67,7 +68,7 @@ def test_forward_jump_count_monte_carlo():
 def test_backward_jump_count_monte_carlo():
     n = 10_000
     grid = lm.TimeGrid(-1.0, 0.0, 1.0)
-    tri = ATOM_TRIPLET.backward()
+    tri = ATOM_TRIPLET
     counts = np.empty(n)
     for s in range(n):
         counts[s] = lm.sample_backward(tri, grid, substream(103, s)).jump_times.size
@@ -135,13 +136,13 @@ def test_jump_reconstruction_along_refinement():
 
 def test_two_sided_construction_checks():
     fwd = lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 1)
-    bwd = lm.sample_backward(ATOM_TRIPLET.backward(), lm.TimeGrid(-2.0, 0.0, 0.5), 2)
+    bwd = lm.sample_backward(ATOM_TRIPLET, lm.TimeGrid(-2.0, 0.0, 0.5), 2)
     ts = lm.two_sided(fwd, bwd)
     assert ts.evaluate(0.0)[0] == 0.0
     # positive times never read the backward leg
     assert ts.evaluate(1.3)[0] == fwd.evaluate(1.3)[0]
     assert ts.evaluate(-1.3)[0] == bwd.evaluate(-1.3)[0]
-    bad = lm.JumpPath(fwd.grid, fwd.node_times, fwd.cont + 1.0, fwd.jump_times,
+    bad = lm.JumpPath(fwd.node_times, fwd.cont + 1.0, fwd.jump_times,
                       fwd.jump_sizes)
     with pytest.raises(StructuralError):
         lm.two_sided(bad, bwd)
