@@ -46,7 +46,7 @@ from .errors import (
     StructuralError,
     SupportError,
 )
-from .paths import _merge_nodes
+from .paths import _check_in_horizon, _merge_nodes, _outside_horizon
 
 _OVERFLOW_NORM = 1e300
 _LOG_OVERFLOW = 700.0
@@ -234,11 +234,7 @@ class ExactDiagonal2D(_EvaluatorBase):
         """log phi(t)_ii, exact in log scale for any horizon: a 2-vector for
         a scalar t, one row per time for an array of times."""
         t = np.asarray(t, float)
-        lo, hi = self.horizon
-        outside = (t < lo - 1e-12) | (t > hi + 1e-12)
-        if np.any(outside):
-            raise HorizonError(f"t={t[outside][0]} outside horizon "
-                               f"[{lo}, {hi}]")
+        _check_in_horizon(t, self.horizon)
         rate = self.compensator_integral - self._log_moment
         cols = []
         for c, times, cum, anchor in zip(BENCHMARK_DRIFTS, self._jump_t,
@@ -478,9 +474,8 @@ def _euler_propagators(jobs):
     job_of, local, steps = [], [], []
     for j, (ev, t0, t1, h) in enumerate(jobs):
         t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
-        lo, hi = ev.horizon
-        outside = ((np.minimum(t0, t1) < lo - 1e-12)
-                   | (np.maximum(t0, t1) > hi + 1e-12))
+        outside = (_outside_horizon(t0, ev.horizon)
+                   | _outside_horizon(t1, ev.horizon))
         n_in = int(np.argmax(outside)) if np.any(outside) else t0.size
         live = np.flatnonzero(t0[:n_in] != t1[:n_in])
         back = np.flatnonzero(t1[live] < t0[live])

@@ -15,10 +15,11 @@ Unknown keys, duplicate keys, type mismatches, and missing required fields
 are rejected with the key and line number.
 
 Adding a key is adding one field to :class:`ExperimentConfig`: its dotted
-name follows the field name (``tol_angle`` -> ``tol.angle``) and its value
-converter the field type.  Field metadata holds what the type cannot say:
-the atom-list ``parse``/``format`` and the ``measure_kind`` the key
-belongs to (``echo`` prints only the keys of the configured kind).
+name follows the field name (``measure_kind`` -> ``measure.kind``) and its
+value converter the field type.  Field metadata holds what the type cannot
+say: the atom-list ``parse``/``format`` and the ``measure_kind`` the key
+belongs to (a key of another kind is rejected, and ``echo`` prints only the
+keys of the configured kind).
 """
 
 import math
@@ -57,9 +58,7 @@ def _format_atoms(atoms):
 
 def _key(name):
     """Dotted config key of a field name: measure_kind -> measure.kind."""
-    if name.startswith(("measure_", "tol_")):
-        return name.replace("_", ".", 1)
-    return name
+    return name.replace("measure_", "measure.", 1)
 
 
 _POWER_LAW = {"measure_kind": "power_law"}
@@ -84,11 +83,9 @@ class ExperimentConfig:
     horizon: float = 200.0
     dt: float = 0.1
     dt_int: float = 0.01
-    between_jump_scheme: str = "euler"
     renorm_step: float = 1.0
     n_paths: int = 100
     master_seed: int = 12345
-    group_tol: float = 0.0            # 0 -> 10/horizon
     threads: int = 0                  # 0 -> LEVY_MET_THREADS or serial
     output_dir: str = "out"
     frame_angle: float = 0.7
@@ -96,14 +93,6 @@ class ExperimentConfig:
     fit_t_max: float = 100.0
     fit_points: int = 10
     halvings: int = 4
-    tol_spectrum_abs: float = 0.05
-    tol_se_mult: float = 3.0
-    tol_angle: float = 1e-3
-    tol_residual: float = 1e-9
-    tol_rel_exact: float = 1e-10
-    tol_ratio_lo: float = 1.7
-    tol_ratio_hi: float = 2.3
-    tol_slope_slack: float = 0.5
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -113,15 +102,13 @@ class ExperimentConfig:
             raise ParseError(f"measure.kind must be one of {MEASURE_KINDS}")
         if self.measure_kind == "atoms" and not self.measure_atoms:
             raise ParseError("measure.kind = atoms requires measure.atoms")
-        if self.between_jump_scheme not in ("euler", "expm"):
-            raise ParseError("between_jump_scheme must be 'euler' or 'expm'")
         if self.n_paths < 1:
             raise ParseError("n_paths must be >= 1")
         for name in ("delta", "horizon", "dt", "dt_int", "renorm_step"):
             if getattr(self, name) <= 0.0:
                 raise ParseError(f"{name} must be > 0")
-        for name in ("master_seed", "group_tol", "threads", "frame_angle",
-                     "fit_t_min", "measure_cutoff"):
+        for name in ("master_seed", "threads", "frame_angle", "fit_t_min",
+                     "measure_cutoff"):
             if getattr(self, name) < 0:
                 raise ParseError(f"{_key(name)} must be >= 0")
         if self.halvings < 1:
@@ -184,4 +171,9 @@ def parse_config(text):
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}")
     if "experiment" not in values:
         raise ParseError("missing required key 'experiment'")
+    kind = values.get("measure_kind", "none")
+    for key, lineno in seen.items():
+        if _FIELDS[key].metadata.get("measure_kind", kind) != kind:
+            raise ParseError(f"line {lineno}: key {key!r} is not a key of "
+                             f"measure.kind = {kind}")
     return ExperimentConfig(**values)

@@ -24,6 +24,20 @@ import numpy as np
 from .errors import ConfigurationError, HorizonError, StructuralError
 
 
+def _outside_horizon(t, horizon):
+    """Mask of the times ``t`` outside (lo, hi) = ``horizon`` by > 1e-12."""
+    lo, hi = horizon
+    return (t < lo - 1e-12) | (t > hi + 1e-12)
+
+
+def _check_in_horizon(t, horizon, name="horizon"):
+    """Raise a HorizonError naming the first time of ``t`` outside."""
+    outside = _outside_horizon(t, horizon)
+    if np.any(outside):
+        raise HorizonError(f"t={t[outside][0]} outside {name} "
+                           f"[{horizon[0]}, {horizon[1]}]")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_start + k*dt, k = 0..n_steps."""
@@ -97,17 +111,11 @@ class JumpPath:
         idx = np.searchsorted(self.jump_times, self.node_times, side="right")
         return self.cont + self._jump_cum[idx]
 
-    def _check_in_horizon(self, t):
-        outside = (t < self.t_start - 1e-12) | (t > self.t_end + 1e-12)
-        if np.any(outside):
-            raise HorizonError(f"t={t[outside][0]} outside sampled horizon "
-                               f"[{self.t_start}, {self.t_end}]")
-
     def continuous_at(self, t):
         """Interpolated skeleton at t: shape (d,) for a scalar t, one row
         per time for an array of times."""
         t = np.asarray(t, float)
-        self._check_in_horizon(t)
+        _check_in_horizon(t, self.horizon, "sampled horizon")
         out = np.empty(t.shape + (self.d,))
         for j in range(self.d):
             out[..., j] = np.interp(t, self.node_times, self.cont[:, j])

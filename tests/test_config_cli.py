@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import pathlib
 import re
@@ -19,7 +20,8 @@ from levymet.errors import ConfigurationError, ParseError
 from levymet import experiments
 from levymet.experiments import EXPERIMENTS
 
-CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
+ROOT = pathlib.Path(__file__).parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 MINIMAL = """
 experiment = example_2d_exact
@@ -41,8 +43,7 @@ def test_minimal_config_defaults():
     assert cfg.horizon == 200.0
     assert cfg.n_paths == 100
     assert cfg.measure_atoms == ((0.2, 3.0),)
-    # group_tol = 0 leaves the spectrum's default, 10/horizon
-    assert cfg.group_tol == 0.0
+    # exponents are grouped at the spectrum's default, 10/horizon
     ((est, best),) = experiments._spectra(
         cfg, [experiments._exact_cocycle(cfg, 0)])
     assert est.group_tol == best.group_tol == 10.0 / cfg.horizon
@@ -64,8 +65,6 @@ _MEASURE_KEYS = {
         "measure_alpha": _FINITE, "measure_c": _FINITE,
         "measure_cutoff": _NONNEGATIVE}),
 }
-_TOL_KEYS = ("tol_spectrum_abs", "tol_se_mult", "tol_angle", "tol_residual",
-             "tol_rel_exact", "tol_ratio_lo", "tol_ratio_hi", "tol_slope_slack")
 
 
 @st.composite
@@ -97,11 +96,9 @@ def _configs(draw):
         horizon=horizon,
         dt=draw(_POSITIVE),
         dt_int=draw(dt_int),
-        between_jump_scheme=draw(st.sampled_from(["euler", "expm"])),
         renorm_step=draw(renorm_step),
         n_paths=draw(st.integers(min_value=1, max_value=10**6)),
         master_seed=draw(st.integers(min_value=0, max_value=2**64)),
-        group_tol=draw(_NONNEGATIVE),
         threads=draw(st.integers(min_value=0, max_value=64)),
         output_dir=draw(st.text("abcxyz0123456789_-./", min_size=1,
                                 max_size=20)),
@@ -111,7 +108,6 @@ def _configs(draw):
                                  exclude_min=True)),
         fit_points=draw(st.integers(min_value=2, max_value=1000)),
         halvings=halvings,
-        **{name: draw(_FINITE) for name in _TOL_KEYS},
     )
 
 
@@ -125,6 +121,26 @@ def test_echo_round_trips_generated_configs(cfg):
 def test_shipped_configs_parse_and_round_trip(path):
     cfg = lm.parse_config(path.read_text())
     assert lm.parse_config(cfg.echo()) == cfg
+
+
+def _bench_workloads():
+    """The WORKLOADS table of bench/workloads.py, loaded without running
+    anything else of the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_bench_workloads()))
+def test_bench_workload_configs_parse_and_pass_preflight(name):
+    # the benchmark writes its configs itself; a key change must not break
+    # them
+    text = _bench_workloads()[name].config_text(seed=3, threads=2)
+    cfg = lm.parse_config(text)
+    assert lm.parse_config(cfg.echo()) == cfg
+    experiments.preflight(cfg)
 
 
 def test_shipped_configs_cover_every_experiment():
@@ -258,7 +274,12 @@ def test_preflight_keeps_measures_every_path_takes(experiment, measure):
      "line 3: bad value for 'measure.atoms': non-finite value"),
     ("measure.atoms = 0.2:nan\n",
      "line 3: bad value for 'measure.atoms': non-finite value"),
-], ids=["negative_seed", "infinite_atom", "nan_rate"])
+    ("measure.atoms = 0.2:3.0\nmeasure.alpha = 0.3\n",
+     "line 4: key 'measure.alpha' is not a key of measure.kind = atoms"),
+    ("measure.cutoff = 0.1\nmeasure.atoms = 0.2:3.0\n",
+     "line 3: key 'measure.cutoff' is not a key of measure.kind = atoms"),
+], ids=["negative_seed", "infinite_atom", "nan_rate", "power_law_alpha",
+        "power_law_cutoff"])
 def test_bad_values_fail_at_parse(tmp_path, capsys, extra, message):
     text = ("experiment = example_2d_exact\nmeasure.kind = atoms\n" + extra
             + _SHORT_RUN)
@@ -328,9 +349,17 @@ def test_duplicate_key_names_both_lines():
         lm.parse_config(text)
 
 
+# checks use fixed thresholds, exponents are grouped at 10/horizon and the
+# Euler ladder steps with the euler scheme: no config key sets them
+_REMOVED_KEYS = ("tol.spectrum_abs", "tol.se_mult", "tol.angle", "tol.residual",
+                 "tol.rel_exact", "tol.ratio_lo", "tol.ratio_hi",
+                 "tol.slope_slack", "group_tol", "between_jump_scheme")
+
+
 def test_unknown_key_names_line():
-    with pytest.raises(ParseError, match=r"line 2: unknown key 'bogus'"):
-        lm.parse_config("experiment = stable_1d\nbogus = 1\n")
+    for key in ("bogus",) + _REMOVED_KEYS:
+        with pytest.raises(ParseError, match=rf"^line 2: unknown key '{key}'$"):
+            lm.parse_config(f"experiment = stable_1d\n{key} = 1\n")
 
 
 def test_bad_value_names_key_and_line():
@@ -377,12 +406,16 @@ def test_cli_validate_and_run(tmp_path, capsys):
 
 
 def test_cli_exit_code_on_failing_check(tmp_path, capsys):
-    cfgfile = _write(tmp_path, "f.cfg", MINIMAL + (
-        "horizon = 40\ndt = 0.5\nn_paths = 4\nmaster_seed = 5\n"
-        "tol.angle = 1e-30\ntol.spectrum_abs = 1e-12\n"
+    # Euler steps of 1, 0.5 and 0.25 on [0, 2] are too coarse for first
+    # order: the halving ratios fall below 1.7 (the run is deterministic
+    # given master_seed)
+    cfgfile = _write(tmp_path, "f.cfg", (
+        "experiment = example_2d_euler\nmeasure.kind = atoms\n"
+        "measure.atoms = 0.2:3.0\nhorizon = 2\ndt = 0.1\ndt_int = 1\n"
+        "halvings = 2\nn_paths = 3\nmaster_seed = 5\n"
         f"output_dir = {tmp_path}/out_f\n"))
     assert main(["run", "--config", cfgfile]) == 1
-    assert "[FAIL]" in capsys.readouterr().out
+    assert "[FAIL] euler_convergence: halving ratios" in capsys.readouterr().out
 
 
 def test_cli_flag_overrides(tmp_path, capsys):
@@ -483,8 +516,7 @@ def _euler_row_per_rung(cfg, index):
     scale = float(np.linalg.norm(target))
     errors = []
     for k in range(cfg.halvings + 1):
-        ev = lm.EulerEvaluator(system, paths, cfg.dt_int / 2.0**k,
-                               scheme=cfg.between_jump_scheme)
+        ev = lm.EulerEvaluator(system, paths, cfg.dt_int / 2.0**k)
         errors.append(float(np.linalg.norm(ev.matrix(cfg.horizon) - target))
                       / scale)
     rng = lm.paths.substream(cfg.master_seed, path_index=index, driver=7,
@@ -524,9 +556,8 @@ _SHORT = {"example_2d_exact": "renorm_step = 0.2\n",
 
 
 @pytest.mark.parametrize("experiment,extra", [
-    pytest.param("example_2d_euler", extra, id=extra) for extra in (
-        "measure.atoms = 0.2:3.0\n",
-        "measure.atoms = 0.2:3.0, -0.3:1.0\nbetween_jump_scheme = expm\n")
+    pytest.param("example_2d_euler", "measure.atoms = 0.2:3.0\n",
+                 id="measure.atoms = 0.2:3.0\n")
 ] + [pytest.param(name, "measure.atoms = 0.2:3.0\n" + _SHORT.get(name, ""),
                   id=name) for name in EXPERIMENTS if name != "example_2d_euler"])
 def test_euler_rows_equal_per_rung_rows_in_any_batch(experiment, extra):
@@ -543,6 +574,23 @@ def test_euler_rows_equal_per_rung_rows_in_any_batch(experiment, extra):
         if experiment == "example_2d_euler":
             assert repr(_per_rung_triple(cfg, i)) == want
     assert repr(rows(cfg, (5, 2))) == repr([batch[5], batch[2]])
+
+
+def test_expm_ladder_fold_equals_per_window_propagate():
+    # the example_2d_euler stage with the expm scheme: every rung of every
+    # path's ladder, folded in lockstep, is bitwise the propagate(0, T) of
+    # an evaluator stepping at that rung's step size
+    cfg = lm.parse_config(EULER + "measure.atoms = 0.2:3.0, -0.3:1.0\n")
+    system = lm.benchmark_system_2d(cfg.build_measure(), cfg.delta)
+    steps = cfg.dt_int / 2.0 ** np.arange(cfg.halvings + 1)
+    paths = [experiments._benchmark_cocycle(cfg, i)[1] for i in range(7)]
+    jobs = [(lm.EulerEvaluator(system, p, cfg.dt_int, scheme="expm"),
+             np.zeros(steps.size), np.full(steps.size, cfg.horizon), steps)
+            for p in paths]
+    for p, ladder in zip(paths, lm.cocycle._euler_propagators(jobs)):
+        for h, M in zip(steps, ladder):
+            rung = lm.EulerEvaluator(system, p, h, scheme="expm")
+            assert M.tobytes() == rung.propagate(0.0, cfg.horizon).tobytes()
 
 
 def test_stage_error_fails_every_built_path():
@@ -626,6 +674,27 @@ def test_worker_crash_quarantines_its_batch(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", _write(tmp_path, "w.cfg", text)]) == 1
     assert "[FAIL] error_rate: 2/4 paths errored" in capsys.readouterr().out
     assert f"path 3: {crash}" in (tmp_path / "out" / "report.txt").read_text()
+
+
+def test_pool_is_no_larger_than_its_batches(monkeypatch):
+    sizes = []
+
+    class SizedPool(_BreakingPool):
+        """In-process executor that records the pool size asked for."""
+
+        broken = None
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
+    text = DETERMINISTIC + "horizon = 10\ndt = 0.5\nn_paths = {}\nthreads = {}\n"
+    for n_paths, threads in ((4, 64), (40, 3)):
+        report = lm.run_experiment(lm.parse_config(text.format(n_paths, threads)))
+        assert len(report.rows) == n_paths
+    # 4 batches of one path on 4 workers; 3 batches of at most 16 on 3
+    assert sizes == [4, 3]
 
 
 def _stable_row_two_sided(cfg, index):
