@@ -45,6 +45,7 @@ from .errors import (
     SingularityError,
     StructuralError,
     SupportError,
+    raised,
 )
 from .paths import _check_in_horizon, _merge_nodes, _outside_horizon
 
@@ -115,16 +116,17 @@ def _fold(win, pos, factors, count):
     order given: factor ``factors[m]`` is number ``pos[m]`` of window
     ``win[m]``, which has ``count`` factors (at least one).  The windows are
     folded in lockstep, longest first, so the unfinished ones are a prefix
-    of the stack.  Returns the window products and, per window, the
-    position of the first running product that :func:`_check_finite`
-    rejects (``count.max()`` if none)."""
+    of the stack.  Returns the running products, [j, rank[k]] the first
+    j + 1 factors of window k, ``rank`` and, per window, the position of
+    the first running product that :func:`_check_finite` rejects
+    (``count.max()`` if none)."""
     W, d = count.size, factors.shape[-1]
     rank = np.empty(W, int)
     rank[np.argsort(-count, kind="stable")] = np.arange(W)
     active = np.sum(count[:, None] > np.arange(count.max()), axis=0)
     stack = np.zeros((active.size, W, d, d))
     stack[pos, rank[win]] = factors
-    running = np.zeros_like(stack)  # [j, r]: first j + 1 factors of rank r
+    running = np.zeros_like(stack)
     prod = np.tile(np.eye(d), (W, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for step, run, m in zip(stack, running, active):
@@ -134,7 +136,7 @@ def _fold(win, pos, factors, count):
     if not ok.all():  # per-matrix reductions are slow; only on failure
         bad = ~ok.all(axis=(2, 3))
         first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), active.size)
-    return running[count - 1, rank], first_bad[rank]
+    return running, rank, first_bad[rank]
 
 
 def _window_count(span, step):
@@ -196,18 +198,24 @@ class ExactDiagonal2D(_EvaluatorBase):
     # relative slack of the |u| <= delta test on the drivers' jumps
     _DELTA_SLACK = 1 + 1e-12
 
-    def __init__(self, driver_paths, measure, delta):
+    def __init__(self, driver_paths, measure, delta, integrals=None):
         if len(driver_paths) != 2:
             raise StructuralError("need exactly two scalar driver paths")
         self.driver_paths = list(driver_paths)
         self.measure = measure
         self.delta = float(delta)
-        triplet = driver_paths[0].triplet  # None: the band is (0, delta)
-        lo = (0.0 if triplet is None
-              else min(triplet.effective_cut(), self.delta))
-        self.compensator_integral = measure.log_compensator(lo, self.delta)
-        self._log_moment = measure.log_moment(lo, self.delta)
+        if integrals is None:
+            integrals = self.band_integrals(driver_paths[0].triplet, measure,
+                                            self.delta)
+        self.compensator_integral, self._log_moment = integrals
         self._tabulate_jumps()
+
+    @staticmethod
+    def band_integrals(triplet, measure, delta):
+        """(I, K) over {lo < |u| <= delta}, lo the triplet's eps_cut (0 for
+        None): the ``integrals`` all paths of one triplet share."""
+        lo = 0.0 if triplet is None else min(triplet.effective_cut(), delta)
+        return measure.log_compensator(lo, delta), measure.log_moment(lo, delta)
 
     def _tabulate_jumps(self):
         """Per-path jump times and cumulative log(1 + kappa) tables."""
@@ -503,10 +511,11 @@ def _euler_propagators(jobs):
         win, pos, factors, count, first_sing, errors = zip(*built)
         stop = np.cumsum([c.size for c in count])
         start = stop - [c.size for c in count]
-        M, first_bad = _fold(
+        count = np.concatenate(count)
+        running, rank, first_bad = _fold(
             np.concatenate([w + s for w, s in zip(win, start)]),
-            np.concatenate(pos), np.concatenate(factors),
-            np.concatenate(count))
+            np.concatenate(pos), np.concatenate(factors), count)
+        M = running[count - 1, rank]
         for (j, sel), s, e, fs, group_errs in zip(sels, start, stop,
                                                  first_sing, errors):
             prods[j][sel] = M[s:e]
@@ -740,19 +749,52 @@ def integrability_alpha(ev, grid):
     """sup over grid nodes and jump times of log+ ||phi(t)|| and of
     log+ ||phi(t)^(-1)|| on [0, t_end]; empirical one-path versions of the
     integrability functionals of the spectral theorem."""
+    return raised(_integrability_alphas([ev], grid)[0])
+
+
+def _integrability_alphas(evs, grid):
+    """``integrability_alpha`` of evaluators of one dimension: their
+    running products in one :func:`_fold`, one stacked det and inverse.
+    Per evaluator (alpha+, alpha-) or its LevyMetError."""
     times = grid.times()
     if times[0] != 0.0:
         raise ConfigurationError("grid must start at 0")
-    nodes = _with_jumps(getattr(ev, "driver_paths", []), times)
-    props = ev.propagators(nodes)
-    M, phis = np.eye(ev.d), np.empty_like(props)
-    for k, P in enumerate(props):
-        M = phis[k] = P @ M
-    if np.any(np.abs(np.linalg.det(phis)) < 1e-300):
-        raise SingularityError("propagator numerically singular")
-    # per-matrix norms: a batched sum of squares rounds differently
-    floor = max(0.0, math.log(_hs_norm(np.eye(ev.d))))
-    a_plus = max([floor] + [math.log(_hs_norm(phi)) for phi in phis])
-    a_minus = max([floor] + [math.log(_hs_norm(inv))
-                             for inv in np.linalg.inv(phis)])
-    return a_plus, a_minus
+    out, props = [None] * len(evs), {}
+    for i, ev in enumerate(evs):
+        try:
+            props[i] = ev.propagators(
+                _with_jumps(getattr(ev, "driver_paths", []), times))
+        except LevyMetError as exc:
+            out[i] = exc
+    if not props:
+        return out
+    count = np.array([P.shape[0] for P in props.values()])
+    owner = np.repeat(np.arange(count.size), count)
+    pos = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    running, rank, _ = _fold(owner, pos, np.concatenate(list(props.values())),
+                             count)
+    phis = running[pos, rank[owner]]
+    singular = np.zeros(count.size, bool)
+    singular[owner[np.abs(np.linalg.det(phis)) < 1e-300]] = True
+    ok = ~singular[owner]
+    floor = max(0.0, math.log(_hs_norm(np.eye(phis.shape[-1]))))
+    plus, minus = (_log_norm_max(X, owner[ok], count.size, floor)
+                   for X in (phis[ok], np.linalg.inv(phis[ok])))
+    for k, i in enumerate(props):
+        out[i] = (SingularityError("propagator numerically singular")
+                  if singular[k] else (plus[k], minus[k]))
+    return out
+
+
+def _log_norm_max(mats, owner, n, floor):
+    """Per owner 0..n-1, the max of ``floor`` and math.log(_hs_norm(M))
+    over its matrices.  A batched sum of squares rounds differently, so it
+    only screens: the per-matrix norm is taken of the matrices within
+    1e-12 of their owner's largest square (and of any NaN)."""
+    sq = np.einsum("kij,kij->k", mats, mats)
+    top = np.full(n, -np.inf)
+    np.fmax.at(top, owner, sq)
+    out = [floor] * n
+    for k in np.flatnonzero(~(sq < top[owner] * (1.0 - 1e-12))):
+        out[owner[k]] = max(out[owner[k]], math.log(_hs_norm(mats[k])))
+    return out

@@ -5,6 +5,14 @@ class LevyMetError(Exception):
     """Base class for all package-specific errors."""
 
 
+def raised(result):
+    """``result``, unless it is a LevyMetError, which is raised: one entry
+    of a batch function's output as the single-item call returns it."""
+    if isinstance(result, LevyMetError):
+        raise result
+    return result
+
+
 class SupportError(LevyMetError, ValueError):
     """A jump measure violates a support requirement (atom at 0, mass at or
     below -1 inside a log-integrand band, ...)."""

@@ -9,9 +9,11 @@ only (leg 0), the one its estimate reads.
 Paths run in contiguous batches of at most :data:`BATCH_PATHS` indices, at
 least one batch per worker.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples, and every experiment gets it
-from :func:`_lockstep`: build each path, run at most one stage on the
-whole batch, finish each path.  The two spectrum experiments push the
-forward and backward QR frames of a batch in one lockstep push;
+from :func:`_lockstep`: compute what the config determines once, build
+each path, run at most one stage on the whole batch, finish each path.
+``backward_spectrum``'s stage pushes the forward and backward QR frames of
+a batch in one lockstep push; ``example_2d_exact``'s also stacks the
+Oseledets splits, their angles and integrability_alpha over the batch;
 ``example_2d_euler`` folds the Euler factors of every rung of its batch's
 halving ladders in lockstep (in groups of bounded size, so long horizons do
 not multiply the buffers by the batch) and stacks each path's cocycle-law
@@ -43,10 +45,10 @@ from .cocycle import (
     ExactDiagonal2D,
     StochasticExponential1D,
     _euler_propagators,
+    _integrability_alphas,
     cocycle_residual,
-    integrability_alpha,
 )
-from .errors import ConfigurationError, ParseError, SupportError
+from .errors import ConfigurationError, LevyMetError, ParseError, SupportError
 from .measures import ATOMS, scalar_triplet, stable_scaling_residual
 from .oracle import (
     benchmark_drivers,
@@ -66,9 +68,10 @@ from .paths import (
 from .spectrum import (
     _QR_MIN_WINDOWS,
     FlagMetricParams,
+    _angles_to,
+    _oseledets_batch,
     _qr_estimate,
     flag_convergence_rate,
-    oseledets_spaces,
 )
 
 
@@ -149,18 +152,23 @@ def _attempt(fn, *args):
 
 
 def _lockstep(build, stage=None, finish=None):
-    """``rows(cfg, indices)`` of an experiment.  It builds each path with
-    ``build(cfg, index)``; without a stage, the built value is the row.
-    A stage runs once on the whole batch, ``stage(cfg, built)`` on the list
-    of built paths, with one result per path (an Exception for a path that
-    failed there), and ``finish(cfg, index, built_path, result)`` makes
-    each row.  A path reports its first error: its build's, then the
+    """``rows(cfg, indices)`` of an experiment.  ``build(cfg)`` computes
+    what the config alone determines, once per batch, and returns
+    ``path(index)``, which builds each path; without a stage, the built
+    value is the row.  A stage runs once on the whole batch,
+    ``stage(cfg, built)`` on the list of built paths, with one result per
+    path (an Exception for a path that failed there), and
+    ``finish(cfg, index, built_path, result)`` makes each row.  A path
+    reports its first error: the batch build's, its own build's, then the
     stage's, then its finish's; an exception out of the stage call fails
     every built path."""
     def rows(cfg, indices):
+        path, err = _attempt(build, cfg)
+        if err is not None:  # every path's build would raise it
+            return [(i, None, err) for i in indices]
         out, built = {}, {}
         for i in indices:
-            value, err = _attempt(build, cfg, i)
+            value, err = _attempt(path, i)
             if err is None and stage is not None:
                 built[i] = value
             else:
@@ -178,8 +186,23 @@ def _lockstep(build, stage=None, finish=None):
     return rows
 
 
-def _exact_cocycle(cfg, index):
-    return _benchmark_cocycle(cfg, index)[2]
+def _benchmark_cocycles(cfg):
+    """The measure and ``cocycle(index)``, the exact cocycle of one benchmark
+    path; the drivers' triplet and the band integrals are shared."""
+    measure = cfg.build_measure()
+    drivers = benchmark_drivers(measure, cfg.delta)
+    integrals = ExactDiagonal2D.band_integrals(drivers[0], measure, cfg.delta)
+
+    def cocycle(index):
+        paths = [sample_two_sided(drivers[i], cfg.horizon, cfg.dt,
+                                  cfg.master_seed, path_index=index, driver=i)
+                 for i in range(2)]
+        return ExactDiagonal2D(paths, measure, cfg.delta, integrals)
+    return measure, cocycle
+
+
+def _exact_cocycle(cfg):
+    return _benchmark_cocycles(cfg)[1]
 
 
 def _spectra(cfg, evs):
@@ -193,32 +216,44 @@ def _spectra(cfg, evs):
             for pair in zip(out[:len(evs)], out[len(evs):])]
 
 
-def _benchmark_cocycle(cfg, index):
-    """The measure, the two driver paths and the exact cocycle of one
-    benchmark path."""
-    measure = cfg.build_measure()
-    drivers = benchmark_drivers(measure, cfg.delta)
-    paths = [
-        sample_two_sided(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
-                         path_index=index, driver=i)
-        for i in range(2)
-    ]
-    return measure, paths, ExactDiagonal2D(paths, measure, cfg.delta)
+def _oseledets_stage(cfg, evs):
+    """Stage of example_2d_exact: :func:`_spectra`, then, stacked over the
+    batch, the Oseledets splits, their angles to the axes and
+    integrability_alpha on [0, 1].  Per path (est, best, split, angles,
+    alphas), or its first error: the spectra's, a flag's, the split's, then
+    integrability_alpha's."""
+    out, live, good = _spectra(cfg, evs), [], []
+    for k, res in enumerate(out):
+        try:
+            if not isinstance(res, Exception):
+                live.append((k, res[0].flag, res[1].flag))
+        except LevyMetError as exc:
+            out[k] = exc
+    splits = _oseledets_batch([(F, G) for _, F, G in live], ANGLE_TOL)
+    for (k, _, _), split in zip(live, splits):
+        if isinstance(split, Exception):
+            out[k] = split
+        else:
+            out[k] += (split,)
+            good.append(k)
+    angles = _angles_to([out[k][2] for k in good],
+                        [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])])
+    alphas = _integrability_alphas([evs[k] for k in good],
+                                   TimeGrid(0.0, 1.0, 0.05))
+    for k, a, alpha in zip(good, angles, alphas):
+        out[k] = alpha if isinstance(alpha, Exception) else out[k] + (a, alpha)
+    return out
 
 
-def _finish_example_2d_exact(cfg, index, ev, spectra):
-    est, best = spectra
-    split = oseledets_spaces(est.flag, best.flag, angle_tol=ANGLE_TOL)
-    targets = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
-    angles = split.angles_to(targets)
-    a_plus, a_minus = integrability_alpha(ev, TimeGrid(0.0, 1.0, 0.05))
+def _finish_example_2d_exact(cfg, index, ev, staged):
+    est, best, split, angles, (a_plus, a_minus) = staged
     return {
         "index": index,
         "raw": [float(v) for v in est.raw],
         "logdet_over_T": est.logdet_over_T,
         "sum_defect": abs(float(np.sum(est.raw)) - est.logdet_over_T),
         "bwd_raw": [float(v) for v in best.raw],
-        "angles": [float(a) for a in angles],
+        "angles": angles,
         "alpha_plus": a_plus,
         "alpha_minus": a_minus,
         "flag_blocks": [b.tolist() for b in est.flag.blocks],
@@ -226,14 +261,18 @@ def _finish_example_2d_exact(cfg, index, ev, spectra):
     }
 
 
-def _ladder_path(cfg, index):
-    """The exact benchmark cocycle of one path, its phi(T) with norm, and
-    the path's Euler evaluator."""
-    measure, paths, exact = _benchmark_cocycle(cfg, index)
-    target = exact.matrix(cfg.horizon)
-    euler = EulerEvaluator(benchmark_system_2d(measure, cfg.delta), paths,
-                           cfg.dt_int)
-    return exact, target, float(np.linalg.norm(target)), euler
+def _ladder_path(cfg):
+    """Per path: the exact benchmark cocycle, its phi(T) with norm, and the
+    path's Euler evaluator."""
+    measure, cocycle = _benchmark_cocycles(cfg)
+    system = benchmark_system_2d(measure, cfg.delta)
+
+    def path(index):
+        exact = cocycle(index)
+        target = exact.matrix(cfg.horizon)
+        euler = EulerEvaluator(system, exact.driver_paths, cfg.dt_int)
+        return exact, target, float(np.linalg.norm(target)), euler
+    return path
 
 
 def _ladder_rungs(cfg, built):
@@ -257,47 +296,58 @@ def _finish_example_2d_euler(cfg, index, built, rungs):
             "exact_residual": max([0.0] + residuals.tolist())}
 
 
-def _row_stable_1d(cfg, index):
+def _row_stable_1d(cfg):
     """log Y_T / T reads the path on [0, T] only, so only the forward leg is
     sampled, from the substream of leg 0 of ``sample_two_sided``."""
     triplet = scalar_triplet(drift=cfg.drift, measure=cfg.build_measure(),
                              delta=cfg.delta)
-    path = sample_forward(triplet, TimeGrid(0.0, cfg.horizon, cfg.dt),
-                          substream(cfg.master_seed, index, 0, 0))
-    dd = StochasticExponential1D(path)
-    lam = dd.log_value(cfg.horizon) / cfg.horizon
-    return {"index": index, "raw": [lam], "logdet_over_T": lam}
+
+    def row(index):
+        path = sample_forward(triplet, TimeGrid(0.0, cfg.horizon, cfg.dt),
+                              substream(cfg.master_seed, index, 0, 0))
+        dd = StochasticExponential1D(path)
+        lam = dd.log_value(cfg.horizon) / cfg.horizon
+        return {"index": index, "raw": [lam], "logdet_over_T": lam}
+    return row
 
 
-def _row_doleans_1d(cfg, index):
-    _, paths, ev = _benchmark_cocycle(cfg, index)
-    dd = StochasticExponential1D(with_drift(paths[0], BENCHMARK_DRIFTS[0]))
-    rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
-    times = np.sort(rng.uniform(0.0, cfg.horizon, 16))
-    worst = 0.0
-    for t in times:
-        log_dd = dd.log_value(float(t))
-        log_m1 = ev.log_growth(float(t))[0]
-        worst = max(worst, abs(log_dd - log_m1))
-    return {"index": index, "max_log_defect": worst}
+def _row_doleans_1d(cfg):
+    cocycle = _benchmark_cocycles(cfg)[1]
+
+    def row(index):
+        ev = cocycle(index)
+        dd = StochasticExponential1D(with_drift(ev.driver_paths[0],
+                                                BENCHMARK_DRIFTS[0]))
+        rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
+        times = np.sort(rng.uniform(0.0, cfg.horizon, 16))
+        worst = 0.0
+        for t in times:
+            log_dd = dd.log_value(float(t))
+            log_m1 = ev.log_growth(float(t))[0]
+            worst = max(worst, abs(log_dd - log_m1))
+        return {"index": index, "max_log_defect": worst}
+    return row
 
 
-def _row_flag_convergence(cfg, index):
-    measure, _, ev = _benchmark_cocycle(cfg, index)
+def _row_flag_convergence(cfg):
+    measure, cocycle = _benchmark_cocycles(cfg)
     gt = ground_truth_2d(measure, cfg.delta)
     params = FlagMetricParams((gt.lambda1, gt.lambda2), gt.gap / 1.0, 2)
     grouping = [(gt.lambda1, 1), (gt.lambda2, 1)]
     t_list = np.linspace(cfg.fit_t_min, cfg.fit_t_max, cfg.fit_points)
     c, s = math.cos(cfg.frame_angle), math.sin(cfg.frame_angle)
-    conv = flag_convergence_rate(ev, grouping, params, t_list,
-                                 frame=np.array([[c, -s], [s, c]]))
-    return {
-        "index": index,
-        "slope": conv.slope,
-        "log_distances": [float(v) for v in conv.log_distances],
-        "times": [float(v) for v in conv.times],
-        "floor_reached": conv.floor_reached,
-    }
+
+    def row(index):
+        conv = flag_convergence_rate(cocycle(index), grouping, params, t_list,
+                                     frame=np.array([[c, -s], [s, c]]))
+        return {
+            "index": index,
+            "slope": conv.slope,
+            "log_distances": [float(v) for v in conv.log_distances],
+            "times": [float(v) for v in conv.times],
+            "floor_reached": conv.floor_reached,
+        }
+    return row
 
 
 def _finish_backward_spectrum(cfg, index, ev, spectra):
@@ -575,7 +625,7 @@ class Experiment(NamedTuple):
 
 EXPERIMENTS = {
     "example_2d_exact": Experiment(
-        _lockstep(_exact_cocycle, _spectra, _finish_example_2d_exact),
+        _lockstep(_exact_cocycle, _oseledets_stage, _finish_example_2d_exact),
         _agg_example_2d_exact, _check_example_2d_exact),
     "example_2d_euler": Experiment(
         _lockstep(_ladder_path, _ladder_rungs, _finish_example_2d_euler),
@@ -591,10 +641,12 @@ EXPERIMENTS = {
 }
 
 # Largest batch of paths.  Each path of a batch keeps its evaluator alive
-# (about 170 KB on the exact benchmark) until the batch's spectra are done,
+# (about 170 KB on the exact benchmark) until the batch's stage is done,
 # while the per-window LAPACK overhead falls with the batch size; at 16 the
 # peak memory of a pooled 100-path run was measured 2-3 % above one path at
-# a time, at 50 it was 11 % above.
+# a time, at 50 it was 11 % above.  The stacked Oseledets and integrability
+# arrays of the example_2d_exact stage add nothing visible: a 16-path
+# batch's tracemalloc peak stays at about 235 KB per path.
 BATCH_PATHS = 16
 
 

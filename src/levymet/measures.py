@@ -1,13 +1,12 @@
 """Scalar Lévy jump measures and process triplets.
 
 A :class:`LevyMeasure` is a measure nu on the real line with nu({0}) = 0 and
-integral of (u^2 and 1) finite.  Three kinds are supported:
+integral of (u^2 and 1) finite.  Two kinds are supported:
 
 * finite atom lists (compound Poisson) -- every integral is an exact sum,
   which makes them the main test vehicle;
 * symmetric power laws c|u|^(-1-alpha) du on 0 < |u| <= cutoff, optionally
-  untruncated (cutoff = inf) to provide heavy large-jump tails;
-* user-supplied densities on a bounded symmetric support.
+  untruncated (cutoff = inf) to provide heavy large-jump tails.
 
 A :class:`LevyTriplet` bundles drift, Gaussian factor, measure, and the
 small/large jump split delta, i.e. everything the Lévy–Itô decomposition
@@ -18,6 +17,7 @@ exponent of the Lévy–Khintchine formula.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -26,10 +26,7 @@ from .errors import ConfigurationError, QuadratureError, StructuralError, Suppor
 
 ATOMS = "atom_list"
 POWER_LAW = "power_law_truncated"
-USER_DENSITY = "user_density"
 
-# Puncture radius for user-density quadrature; built-in kinds do not need it.
-EPS_PUNCTURE = 1e-10
 DEFAULT_TOL = 1e-10
 
 
@@ -50,8 +47,7 @@ def _quad(f, a, b, tol, weight=None, wvar=None):
 class LevyMeasure:
     """Jump measure nu with nu({0}) = 0 and finite (u^2 and 1)-integral."""
 
-    def __init__(self, kind, *, atoms=None, alpha=None, c=None, cutoff=None,
-                 density=None, support_bound=None):
+    def __init__(self, kind, *, atoms=None, alpha=None, c=None, cutoff=None):
         self.kind = kind
         if kind == ATOMS:
             pairs = list(atoms or [])
@@ -76,11 +72,6 @@ class LevyMeasure:
             self.c = float(c)
             self.cutoff = float(cutoff)
             self.support_bound = self.cutoff
-        elif kind == USER_DENSITY:
-            if density is None or support_bound is None:
-                raise ConfigurationError("user density needs density and support_bound")
-            self.density = density
-            self.support_bound = float(support_bound)
         else:
             raise ConfigurationError(f"unknown measure kind {kind!r}")
         self._check_square_integrability()
@@ -105,12 +96,6 @@ class LevyMeasure:
         """
         return cls(POWER_LAW, alpha=alpha, c=c, cutoff=cutoff)
 
-    @classmethod
-    def from_density(cls, density, support_bound):
-        """Density on 0 < |u| <= support_bound; integrals use punctured
-        adaptive quadrature with puncture radius EPS_PUNCTURE around 0."""
-        return cls(USER_DENSITY, density=density, support_bound=support_bound)
-
     # -- basics --------------------------------------------------------------
 
     @property
@@ -120,18 +105,16 @@ class LevyMeasure:
     def __repr__(self):
         if self.kind == ATOMS:
             body = f"atoms={list(zip(self.atom_locs, self.atom_rates))}"
-        elif self.kind == POWER_LAW:
-            body = f"alpha={self.alpha}, c={self.c}, cutoff={self.cutoff}"
         else:
-            body = f"support_bound={self.support_bound}"
+            body = f"alpha={self.alpha}, c={self.c}, cutoff={self.cutoff}"
         return f"LevyMeasure({self.kind}, {body})"
 
     def _check_square_integrability(self):
         """nu({0}) = 0 holds by construction; verify the (u^2 and 1) integral
-        is finite (numerically for user densities, closed form otherwise)."""
+        is finite, in closed form."""
         if self.kind == ATOMS:
             val = float(np.sum(self.atom_rates * np.minimum(self.atom_locs**2, 1.0)))
-        elif self.kind == POWER_LAW:
+        else:
             a, c = self.alpha, self.c
             inner = min(self.cutoff, 1.0)
             val = 2.0 * c * inner ** (2.0 - a) / (2.0 - a)
@@ -140,9 +123,6 @@ class LevyMeasure:
                     val += 2.0 * c / a  # integral of u^(-1-a) from 1 to inf
                 else:
                     val += 2.0 * c * (1.0 - self.cutoff ** (-a)) / a
-        else:
-            val = self._band_quad(lambda u: min(u * u, 1.0), 0.0, self.support_bound,
-                                  tol=1e-8)
         if not math.isfinite(val):
             raise SupportError("measure is not square-integrable near 0")
 
@@ -153,28 +133,25 @@ class LevyMeasure:
         m = (np.abs(self.atom_locs) > lo) & (np.abs(self.atom_locs) <= hi)
         return self.atom_locs[m], self.atom_rates[m]
 
-    def _band_quad(self, g, lo, hi, tol=DEFAULT_TOL):
-        """Generic band integral of g(u) nu(du) over {lo < |u| <= hi}."""
+    def _band_quad(self, g, lo, hi):
+        """Generic band integral of g(u) nu(du) over {lo < |u| <= hi};
+        every power-law caller passes lo > 0."""
         if self.kind == ATOMS:
             u, r = self._atom_band(lo, hi)
             return float(np.sum(r * np.vectorize(g)(u))) if u.size else 0.0
         hi = min(hi, self.support_bound)
         if hi <= lo:
             return 0.0
-        if self.kind == POWER_LAW:
-            a, c = self.alpha, self.c
-            dens = lambda u: c * abs(u) ** (-1.0 - a)
-        else:
-            dens = self.density
-        lo_eff = max(lo, EPS_PUNCTURE)
-        pos = _quad(lambda u: g(u) * dens(u), lo_eff, hi, tol)
-        neg = _quad(lambda u: g(-u) * dens(-u), lo_eff, hi, tol)
+        a, c = self.alpha, self.c
+        dens = lambda u: c * abs(u) ** (-1.0 - a)
+        pos = _quad(lambda u: g(u) * dens(u), lo, hi, DEFAULT_TOL)
+        neg = _quad(lambda u: g(-u) * dens(-u), lo, hi, DEFAULT_TOL)
         return pos + neg
 
     def _pl_small(self, G, hi):
         """Power-law integral of u^2*G(u) nu(du) over {0 < |u| <= hi} via an
         algebraic-weight rule: the endpoint factor u^(1-alpha) is handled by
-        the quadrature weight, so no puncture is needed."""
+        the quadrature weight."""
         a, c = self.alpha, self.c
         hi = min(hi, self.cutoff)
         if hi <= 0.0:
@@ -195,19 +172,15 @@ class LevyMeasure:
         """Total mass nu({lo < |u| <= hi}); closed form where available."""
         if self.kind == ATOMS:
             return float(np.sum(self._atom_band(lo, hi)[1]))
-        if self.kind == POWER_LAW:
-            a, c = self.alpha, self.c
-            hi = min(hi, self.cutoff)
-            if hi <= lo:
-                return 0.0
-            if lo <= 0.0:
-                return math.inf
-            if math.isinf(hi):
-                return 2.0 * c * lo ** (-a) / a
-            return 2.0 * c * (lo ** (-a) - hi ** (-a)) / a
+        a, c = self.alpha, self.c
+        hi = min(hi, self.cutoff)
+        if hi <= lo:
+            return 0.0
         if lo <= 0.0:
-            lo = EPS_PUNCTURE
-        return self._band_quad(lambda u: 1.0, lo, hi)
+            return math.inf
+        if math.isinf(hi):
+            return 2.0 * c * lo ** (-a) / a
+        return 2.0 * c * (lo ** (-a) - hi ** (-a)) / a
 
     def mean(self, lo, hi):
         """Integral of u nu(du) over {lo < |u| <= hi} (compensation rate)."""
@@ -328,33 +301,17 @@ class LevyMeasure:
                 raise ConfigurationError("no atoms in the requested band")
             probs = r / np.sum(r)
             return u[rng.choice(u.size, size=n, p=probs)]
-        if self.kind == POWER_LAW:
-            a = self.alpha
-            hi = min(hi, self.cutoff)
-            if lo <= 0.0:
-                raise ConfigurationError("power-law band sampling needs lo > 0")
-            v = rng.random(n)
-            if math.isinf(hi):
-                mag = lo * (1.0 - v) ** (-1.0 / a)
-            else:
-                mag = (lo**-a - v * (lo**-a - hi**-a)) ** (-1.0 / a)
-            sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            return sign * mag
-        # user density: rejection sampling against a uniform envelope
-        hi = min(hi, self.support_bound)
-        grid = np.linspace(max(lo, EPS_PUNCTURE), hi, 4097)
-        env = 1.05 * max(np.max([self.density(u) for u in grid]),
-                         np.max([self.density(-u) for u in grid]))
-        out = np.empty(n)
-        k = 0
-        while k < n:
-            m = 2 * (n - k) + 16
-            cand = rng.uniform(lo, hi, m) * np.where(rng.random(m) < 0.5, -1.0, 1.0)
-            acc = rng.random(m) * env < np.array([self.density(u) for u in cand])
-            take = cand[acc][: n - k]
-            out[k : k + take.size] = take
-            k += take.size
-        return out
+        a = self.alpha
+        hi = min(hi, self.cutoff)
+        if lo <= 0.0:
+            raise ConfigurationError("power-law band sampling needs lo > 0")
+        v = rng.random(n)
+        if math.isinf(hi):
+            mag = lo * (1.0 - v) ** (-1.0 / a)
+        else:
+            mag = (lo**-a - v * (lo**-a - hi**-a)) ** (-1.0 / a)
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        return sign * mag
 
 
 @dataclass(frozen=True)
@@ -398,23 +355,26 @@ class LevyTriplet:
         m = self.measure
         if m.kind == ATOMS:
             return 0.0
-        if m.kind == POWER_LAW:
-            a, c = m.alpha, m.c
-            eps = ((2.0 - a) * 1e-6 / (2.0 * c)) ** (1.0 / (2.0 - a))
-            return min(eps, m.cutoff)
-        lo, hi = 0.0, m.support_bound
-        for _ in range(80):  # bisect the residual second moment
-            mid = 0.5 * (lo + hi)
-            if m._band_quad(lambda u: u * u, 0.0, mid, 1e-9) < 1e-6:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        a, c = m.alpha, m.c
+        eps = ((2.0 - a) * 1e-6 / (2.0 * c)) ** (1.0 / (2.0 - a))
+        return min(eps, m.cutoff)
+
+    # The band constants a sampled path reads are computed once per triplet.
 
     def compensation_rate(self):
         """Drift removed by compensating simulable small jumps:
         integral of u nu(du) over {eps_cut < |u| <= delta}."""
-        return self.measure.mean(self.effective_cut(), self.delta)
+        return self._band_constants[0]
+
+    @cached_property
+    def _band_constants(self):
+        """The compensation rate, and the (lo, hi, rate) of the two jump
+        bands a path samples: the simulated small jumps {eps_cut < |u| <=
+        delta} and the jumps above delta."""
+        eps = self.effective_cut()
+        return self.measure.mean(eps, self.delta), tuple(
+            (lo, hi, self.measure.rate(lo, hi))
+            for lo, hi in ((eps, self.delta), (self.delta, math.inf)))
 
 
 def scalar_triplet(drift=0.0, gauss=0.0, measure=None, delta=0.5, **kw):
@@ -431,7 +391,7 @@ def log_compensator_integral(measure, delta):
     """Integral of (log(1+u) - u) nu(du) over {|u| <= delta}.
 
     Exact atom sums for the atom kind; algebraic-weight quadrature for the
-    built-in power law; punctured adaptive quadrature for user densities.
+    power law.
     """
     return measure.log_compensator(0.0, delta)
 

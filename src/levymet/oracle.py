@@ -57,10 +57,10 @@ def ground_truth_2d(measure, delta):
 
 def benchmark_drivers(measure, delta):
     """The two independent scalar driving triplets (pure compensated small
-    jumps: no drift, no Gaussian part)."""
-    z = np.zeros(1)
-    return (LevyTriplet(z, None, measure, delta),
-            LevyTriplet(z, None, measure, delta))
+    jumps: no drift, no Gaussian part).  Both drivers follow one law, so
+    they share one triplet and its band constants."""
+    triplet = LevyTriplet(np.zeros(1), None, measure, delta)
+    return (triplet, triplet)
 
 
 def benchmark_system_2d(measure, delta):

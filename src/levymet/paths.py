@@ -156,13 +156,11 @@ SAMPLER_BUDGET = 5e6
 
 
 def check_jump_budget(triplet, T):
-    """Jump bands (lo, hi, rate) sampled on (0, T): [eps_cut, delta] and the
-    tail above delta, if of nonzero rate.  Raises ConfigurationError for an
-    infinite rate or an expected jump count above :data:`SAMPLER_BUDGET`."""
-    eps = triplet.effective_cut()
+    """The triplet's jump bands (lo, hi, rate) of nonzero rate, sampled on
+    (0, T).  Raises ConfigurationError for an infinite rate or an expected
+    jump count above :data:`SAMPLER_BUDGET`."""
     bands = []
-    for lo, hi in ((eps, triplet.delta), (triplet.delta, math.inf)):
-        rate = triplet.measure.rate(lo, hi)
+    for lo, hi, rate in triplet._band_constants[1]:
         if rate == 0.0:
             continue
         if not math.isfinite(rate):

@@ -31,6 +31,7 @@ from .errors import (
     ResolutionError,
     SingularityError,
     StructuralError,
+    raised,
 )
 
 
@@ -256,15 +257,6 @@ def _qr_estimate(jobs, renorm_step, group_tol):
     return out
 
 
-def _one_job(ev, T, renorm_step, group_tol):
-    """The estimate of one job of :func:`_qr_estimate`, whose error is
-    raised."""
-    (est,) = _qr_estimate([(ev, T)], renorm_step, group_tol)
-    if isinstance(est, LevyMetError):
-        raise est
-    return est
-
-
 def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
     """Lyapunov spectrum over [0, T] by QR renormalization.
 
@@ -277,7 +269,7 @@ def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
     """
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return _one_job(ev, T, renorm_step, group_tol)
+    return raised(_qr_estimate([(ev, T)], renorm_step, group_tol)[0])
 
 
 def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
@@ -287,7 +279,7 @@ def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
     multiplicities.  It is the job (ev, -T) of ``_qr_estimate``."""
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return _one_job(ev, -T, renorm_step, group_tol)
+    return raised(_qr_estimate([(ev, -T)], renorm_step, group_tol)[0])
 
 
 def vector_exponent(ev, x, T, renorm_step=1.0):
@@ -536,9 +528,21 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
 # -- Oseledets splitting -------------------------------------------------------------
 
 
+def _mT(X):
+    return np.swapaxes(X, -1, -2)
+
+
+def _by_key(items, key):
+    """Indices of ``items`` grouped by ``key(item)``."""
+    groups = {}
+    for j, x in enumerate(items):
+        groups.setdefault(key(x), []).append(j)
+    return groups.values()
+
+
 def principal_angles(A, B):
     """Principal angles between the column spans of A and B (radians), in
-    increasing order.
+    increasing order; leading axes are batch axes.
 
     Knyazev–Argentati split (SIAM J. Sci. Comput. 23, 2002): the sines are
     the singular values of qb - qa (qa^T qb), with qa the wider basis; an
@@ -546,13 +550,11 @@ def principal_angles(A, B):
     arccos of its cosine, so angles near 0 resolve to rounding rather than
     to the ~1.5e-8 floor of arccos.
     """
-    A = np.atleast_2d(np.asarray(A, float))
-    B = np.atleast_2d(np.asarray(B, float))
-    qa, _ = np.linalg.qr(A)
-    qb, _ = np.linalg.qr(B)
-    if qb.shape[1] > qa.shape[1]:
+    qa, _ = np.linalg.qr(np.atleast_2d(np.asarray(A, float)))
+    qb, _ = np.linalg.qr(np.atleast_2d(np.asarray(B, float)))
+    if qb.shape[-1] > qa.shape[-1]:
         qa, qb = qb, qa
-    m = qa.T @ qb
+    m = _mT(qa) @ qb
     return _split_angles(qa, qb, m, np.linalg.svd(m, compute_uv=False))
 
 
@@ -560,27 +562,29 @@ def _split_angles(qa, qb, m, cos):
     """The angles of :func:`principal_angles` from orthonormal bases qa and
     qb, m = qa^T qb and its singular values ``cos`` (decreasing); the
     sines come from the narrower basis."""
-    if qb.shape[1] > qa.shape[1]:
-        qa, qb, m = qb, qa, m.T
-    sin = np.linalg.svd(qb - qa @ m, compute_uv=False)[::-1]
+    if qb.shape[-1] > qa.shape[-1]:
+        qa, qb, m = qb, qa, _mT(m)
+    sin = np.linalg.svd(qb - qa @ m, compute_uv=False)[..., ::-1]
     return np.where(cos * cos >= 0.5, np.arcsin(np.clip(sin, 0.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
-def _intersect(A, B, angle_tol):
-    """Orthonormal basis of span(A) and span(B)'s intersection (A and B
-    orthonormal): the principal directions in span(A) whose principal
-    angle, as :func:`principal_angles` measures it, is <= angle_tol.  The
-    angles increase as the cosines fall, so those directions are the
-    leading left singular vectors of A^T B."""
-    M = A.T @ B
+def _intersections(A, B, angle_tol):
+    """Orthonormal bases of span(A_j) and span(B_j)'s intersections for
+    stacked orthonormal A (n, d, ka) and B (n, d, kb), as a list: the
+    principal directions in span(A_j) whose principal angle, as
+    :func:`principal_angles` measures it, is <= angle_tol.  The angles
+    increase as the cosines fall, so those directions are the leading left
+    singular vectors of A_j^T B_j."""
+    M = _mT(A) @ B
     U, cos, _ = np.linalg.svd(M, full_matrices=False)
-    keep = int(np.sum(_split_angles(A, B, M, cos) <= angle_tol))
-    basis = A @ U[:, :keep]
-    if basis.shape[1] == 0:
-        return basis
-    Q, _ = np.linalg.qr(basis)
-    return Q
+    keep = np.sum(_split_angles(A, B, M, cos) <= angle_tol, axis=-1)
+    out = [None] * len(A)
+    for idx in _by_key(keep.tolist(), int):
+        basis = A[idx] @ U[idx][..., :keep[idx[0]]]
+        for j, E in zip(idx, np.linalg.qr(basis)[0] if basis.size else basis):
+            out[j] = E
+    return out
 
 
 @dataclass
@@ -600,34 +604,59 @@ class OseledetsSplit:
 
     def angles_to(self, targets):
         """Largest principal angle of each E_i against a target basis."""
-        return [float(np.max(principal_angles(E, T_))) if E.size else math.inf
-                for E, T_ in zip(self.subspaces, targets)]
+        return _angles_to([self], targets)[0]
+
+
+def _angles_to(splits, targets):
+    """``angles_to`` of each split, stacked over the splits whose bases
+    have one shape."""
+    out = [[] for _ in splits]
+    for idx in _by_key(splits,
+                       lambda s: tuple(E.shape for E in s.subspaces)):
+        for E, T_ in zip(map(np.stack, zip(*(splits[j].subspaces
+                                             for j in idx))), targets):
+            angles = (np.max(principal_angles(E, T_), axis=-1) if E.size
+                      else np.full(len(idx), math.inf))
+            for j, a in zip(idx, angles.tolist()):
+                out[j].append(a)
+    return out
 
 
 def oseledets_spaces(F_fwd, F_bwd, angle_tol=1e-6):
     """Oseledets spaces E_i = V_i  intersect  V^-_{p+1-i} from the forward
     and backward flags, via principal-angle intersections.  Checks the
     dimension of every intersection and the direct-sum property."""
-    p = F_fwd.p
-    if F_bwd.p != p:
-        raise StructuralError("flags have different numbers of blocks")
-    if F_fwd.dims != tuple(reversed(F_bwd.dims)):
-        raise StructuralError("backward multiplicities must be the reversed "
-                              "forward multiplicities")
-    subspaces = []
-    for i in range(1, p + 1):
-        Vi = F_fwd.nested_basis(i)
-        Vb = F_bwd.nested_basis(p + 1 - i)
-        E = _intersect(Vi, Vb, angle_tol)
-        if E.shape[1] != F_fwd.dims[i - 1]:
-            raise ResolutionError(
-                f"intersection {i} has dimension {E.shape[1]}, expected "
-                f"{F_fwd.dims[i - 1]}; increase the horizon or angle_tol"
-            )
-        subspaces.append(E)
-    stacked = np.hstack(subspaces)
-    smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-    if smin <= 1e-8:
-        raise ResolutionError("summands do not span: smallest singular value "
-                              f"{smin:.3e}")
-    return OseledetsSplit(tuple(subspaces), F_fwd.dims)
+    return raised(_oseledets_batch([(F_fwd, F_bwd)], angle_tol)[0])
+
+
+def _oseledets_batch(pairs, angle_tol):
+    """``oseledets_spaces`` of (forward, backward) flag pairs, the
+    intersections stacked over the pairs of one flag type; per pair its
+    split or its LevyMetError."""
+    out = [None] * len(pairs)
+    for idx in _by_key(pairs, lambda fb: (fb[0].dims, fb[1].dims)):
+        dims, bdims = (F.dims for F in pairs[idx[0]])
+        p = len(dims)
+        spaces = [] if bdims != dims[::-1] else [_intersections(
+            np.stack([pairs[j][0].nested_basis(i) for j in idx]),
+            np.stack([pairs[j][1].nested_basis(p + 1 - i) for j in idx]),
+            angle_tol) for i in range(1, p + 1)]
+        for n, j in enumerate(idx):
+            E = [S[n] for S in spaces]
+            bad = [i for i in range(len(E)) if E[i].shape[1] != dims[i]]
+            if not E:
+                out[j] = StructuralError(
+                    "flags have different numbers of blocks" if len(bdims) != p
+                    else "backward multiplicities must be the reversed "
+                         "forward multiplicities")
+            elif bad:
+                out[j] = ResolutionError(
+                    f"intersection {bad[0] + 1} has dimension "
+                    f"{E[bad[0]].shape[1]}, expected {dims[bad[0]]}; increase "
+                    "the horizon or angle_tol")
+            else:
+                smin = np.linalg.svd(np.hstack(E), compute_uv=False)[-1]
+                out[j] = (ResolutionError("summands do not span: smallest "
+                                          f"singular value {smin:.3e}")
+                          if smin <= 1e-8 else OseledetsSplit(tuple(E), dims))
+    return out

@@ -45,7 +45,7 @@ def test_minimal_config_defaults():
     assert cfg.measure_atoms == ((0.2, 3.0),)
     # exponents are grouped at the spectrum's default, 10/horizon
     ((est, best),) = experiments._spectra(
-        cfg, [experiments._exact_cocycle(cfg, 0)])
+        cfg, [experiments._exact_cocycle(cfg)(0)])
     assert est.group_tol == best.group_tol == 10.0 / cfg.horizon
 
 
@@ -510,7 +510,9 @@ def _euler_row_per_rung(cfg, index):
     """The example_2d_euler row one rung and one residual probe at a time:
     an Euler evaluator per step size dt_int / 2^k, and the scalar
     cocycle-law residual of each probe (s, t) drawn in turn."""
-    measure, paths, exact = experiments._benchmark_cocycle(cfg, index)
+    measure, cocycle = experiments._benchmark_cocycles(cfg)
+    exact = cocycle(index)
+    paths = exact.driver_paths
     system = lm.benchmark_system_2d(measure, cfg.delta)
     target = exact.matrix(cfg.horizon)
     scale = float(np.linalg.norm(target))
@@ -583,7 +585,8 @@ def test_expm_ladder_fold_equals_per_window_propagate():
     cfg = lm.parse_config(EULER + "measure.atoms = 0.2:3.0, -0.3:1.0\n")
     system = lm.benchmark_system_2d(cfg.build_measure(), cfg.delta)
     steps = cfg.dt_int / 2.0 ** np.arange(cfg.halvings + 1)
-    paths = [experiments._benchmark_cocycle(cfg, i)[1] for i in range(7)]
+    cocycle = experiments._benchmark_cocycles(cfg)[1]
+    paths = [cocycle(i).driver_paths for i in range(7)]
     jobs = [(lm.EulerEvaluator(system, p, cfg.dt_int, scheme="expm"),
              np.zeros(steps.size), np.full(steps.size, cfg.horizon), steps)
             for p in paths]
@@ -594,10 +597,13 @@ def test_expm_ladder_fold_equals_per_window_propagate():
 
 
 def test_stage_error_fails_every_built_path():
-    def build(cfg, index):
+    def path(index):
         if index == 1:
             raise lm.errors.HorizonError("no path")
         return index
+
+    def build(cfg):
+        return path
 
     def stage(cfg, built):
         raise lm.errors.SingularityError("stage broke")
@@ -721,7 +727,7 @@ def test_stable_row_bitwise_equals_two_sided_row(measure):
     cfg = lm.parse_config("experiment = stable_1d\ndrift = 1.3\ndt = 0.5\n"
                           "master_seed = 17\n" + STABLE_MEASURES[measure])
     for index in range(4):
-        row = experiments._row_stable_1d(cfg, index)
+        row = experiments._row_stable_1d(cfg)(index)
         assert repr(row) == repr(_stable_row_two_sided(cfg, index))
 
 

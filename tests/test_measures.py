@@ -142,17 +142,6 @@ def test_stable_scaling_requires_positive_k():
         lm.stable_scaling_residual(lm.scalar_triplet(drift=1.0), 1.0, 0.0, [1.0])
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:The algorithm does not converge")
-def test_user_density_matches_power_law():
-    dens = lambda u: abs(u) ** -2.5
-    user = lm.LevyMeasure.from_density(dens, 0.5)
-    # punctured quadrature agrees with the weighted rule to its documented
-    # truncation level (the puncture removes O(eps^(1/2)) mass here)
-    assert user.log_compensator(0.0, 0.5) == pytest.approx(I_PL, abs=1e-4)
-    assert user.second_moment(0.0, 0.5) == pytest.approx(M2_PL, abs=1e-4)
-
-
 def test_effective_cut_variance_rule():
     tri = lm.scalar_triplet(measure=lm.LevyMeasure.power_law(0.8, 0.5, 0.5),
                             delta=0.5)

@@ -192,7 +192,7 @@ def test_sum_rule_euler_dense_systems(seed, scheme, backward):
         1e-12 * max(1.0, abs(est.logdet_over_T))
 
 
-def test_uncut_flag_keeps_its_spectrum():
+def test_uncut_flag_keeps_its_spectrum(monkeypatch):
     # seed 448 at T = 20: the rates 0.352, -0.024, -0.613 group as
     # (0.164 x2, -0.613), but the frame pushed through phi^T ranks its
     # rates 0.358, -0.307, -0.335, so the flag cannot be cut; the spectrum
@@ -203,12 +203,13 @@ def test_uncut_flag_keeps_its_spectrum():
     assert abs(float(np.sum(est.raw)) - est.logdet_over_T) <= 1e-12
     with pytest.raises(ResolutionError, match="inconsistent with grouping"):
         est.flag
-    # the example_2d_exact finish quarantines such a path
+    # the example_2d_exact stage quarantines such a path
     cfg = lm.parse_config("experiment = example_2d_exact\n")
     best = lm.backward_spectrum(ev, 20.0)
-    assert experiments._attempt(experiments._finish_example_2d_exact, cfg, 0,
-                                ev, (est, best)) == \
-        (None, "ResolutionError: frame growth rates inconsistent with grouping")
+    monkeypatch.setattr(experiments, "_spectra", lambda cfg, evs: [(est, best)])
+    (res,) = experiments._oseledets_stage(cfg, [ev])
+    assert experiments._error_text(res) == \
+        "ResolutionError: frame growth rates inconsistent with grouping"
 
 
 # -- flags --------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def test_oseledets_resolution_error():
 def test_intersect_compares_principal_angles(angle, tol, dim):
     e1 = np.array([[1.0], [0.0]])
     v = np.array([[math.cos(angle)], [math.sin(angle)]])
-    basis = lm.spectrum._intersect(e1, v, tol)
+    (basis,) = lm.spectrum._intersections(e1[None], v[None], tol)
     assert basis.shape == (2, dim)
     if dim:
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-15
@@ -493,7 +494,7 @@ def test_intersect_keeps_only_the_close_directions():
     e = np.eye(3)
     B = np.hstack([math.cos(5e-4) * e[:, :1] + math.sin(5e-4) * e[:, 2:],
                    math.cos(0.01) * e[:, 1:2] + math.sin(0.01) * e[:, 2:]])
-    basis = lm.spectrum._intersect(e[:, :2], B, 1e-3)
+    (basis,) = lm.spectrum._intersections(e[None, :, :2], B[None], 1e-3)
     assert basis.shape == (3, 1)
     assert lm.principal_angles(basis, e[:, :1])[0] < 1e-12
 
