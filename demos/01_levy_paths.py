@@ -31,9 +31,9 @@ print("  left limit :", path.evaluate(s - 1e-12)[0])
 print("  value at s :", path.evaluate(s)[0])
 
 # the shift flow re-anchors the path; the group law is exact
-shifted = lm.shift(path, 1.5)
+shifted = path.shift(1.5)
 print("\nshifted value at 0:", shifted.evaluate(0.0)[0])
-twice = lm.shift(lm.shift(path, 0.9), 0.6)
+twice = path.shift(0.9).shift(0.6)
 print("group law defect:",
       abs(twice.evaluate(1.0)[0] - shifted.evaluate(1.0)[0]))
 

@@ -36,11 +36,9 @@ from .paths import (
     TimeGrid,
     TwoSidedPath,
     dump_path_csv,
-    evaluate,
     sample_backward,
     sample_forward,
     sample_two_sided,
-    shift,
     two_sided,
     with_drift,
 )

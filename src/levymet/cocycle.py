@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ConfigurationError,
@@ -397,7 +396,12 @@ class EulerEvaluator(_EvaluatorBase):
         for sigma, p in zip(self.system.sigmas, self.driver_paths):
             dc = p.continuous_increment(sp, st)[:, 0]
             G = G + dc[:, None, None] * sigma
-        steps = expm(G) if self.scheme == "expm" else np.eye(d) + G
+        if self.scheme == "expm":
+            from scipy.linalg import expm  # only this library-only scheme needs it
+
+            steps = expm(G)
+        else:
+            steps = np.eye(d) + G
         jumps = np.eye(d) + js[:, None, None] * np.array(self.system.sigmas)[ji]
         singular = np.abs(np.linalg.det(jumps)) < 1e-12
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, QuadratureError, StructuralError, SupportError
 
@@ -32,6 +31,8 @@ DEFAULT_TOL = 1e-10
 
 def _quad(f, a, b, tol, weight=None, wvar=None):
     """scipy quad wrapper that enforces the absolute tolerance."""
+    from scipy import integrate  # on first use: atom measures never get here
+
     kwargs = {"epsabs": tol, "epsrel": 1e-12, "limit": 400}
     if weight is not None:
         kwargs["weight"] = weight
@@ -42,6 +43,18 @@ def _quad(f, a, b, tol, weight=None, wvar=None):
             f"integral on [{a}, {b}] did not converge (abserr={abserr:.3e})"
         )
     return value
+
+
+def _checked_pow(x, p, what, measure):
+    """x ** p for a constant of a power-law measure: a result past the float
+    range is refused, naming the measure, instead of escaping as an
+    OverflowError."""
+    try:
+        return x ** p
+    except OverflowError:
+        raise ConfigurationError(
+            f"{what} overflows for the power law with alpha = {measure.alpha}, "
+            f"c = {measure.c}") from None
 
 
 class LevyMeasure:
@@ -178,9 +191,10 @@ class LevyMeasure:
             return 0.0
         if lo <= 0.0:
             return math.inf
+        lo_a = _checked_pow(lo, -a, f"the jump rate above {lo:.3g}", self)
         if math.isinf(hi):
-            return 2.0 * c * lo ** (-a) / a
-        return 2.0 * c * (lo ** (-a) - hi ** (-a)) / a
+            return 2.0 * c * lo_a / a
+        return 2.0 * c * (lo_a - hi ** (-a)) / a
 
     def mean(self, lo, hi):
         """Integral of u nu(du) over {lo < |u| <= hi} (compensation rate)."""
@@ -356,7 +370,8 @@ class LevyTriplet:
         if m.kind == ATOMS:
             return 0.0
         a, c = m.alpha, m.c
-        eps = ((2.0 - a) * 1e-6 / (2.0 * c)) ** (1.0 / (2.0 - a))
+        eps = _checked_pow((2.0 - a) * 1e-6 / (2.0 * c), 1.0 / (2.0 - a),
+                           "the small-jump cut", m)
         return min(eps, m.cutoff)
 
     # The band constants a sampled path reads are computed once per triplet.

@@ -339,16 +339,6 @@ def two_sided(fwd, bwd):
     return TwoSidedPath(fwd, bwd)
 
 
-def shift(path, t):
-    """Shift flow: (theta_t path)(s) = path(t + s) - path(t)."""
-    return path.shift(t)
-
-
-def evaluate(path, t):
-    """Càdlàg evaluation of a JumpPath or TwoSidedPath."""
-    return path.evaluate(t)
-
-
 def sample_two_sided(triplet, T, dt, master_seed, path_index=0, driver=0):
     """Two-sided sample on [-T, T] from independent substreams keyed by
     (master_seed, path_index, driver, leg)."""

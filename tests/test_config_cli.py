@@ -204,6 +204,21 @@ def _fails_before_any_path(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha,c,message", [
+    pytest.param("1.99", "1e-30", "the small-jump cut overflows for the power "
+                 "law with alpha = 1.99, c = 1e-30", id="small_jump_cut"),
+    pytest.param("1.9", "1e20", "the jump rate above 9.77e-274 overflows for "
+                 "the power law with alpha = 1.9, c = 1e+20", id="jump_rate"),
+])
+def test_power_law_overflow_fails_before_any_path(tmp_path, capsys, alpha, c,
+                                                  message):
+    text = ("experiment = stable_1d\nmeasure.kind = power_law\n"
+            f"measure.alpha = {alpha}\nmeasure.c = {c}\nn_paths = 3\n")
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        lm.run_experiment(lm.parse_config(text))
+    _fails_before_any_path(tmp_path, capsys, text, message)
+
+
 @pytest.mark.parametrize("experiment",
                          ["example_2d_exact", "stable_1d", "flag_convergence"])
 def test_horizon_off_the_dt_grid_fails_before_any_path(tmp_path, capsys,

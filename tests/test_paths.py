@@ -161,19 +161,19 @@ def test_zero_two_sided_path():
 
 def test_shift_identity_and_drift():
     ts = lm.sample_two_sided(ATOM_TRIPLET, 5.0, 0.5, 13)
-    same = lm.shift(ts, 0.0)
+    same = ts.shift(0.0)
     for t in (-4.0, -0.5, 0.0, 2.5):
         assert same.evaluate(t)[0] == ts.evaluate(t)[0]
     drift = lm.sample_two_sided(lm.scalar_triplet(drift=1.0), 5.0, 0.5, 14)
-    shifted = lm.shift(drift, 1.0)
+    shifted = drift.shift(1.0)
     for s in (-1.0, 0.0, 2.0):
         assert shifted.evaluate(s)[0] == pytest.approx(s, abs=1e-14)
 
 
 def test_shift_group_law_exact():
     ts = lm.sample_two_sided(ATOM_TRIPLET, 5.0, 0.5, 15)
-    a = lm.shift(lm.shift(ts, 1.25), -0.5)
-    b = lm.shift(ts, 0.75)
+    a = ts.shift(1.25).shift(-0.5)
+    b = ts.shift(0.75)
     for t in (-2.0, -0.3, 0.0, 1.1, 3.0):
         assert a.evaluate(t)[0] == b.evaluate(t)[0]
 
@@ -181,16 +181,16 @@ def test_shift_group_law_exact():
 def test_shift_and_evaluate_range_errors():
     ts = lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 16)
     with pytest.raises(HorizonError):
-        lm.shift(ts, 5.0)
+        ts.shift(5.0)
     with pytest.raises(HorizonError):
         ts.evaluate(3.0)
     with pytest.raises(HorizonError):
-        lm.shift(ts, 1.0).evaluate(1.5)
+        ts.shift(1.0).evaluate(1.5)
 
 
 def test_shifted_jump_list_retimed():
     ts = lm.sample_two_sided(ATOM_TRIPLET, 5.0, 0.5, 17)
-    sh = lm.shift(ts, 1.0)
+    sh = ts.shift(1.0)
     t0, s0 = ts.jumps_in(-5.0, 5.0)
     t1, s1 = sh.jumps_in(-5.0, 3.9)
     keep = (t0 > -4.0) & (t0 <= 4.9)
