@@ -28,7 +28,6 @@ from .measures import (
     characteristic_exponent,
     log_compensator_integral,
     scalar_triplet,
-    second_moment_small,
     stable_scaling_residual,
 )
 from .paths import (
@@ -39,7 +38,6 @@ from .paths import (
     sample_backward,
     sample_forward,
     sample_two_sided,
-    two_sided,
     with_drift,
 )
 from .cocycle import (
@@ -48,8 +46,6 @@ from .cocycle import (
     LinearSystem,
     PicardResult,
     StochasticExponential1D,
-    auxiliary_psi,
-    auxiliary_psi_inverse,
     cocycle_residual,
     integrability_alpha,
     picard_solve,

@@ -611,29 +611,6 @@ def _breakpoints(driver_paths, t, dt_int):
     return _with_jumps(driver_paths, _windows(0.0, t, dt_int))
 
 
-def _psi_at(system, driver_paths, t, dt_int):
-    """(psi_t, psi_t^(-1)) for t >= 0."""
-    if t < 0.0:
-        raise HorizonError("auxiliary system is integrated forward from 0")
-    if t == 0.0:
-        return np.eye(system.d), np.eye(system.d)
-    times = _breakpoints(driver_paths, t, dt_int)
-    psis, psinvs = _psi_grid(system, driver_paths, times)
-    return psis[-1], psinvs[-1]
-
-
-def auxiliary_psi(system, driver_paths, t, dt_int=1e-3):
-    """psi_t of the compensated small-jump auxiliary equation (t >= 0)."""
-    return _psi_at(system, driver_paths, t, dt_int)[0]
-
-
-def auxiliary_psi_inverse(system, driver_paths, t, dt_int=1e-3):
-    """psi_t^(-1), integrated from its own equation (not by inverting psi):
-    d psi^(-1) = -psi^(-1) dZ + jump corrections, which collapses to the
-    factor (I + dZ_s)^(-1) at jumps."""
-    return _psi_at(system, driver_paths, t, dt_int)[1]
-
-
 @dataclass
 class PicardResult:
     """n-th successive-substitution iterate at time t plus the sup-norm

@@ -211,7 +211,7 @@ def _spectra(cfg, evs):
     the forward one before the backward one."""
     T = cfg.horizon
     out = _qr_estimate([(ev, T) for ev in evs] + [(ev, -T) for ev in evs],
-                       cfg.renorm_step, None)
+                       cfg.renorm_step)
     return [next((e for e in pair if isinstance(e, Exception)), pair)
             for pair in zip(out[:len(evs)], out[len(evs):])]
 
@@ -246,13 +246,12 @@ def _oseledets_stage(cfg, evs):
 
 
 def _finish_example_2d_exact(cfg, index, ev, staged):
-    est, best, split, angles, (a_plus, a_minus) = staged
+    est, _, split, angles, (a_plus, a_minus) = staged
     return {
         "index": index,
         "raw": [float(v) for v in est.raw],
         "logdet_over_T": est.logdet_over_T,
         "sum_defect": abs(float(np.sum(est.raw)) - est.logdet_over_T),
-        "bwd_raw": [float(v) for v in best.raw],
         "angles": angles,
         "alpha_plus": a_plus,
         "alpha_minus": a_minus,
@@ -340,13 +339,7 @@ def _row_flag_convergence(cfg):
     def row(index):
         conv = flag_convergence_rate(cocycle(index), grouping, params, t_list,
                                      frame=np.array([[c, -s], [s, c]]))
-        return {
-            "index": index,
-            "slope": conv.slope,
-            "log_distances": [float(v) for v in conv.log_distances],
-            "times": [float(v) for v in conv.times],
-            "floor_reached": conv.floor_reached,
-        }
+        return {"index": index, "slope": conv.slope}
     return row
 
 
@@ -358,7 +351,6 @@ def _finish_backward_spectrum(cfg, index, ev, spectra):
         "index": index,
         "raw": [float(v) for v in est.raw],
         "logdet_over_T": est.logdet_over_T,
-        "bwd_raw": [float(v) for v in best.raw],
         "pair_sums": pair_sums,
         "mult_reversed": est.multiplicities == tuple(reversed(best.multiplicities)),
     }

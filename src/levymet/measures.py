@@ -411,11 +411,6 @@ def log_compensator_integral(measure, delta):
     return measure.log_compensator(0.0, delta)
 
 
-def second_moment_small(measure, delta):
-    """Integral of u^2 nu(du) over {|u| <= delta}."""
-    return measure.second_moment(0.0, delta)
-
-
 def characteristic_exponent(triplet, z):
     """Characteristic exponent Psi(z) of the triplet at a real vector z.
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HorizonError, StructuralError
+from .measures import ATOMS
 
 
 def _outside_horizon(t, horizon):
@@ -159,21 +160,23 @@ def check_jump_budget(triplet, T):
     """The triplet's jump bands (lo, hi, rate) of nonzero rate, sampled on
     (0, T).  Raises ConfigurationError for an infinite rate or an expected
     jump count above :data:`SAMPLER_BUDGET`."""
+    m = triplet.measure
     bands = []
     for lo, hi, rate in triplet._band_constants[1]:
         if rate == 0.0:
             continue
-        if not math.isfinite(rate):
+        if not math.isfinite(rate):  # only a power law's cut can reach 0
             raise ConfigurationError(
-                "infinite simulable jump rate; set eps_cut > 0 for "
-                "infinite-activity measures"
-            )
+                f"infinite simulated jump rate: the small-jump cut is {lo:.3g} "
+                f"for the power law with alpha = {m.alpha}, c = {m.c}; lower "
+                "measure.alpha or measure.c")
         if rate * T > SAMPLER_BUDGET:
+            knobs = ("the measure.atoms rates" if m.kind == ATOMS
+                     else "measure.alpha or measure.c")
             raise ConfigurationError(
                 f"expected jump count {rate * T:.2e} exceeds the sampler "
-                "budget; raise eps_cut (the default variance rule can demand "
-                "unsimulably many small jumps for heavy small-jump activity)"
-            )
+                f"budget of {SAMPLER_BUDGET:.0e}; lower {knobs}, or shorten "
+                "the horizon")
         bands.append((lo, hi, rate))
     return bands
 
@@ -332,11 +335,6 @@ class TwoSidedPath:
         out = copy.copy(self)
         out._move_to(self.offset + t)
         return out
-
-
-def two_sided(fwd, bwd):
-    """Glue a forward and an (independently sampled) backward leg."""
-    return TwoSidedPath(fwd, bwd)
 
 
 def sample_two_sided(triplet, T, dt, master_seed, path_index=0, driver=0):

@@ -197,16 +197,16 @@ class SpectrumEstimate:
 _QR_MIN_WINDOWS = 10
 
 
-def _qr_estimate(jobs, renorm_step, group_tol):
+def _qr_estimate(jobs, renorm_step):
     """QR estimates of (evaluator, T) jobs in one lockstep push.  Every
     job covers [0, T] with at least _QR_MIN_WINDOWS windows of at most
-    renorm_step, and a group_tol of None means 10/|T|; T is signed (a
-    negative T is the time-reversed cocycle) and all jobs share one |T| and
-    one dimension.  Each job pushes two frames: one through phi for its
-    log growths, grouped per unit |T|, and one through the transposed stack
-    for its flag.  log|det| is accumulated independently of the QR diagonal
-    for the sum rule.  Returns one entry per job: its SpectrumEstimate, or
-    the LevyMetError its path raised."""
+    renorm_step; T is signed (a negative T is the time-reversed cocycle)
+    and all jobs share one |T| and one dimension.  Each job pushes two
+    frames: one through phi for its log growths, grouped per unit |T| with
+    group_tol 10/|T|, and one through the transposed stack for its flag.
+    log|det| is accumulated independently of the QR diagonal for the sum
+    rule.  Returns one entry per job: its SpectrumEstimate, or the
+    LevyMetError its path raised."""
     if len({abs(T) for _, T in jobs}) > 1:
         raise ConfigurationError("jobs must share one horizon length |T|")
     if any(abs(T) < _QR_MIN_WINDOWS * renorm_step for _, T in jobs):
@@ -235,7 +235,7 @@ def _qr_estimate(jobs, renorm_step, group_tol):
     for j, i in enumerate(live):
         T = jobs[i][1]
         span = abs(T)
-        tol = 10.0 / span if group_tol is None else group_tol
+        tol = 10.0 / span
         if np.any(signs[j] == 0.0):
             out[i] = SingularityError("window propagator is singular")
         elif degenerated[j] or degenerated[n + j]:
@@ -257,29 +257,29 @@ def _qr_estimate(jobs, renorm_step, group_tol):
     return out
 
 
-def spectrum_qr(ev, T, renorm_step=1.0, group_tol=None):
+def spectrum_qr(ev, T, renorm_step=1.0):
     """Lyapunov spectrum over [0, T] by QR renormalization.
 
-    group_tol defaults to 10/T, so the grouping resolution scales with the
-    horizon.  The sum rule sum(raw) = (1/T) log|det phi(T)| is checked with
-    a determinant accumulated independently of the QR diagonal.  A batch of
-    evaluators, in either time direction, is one call of
-    ``_qr_estimate``; each of its estimates is bitwise the one this
-    function returns for that evaluator.
+    Adjacent exponents at most 10/T apart are grouped, so the grouping
+    resolution scales with the horizon.  The sum rule sum(raw) =
+    (1/T) log|det phi(T)| is checked with a determinant accumulated
+    independently of the QR diagonal.  A batch of evaluators, in either
+    time direction, is one call of ``_qr_estimate``; each of its estimates
+    is bitwise the one this function returns for that evaluator.
     """
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return raised(_qr_estimate([(ev, T)], renorm_step, group_tol)[0])
+    return raised(_qr_estimate([(ev, T)], renorm_step)[0])
 
 
-def backward_spectrum(ev, T, renorm_step=1.0, group_tol=None):
+def backward_spectrum(ev, T, renorm_step=1.0):
     """Spectrum of the time-reversed cocycle: growth rates of phi(-t) per
     unit |t|.  For the forward exponents lambda_1 > ... > lambda_p the
     grouped result is lambda^-_k = -lambda_{p+1-k} with reversed
     multiplicities.  It is the job (ev, -T) of ``_qr_estimate``."""
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return raised(_qr_estimate([(ev, -T)], renorm_step, group_tol)[0])
+    return raised(_qr_estimate([(ev, -T)], renorm_step)[0])
 
 
 def vector_exponent(ev, x, T, renorm_step=1.0):
@@ -330,12 +330,6 @@ class Flag:
     @property
     def p(self):
         return len(self.blocks)
-
-    @property
-    def tau(self):
-        """Flag type: cumulative dimensions (dim V_p, ..., dim V_1 = d)."""
-        dims = self.dims
-        return tuple(int(sum(dims[i:])) for i in range(len(dims) - 1, -1, -1))
 
     def nested_basis(self, i):
         """Orthonormal basis of V_i (1-based block index)."""

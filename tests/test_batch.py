@@ -124,7 +124,7 @@ def _public_triple(cfg, index):
         if cfg.experiment == "backward_spectrum":
             p = est.p
             return index, {
-                **row, "bwd_raw": [float(v) for v in best.raw],
+                **row,
                 "pair_sums": [best.lambdas[k] + est.lambdas[p - 1 - k]
                               for k in range(p)],
                 "mult_reversed": est.multiplicities ==
@@ -138,7 +138,6 @@ def _public_triple(cfg, index):
         return index, {
             **row,
             "sum_defect": abs(float(np.sum(est.raw)) - est.logdet_over_T),
-            "bwd_raw": [float(v) for v in best.raw],
             "angles": angles, "alpha_plus": a_plus, "alpha_minus": a_minus,
             "flag_blocks": [b.tolist() for b in est.flag.blocks],
             "oseledets": [E.tolist() for E in split.subspaces]}, None

@@ -76,7 +76,7 @@ def test_exact_singular_jump_rejected():
     p = paths[0].forward
     bad = lm.JumpPath(p.node_times, p.cont, np.array([0.7]),
                       np.array([[-1.0]]), p.triplet)
-    two = lm.two_sided(bad, paths[0].backward)
+    two = lm.TwoSidedPath(bad, paths[0].backward)
     with pytest.raises(SingularityError):
         lm.ExactDiagonal2D([two, paths[1]], ATOM, 0.5)
 
@@ -352,7 +352,7 @@ def lattice_jump_paths():
                       [0.3, -0.2, 0.1, 0.25, -0.4], 1),
             _hand_leg(grid, [0.375, 0.5, 0.7, 1.0],
                       [0.15, -0.35, 0.2, 0.45], 2)]
-    return [lm.two_sided(leg, p.backward) for leg, p in zip(legs, sampled)]
+    return [lm.TwoSidedPath(leg, p.backward) for leg, p in zip(legs, sampled)]
 
 
 EULER_EDGES = [
@@ -644,12 +644,20 @@ def test_exact_shifted_equals_fresh_evaluator(s, seed):
 # -- auxiliary system and Picard oracle ---------------------------------------------
 
 
+def _psi_pair(system, paths, t, dt_int=1e-3):
+    """(psi_t, psi_t^(-1)): the last entries of the auxiliary pair on the
+    breakpoint grid of [0, t] that Picard iterates on."""
+    times = lm.cocycle._breakpoints(paths, t, dt_int)
+    psis, psinvs = lm.cocycle._psi_grid(system, paths, times)
+    return psis[-1], psinvs[-1]
+
+
 def test_psi_identity_cases():
     system = lm.benchmark_system_2d(ATOM, 0.5)
     paths = benchmark_paths(ATOM, 2.0, 19)
-    np.testing.assert_array_equal(lm.auxiliary_psi(system, paths, 0.0), np.eye(2))
-    np.testing.assert_array_equal(lm.auxiliary_psi_inverse(system, paths, 0.0),
-                                  np.eye(2))
+    psi, psinv = _psi_pair(system, paths, 0.0)
+    np.testing.assert_array_equal(psi, np.eye(2))
+    np.testing.assert_array_equal(psinv, np.eye(2))
 
 
 def test_psi_no_small_jumps_is_identity():
@@ -661,8 +669,7 @@ def test_psi_no_small_jumps_is_identity():
                              (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), drivers)
     paths = [lm.sample_two_sided(drivers[i], 2.0, 0.5, 23, driver=i)
              for i in range(2)]
-    psi = lm.auxiliary_psi(system, paths, 2.0, 0.05)
-    psinv = lm.auxiliary_psi_inverse(system, paths, 2.0, 0.05)
+    psi, psinv = _psi_pair(system, paths, 2.0, 0.05)
     np.testing.assert_array_equal(psi, np.eye(2))
     np.testing.assert_array_equal(psi @ psinv, np.eye(2))
 
@@ -672,8 +679,7 @@ def test_psi_inverse_consistency_under_refinement():
     paths = benchmark_paths(ATOM, 2.0, 24)
     defects = []
     for dt in (0.02, 0.01, 0.005):
-        psi = lm.auxiliary_psi(system, paths, 2.0, dt)
-        psinv = lm.auxiliary_psi_inverse(system, paths, 2.0, dt)
+        psi, psinv = _psi_pair(system, paths, 2.0, dt)
         defects.append(np.linalg.norm(psi @ psinv - np.eye(2)))
     assert defects[0] > defects[1] > defects[2]
     assert defects[2] < 0.02
@@ -824,7 +830,7 @@ def _end_jump_paths():
     grid = np.linspace(0.0, 2.0, 9)
     legs = [_hand_leg(grid, [0.4, 1.1, 2.0], [0.2, -0.3, 0.25], 3),
             _hand_leg(grid, [0.9, 2.0], [0.15, 0.3], 4)]
-    return [lm.two_sided(leg, p.backward) for leg, p in zip(legs, sampled)]
+    return [lm.TwoSidedPath(leg, p.backward) for leg, p in zip(legs, sampled)]
 
 
 def test_exact_shifted_rebuilds_a_cut_jump_table():

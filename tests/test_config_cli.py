@@ -190,6 +190,12 @@ def test_validate_runs_the_jump_budget_preflight(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "config OK" not in out
     assert "error: expected jump count 1.71e+22" in err
+    # an atom measure's refusal names the key that sets its rates
+    text = ("experiment = stable_1d\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:1e5\n")
+    assert main(["validate", "--config", _write(tmp_path, "a.cfg", text)]) == 2
+    assert ("exceeds the sampler budget of 5e+06; lower the measure.atoms "
+            "rates, or shorten the horizon") in capsys.readouterr().err
 
 
 def _fails_before_any_path(tmp_path, capsys, text, message):
@@ -209,6 +215,14 @@ def _fails_before_any_path(tmp_path, capsys, text, message):
                  "law with alpha = 1.99, c = 1e-30", id="small_jump_cut"),
     pytest.param("1.9", "1e20", "the jump rate above 9.77e-274 overflows for "
                  "the power law with alpha = 1.9, c = 1e+20", id="jump_rate"),
+    # the refusals of an unsimulable jump rate name config keys, not
+    # LevyTriplet's eps_cut
+    pytest.param("1.99", "1e-3", "the small-jump cut is 0 for the power law "
+                 "with alpha = 1.99, c = 0.001; lower measure.alpha or "
+                 "measure.c", id="infinite_rate"),
+    pytest.param("1.5", "1", "expected jump count 1.71e+22 exceeds the "
+                 "sampler budget of 5e+06; lower measure.alpha or measure.c, "
+                 "or shorten the horizon", id="over_budget"),
 ])
 def test_power_law_overflow_fails_before_any_path(tmp_path, capsys, alpha, c,
                                                   message):

@@ -62,16 +62,16 @@ def test_log_compensator_support_error():
 
 
 def test_second_moment_small():
-    assert lm.second_moment_small(lm.LevyMeasure.empty(), 0.5) == 0.0
-    assert lm.second_moment_small(ATOM, 0.5) == pytest.approx(0.12, rel=1e-14)
-    assert lm.second_moment_small(PL, 0.5) == pytest.approx(M2_PL, rel=1e-12)
+    assert lm.LevyMeasure.empty().second_moment(0.0, 0.5) == 0.0
+    assert ATOM.second_moment(0.0, 0.5) == pytest.approx(0.12, rel=1e-14)
+    assert PL.second_moment(0.0, 0.5) == pytest.approx(M2_PL, rel=1e-12)
 
 
 def test_second_moment_monotone_in_delta():
     m = lm.LevyMeasure.from_atoms([(0.05, 1.0), (0.2, 3.0), (-0.4, 0.5)])
-    vals = [lm.second_moment_small(m, d) for d in (0.1, 0.25, 0.45, 0.6)]
+    vals = [m.second_moment(0.0, d) for d in (0.1, 0.25, 0.45, 0.6)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-    pls = [lm.second_moment_small(PL, d) for d in (0.1, 0.3, 0.5)]
+    pls = [PL.second_moment(0.0, d) for d in (0.1, 0.3, 0.5)]
     assert all(a < b for a, b in zip(pls, pls[1:]))
 
 

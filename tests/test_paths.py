@@ -137,7 +137,7 @@ def test_jump_reconstruction_along_refinement():
 def test_two_sided_construction_checks():
     fwd = lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 1)
     bwd = lm.sample_backward(ATOM_TRIPLET, lm.TimeGrid(-2.0, 0.0, 0.5), 2)
-    ts = lm.two_sided(fwd, bwd)
+    ts = lm.TwoSidedPath(fwd, bwd)
     assert ts.evaluate(0.0)[0] == 0.0
     # positive times never read the backward leg
     assert ts.evaluate(1.3)[0] == fwd.evaluate(1.3)[0]
@@ -145,11 +145,11 @@ def test_two_sided_construction_checks():
     bad = lm.JumpPath(fwd.node_times, fwd.cont + 1.0, fwd.jump_times,
                       fwd.jump_sizes)
     with pytest.raises(StructuralError):
-        lm.two_sided(bad, bwd)
+        lm.TwoSidedPath(bad, bwd)
     two_d = lm.LevyTriplet(np.zeros(2), None, lm.LevyMeasure.empty(), 0.5)
     fwd2 = lm.sample_forward(two_d, lm.TimeGrid(0.0, 2.0, 0.5), 3)
     with pytest.raises(StructuralError):
-        lm.two_sided(fwd2, bwd)
+        lm.TwoSidedPath(fwd2, bwd)
 
 
 def test_zero_two_sided_path():
