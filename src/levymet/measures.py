@@ -13,6 +13,11 @@ small/large jump split delta, i.e. everything the Lévy–Itô decomposition
 needs.  The module-level functions compute the scalar integrals that feed
 closed-form Lyapunov exponents, compensation rates, and the characteristic
 exponent of the Lévy–Khintchine formula.
+
+Power-law integrals are closed forms in numpy: the moments directly, and
+the log and characteristic-exponent integrands as even-power series (the
+measure is symmetric).  scipy's ``quad`` is imported only for the few
+inputs the series does not reach (see ``LevyMeasure._pl_series``).
 """
 
 import math
@@ -29,16 +34,28 @@ POWER_LAW = "power_law_truncated"
 DEFAULT_TOL = 1e-10
 
 
-def _quad(f, a, b, tol, weight=None, wvar=None):
-    """scipy quad wrapper that enforces the absolute tolerance."""
-    from scipy import integrate  # on first use: atom measures never get here
+# The even-power series of the symmetric power law sums this many terms.
+# They have decayed past rounding on |u| <= _LOG_REACH for log(1 - u^2) (the
+# last term is below 1e-18 of the sum there) and on |zu| <= _COS_REACH for
+# cos(zu) - 1 (past it, cancelling the alternating terms costs more than
+# 1e-14 of the sum).
+_M = np.arange(1, 161)
+_LOG_REACH = 0.9
+_COS_REACH = 8.0
 
-    kwargs = {"epsabs": tol, "epsrel": 1e-12, "limit": 400}
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-    value, abserr = integrate.quad(f, a, b, **kwargs)
-    if abserr > 100.0 * max(tol, 1e-14) and abserr > 1e-10 * max(1.0, abs(value)):
+
+def _log1m_sq_coeffs(h):
+    """b_m h^(2m-2) of log(1 - u^2) = -sum_m u^(2m) / m."""
+    return -(h * h) ** (_M - 1) / _M
+
+
+def _quad(f, a, b, weight=None, wvar=None):
+    """scipy quad wrapper that enforces the absolute tolerance."""
+    from scipy import integrate  # on first use: no shipped config gets here
+
+    value, abserr = integrate.quad(f, a, b, epsabs=DEFAULT_TOL, epsrel=1e-12,
+                                   limit=400, weight=weight, wvar=wvar)
+    if abserr > 100.0 * DEFAULT_TOL and abserr > 1e-10 * max(1.0, abs(value)):
         raise QuadratureError(
             f"integral on [{a}, {b}] did not converge (abserr={abserr:.3e})"
         )
@@ -147,8 +164,9 @@ class LevyMeasure:
         return self.atom_locs[m], self.atom_rates[m]
 
     def _band_quad(self, g, lo, hi):
-        """Generic band integral of g(u) nu(du) over {lo < |u| <= hi};
-        every power-law caller passes lo > 0."""
+        """Generic band integral of g(u) nu(du) over {lo < |u| <= hi}: an
+        exact sum for atoms, quadrature for the power law (every power-law
+        caller passes lo > 0)."""
         if self.kind == ATOMS:
             u, r = self._atom_band(lo, hi)
             return float(np.sum(r * np.vectorize(g)(u))) if u.size else 0.0
@@ -157,27 +175,44 @@ class LevyMeasure:
             return 0.0
         a, c = self.alpha, self.c
         dens = lambda u: c * abs(u) ** (-1.0 - a)
-        pos = _quad(lambda u: g(u) * dens(u), lo, hi, DEFAULT_TOL)
-        neg = _quad(lambda u: g(-u) * dens(-u), lo, hi, DEFAULT_TOL)
+        pos = _quad(lambda u: g(u) * dens(u), lo, hi)
+        neg = _quad(lambda u: g(-u) * dens(-u), lo, hi)
         return pos + neg
 
-    def _pl_small(self, G, hi):
-        """Power-law integral of u^2*G(u) nu(du) over {0 < |u| <= hi} via an
-        algebraic-weight rule: the endpoint factor u^(1-alpha) is handled by
-        the quadrature weight."""
-        a, c = self.alpha, self.c
-        hi = min(hi, self.cutoff)
-        if hi <= 0.0:
-            return 0.0
-        sym = lambda u: c * (G(u) + G(-u))
-        return _quad(sym, 0.0, hi, DEFAULT_TOL, weight="alg", wvar=(1.0 - a, 0.0))
+    def _pl_series(self, coeffs, lo, hi, reach, rest):
+        """Power-law integral of g(u) nu(du) over {lo < |u| <= hi} for a g
+        whose symmetrisation is an even power series, g(u) + g(-u) =
+        sum_{m>=1} b_m u^(2m) on |u| < 1.  Term by term it is
 
-    def _small_integral(self, g, G, hi):
-        """Integral of g(u) nu(du) over {0 < |u| <= hi} for integrands that
-        vanish quadratically at 0; G = g(u)/u^2 must be smooth and bounded."""
-        if self.kind == POWER_LAW:
-            return self._pl_small(G, hi)
-        return self._band_quad(g, 0.0, hi)
+            c sum_m b_m (hi^(2m-alpha) - lo^(2m-alpha)) / (2m-alpha),
+
+        with hi capped at the cutoff; ``coeffs(h)`` returns b_m h^(2m-2) for
+        the m of ``_M``.  The series covers the band up to ``reach``, and
+        ``rest(a, b)`` the band {a < |u| <= b} above it, by quadrature.  Only
+        these inputs get there: the characteristic exponent at |z| * cutoff
+        above _COS_REACH, an untruncated measure (cutoff = inf) included, and
+        a log integrand on a band past |u| = _LOG_REACH (a cutoff between 0.9
+        and 1; preflight refuses 1 and above).  The shipped configs have
+        cutoff 0.5 and take their scaling residuals at z <= 4."""
+        lo = max(lo, 0.0)
+        hi = min(hi, self.cutoff)
+        top = min(hi, reach)
+        val = 0.0
+        if top > lo:
+            p = 2.0 * _M - self.alpha
+            # 1 - (lo/top)^p, accurate also for lo close to top
+            frac = 1.0 if lo == 0.0 else -np.expm1(p * math.log(lo / top))
+            val = self.c * top ** (2.0 - self.alpha) * float(
+                np.sum(coeffs(top) * frac / p))
+        if hi > max(lo, top):
+            val += rest(max(lo, top), hi)
+        return val
+
+    def _pl_log(self, lo, hi):
+        """Power-law integral of log(1+u) nu(du), and so of (log(1+u) - u)
+        nu(du), over {lo < |u| <= hi}: both symmetrise to log(1 - u^2)."""
+        return self._pl_series(_log1m_sq_coeffs, lo, hi, _LOG_REACH,
+                               lambda a, b: self._band_quad(math.log1p, a, b))
 
     # -- public integrals -----------------------------------------------------
 
@@ -227,16 +262,9 @@ class LevyMeasure:
         The integrand is O(u^2) at 0, so lo = 0 is admissible for every kind.
         """
         self._require_support_above_minus_one(hi)
-        g = lambda u: math.log1p(u) - u
-
-        def G(u):
-            if abs(u) < 1e-5:
-                return -0.5 + u / 3.0 - u * u / 4.0
-            return (math.log1p(u) - u) / (u * u)
-
-        if lo <= 0.0:
-            return self._small_integral(g, G, hi)
-        return self._band_quad(g, lo, hi)
+        if self.kind == POWER_LAW:
+            return self._pl_log(lo, hi)
+        return self._band_quad(lambda u: math.log1p(u) - u, max(lo, 0.0), hi)
 
     def log_moment(self, lo, hi):
         """Integral of log(1+u) nu(du) over {lo < |u| <= hi}.
@@ -245,25 +273,14 @@ class LevyMeasure:
         (the integral diverges absolutely at 0 otherwise).
         """
         self._require_support_above_minus_one(hi)
-        if lo <= 0.0 and self.kind == POWER_LAW:
-            if self.alpha >= 1.0:
-                raise SupportError(
-                    "log(1+u) is not nu-integrable at 0 for alpha >= 1; "
-                    "integrate over a band lo > 0"
-                )
-            # integrand = [log1p(u)/u] * c * u^(-alpha); the bounded factor
-            # goes to the quadrature, the algebraic one to the weight
-            a, c = self.alpha, self.c
-            hi_eff = min(hi, self.cutoff)
-
-            def H(u):
-                if abs(u) < 1e-8:
-                    return 1.0 - 0.5 * u
-                return math.log1p(u) / u
-
-            sym = lambda u: c * (H(u) - H(-u))
-            return _quad(sym, 0.0, hi_eff, DEFAULT_TOL, weight="alg", wvar=(-a, 0.0))
-        return self._band_quad(lambda u: math.log1p(u), max(lo, 0.0), hi)
+        if self.kind == ATOMS:
+            return self._band_quad(math.log1p, max(lo, 0.0), hi)
+        if lo <= 0.0 and self.alpha >= 1.0:
+            raise SupportError(
+                "log(1+u) is not nu-integrable at 0 for alpha >= 1; "
+                "integrate over a band lo > 0"
+            )
+        return self._pl_log(lo, hi)
 
     def char_exponent_jump(self, z, delta):
         """Jump part of the characteristic exponent at real z:
@@ -272,34 +289,35 @@ class LevyMeasure:
         if z == 0.0:
             return 0.0 + 0.0j
 
-        # small jumps: integrand e^{izu} - 1 - izu vanishes quadratically
-        def g_re(u):
+        if self.kind == POWER_LAW:
+            # symmetric: the imaginary part is 0, so delta plays no part,
+            # and cos(zu) - 1 symmetrises to 2 sum_m (-1)^m (zu)^(2m) / (2m)!
+            def coeffs(h):  # b_1 = -z^2; b_(m+1) h^2 / b_m = -(zh)^2 / ((2m+1)(2m+2))
+                ratios = -(z * h) ** 2 / ((2 * _M + 1) * (2 * _M + 2))
+                return -z * z * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
+
+            def rest(a, b):  # Fourier-weight quadrature in v = |z|u, b = inf too
+                s = abs(z)
+                cos = _quad(lambda v: v ** (-1.0 - self.alpha), s * a, s * b,
+                            weight="cos", wvar=1.0)
+                return 2.0 * self.c * s ** self.alpha * cos - self.rate(a, b)
+
+            re = self._pl_series(coeffs, 0.0, math.inf, _COS_REACH / abs(z), rest)
+            return complex(re, 0.0)
+
+        def g_re(u):  # cos(zu) - 1
             s = math.sin(0.5 * z * u)
             return -2.0 * s * s
 
-        def g_im(u):
+        def g_im(u):  # sin(zu) - zu, the compensated small jumps
             x = z * u
             if abs(x) < 1e-4:
                 return -x**3 / 6.0 * (1.0 - x * x / 20.0)
             return math.sin(x) - x
 
-        def G_re(u):
-            if abs(z * u) < 1e-8:
-                return -0.5 * z * z
-            return g_re(u) / (u * u)
-
-        def G_im(u):
-            if u == 0.0:
-                return 0.0
-            return g_im(u) / (u * u)
-
-        re = self._small_integral(g_re, G_re, delta)
-        im = self._small_integral(g_im, G_im, delta)
-
-        # large jumps: integrand e^{izu} - 1, no compensation
-        if self.support_bound > delta:
-            re += self._band_quad(g_re, delta, math.inf)
-            im += self._band_quad(lambda u: math.sin(z * u), delta, math.inf)
+        re = self._band_quad(g_re, 0.0, math.inf)
+        im = (self._band_quad(g_im, 0.0, delta)
+              + self._band_quad(lambda u: math.sin(z * u), delta, math.inf))
         return complex(re, im)
 
     # -- sampling --------------------------------------------------------------
@@ -405,8 +423,8 @@ def scalar_triplet(drift=0.0, gauss=0.0, measure=None, delta=0.5, **kw):
 def log_compensator_integral(measure, delta):
     """Integral of (log(1+u) - u) nu(du) over {|u| <= delta}.
 
-    Exact atom sums for the atom kind; algebraic-weight quadrature for the
-    power law.
+    Exact atom sums for the atom kind; for the power law, the even-power
+    series of log(1 - u^2), its symmetrisation.
     """
     return measure.log_compensator(0.0, delta)
 

@@ -442,10 +442,6 @@ class FlagConvergence:
     slope: float | None
     h: float
 
-    @property
-    def floor_reached(self):
-        return bool(np.any(~self.included))
-
 
 def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
                           target=None):

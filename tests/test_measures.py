@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levymet as lm
 from levymet.errors import ConfigurationError, SupportError
@@ -157,3 +159,84 @@ def test_triplet_validation():
         lm.LevyTriplet(np.zeros(1), None, ATOM, delta=0.0)
     tri = lm.scalar_triplet(measure=ATOM, delta=0.5)
     assert tri.compensation_rate() == pytest.approx(0.6, rel=1e-14)
+
+
+# -- the power law's even-power series against scipy's quad ---------------------
+# Each oracle integrates the symmetrised integrand c (g(u) + g(-u)) u^(-1-a)
+# with scipy.integrate.quad, called here.  From 0 the factor u^(1-a) goes to
+# quad's algebraic weight, so the integrand left is bounded.  The bands and
+# cutoffs straddle the series' reach (|u| = 0.9 for the log integrands,
+# |z| * cutoff = 8 for the characteristic exponent), so both the series and
+# the quadrature behind it are checked.
+
+ALPHAS = (0.3, 0.8, 1.0, 1.5, 1.9)
+ORACLE = {"rel": 1e-12, "abs": 1e-10}
+
+
+def _quad_oracle(f, lo, hi, alg=None):
+    from scipy import integrate
+
+    kw = {} if alg is None else {"weight": "alg", "wvar": (alg, 0.0)}
+    value, _ = integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13,
+                              limit=500, **kw)
+    return value
+
+
+def _log_oracle(a, c, lo, hi):
+    """c * integral of log(1 - u^2) u^(-1-a) over (lo, hi]."""
+    if lo == 0.0:
+        g = lambda u: c * math.log1p(-u * u) / (u * u) if u else -c
+        return _quad_oracle(g, 0.0, hi, alg=1.0 - a)
+    return _quad_oracle(lambda u: c * math.log1p(-u * u) * u ** (-1.0 - a),
+                        lo, hi)
+
+
+def _cos_oracle(a, c, z, cutoff):
+    """c * integral of 2 (cos(zu) - 1) u^(-1-a) over (0, cutoff]."""
+    g = lambda u: -4.0 * c * math.sin(0.5 * z * u) ** 2 / (u * u) if u else -c * z * z
+    return _quad_oracle(g, 0.0, cutoff, alg=1.0 - a)
+
+
+@pytest.mark.parametrize("a", ALPHAS)
+@pytest.mark.parametrize("lo, hi, cutoff", [
+    (0.0, 0.5, 0.5), (0.0, 0.89, 0.95), (0.0, 0.95, 0.95),
+    (1e-4, 0.5, 0.5), (0.3, 0.7, 0.9), (0.85, 0.89, 0.95), (0.85, 0.93, 0.93),
+    (0.91, 0.95, 0.95)])
+def test_log_integrals_match_quad(a, lo, hi, cutoff):
+    m = lm.LevyMeasure.power_law(a, 0.7, cutoff)
+    want = _log_oracle(a, 0.7, lo, hi)
+    assert m.log_compensator(lo, hi) == pytest.approx(want, **ORACLE)
+    if lo > 0.0 or a < 1.0:
+        assert m.log_moment(lo, hi) == pytest.approx(want, **ORACLE)
+
+
+@pytest.mark.parametrize("a", ALPHAS)
+def test_narrow_log_band_keeps_relative_precision(a):
+    # 1 - (lo/hi)^(2m-a) cancels for lo close to hi, unless taken by expm1
+    m = lm.LevyMeasure.power_law(a, 0.7, 0.5)
+    lo, hi = 0.5 - 1e-10, 0.5
+    assert m.log_compensator(lo, hi) == pytest.approx(
+        _log_oracle(a, 0.7, lo, hi), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a", ALPHAS)
+@pytest.mark.parametrize("z", [0.5, -0.5, 1.0, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("cutoff", [0.5, 0.9, 0.99, 1.01, 1.5, 4.0])
+def test_characteristic_exponent_matches_quad(a, z, cutoff):
+    # delta 0.5 < cutoff except at 0.5; the compensation below delta only
+    # touches the imaginary part, which symmetry makes exactly 0
+    m = lm.LevyMeasure.power_law(a, 0.7, cutoff)
+    psi = lm.characteristic_exponent(lm.scalar_triplet(measure=m, delta=0.5), [z])
+    assert psi.imag == 0.0
+    assert psi.real == pytest.approx(_cos_oracle(a, 0.7, z, cutoff), **ORACLE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.05, 1.95), cutoff=st.floats(0.05, 0.99),
+       cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_power_law_log_integral_is_additive_over_adjacent_bands(a, cutoff, cuts):
+    m = lm.LevyMeasure.power_law(a, 0.7, cutoff)
+    lo, mid, hi = sorted(u * cutoff for u in cuts)
+    whole = m.log_compensator(lo, hi)
+    parts = m.log_compensator(lo, mid) + m.log_compensator(mid, hi)
+    assert parts == pytest.approx(whole, rel=1e-12, abs=1e-14)

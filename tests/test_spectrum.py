@@ -370,7 +370,7 @@ def test_flag_convergence_identity_frame_vacuous():
     params = lm.FlagMetricParams((gt.lambda1, gt.lambda2), gt.gap, 2)
     conv = lm.flag_convergence_rate(ev, [(gt.lambda1, 1), (gt.lambda2, 1)],
                                     params, [10.0, 20.0, 30.0])
-    assert conv.slope is None and conv.floor_reached
+    assert conv.slope is None and not conv.included.all()
 
 
 def test_flag_convergence_needs_two_points():
@@ -680,7 +680,7 @@ def test_flag_convergence_floor_follows_the_metric():
     params = lm.FlagMetricParams((2.0, -1.0, -4.0), 1.5, 3)
     conv = lm.flag_convergence_rate(flow, [(2.0, 1), (-1.0, 1), (-4.0, 1)],
                                     params, np.arange(1.0, 31.0), frame=frame)
-    assert conv.floor_reached
+    assert not conv.included.all()
     assert int(np.sum(conv.included)) == 4
     assert conv.slope == pytest.approx(-1.5, abs=0.05)
 
