@@ -13,6 +13,7 @@ makes the checks ``run`` makes before any path, and echoes the config.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -33,6 +34,10 @@ def _cmd_run(args):
                  "output_dir": args.output}
     cfg = replace(_load_config(args.config),
                   **{k: v for k, v in overrides.items() if v is not None})
+    # a refused config writes nothing; an unwritable directory fails
+    # before the first path
+    preflight(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     report = run_experiment(cfg)
     write_outputs(report, cfg.output_dir)
     for c in report.checks:

@@ -76,8 +76,6 @@ class ExperimentConfig:
         "format": _format_atoms})
     measure_alpha: float = field(default=1.5, metadata=_POWER_LAW)
     measure_c: float = field(default=1.0, metadata=_POWER_LAW)
-    measure_cutoff: float = field(default=0.0,   # 0 -> use delta
-                                  metadata=_POWER_LAW)
     delta: float = 0.5
     drift: float = 0.0                # 1d experiments
     horizon: float = 200.0
@@ -88,10 +86,6 @@ class ExperimentConfig:
     master_seed: int = 12345
     threads: int = 0                  # 0 -> LEVY_MET_THREADS or serial
     output_dir: str = "out"
-    frame_angle: float = 0.7
-    fit_t_min: float = 10.0
-    fit_t_max: float = 100.0
-    fit_points: int = 10
     halvings: int = 4
 
     def __post_init__(self):
@@ -107,16 +101,13 @@ class ExperimentConfig:
         for name in ("delta", "horizon", "dt", "dt_int", "renorm_step"):
             if getattr(self, name) <= 0.0:
                 raise ParseError(f"{name} must be > 0")
-        for name in ("master_seed", "threads", "frame_angle", "fit_t_min",
-                     "measure_cutoff"):
+        for name in ("master_seed", "threads"):
             if getattr(self, name) < 0:
-                raise ParseError(f"{_key(name)} must be >= 0")
+                raise ParseError(f"{name} must be >= 0")
         if self.halvings < 1:
             raise ParseError("halvings must be >= 1")
-        if self.fit_points < 2:
-            raise ParseError("fit_points must be >= 2")
-        if not self.fit_t_min < self.fit_t_max:
-            raise ParseError("fit_t_min must be < fit_t_max")
+        if not self.output_dir:
+            raise ParseError("output_dir must not be empty")
         EXPERIMENTS[self.experiment].check(self)
 
     def build_measure(self):
@@ -124,8 +115,9 @@ class ExperimentConfig:
             return LevyMeasure.empty()
         if self.measure_kind == "atoms":
             return LevyMeasure.from_atoms(self.measure_atoms)
-        cutoff = self.measure_cutoff if self.measure_cutoff > 0.0 else self.delta
-        return LevyMeasure.power_law(self.measure_alpha, self.measure_c, cutoff)
+        # cut at delta: stable_1d's target compensates the jumps below it
+        return LevyMeasure.power_law(self.measure_alpha, self.measure_c,
+                                     self.delta)
 
     def echo(self):
         """Canonical config text (round-trips through parse_config)."""

@@ -333,8 +333,10 @@ def _row_flag_convergence(cfg):
     gt = ground_truth_2d(measure, cfg.delta)
     params = FlagMetricParams((gt.lambda1, gt.lambda2), gt.gap / 1.0, 2)
     grouping = [(gt.lambda1, 1), (gt.lambda2, 1)]
-    t_list = np.linspace(cfg.fit_t_min, cfg.fit_t_max, cfg.fit_points)
-    c, s = math.cos(cfg.frame_angle), math.sin(cfg.frame_angle)
+    # fit times t_k = k T / 12, k = 1..10: inside any horizon T, and the
+    # window [10, 100] at T = 120
+    t_list = np.arange(1, 11) * (cfg.horizon / 12)
+    c, s = math.cos(FRAME_ANGLE), math.sin(FRAME_ANGLE)
 
     def row(index):
         conv = flag_convergence_rate(cocycle(index), grouping, params, t_list,
@@ -374,6 +376,7 @@ RATIO_HI = 2.3
 RESIDUAL_TOL = 1e-9    # exact-backend cocycle law
 DOLEANS_TOL = 1e-10    # stochastic exponential against M^1
 SLOPE_SLACK = 0.5      # flag convergence: mean slope <= -h + SLOPE_SLACK
+FRAME_ANGLE = 0.7      # flag convergence: rotation of the pushed frame
 
 
 def _within(mean, se, target, abs_tol=SPECTRUM_ABS):
@@ -587,11 +590,6 @@ def _check_example_2d_exact(cfg):
     _check_qr_horizon(cfg)
 
 
-def _check_flag_convergence(cfg):
-    if cfg.fit_t_max > cfg.horizon:
-        raise ParseError("fit_t_max must not exceed horizon")
-
-
 def _check_example_2d_euler(cfg):
     if cfg.horizon > 100.0:
         raise ParseError(f"{cfg.experiment} needs horizon <= 100 "
@@ -625,8 +623,7 @@ EXPERIMENTS = {
     "stable_1d": Experiment(_lockstep(_row_stable_1d), _agg_stable_1d),
     "doleans_1d": Experiment(_lockstep(_row_doleans_1d), _agg_doleans_1d),
     "flag_convergence": Experiment(_lockstep(_row_flag_convergence),
-                                   _agg_flag_convergence,
-                                   _check_flag_convergence),
+                                   _agg_flag_convergence),
     "backward_spectrum": Experiment(
         _lockstep(_exact_cocycle, _spectra, _finish_backward_spectrum),
         _agg_backward_spectrum, _check_qr_horizon),
@@ -679,12 +676,13 @@ def _settle(result, indices):
 
 
 def preflight(cfg):
-    """Checks that ``run`` and ``validate`` both make before any path, on
-    the drivers every experiment samples: their grid on [0, horizon] at
-    step dt and its size, their expected jump count, and their jump sizes.
-    No jump factor 1 + u may be <= 0, and every experiment but
-    ``stable_1d`` builds the exact benchmark cocycle, which takes no jump
-    above delta.  Raises a LevyMetError."""
+    """Checks that ``run`` and ``validate`` both make before any path: the
+    worker count, and on the drivers every experiment samples, their grid
+    on [0, horizon] at step dt and its size, their expected jump count,
+    and their jump sizes.  No jump factor 1 + u may be <= 0, and every
+    experiment but ``stable_1d`` builds the exact benchmark cocycle, which
+    takes no jump above delta.  Raises a LevyMetError."""
+    _n_workers(cfg)
     steps = TimeGrid(0.0, cfg.horizon, cfg.dt).n_steps
     if steps > SAMPLER_BUDGET:
         raise ConfigurationError(

@@ -290,14 +290,6 @@ class TwoSidedPath:
             self._anchor = self._base_eval(self.offset)
         return self._base_eval(t + self.offset) - self._anchor
 
-    def continuous_at(self, t):
-        s = np.asarray(t, float) + self.offset
-        fwd = s >= 0.0
-        out = np.empty(s.shape + (self.d,))
-        out[fwd] = self.forward.continuous_at(s[fwd])
-        out[~fwd] = self.backward.continuous_at(s[~fwd])
-        return out
-
     def continuous_increment(self, t0, t1):
         """Continuous increment over (t0, t1), elementwise for arrays.  A
         window crossing the origin adds the backward leg's part up to 0 and

@@ -262,7 +262,6 @@ def test_criterion_10_flag_convergence():
     cfg = lm.parse_config(
         "experiment = flag_convergence\nmeasure.kind = atoms\n"
         "measure.atoms = 0.2:3.0\nhorizon = 120\ndt = 0.5\n"
-        "fit_t_min = 10\nfit_t_max = 100\nfit_points = 10\n"
         f"n_paths = 100\nmaster_seed = {SEED + 10}\n")
     rep = lm.run_experiment(cfg)
     ok = _check(rep, "flag_convergence").passed

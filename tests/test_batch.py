@@ -189,7 +189,6 @@ def test_stage_failure_quarantines_only_its_path(monkeypatch):
 
 _SPIED = ("log_compensator", "log_moment", "mean", "rate")
 _CONFIG = {"example_2d_euler": ATOMS + "horizon = 2\ndt = 0.1\ndt_int = 0.08\n",
-           "flag_convergence": SHORT + "fit_t_min = 0.5\nfit_t_max = 2\n",
            "stable_1d": SHORT + "drift = 1.0\n"}
 
 

@@ -56,14 +56,12 @@ def test_config_round_trip():
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
-_NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
 _MEASURE_KEYS = {
     "none": st.fixed_dictionaries({}),
     "atoms": st.fixed_dictionaries({"measure_atoms": st.lists(
         st.tuples(_FINITE, _FINITE), min_size=1, max_size=3).map(tuple)}),
     "power_law": st.fixed_dictionaries({
-        "measure_alpha": _FINITE, "measure_c": _FINITE,
-        "measure_cutoff": _NONNEGATIVE}),
+        "measure_alpha": _FINITE, "measure_c": _FINITE}),
 }
 
 
@@ -102,11 +100,6 @@ def _configs(draw):
         threads=draw(st.integers(min_value=0, max_value=64)),
         output_dir=draw(st.text("abcxyz0123456789_-./", min_size=1,
                                 max_size=20)),
-        frame_angle=draw(_NONNEGATIVE),
-        fit_t_min=draw(st.floats(min_value=0.0, max_value=horizon / 2)),
-        fit_t_max=draw(st.floats(min_value=horizon / 2, max_value=horizon,
-                                 exclude_min=True)),
-        fit_points=draw(st.integers(min_value=2, max_value=1000)),
         halvings=halvings,
     )
 
@@ -154,12 +147,9 @@ def test_n_paths_must_be_positive():
 
 
 def test_experiment_specific_checks():
-    with pytest.raises(ParseError, match="fit_t_max must not exceed horizon"):
-        lm.parse_config("experiment = flag_convergence\nhorizon = 50\n")
     with pytest.raises(ParseError, match=r"^example_2d_euler needs horizon "
                        r"<= 100 \(plain matrices overflow past that\)$"):
         lm.parse_config("experiment = example_2d_euler\nhorizon = 150\n")
-    lm.parse_config("experiment = stable_1d\nhorizon = 50\n")  # fit_t_max 100
 
 
 @pytest.mark.parametrize("delta", ["1", "1.5"])
@@ -238,8 +228,7 @@ def test_power_law_overflow_fails_before_any_path(tmp_path, capsys, alpha, c,
 def test_horizon_off_the_dt_grid_fails_before_any_path(tmp_path, capsys,
                                                        experiment):
     text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
-            "measure.atoms = 0.2:3.0\nhorizon = 20\ndt = 0.3\n"
-            "fit_t_max = 20\nn_paths = 3\n")
+            "measure.atoms = 0.2:3.0\nhorizon = 20\ndt = 0.3\nn_paths = 3\n")
     _fails_before_any_path(tmp_path, capsys, text,
                            "(t_end - t_start)/dt must be an integer")
 
@@ -254,9 +243,8 @@ def test_qr_horizon_below_ten_renorm_steps_fails_before_any_path(
                            "needs horizon >= 10 * renorm_step")
 
 
-# a short run of every experiment: 10 QR windows, fit times in the horizon
-_SHORT_RUN = ("horizon = 10\ndt = 0.5\nfit_t_min = 1\nfit_t_max = 10\n"
-              "n_paths = 3\n")
+# a short run of every experiment: 10 QR windows
+_SHORT_RUN = "horizon = 10\ndt = 0.5\nn_paths = 3\n"
 
 
 @pytest.mark.parametrize("experiment,measure,message", [
@@ -272,7 +260,7 @@ _SHORT_RUN = ("horizon = 10\ndt = 0.5\nfit_t_min = 1\nfit_t_max = 10\n"
     pytest.param("stable_1d", "measure.atoms = -1.5:1, 0.2:1\n",
                  "charges u = -1.5 <= -1", id="stable_atom_below_-1"),
     pytest.param("stable_1d", "measure.kind = power_law\nmeasure.alpha = 0.5\n"
-                 "measure.c = 0.1\nmeasure.cutoff = 1\n",
+                 "measure.c = 0.1\ndelta = 1\n",
                  "charges u = -1.0 <= -1", id="power_law_cutoff_1"),
 ])
 def test_bad_jump_measure_fails_before_any_path(
@@ -305,10 +293,7 @@ def test_preflight_keeps_measures_every_path_takes(experiment, measure):
      "line 3: bad value for 'measure.atoms': non-finite value"),
     ("measure.atoms = 0.2:3.0\nmeasure.alpha = 0.3\n",
      "line 4: key 'measure.alpha' is not a key of measure.kind = atoms"),
-    ("measure.cutoff = 0.1\nmeasure.atoms = 0.2:3.0\n",
-     "line 3: key 'measure.cutoff' is not a key of measure.kind = atoms"),
-], ids=["negative_seed", "infinite_atom", "nan_rate", "power_law_alpha",
-        "power_law_cutoff"])
+], ids=["negative_seed", "infinite_atom", "nan_rate", "power_law_alpha"])
 def test_bad_values_fail_at_parse(tmp_path, capsys, extra, message):
     text = ("experiment = example_2d_exact\nmeasure.kind = atoms\n" + extra
             + _SHORT_RUN)
@@ -317,16 +302,20 @@ def test_bad_values_fail_at_parse(tmp_path, capsys, extra, message):
     _fails_before_any_path(tmp_path, capsys, text, "config error: " + message)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("experiment = flag_convergence\nfit_t_min = -40\n",
-     "fit_t_min must be >= 0"),
-    ("experiment = stable_1d\nmeasure.kind = power_law\n"
-     "measure.cutoff = -3\n", "measure.cutoff must be >= 0"),
-], ids=["negative_fit_t_min", "negative_cutoff"])
-def test_negative_fit_start_and_cutoff_fail_at_parse(tmp_path, capsys, text,
-                                                     message):
-    text += "horizon = 10\ndt = 0.5\nfit_t_max = 10\nn_paths = 3\n"
-    with pytest.raises(ParseError, match=message):
+@pytest.mark.parametrize("experiment,key", [
+    ("flag_convergence", "frame_angle = 0.7"),
+    ("flag_convergence", "fit_t_min = 10"),
+    ("flag_convergence", "fit_t_max = 100"),
+    ("flag_convergence", "fit_points = 10"),
+    ("stable_1d", "measure.cutoff = 0.5"),
+])
+def test_fixed_settings_are_not_keys(tmp_path, capsys, experiment, key):
+    # flag_convergence fits at k * horizon / 12 from a fixed frame; the
+    # power law is cut at delta
+    text = (f"experiment = {experiment}\nmeasure.kind = power_law\n{key}\n"
+            + _SHORT_RUN)
+    message = f"line 3: unknown key {key.split(' =')[0]!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
         lm.parse_config(text)
     _fails_before_any_path(tmp_path, capsys, text, "config error: " + message)
 
@@ -459,6 +448,46 @@ def test_cli_flag_overrides(tmp_path, capsys):
     assert len(rows) == 1 + 3
 
 
+def _refuse_sampling(monkeypatch):
+    """Make every path batch record itself and fail; returns the record."""
+    sampled = []
+
+    def refuse(args):
+        sampled.append(args)
+        raise AssertionError("a path was sampled")
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "_path_task", refuse)
+    return sampled
+
+
+def test_empty_output_dir_fails_at_parse(tmp_path, capsys, monkeypatch):
+    sampled = _refuse_sampling(monkeypatch)
+    text = DETERMINISTIC + "horizon = 40\ndt = 0.5\nn_paths = 2\n"
+    message = "config error: output_dir must not be empty"
+    empty = _write(tmp_path, "e.cfg", text + "output_dir = \n")
+    for command in ("validate", "run"):
+        assert main([command, "--config", empty]) == 2
+        out, err = capsys.readouterr()
+        assert "config OK" not in out and message in err
+    full = _write(tmp_path, "f.cfg", text)
+    assert main(["run", "--config", full, "--output", ""]) == 2
+    assert message in capsys.readouterr().err
+    assert sampled == []
+
+
+def test_unwritable_output_dir_fails_before_any_path(tmp_path, capsys,
+                                                     monkeypatch):
+    sampled = _refuse_sampling(monkeypatch)
+    (tmp_path / "plain").write_text("")
+    cfgfile = _write(tmp_path, "u.cfg", DETERMINISTIC + (
+        "horizon = 40\ndt = 0.5\nn_paths = 2\n"
+        f"output_dir = {tmp_path}/plain/out\n"))
+    assert main(["run", "--config", cfgfile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "plain/out" in err
+    assert sampled == []
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cfg", "experiment = nope\n")
     assert main(["run", "--config", bad]) == 2
@@ -472,9 +501,11 @@ def test_cli_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch, value):
         "horizon = 40\ndt = 0.5\nn_paths = 2\n"
         f"output_dir = {tmp_path}/out_t\n"))
     monkeypatch.setenv("LEVY_MET_THREADS", value)
-    assert main(["run", "--config", cfgfile]) == 2
-    err = capsys.readouterr().err
-    assert "LEVY_MET_THREADS" in err and repr(value) in err
+    for command in ("validate", "run"):
+        assert main([command, "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert "LEVY_MET_THREADS" in err and repr(value) in err
+    assert not (tmp_path / "out_t").exists()
 
 
 def test_cli_selftest(capsys):
@@ -580,10 +611,9 @@ master_seed = 31
 
 
 # keys that give each experiment real rows on EULER's short horizon: ten
-# QR windows, fit times inside the horizon
+# QR windows
 _SHORT = {"example_2d_exact": "renorm_step = 0.2\n",
-          "backward_spectrum": "renorm_step = 0.2\n",
-          "flag_convergence": "fit_t_min = 0.5\nfit_t_max = 2\n"}
+          "backward_spectrum": "renorm_step = 0.2\n"}
 
 
 @pytest.mark.parametrize("experiment,extra", [

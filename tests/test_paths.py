@@ -281,10 +281,8 @@ def test_two_sided_array_lookups_match_scalar_calls(offset):
     t1 = _lookup_times(lo, hi, 55, [0.4 - offset, -offset, -offset + 0.7])
     assert np.any(t0 + offset < 0.0) and np.any(t1 + offset >= 0.0)
     assert np.any((t0 + offset < 0.0) != (t1 + offset < 0.0))
-    at = path.continuous_at(t1)
     inc = path.continuous_increment(t0, t1)
     for k in range(t0.size):
-        assert at[k].tobytes() == path.continuous_at(float(t1[k])).tobytes()
         assert (inc[k].tobytes()
                 == path.continuous_increment(float(t0[k]), float(t1[k])).tobytes())
     # a scalar end against an array of starts broadcasts
@@ -299,8 +297,6 @@ def test_array_lookups_outside_horizon():
     with pytest.raises(HorizonError):
         fwd.continuous_increment(np.array([0.1, 0.2]), np.array([1.0, -0.1]))
     ts = lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 57).shift(0.5)
-    with pytest.raises(HorizonError):
-        ts.continuous_at(np.array([-1.0, 1.6]))
     with pytest.raises(HorizonError):
         ts.continuous_increment(np.array([-2.6, 0.0]), np.array([0.3, 0.4]))
     with pytest.raises(HorizonError):

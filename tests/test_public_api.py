@@ -1,10 +1,15 @@
 """Every name ``levymet`` exports has a reader outside the tests: the
 library itself, the demos, the README or the benchmark harness.  A name
-that only tests read is API nothing needs, and goes."""
+that only tests read is API nothing needs, and goes.  Likewise every config
+key is set by some shipped config or benchmark workload."""
 
 import ast
+import importlib.util
 import pathlib
 import re
+from dataclasses import fields
+
+from levymet.config import ExperimentConfig, _key
 
 ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "levymet"
@@ -36,3 +41,23 @@ def test_every_export_is_read_outside_the_tests():
         if not any(word.search(s) and not own.match(s) for s in lines):
             unread.append(name)
     assert unread == []
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_every_config_key_is_set_by_some_run():
+    # a key that no shipped config and no benchmark workload sets is a
+    # setting no run varies, and becomes a constant
+    texts = [p.read_text() for p in sorted((ROOT / "configs").glob("*.cfg"))]
+    texts += [w.config_text(seed=0, threads=1)
+              for w in _bench_workloads().values()]
+    set_keys = {line.split("#", 1)[0].partition("=")[0].strip()
+                for text in texts for line in text.splitlines()}
+    keys = {_key(f.name) for f in fields(ExperimentConfig)}
+    assert sorted(keys - set_keys) == []
