@@ -307,11 +307,15 @@ class StochasticExponential1D(_EvaluatorBase):
         g = float(self.path.evaluate(t)[0])
         times, sizes = self.path.jumps_in(0.0, t)
         sizes = sizes[:, 0]
-        if np.any(sizes == -1.0):
-            raise DegeneracyError("jump of exactly -1: solution leaves Gl(1)")
-        if np.any(sizes < -1.0):
-            raise DegeneracyError("jump below -1: factor changes sign")
-        corr = float(np.sum(np.log1p(sizes) - sizes)) if sizes.size else 0.0
+        corr = 0.0
+        if sizes.size:
+            if sizes.min() <= -1.0:
+                if np.any(sizes == -1.0):
+                    raise DegeneracyError("jump of exactly -1: solution leaves Gl(1)")
+                raise DegeneracyError("jump below -1: factor changes sign")
+            terms = np.log1p(sizes)
+            terms -= sizes
+            corr = float(np.sum(terms))
         return g - 0.5 * self._gauss_var * t + corr
 
     def value(self, t):

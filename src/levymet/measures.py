@@ -337,13 +337,21 @@ class LevyMeasure:
         hi = min(hi, self.cutoff)
         if lo <= 0.0:
             raise ConfigurationError("power-law band sampling needs lo > 0")
-        v = rng.random(n)
+        # in place, with the operations of lo*(1 - v)**(-1/a) and
+        # (lo**-a - v*(lo**-a - hi**-a))**(-1/a), so the bits are theirs
+        mag = rng.random(n)
         if math.isinf(hi):
-            mag = lo * (1.0 - v) ** (-1.0 / a)
+            np.subtract(1.0, mag, out=mag)
+            mag **= -1.0 / a
+            mag *= lo
         else:
-            mag = (lo**-a - v * (lo**-a - hi**-a)) ** (-1.0 / a)
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return sign * mag
+            mag *= lo**-a - hi**-a
+            np.subtract(lo**-a, mag, out=mag)
+            mag **= -1.0 / a
+        # negative for a second draw r < 1/2 (r - 1/2 < 0), else positive
+        r = rng.random(n)
+        r -= 0.5
+        return np.copysign(mag, r, out=mag)
 
 
 @dataclass(frozen=True)

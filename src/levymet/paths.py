@@ -88,7 +88,8 @@ class JumpPath:
         self.triplet = triplet
         if self.node_times.shape[0] != self.cont.shape[0]:
             raise StructuralError("node_times and cont length mismatch")
-        self._jump_cum = np.vstack([np.zeros(self.d), np.cumsum(self.jump_sizes, axis=0)])
+        self._jump_cum = np.zeros((self.jump_sizes.shape[0] + 1, self.d))
+        np.cumsum(self.jump_sizes, axis=0, out=self._jump_cum[1:])
 
     @property
     def d(self):
@@ -181,20 +182,64 @@ def check_jump_budget(triplet, T):
     return bands
 
 
+# Fewest times :func:`_time_order` sorts by packed keys.  Below it a plain
+# ``np.argsort`` is faster: on an AVX-512 Xeon with numpy 2.4 the packed sort
+# took 22 against 11 us at 600 times, 34 against 34 us at 2,000 and 56
+# against 69 us at 4,000.  The atom legs of the shipped configs (about 6 to
+# 600 jumps) keep exactly the ``np.argsort`` call.
+_PACKED_SORT_MIN = 2000
+
+
+def _time_order(t):
+    """The permutation that sorts the times ``t >= 0`` (never -0.0).
+
+    Below :data:`_PACKED_SORT_MIN` times this is ``np.argsort(t)``, whose
+    order among equal times is unspecified.  From there on it is
+    ``np.argsort(t, kind="stable")``, from one integer sort: for t >= 0
+    the float64 bit patterns order as the values, so each key packs the
+    high bits of a time above its index.  Adjacent keys whose high bits
+    agree are re-sorted by full time, with ties kept in index order.
+    """
+    n = t.size
+    if n < _PACKED_SORT_MIN:
+        return np.argsort(t)
+    shift = np.uint64((n - 1).bit_length())
+    key = t.view(np.uint64) >> shift
+    key <<= shift
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    order = (key & ((np.uint64(1) << shift) - np.uint64(1))).view(np.intp)
+    key >>= shift  # the high bits alone
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        run = np.zeros(n, bool)
+        run[1:] = tie
+        run[:-1] |= tie
+        pos = np.flatnonzero(run)
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((t[sub], key[pos]))]
+    return order
+
+
 def _draw_jumps(triplet, T, rng):
     """Marked-Poisson jump draw on (0, T) over the bands of
-    :func:`check_jump_budget`.  Returns sorted times and sizes."""
+    :func:`check_jump_budget`.  Returns the times sorted by
+    :func:`_time_order` and the sizes in the same order: jumps at equal
+    times keep their draw order from :data:`_PACKED_SORT_MIN` jumps on and
+    come in ``np.argsort``'s unspecified order below."""
     times, sizes = [], []
     for lo, hi, rate in check_jump_budget(triplet, T):
         n = int(rng.poisson(rate * T))
         times.append(rng.uniform(0.0, T, n))
         sizes.append(triplet.measure.sample_sizes(rng, n, lo, hi))
-    if times:
-        t = np.concatenate(times)
-        s = np.concatenate(sizes)
-        order = np.argsort(t)
-        return t[order], s[order]
-    return np.empty(0), np.empty(0)
+    if not times:
+        return np.empty(0), np.empty(0)
+    if len(times) == 1:
+        t, s = times[0], sizes[0]
+    else:
+        t, s = np.concatenate(times), np.concatenate(sizes)
+    order = _time_order(t)
+    return t[order], s[order]
 
 
 def _merge_nodes(*times):
@@ -240,11 +285,12 @@ def sample_backward(triplet, grid, rng_seed):
         raise ConfigurationError("backward grid must end at 0")
     fwd = sample_forward(triplet, TimeGrid(0.0, -grid.t_start, grid.dt),
                          rng_seed)
-    jump_sizes = fwd.jump_sizes[::-1]
-    # accumulate in evaluation order so the value at 0 cancels exactly
-    total_jump = np.cumsum(jump_sizes, axis=0)[-1] if jump_sizes.size else 0.0
-    return JumpPath(-fwd.node_times[::-1], -fwd.cont[::-1] - total_jump,
-                    -fwd.jump_times[::-1], jump_sizes, triplet)
+    path = JumpPath(-fwd.node_times[::-1], -fwd.cont[::-1],
+                    -fwd.jump_times[::-1], fwd.jump_sizes[::-1], triplet)
+    # the jump total, accumulated in evaluation order, so the value at 0
+    # cancels exactly
+    path.cont -= path._jump_cum[-1]
+    return path
 
 
 class TwoSidedPath:

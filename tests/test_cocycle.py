@@ -139,6 +139,26 @@ def test_doleans_degenerate_jump():
         dd.value(1.0)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ([0.3, -1.0, -2.0], "exactly -1"),  # -1 is named before a jump below it
+    ([-1.5, 0.3], "jump below -1"),
+    ([0.3, -0.5], None),
+])
+def test_doleans_jump_guard_and_log_value(sizes, message):
+    nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    jt = np.array([0.25, 0.5, 0.75][:len(sizes)])
+    p = lm.JumpPath(nodes, 0.1 * nodes, jt, np.array(sizes)[:, None])
+    dd = lm.StochasticExponential1D(p)
+    assert dd.log_value(0.1) == float(p.evaluate(0.1)[0])  # no jump yet
+    if message is not None:
+        with pytest.raises(DegeneracyError, match=message):
+            dd.log_value(1.0)
+        return
+    s = np.array(sizes)
+    assert dd.log_value(1.0) == (float(p.evaluate(1.0)[0])
+                                 + float(np.sum(np.log1p(s) - s)))
+
+
 def test_doleans_matches_exact_coordinate():
     paths = benchmark_paths(ATOM, 3.0, 12)
     ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import levymet as lm
 from levymet.errors import ConfigurationError, HorizonError, StructuralError
-from levymet.paths import _merge_nodes, substream
+from levymet.measures import ATOMS
+from levymet.paths import (_PACKED_SORT_MIN, _draw_jumps, _merge_nodes,
+                           _time_order, substream)
 
 ATOM = lm.LevyMeasure.from_atoms([(0.2, 3.0)])
 ATOM_TRIPLET = lm.scalar_triplet(measure=ATOM, delta=0.5)
@@ -348,3 +351,169 @@ def test_shift_group_law_property(s, t, u):
     increment = p.evaluate(s + u) - p.evaluate(s)
     np.testing.assert_allclose(p.shift(s).evaluate(u), increment,
                                rtol=0.0, atol=1e-12)
+
+
+# Sizes on both sides of _PACKED_SORT_MIN, and powers of two with their
+# neighbours, where the index field of the packed key gains a bit.
+_ORDER_SIZES = [1, 2, 3, 600, _PACKED_SORT_MIN - 1, _PACKED_SORT_MIN,
+                2047, 2048, 2049, 4095, 4096, 4097, 20000]
+
+
+def _times(kinds, n, seed):
+    """n nonnegative finite times, each drawn from one of ``kinds``."""
+    rng = np.random.default_rng(seed)
+    pool = {
+        "uniform": rng.uniform(0.0, 60.0, n),
+        # exact ties, 0.0 among them
+        "ties": rng.choice([0.0, 0.5, 1.0, 17.25, 59.0], n),
+        # 0.0, subnormals and the smallest normals
+        "tiny": rng.integers(0, 8, n) * 5e-324 + rng.integers(0, 2, n) * 2.2250738585072014e-308,
+        # np.nextafter neighbours of one time: they share their high bits
+        "neighbours": (np.array([37.5]).view(np.uint64)
+                       + rng.integers(0, 64, n, dtype=np.uint64)).view(float),
+    }
+    pick = rng.integers(0, len(kinds), n)
+    return np.choose(pick, [pool[k] for k in kinds])
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from(_ORDER_SIZES) | st.integers(1, 6000),
+       kinds=st.lists(st.sampled_from(["uniform", "ties", "tiny", "neighbours"]),
+                      min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4096, kinds=["neighbours"], seed=0)
+@example(n=_PACKED_SORT_MIN, kinds=["ties", "tiny"], seed=1)
+def test_time_order_is_the_stable_argsort(n, kinds, seed):
+    t = _times(kinds, n, seed)
+    order = _time_order(t)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert np.all(np.diff(t[order]) >= 0.0)
+    if n >= _PACKED_SORT_MIN:
+        # equal times keep their index order
+        assert np.array_equal(order, np.argsort(t, kind="stable"))
+    else:
+        assert np.array_equal(order, np.argsort(t))
+    if np.unique(t).size == n:
+        assert np.array_equal(order, np.argsort(t))
+
+
+def test_time_order_of_distinct_times_is_argsort():
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 5, 1999, 2000, 65536, 65537, 300000):
+        t = rng.uniform(0.0, 60.0, n)
+        assert np.unique(t).size == n
+        assert np.array_equal(_time_order(t), np.argsort(t))
+
+
+def _reference_sizes(measure, rng, n, lo, hi):
+    """The power-law size draw as first written: full-size temporaries and
+    an np.where sign."""
+    if measure.kind == ATOMS:  # that branch is unchanged
+        return measure.sample_sizes(rng, n, lo, hi)
+    if n == 0:
+        return np.empty(0)
+    a = measure.alpha
+    hi = min(hi, measure.cutoff)
+    v = rng.random(n)
+    if math.isinf(hi):
+        mag = lo * (1.0 - v) ** (-1.0 / a)
+    else:
+        mag = (lo**-a - v * (lo**-a - hi**-a)) ** (-1.0 / a)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return sign * mag
+
+
+def _reference_draw(triplet, T, rng):
+    """The jump draw as first written: concatenated bands, np.argsort."""
+    times, sizes = [], []
+    for lo, hi, rate in lm.paths.check_jump_budget(triplet, T):
+        n = int(rng.poisson(rate * T))
+        times.append(rng.uniform(0.0, T, n))
+        sizes.append(_reference_sizes(triplet.measure, rng, n, lo, hi))
+    if times:
+        t = np.concatenate(times)
+        s = np.concatenate(sizes)
+        order = np.argsort(t)
+        return t[order], s[order]
+    return np.empty(0), np.empty(0)
+
+
+_DRAW_LAWS = {
+    "shipped": lm.scalar_triplet(
+        drift=1.0, measure=lm.LevyMeasure.power_law(0.8, 0.5, 0.5), delta=0.5),
+    # two nonzero bands: the draws are concatenated
+    "untruncated": lm.scalar_triplet(
+        measure=lm.LevyMeasure.power_law(0.8, 0.5, math.inf), delta=0.5),
+    "alpha_1.5": lm.scalar_triplet(
+        measure=lm.LevyMeasure.power_law(1.5, 0.5, 0.5), delta=0.5, eps_cut=1e-3),
+    "atoms": lm.scalar_triplet(
+        measure=lm.LevyMeasure.from_atoms([(0.2, 3.0), (-0.3, 1.0), (1.5, 0.5)]),
+        delta=0.5),
+}
+
+
+@pytest.mark.parametrize("law", list(_DRAW_LAWS))
+def test_jump_draw_bitwise_equals_reference(law):
+    tri = _DRAW_LAWS[law]
+    rate = sum(r for _, _, r in tri._band_constants[1])
+    counts = set()
+    # about 1, 500 and 5000 expected jumps: n = 0 and 1, and both sides
+    # of the packed-sort crossover
+    for mean in (1.0, 500.0, 5000.0):
+        for seed in range(8):
+            got = _draw_jumps(tri, mean / rate, np.random.default_rng(seed))
+            want = _reference_draw(tri, mean / rate, np.random.default_rng(seed))
+            for g, w in zip(got, want):
+                assert np.array_equal(_bits(g), _bits(w))
+            counts.add(got[0].size)
+    assert {0, 1} <= counts
+    assert max(counts) >= _PACKED_SORT_MIN
+
+
+def test_shipped_leg_draw_bitwise_equals_reference():
+    tri = _DRAW_LAWS["shipped"]
+    for seed in (3, 4):
+        got = _draw_jumps(tri, 60.0, np.random.default_rng(seed))
+        want = _reference_draw(tri, 60.0, np.random.default_rng(seed))
+        assert got[0].size > 600_000
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("law", ["shipped", "untruncated", "alpha_1.5"])
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_power_law_sizes_bitwise_equal_reference(law, n):
+    m = _DRAW_LAWS[law].measure
+    for seed in range(4):
+        for lo, hi in ((1e-3, 0.5), (0.5, math.inf)):
+            got = m.sample_sizes(np.random.default_rng(seed), n, lo, hi)
+            want = _reference_sizes(m, np.random.default_rng(seed), n, lo, hi)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_backward_leg_bitwise_equals_reflected_forward_leg():
+    tri = _DRAW_LAWS["untruncated"]
+    for seed in (5, 6):
+        fwd = lm.sample_forward(tri, lm.TimeGrid(0.0, 0.05, 0.01), seed)
+        bwd = lm.sample_backward(tri, lm.TimeGrid(-0.05, 0.0, 0.01), seed)
+        sizes = fwd.jump_sizes[::-1]
+        total = np.cumsum(sizes, axis=0)[-1] if sizes.size else 0.0
+        assert np.array_equal(_bits(bwd.cont), _bits(-fwd.cont[::-1] - total))
+        assert bwd.evaluate(0.0)[0] == 0.0
+
+
+def test_forward_leg_memory_peak():
+    """A shipped stable_1d leg (about 664k jumps) allocates at most 6.5
+    arrays of its jump count at once, so no full-size temporary creeps
+    back into the draw."""
+    tri = _DRAW_LAWS["shipped"]
+    grid = lm.TimeGrid(0.0, 60.0, 0.5)
+    tracemalloc.start()
+    try:
+        path = lm.sample_forward(tri, grid, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = path.jump_times.size
+    assert n > 600_000
+    assert peak <= 6.5 * 8 * n
