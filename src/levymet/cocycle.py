@@ -734,23 +734,26 @@ def integrability_alpha(ev, grid):
     """sup over grid nodes and jump times of log+ ||phi(t)|| and of
     log+ ||phi(t)^(-1)|| on [0, t_end]; empirical one-path versions of the
     integrability functionals of the spectral theorem."""
-    return raised(_integrability_alphas([ev], grid)[0])
+    return raised(_integrability_alphas([_alpha_stack(ev, grid)])[0])
 
 
-def _integrability_alphas(evs, grid):
-    """``integrability_alpha`` of evaluators of one dimension: their
-    running products in one :func:`_fold`, one stacked det and inverse.
-    Per evaluator (alpha+, alpha-) or its LevyMetError."""
+def _alpha_stack(ev, grid):
+    """The window stack integrability_alpha folds: the propagators of
+    ``ev`` between the grid nodes and the jump times of [0, t_end]."""
     times = grid.times()
     if times[0] != 0.0:
         raise ConfigurationError("grid must start at 0")
-    out, props = [None] * len(evs), {}
-    for i, ev in enumerate(evs):
-        try:
-            props[i] = ev.propagators(
-                _with_jumps(getattr(ev, "driver_paths", []), times))
-        except LevyMetError as exc:
-            out[i] = exc
+    return ev.propagators(_with_jumps(getattr(ev, "driver_paths", []), times))
+
+
+def _integrability_alphas(stacks):
+    """``integrability_alpha`` from :func:`_alpha_stack` stacks of one
+    dimension: their running products in one :func:`_fold`, one stacked
+    det and inverse.  Per stack (alpha+, alpha-), or the LevyMetError given
+    in its place."""
+    out = list(stacks)
+    props = {i: P for i, P in enumerate(stacks)
+             if not isinstance(P, LevyMetError)}
     if not props:
         return out
     count = np.array([P.shape[0] for P in props.values()])

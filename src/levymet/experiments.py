@@ -6,8 +6,15 @@ estimation pipeline per path, and aggregates ensemble means with standard
 errors against analytic targets.  ``stable_1d`` samples the forward leg
 only (leg 0), the one its estimate reads.
 
-Paths run in contiguous batches of at most :data:`BATCH_PATHS` indices, at
-least one batch per worker.  An experiment's ``rows(cfg, indices)`` turns
+Paths run in contiguous batches of at most the experiment's
+``batch_paths`` indices, at least one batch per process and the same
+number in each.  With N > 1 processes, a pool of N - 1 runs the first
+shares and the calling process runs the last one itself.  The cap is set
+by what a stage holds per path: 64 for the two QR experiments, whose
+build keeps only each path's window stacks (about 14 KB) and drops its
+evaluator, so that a 100-path run is one batch per process;
+:data:`BATCH_PATHS` (16) for the others, since the Euler ladder fold grows
+with its batch.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples, and every experiment gets it
 from :func:`_lockstep`: compute what the config determines once, build
 each path, run at most one stage on the whole batch, finish each path.
@@ -44,6 +51,7 @@ from .cocycle import (
     EulerEvaluator,
     ExactDiagonal2D,
     StochasticExponential1D,
+    _alpha_stack,
     _euler_propagators,
     _integrability_alphas,
     cocycle_residual,
@@ -71,6 +79,7 @@ from .spectrum import (
     _angles_to,
     _oseledets_batch,
     _qr_estimate,
+    _qr_stack,
     flag_convergence_rate,
 )
 
@@ -201,28 +210,63 @@ def _benchmark_cocycles(cfg):
     return measure, cocycle
 
 
-def _exact_cocycle(cfg):
-    return _benchmark_cocycles(cfg)[1]
+def _stored(fn, *args):
+    """fn(*args), or the LevyMetError it raised."""
+    try:
+        return fn(*args)
+    except LevyMetError as exc:
+        return exc
 
 
-def _spectra(cfg, evs):
+# integrability_alpha's grid in example_2d_exact
+_ALPHA_GRID = TimeGrid(0.0, 1.0, 0.05)
+
+
+class _Stacks(NamedTuple):
+    """What the QR stage keeps of one exact benchmark path: its window
+    stacks over [0, T] and [0, -T] and, for example_2d_exact, the stack of
+    integrability_alpha on _ALPHA_GRID, each an array or the LevyMetError
+    computing it raised."""
+
+    forward: object
+    backward: object
+    alpha: object = None
+
+
+def _exact_cocycle(cfg, alpha=False):
+    """``path(index)``: the :class:`_Stacks` of the exact cocycle of one
+    benchmark path (with its alpha stack if ``alpha``), after which the
+    evaluator is dropped: a batch holds about 14 KB per path, not the
+    evaluator's 170 KB."""
+    cocycle = _benchmark_cocycles(cfg)[1]
+    T, step = cfg.horizon, cfg.renorm_step
+
+    def path(index):
+        ev = cocycle(index)
+        return _Stacks(_stored(_qr_stack, ev, T, step),
+                       _stored(_qr_stack, ev, -T, step),
+                       _stored(_alpha_stack, ev, _ALPHA_GRID) if alpha else None)
+    return path
+
+
+def _spectra(cfg, built):
     """Stage of :func:`_lockstep`: the forward and backward QR spectra of
-    every path, all in one push.  Per path (est, best), or its first error,
-    the forward one before the backward one."""
+    every path's :class:`_Stacks`, all in one push.  Per path (est, best),
+    or its first error, the forward one before the backward one."""
     T = cfg.horizon
-    out = _qr_estimate([(ev, T) for ev in evs] + [(ev, -T) for ev in evs],
-                       cfg.renorm_step)
+    out = _qr_estimate([(b.forward, T) for b in built] +
+                       [(b.backward, -T) for b in built], cfg.renorm_step)
     return [next((e for e in pair if isinstance(e, Exception)), pair)
-            for pair in zip(out[:len(evs)], out[len(evs):])]
+            for pair in zip(out[:len(built)], out[len(built):])]
 
 
-def _oseledets_stage(cfg, evs):
+def _oseledets_stage(cfg, built):
     """Stage of example_2d_exact: :func:`_spectra`, then, stacked over the
     batch, the Oseledets splits, their angles to the axes and
     integrability_alpha on [0, 1].  Per path (est, best, split, angles,
     alphas), or its first error: the spectra's, a flag's, the split's, then
     integrability_alpha's."""
-    out, live, good = _spectra(cfg, evs), [], []
+    out, live, good = _spectra(cfg, built), [], []
     for k, res in enumerate(out):
         try:
             if not isinstance(res, Exception):
@@ -238,14 +282,13 @@ def _oseledets_stage(cfg, evs):
             good.append(k)
     angles = _angles_to([out[k][2] for k in good],
                         [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])])
-    alphas = _integrability_alphas([evs[k] for k in good],
-                                   TimeGrid(0.0, 1.0, 0.05))
+    alphas = _integrability_alphas([built[k].alpha for k in good])
     for k, a, alpha in zip(good, angles, alphas):
         out[k] = alpha if isinstance(alpha, Exception) else out[k] + (a, alpha)
     return out
 
 
-def _finish_example_2d_exact(cfg, index, ev, staged):
+def _finish_example_2d_exact(cfg, index, stacks, staged):
     est, _, split, angles, (a_plus, a_minus) = staged
     return {
         "index": index,
@@ -345,7 +388,7 @@ def _row_flag_convergence(cfg):
     return row
 
 
-def _finish_backward_spectrum(cfg, index, ev, spectra):
+def _finish_backward_spectrum(cfg, index, stacks, spectra):
     est, best = spectra
     p = est.p
     pair_sums = [best.lambdas[k] + est.lambdas[p - 1 - k] for k in range(p)]
@@ -601,22 +644,39 @@ def _check_example_2d_euler(cfg):
                          "lower halvings")
 
 
+# Largest batch of paths, unless an experiment sets its own cap.  The
+# per-window LAPACK overhead of a lockstep stage falls with the batch size,
+# but every path of a batch keeps what its stage reads until the stage is
+# done.  The example_2d_euler ladder fold grows with its batch: 40 paths of
+# the euler_ladder bench config in one batch peak at 10.9 MB under
+# tracemalloc and run at 219 paths/s, in three batches of at most 16 at
+# 4.4 MB and 237 paths/s (serial, medians of 15).  The QR experiments keep
+# window stacks only (about 14 KB per path; an evaluator is about 170 KB)
+# and cap at 64: a 64-path example_2d_exact batch of the shipped config
+# peaks at 3.4 MB, below the 3.85 MB of a 16-path batch that kept its
+# evaluators.
+BATCH_PATHS = 16
+
+
 class Experiment(NamedTuple):
     """``rows(cfg, indices)`` -> one (index, row, error) triple per path of
     a batch, in the order of ``indices``, with each path's error quarantined
     as ``"<Type>: <msg>"`` (row None) and a path's row independent of the
     rest of its batch; ``aggregate(cfg, rows)`` -> (checks, summary, csv
-    tables); ``check(cfg)`` raises ParseError."""
+    tables); ``check(cfg)`` raises ParseError; ``batch_paths`` caps the
+    paths of one batch."""
 
     rows: Callable
     aggregate: Callable
     check: Callable = lambda cfg: None
+    batch_paths: int = BATCH_PATHS
 
 
 EXPERIMENTS = {
     "example_2d_exact": Experiment(
-        _lockstep(_exact_cocycle, _oseledets_stage, _finish_example_2d_exact),
-        _agg_example_2d_exact, _check_example_2d_exact),
+        _lockstep(partial(_exact_cocycle, alpha=True), _oseledets_stage,
+                  _finish_example_2d_exact),
+        _agg_example_2d_exact, _check_example_2d_exact, batch_paths=64),
     "example_2d_euler": Experiment(
         _lockstep(_ladder_path, _ladder_rungs, _finish_example_2d_euler),
         _agg_example_2d_euler, _check_example_2d_euler),
@@ -626,17 +686,8 @@ EXPERIMENTS = {
                                    _agg_flag_convergence),
     "backward_spectrum": Experiment(
         _lockstep(_exact_cocycle, _spectra, _finish_backward_spectrum),
-        _agg_backward_spectrum, _check_qr_horizon),
+        _agg_backward_spectrum, _check_qr_horizon, batch_paths=64),
 }
-
-# Largest batch of paths.  Each path of a batch keeps its evaluator alive
-# (about 170 KB on the exact benchmark) until the batch's stage is done,
-# while the per-window LAPACK overhead falls with the batch size; at 16 the
-# peak memory of a pooled 100-path run was measured 2-3 % above one path at
-# a time, at 50 it was 11 % above.  The stacked Oseledets and integrability
-# arrays of the example_2d_exact stage add nothing visible: a 16-path
-# batch's tracemalloc peak stays at about 235 KB per path.
-BATCH_PATHS = 16
 
 
 def _n_workers(cfg):
@@ -655,12 +706,12 @@ def _n_workers(cfg):
     return max(1, min(cfg.threads or cap, cap))
 
 
-def _batches(n_paths, workers):
-    """Path indices 0..n_paths-1 in contiguous tuples of at most
-    BATCH_PATHS, as evenly sized as possible and, paths allowing, a
-    multiple of ``workers`` in number, so that every worker gets the same
-    number of batches."""
-    count = min(n_paths, workers * math.ceil(n_paths / (BATCH_PATHS * workers)))
+def _batches(n_paths, workers, cap):
+    """Path indices 0..n_paths-1 in contiguous tuples of at most ``cap``,
+    as evenly sized as possible and, paths allowing, a multiple of
+    ``workers`` in number, so that every process gets the same number of
+    batches."""
+    count = min(n_paths, workers * math.ceil(n_paths / (cap * workers)))
     size, extra = divmod(n_paths, count)
     starts = [k * size + min(k, extra) for k in range(count + 1)]
     return [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
@@ -673,6 +724,11 @@ def _settle(result, indices):
         return result()
     except Exception as exc:  # the other batches' rows are kept
         return [(i, None, _error_text(exc)) for i in indices]
+
+
+def _run_here(tasks):
+    """The batches of ``tasks``, run one after another in this process."""
+    return [_settle(partial(_path_task, t), t[1]) for t in tasks]
 
 
 def preflight(cfg):
@@ -714,13 +770,18 @@ def run_experiment(cfg):
     t0 = time.perf_counter()
     preflight(cfg)
     workers = _n_workers(cfg)
-    tasks = [(cfg, b) for b in _batches(cfg.n_paths, workers)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(_path_task, t) for t in tasks]
-            batches = [_settle(f.result, t[1]) for f, t in zip(futures, tasks)]
+    cap = EXPERIMENTS[cfg.experiment].batch_paths
+    tasks = [(cfg, b) for b in _batches(cfg.n_paths, workers, cap)]
+    procs = min(workers, len(tasks))
+    if procs > 1:  # a pool of procs - 1 processes, and this one's own share
+        split = len(tasks) - len(tasks) // procs
+        with ProcessPoolExecutor(max_workers=procs - 1) as pool:
+            futures = [pool.submit(_path_task, t) for t in tasks[:split]]
+            own = _run_here(tasks[split:])
+            batches = [_settle(f.result, t[1])
+                       for f, t in zip(futures, tasks)] + own
     else:
-        batches = [_settle(partial(_path_task, t), t[1]) for t in tasks]
+        batches = _run_here(tasks)
     results = [triple for batch in batches for triple in batch]
     rows = [r for _, r, err in results if err is None]
     errors = [(i, err) for i, _, err in results if err is not None]

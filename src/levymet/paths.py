@@ -268,7 +268,7 @@ def sample_forward(triplet, grid, rng_seed):
     node_times = _merge_nodes(grid.times(), jt)
     cont = np.outer(node_times, triplet.drift)
     if not triplet.measure.is_empty:
-        cont = cont - triplet.compensation_rate() * node_times[:, None]
+        cont -= triplet.compensation_rate() * node_times[:, None]
     if triplet.gaussian is not None:
         A = triplet.gaussian
         dW = rng.standard_normal((node_times.size - 1, A.shape[1]))

@@ -197,41 +197,51 @@ class SpectrumEstimate:
 _QR_MIN_WINDOWS = 10
 
 
-def _qr_estimate(jobs, renorm_step):
-    """QR estimates of (evaluator, T) jobs in one lockstep push.  Every
-    job covers [0, T] with at least _QR_MIN_WINDOWS windows of at most
-    renorm_step; T is signed (a negative T is the time-reversed cocycle)
-    and all jobs share one |T| and one dimension.  Each job pushes two
-    frames: one through phi for its log growths, grouped per unit |T| with
-    group_tol 10/|T|, and one through the transposed stack for its flag.
-    log|det| is accumulated independently of the QR diagonal for the sum
-    rule.  Returns one entry per job: its SpectrumEstimate, or the
-    LevyMetError its path raised."""
-    if len({abs(T) for _, T in jobs}) > 1:
-        raise ConfigurationError("jobs must share one horizon length |T|")
-    if any(abs(T) < _QR_MIN_WINDOWS * renorm_step for _, T in jobs):
+def _check_span(T, renorm_step):
+    if abs(T) < _QR_MIN_WINDOWS * renorm_step:
         raise ConfigurationError(
             f"horizon must be at least {_QR_MIN_WINDOWS} renorm steps")
-    if len({ev.d for ev, _ in jobs}) > 1:
-        raise ConfigurationError("evaluators must share one dimension")
-    out = [None] * len(jobs)
-    live, stack = [], []
-    for i, (ev, T) in enumerate(jobs):
-        try:
-            stack.append(ev.propagators(_windows(0.0, T, renorm_step)))
-            live.append(i)
-        except LevyMetError as exc:
-            out[i] = exc
+
+
+def _qr_stack(ev, T, renorm_step):
+    """The window stack of the QR job (ev, T): the propagators of ``ev``
+    over [0, T], T signed, in the fewest windows of at most renorm_step."""
+    return ev.propagators(_windows(0.0, T, renorm_step))
+
+
+def _qr_estimate(jobs, renorm_step):
+    """QR estimates of (stack, T) jobs in one lockstep push.  A stack is
+    the :func:`_qr_stack` of an evaluator over [0, T], or the LevyMetError
+    computing it raised, which is that job's entry.  Every job covers
+    [0, T] with at least _QR_MIN_WINDOWS windows of at most renorm_step;
+    T is signed (a negative T is the time-reversed cocycle) and all jobs
+    share one |T| and one stack shape.  Each job pushes two frames: one
+    through phi for its log growths, grouped per unit |T| with group_tol
+    10/|T|, and one through the transposed stack for its flag.  log|det|
+    is accumulated independently of the QR diagonal for the sum rule.
+    Returns one entry per job: its SpectrumEstimate, or the LevyMetError
+    of its path."""
+    if len({abs(T) for _, T in jobs}) > 1:
+        raise ConfigurationError("jobs must share one horizon length |T|")
+    for _, T in jobs:
+        _check_span(T, renorm_step)
+    out = [P if isinstance(P, LevyMetError) else None for P, _ in jobs]
+    live = [i for i, e in enumerate(out) if e is None]
     if not live:
         return out
-    props = np.stack(stack)  # (jobs, windows, d, d)
+    # entries 0..n-1 push the spectrum frames through the stacks, n..2n-1
+    # the flag frames through the same stacks as _transposed returns them;
+    # both halves fill one buffer, the only copy of the stacks made here
+    n, shape = len(live), jobs[live[0]][0].shape
+    props = np.empty((2 * n,) + shape)  # (2 jobs, windows, d, d)
+    np.stack([jobs[i][0] for i in live], out=props[:n])
+    props[n:] = np.swapaxes(props[:n, ::-1], -1, -2)
     with np.errstate(invalid="ignore"):  # a non-finite window fails its path
-        signs, lds = np.linalg.slogdet(props)
+        signs, lds = np.linalg.slogdet(props[:n])
     logdets = np.cumsum(lds, axis=-1)[:, -1]  # window order; np.sum is pairwise
-    # entries 0..n-1 push the spectrum frames, n..2n-1 the flag frames
-    n, d = len(live), props.shape[-1]
+    d = shape[-1]
     Q, logs, degenerated = _push(np.broadcast_to(np.eye(d), (2 * n, d, d)),
-                                 np.concatenate([props, _transposed(props)]))
+                                 props)
     for j, i in enumerate(live):
         T = jobs[i][1]
         span = abs(T)
@@ -257,29 +267,38 @@ def _qr_estimate(jobs, renorm_step):
     return out
 
 
+def _qr_single(ev, T, renorm_step):
+    """The QR estimate of one evaluator, T signed: the job
+    (_qr_stack(ev, T, renorm_step), T) of ``_qr_estimate``, its span
+    checked before the stack is computed."""
+    _check_span(T, renorm_step)
+    return raised(_qr_estimate([(_qr_stack(ev, T, renorm_step), T)],
+                               renorm_step)[0])
+
+
 def spectrum_qr(ev, T, renorm_step=1.0):
     """Lyapunov spectrum over [0, T] by QR renormalization.
 
     Adjacent exponents at most 10/T apart are grouped, so the grouping
     resolution scales with the horizon.  The sum rule sum(raw) =
     (1/T) log|det phi(T)| is checked with a determinant accumulated
-    independently of the QR diagonal.  A batch of evaluators, in either
+    independently of the QR diagonal.  A batch of window stacks, in either
     time direction, is one call of ``_qr_estimate``; each of its estimates
     is bitwise the one this function returns for that evaluator.
     """
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return raised(_qr_estimate([(ev, T)], renorm_step)[0])
+    return _qr_single(ev, T, renorm_step)
 
 
 def backward_spectrum(ev, T, renorm_step=1.0):
     """Spectrum of the time-reversed cocycle: growth rates of phi(-t) per
     unit |t|.  For the forward exponents lambda_1 > ... > lambda_p the
     grouped result is lambda^-_k = -lambda_{p+1-k} with reversed
-    multiplicities.  It is the job (ev, -T) of ``_qr_estimate``."""
+    multiplicities.  It is the job of -T in ``_qr_estimate``."""
     if T <= 0.0:
         raise ConfigurationError("T must be > 0")
-    return raised(_qr_estimate([(ev, -T)], renorm_step)[0])
+    return _qr_single(ev, -T, renorm_step)
 
 
 def vector_exponent(ev, x, T, renorm_step=1.0):

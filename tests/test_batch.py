@@ -4,6 +4,8 @@ path at a time."""
 
 import itertools
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 import levymet as lm
 from levymet import experiments
 from levymet.cocycle import _hs_norm, _log_norm_max
-from levymet.errors import ResolutionError
+from levymet.errors import HorizonError, ResolutionError, SingularityError
 from levymet.experiments import EXPERIMENTS
 from levymet.spectrum import _mT
 
+ROOT = pathlib.Path(__file__).parent.parent
 ATOMS = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0\n"
 SHORT = ATOMS + "horizon = 20\ndt = 0.5\n"
 
@@ -183,6 +186,71 @@ def test_stage_failure_quarantines_only_its_path(monkeypatch):
     assert batch[2] == (2, None, "ResolutionError: frame growth rates "
                                  "inconsistent with grouping")
     assert repr(batch[:2] + batch[3:]) == repr(clean[:2] + clean[3:])
+
+
+def test_stack_errors_keep_their_order(monkeypatch):
+    # the build keeps the error of a stack that raised in its place; the
+    # stage still reports each path's first error in the order forward,
+    # backward, flag, split, alpha, so a forward-stack error and a QR
+    # degeneration both win over an alpha error
+    cfg = lm.parse_config(f"experiment = example_2d_exact\n{SHORT}"
+                          "master_seed = 5\n")
+    qr_stack, alpha_stack = experiments._qr_stack, experiments._alpha_stack
+    faults = {}
+
+    def qr(ev, T, step):
+        fault = faults.get("forward" if T > 0 else "backward")
+        if isinstance(fault, Exception):
+            raise fault
+        props = qr_stack(ev, T, step)
+        if fault is not None:  # a window that degenerates the frame
+            props = props.copy()
+            props[5] = fault
+        return props
+
+    def alpha(ev, grid):
+        if "alpha" in faults:
+            raise faults["alpha"]
+        return alpha_stack(ev, grid)
+
+    monkeypatch.setattr(experiments, "_qr_stack", qr)
+    monkeypatch.setattr(experiments, "_alpha_stack", alpha)
+    alpha_error = SingularityError("alpha stack")
+    forward, backward = HorizonError("forward"), HorizonError("backward")
+    shear = np.diag([1e300, 1e-300])
+    for case, want in (
+            ({}, None),
+            ({"alpha": alpha_error}, "SingularityError: alpha stack"),
+            ({"alpha": alpha_error, "backward": backward},
+             "HorizonError: backward"),
+            ({"alpha": alpha_error, "backward": backward, "forward": forward},
+             "HorizonError: forward"),
+            ({"alpha": alpha_error, "forward": shear},
+             "InstabilityError: frame degenerated; shorten renorm_step")):
+        faults.clear()
+        faults.update(case)
+        batch = EXPERIMENTS["example_2d_exact"].rows(cfg, (3, 0, 1))
+        assert [(i, err) for i, _, err in batch] == \
+            [(i, want) for i in (3, 0, 1)]
+
+
+def test_qr_batch_holds_stacks_not_evaluators():
+    # a 64-path example_2d_exact batch of the shipped config peaks, under
+    # tracemalloc, at about 3.4 MB (53 KB a path).  A 16-path batch that
+    # kept each path's evaluator (about 170 KB) until the stage peaked at
+    # 3.85 MB, and a 64-path one at 15.3 MB.
+    cfg = lm.parse_config((ROOT / "configs" / "example_2d_exact.cfg")
+                          .read_text())
+    rows = EXPERIMENTS["example_2d_exact"].rows
+    rows(cfg, (0,))  # first-call allocations are not the batch's
+    tracemalloc.start()
+    try:
+        batch = rows(cfg, tuple(range(64)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(err is None for _, _, err in batch)
+    assert peak <= 3.85e6
 
 
 # -- constants once per batch ------------------------------------------------------

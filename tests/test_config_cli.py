@@ -1,4 +1,5 @@
 import importlib.util
+import multiprocessing
 import os
 import pathlib
 import re
@@ -540,14 +541,21 @@ def test_reproducible_outputs_across_worker_counts(tmp_path):
 
 
 def test_batches_split_paths_contiguously():
-    for workers in (1, 2, 3):
-        for n in range(1, 120):
-            batches = experiments._batches(n, workers)
-            assert [i for b in batches for i in b] == list(range(n))
-            sizes = [len(b) for b in batches]
-            assert max(sizes) <= experiments.BATCH_PATHS
-            assert max(sizes) - min(sizes) <= 1
-            assert len(batches) >= min(n, workers)
+    # the QR experiments cap a batch at 64 paths, the others at BATCH_PATHS
+    caps = {name: e.batch_paths for name, e in EXPERIMENTS.items()}
+    assert caps == {**dict.fromkeys(EXPERIMENTS, experiments.BATCH_PATHS),
+                    "example_2d_exact": 64, "backward_spectrum": 64}
+    for cap in sorted(set(caps.values())):
+        for workers in (1, 2, 3):
+            for n in range(1, 300):
+                batches = experiments._batches(n, workers, cap)
+                assert [i for b in batches for i in b] == list(range(n))
+                sizes = [len(b) for b in batches]
+                assert max(sizes) <= cap
+                assert max(sizes) - min(sizes) <= 1
+                assert len(batches) >= min(n, workers)
+                # every process gets the same number of batches
+                assert len(batches) % min(len(batches), workers) == 0
 
 
 @pytest.mark.parametrize("experiment", ["example_2d_exact", "backward_spectrum"])
@@ -557,8 +565,10 @@ def test_rows_do_not_depend_on_batching(monkeypatch, experiment):
                           "horizon = 40\ndt = 0.5\nmaster_seed = 3\n")
     k = 5
     seen = set()
-    # serial 1, 2 and 3 batches; pooled 2 and 4 batches
-    for n_paths, threads in ((k, 1), (17, 1), (33, 1), (k, 2), (33, 2)):
+    # batches of at most 64: serial 1, 2 and 3 batches; pooled on 2
+    # processes 2 and 4 batches, on 3 processes 3 batches
+    for n_paths, threads in ((k, 1), (65, 1), (129, 1), (k, 2), (129, 2),
+                             (k, 3), (65, 3)):
         report = lm.run_experiment(replace(cfg, n_paths=n_paths,
                                            threads=threads))
         assert not report.path_errors
@@ -703,7 +713,7 @@ class _BreakingPool:
     """Executor that runs tasks in-process, except that the batch holding
     path ``broken`` fails as a crashed worker's future does."""
 
-    broken = 2
+    broken = 0
 
     def __init__(self, max_workers):
         pass
@@ -725,6 +735,8 @@ class _BreakingPool:
 
 
 def test_worker_crash_quarantines_its_batch(tmp_path, capsys, monkeypatch):
+    # 4 paths on 2 processes: the pool runs batch (0, 1), this process
+    # runs batch (2, 3)
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _BreakingPool)
     text = MINIMAL + ("horizon = 40\ndt = 0.5\nn_paths = 4\nthreads = 2\n"
@@ -732,13 +744,28 @@ def test_worker_crash_quarantines_its_batch(tmp_path, capsys, monkeypatch):
     report = lm.run_experiment(lm.parse_config(text))
     crash = ("BrokenProcessPool: A process in the process pool was "
              "terminated abruptly")
-    assert report.path_errors == [(2, crash), (3, crash)]
-    assert [r["index"] for r in report.rows] == [0, 1]
+    assert report.path_errors == [(0, crash), (1, crash)]
+    assert [r["index"] for r in report.rows] == [2, 3]
     assert not report.passed
     assert report.checks[0].check_id == "error_rate"
     assert main(["run", "--config", _write(tmp_path, "w.cfg", text)]) == 1
     assert "[FAIL] error_rate: 2/4 paths errored" in capsys.readouterr().out
-    assert f"path 3: {crash}" in (tmp_path / "out" / "report.txt").read_text()
+    assert f"path 1: {crash}" in (tmp_path / "out" / "report.txt").read_text()
+    # the calling process's own batch is quarantined the same way
+    task = experiments._path_task
+
+    def own_batch_fails(args):
+        if 3 in args[1]:
+            raise MemoryError("out of memory")
+        return task(args)
+
+    monkeypatch.setattr(experiments, "_path_task", own_batch_fails)
+    monkeypatch.setattr(_BreakingPool, "broken", None)
+    report = lm.run_experiment(lm.parse_config(text))
+    oom = "MemoryError: out of memory"
+    assert report.path_errors == [(2, oom), (3, oom)]
+    assert [r["index"] for r in report.rows] == [0, 1]
+    assert report.checks[0].check_id == "error_rate"
 
 
 def test_pool_is_no_larger_than_its_batches(monkeypatch):
@@ -755,11 +782,33 @@ def test_pool_is_no_larger_than_its_batches(monkeypatch):
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SizedPool)
     text = DETERMINISTIC + "horizon = 10\ndt = 0.5\nn_paths = {}\nthreads = {}\n"
-    for n_paths, threads in ((4, 64), (40, 3)):
+    for n_paths, threads in ((4, 64), (40, 3), (1, 3)):
         report = lm.run_experiment(lm.parse_config(text.format(n_paths, threads)))
         assert len(report.rows) == n_paths
-    # 4 batches of one path on 4 workers; 3 batches of at most 16 on 3
-    assert sizes == [4, 3]
+    # 4 batches of one path on 4 processes, 3 batches of at most 64 on 3:
+    # the calling process is one of them, so the pool is one smaller; one
+    # batch starts no pool
+    assert sizes == [3, 2]
+
+
+def test_pooled_run_leaves_no_child_process(monkeypatch):
+    # threads = 3 on 3 batches: exactly 2 processes are started, and none
+    # outlives the run
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    assert not multiprocessing.active_children()
+    report = lm.run_experiment(lm.parse_config(
+        DETERMINISTIC + "horizon = 10\ndt = 0.5\nn_paths = 6\nthreads = 3\n"))
+    assert len(report.rows) == 6
+    assert len(started) == 2
+    assert not multiprocessing.active_children()
 
 
 def _stable_row_two_sided(cfg, index):

@@ -503,8 +503,9 @@ def test_backward_leg_bitwise_equals_reflected_forward_leg():
 
 
 def test_forward_leg_memory_peak():
-    """A shipped stable_1d leg (about 664k jumps) allocates at most 6.5
-    arrays of its jump count at once, so no full-size temporary creeps
+    """A shipped stable_1d leg (about 664k jumps) allocates at most 5.5
+    arrays of its jump count at once (5.0 measured on seeds 1-3, with the
+    compensation subtracted in place), so no full-size temporary creeps
     back into the draw."""
     tri = _DRAW_LAWS["shipped"]
     grid = lm.TimeGrid(0.0, 60.0, 0.5)
@@ -516,4 +517,4 @@ def test_forward_leg_memory_peak():
         tracemalloc.stop()
     n = path.jump_times.size
     assert n > 600_000
-    assert peak <= 6.5 * 8 * n
+    assert peak <= 5.5 * 8 * n

@@ -573,11 +573,20 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+def _job(ev, T):
+    """The QR job (stack, T) of ``ev`` over [0, T]: its window stack, or
+    the LevyMetError computing it raised."""
+    try:
+        return lm.spectrum._qr_stack(ev, T, 1.0), T
+    except lm.LevyMetError as exc:
+        return exc, T
+
+
 def _batch(estimate, evs, T):
-    """The batch of ``evs`` in ``estimate``'s time direction, one call of
-    the QR entry."""
+    """The batch of ``evs``' window stacks in ``estimate``'s time
+    direction, one call of the QR entry."""
     sign = 1.0 if estimate is lm.spectrum_qr else -1.0
-    return lm.spectrum._qr_estimate([(ev, sign * T) for ev in evs], 1.0)
+    return lm.spectrum._qr_estimate([_job(ev, sign * T) for ev in evs], 1.0)
 
 
 @pytest.mark.parametrize("estimate", [lm.spectrum_qr, lm.backward_spectrum])
@@ -818,11 +827,13 @@ def test_qr_entry_mixes_time_directions():
     evs = [exact_ev(ATOM, 60.0, 8600 + s) for s in range(2)]
     evs.append(_conjugated_flow(haar(2, 30), [1.5, -2.0]))
     jobs = [(ev, T) for T in (60.0, -60.0) for ev in evs]
-    for (ev, T), got in zip(jobs, lm.spectrum._qr_estimate(jobs, 1.0)):
+    batch = lm.spectrum._qr_estimate([_job(ev, T) for ev, T in jobs], 1.0)
+    for (ev, T), got in zip(jobs, batch):
         alone = (lm.spectrum_qr if T > 0 else lm.backward_spectrum)(ev, 60.0)
         assert got.horizon == alone.horizon == T
         assert np.array_equal(got.raw, alone.raw)
         assert got.logdet_over_T == alone.logdet_over_T
         _assert_same_flag(got.flag, alone.flag)
     with pytest.raises(ConfigurationError, match="one horizon length"):
-        lm.spectrum._qr_estimate([(evs[0], 60.0), (evs[0], -50.0)], 1.0)
+        lm.spectrum._qr_estimate([_job(evs[0], 60.0), _job(evs[0], -50.0)],
+                                 1.0)
