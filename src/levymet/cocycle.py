@@ -175,6 +175,15 @@ class _EvaluatorBase:
     def inverse(self, t):
         return self.propagate(t, np.zeros(np.shape(t)))
 
+    def _shifted_matrices(self, s, t):
+        """The (n, d, d) stack of phi(t_k, theta_{s_k} omega) for equal-length
+        arrays s and t, or None to have :func:`cocycle_residual` take the
+        pairs one at a time.  By default ``shifted(s_k).matrix(t_k)``, pair
+        by pair."""
+        return np.reshape([self.shifted(a).matrix(b)
+                           for a, b in zip(s.tolist(), t.tolist())],
+                          (s.size, self.d, self.d))
+
 
 class ExactDiagonal2D(_EvaluatorBase):
     """Closed-form cocycle of the decoupled benchmark system
@@ -252,34 +261,81 @@ class ExactDiagonal2D(_EvaluatorBase):
 
     def propagate(self, t0, t1):
         ends = self.log_growth(np.stack([t0, t1]))
-        lg = ends[1] - ends[0]
-        if np.any(np.abs(lg) > _LOG_OVERFLOW):
-            raise InstabilityError("diagonal entry overflows; split the "
-                                   "window or use log_growth")
-        return np.exp(lg)[..., None] * np.eye(2)
+        return _diagonal_exp(ends[1] - ends[0])
 
     def shifted(self, s):
         """The evaluator on the shifted paths.  The band integrals are
         shift-invariant, and so is each cumulative jump table while the
         shifted horizon keeps every jump of its path, taken as ``jumps_in``
-        takes it: then the jump times move by s and the anchor is re-read.
-        Otherwise the tables are rebuilt."""
+        takes it: then the jump times move by s and the anchor is re-read
+        (:meth:`_retimed`).  Otherwise the tables are rebuilt."""
         ev = copy.copy(self)
         ev.driver_paths = [p.shift(s) for p in self.driver_paths]
-        ev._jump_t, ev._anchor = [], []
-        for p, cum in zip(ev.driver_paths, self._log_cum):
+        retimed = self._retimed(np.array([s], float))
+        if retimed is None:
+            ev._tabulate_jumps()
+        else:
+            ev._jump_t = [times[0] for *_, times, _ in retimed]
+            ev._anchor = [anchor[0] for *_, anchor in retimed]
+        return ev
+
+    def _retimed(self, s):
+        """The tables ``shifted`` re-times, for an array of shifts s at once:
+        per driver path the shifted horizon (lo, hi), the jump times minus
+        the shifted offsets ``p.offset + s`` (one row per shift) and each
+        row's anchor into the path's cumulative table.  None if some shift
+        moves the offset off the sampled horizon or its horizon cuts a jump
+        off."""
+        out = []
+        for p, cum in zip(self.driver_paths, self._log_cum):
+            off = (p.offset + s)[:, None]
+            lo, hi = p.backward.t_start - off, p.forward.t_end - off
             times = np.concatenate([p.backward.jump_times,
                                     p.forward.jump_times])
-            lo, hi = p.horizon
-            cut = np.searchsorted(times, [lo + p.offset, hi + p.offset],
-                                  side="right")
-            if cum.size != times.size + 1 or cut[0] > 0 or cut[1] < times.size:
-                ev._tabulate_jumps()
-                return ev
-            times = times - p.offset
-            ev._jump_t.append(times)
-            ev._anchor.append(cum[np.searchsorted(times, 0.0, side="right")])
-        return ev
+            # TwoSidedPath.shift's offset check, then the jumps jumps_in
+            # takes, those in (lo + off, hi + off]: adding the offset back
+            # can round off the legs' ends
+            if (not np.all((p.backward.t_start <= off)
+                           & (off <= p.forward.t_end))
+                    or cum.size != times.size + 1
+                    or np.any(times <= lo + off) or np.any(times > hi + off)):
+                return None
+            times = times - off
+            # rounding is monotone, so each row stays sorted and the count of
+            # its times <= 0 is searchsorted(row, 0.0, side="right")
+            out.append((lo[:, 0], hi[:, 0], times,
+                        cum[np.sum(times <= 0.0, axis=1)]))
+        return out
+
+    def _shifted_matrices(self, s, t):
+        """phi(t_k, theta_{s_k} omega), bitwise ``shifted(s_k).matrix(t_k)``,
+        from the :meth:`_retimed` tables of all shifts at once.  None where
+        some ``shifted(s_k)`` would raise or rebuild its tables; raises, with
+        a message of its own, where some ``matrix(t_k)`` on it would."""
+        retimed = self._retimed(s)
+        if retimed is None:
+            return None
+        x = np.stack([np.zeros_like(t), t])  # the ends of Phi(0 -> t_k)
+        lo = np.max([lo for lo, *_ in retimed], axis=0)
+        hi = np.min([hi for _, hi, *_ in retimed], axis=0)
+        if np.any(_outside_horizon(x, (lo, hi))):
+            raise HorizonError("t outside a shifted horizon")
+        rate = self.compensator_integral - self._log_moment
+        cols = []
+        for c, cum, (_, _, times, anchor) in zip(BENCHMARK_DRIFTS,
+                                                 self._log_cum, retimed):
+            jump_sum = cum[np.sum(times <= x[..., None], axis=-1)] - anchor
+            cols.append((c + rate) * x + jump_sum)
+        ends = np.stack(cols, axis=-1)
+        return _diagonal_exp(ends[1] - ends[0])
+
+
+def _diagonal_exp(lg):
+    """The stack of diagonal matrices exp(lg) of a stack of log-diagonals."""
+    if np.any(np.abs(lg) > _LOG_OVERFLOW):
+        raise InstabilityError("diagonal entry overflows; split the "
+                               "window or use log_growth")
+    return np.exp(lg)[..., None] * np.eye(lg.shape[-1])
 
 
 class StochasticExponential1D(_EvaluatorBase):
@@ -709,24 +765,26 @@ def cocycle_residual(ev, s, t):
     """Hilbert-Schmidt defect of the cocycle law,
     || phi(t+s) - phi(t, theta_s .) phi(s) ||, at (s, t), or one per pair
     for equal-length arrays s and t.  phi(s+t) and phi(s) of all pairs come
-    from one stacked ``matrix`` call; if that raises, the pairs are
-    evaluated one at a time, so the error is the first failing pair's."""
+    from one stacked ``matrix`` call, phi(t, theta_s .) from the backend's
+    stacked evaluation (one shifted evaluator per pair, except on the exact
+    benchmark backend), and the compositions from one ``matmul``.  If either
+    stacked call raises, or the backend has no stacked form for some pair,
+    the pairs are evaluated one at a time, so an error is the first failing
+    pair's."""
     s_all = np.atleast_1d(np.asarray(s, float))
     t_all = np.atleast_1d(np.asarray(t, float))
     n = s_all.size
     try:
-        stacked = ev.matrix(np.concatenate([s_all + t_all, s_all]))
+        phi = ev.matrix(np.concatenate([s_all + t_all, s_all]))
+        theta = ev._shifted_matrices(s_all, t_all)
     except LevyMetError:
-        stacked = None
-
-    def phi(k, x):
-        return ev.matrix(x) if stacked is None else stacked[k]
-
-    res = np.empty(n)
-    for k, (a, b) in enumerate(zip(s_all.tolist(), t_all.tolist())):
-        direct = phi(k, a + b)
-        composed = ev.shifted(a).matrix(b) @ phi(n + k, a)
-        res[k] = _hs_norm(direct - composed)
+        theta = None
+    if theta is None:
+        res = np.array([
+            _hs_norm(ev.matrix(a + b) - ev.shifted(a).matrix(b) @ ev.matrix(a))
+            for a, b in zip(s_all.tolist(), t_all.tolist())])
+    else:
+        res = np.array([_hs_norm(M) for M in phi[:n] - theta @ phi[n:]])
     return res if np.ndim(s) else float(res[0])
 
 

@@ -648,9 +648,10 @@ def _check_example_2d_euler(cfg):
 # per-window LAPACK overhead of a lockstep stage falls with the batch size,
 # but every path of a batch keeps what its stage reads until the stage is
 # done.  The example_2d_euler ladder fold grows with its batch: 40 paths of
-# the euler_ladder bench config in one batch peak at 10.9 MB under
-# tracemalloc and run at 219 paths/s, in three batches of at most 16 at
-# 4.4 MB and 237 paths/s (serial, medians of 15).  The QR experiments keep
+# the euler_ladder bench config in one batch peak at 10.4 MB under
+# tracemalloc and run at 293-329 paths/s, in three batches of at most 16 at
+# 4.2 MB and 339-373 paths/s (serial, wall clock, medians of 15 runs with
+# the two caps interleaved, two sessions).  The QR experiments keep
 # window stacks only (about 14 KB per path; an evaluator is about 170 KB)
 # and cap at 64: a 64-path example_2d_exact batch of the shipped config
 # peaks at 3.4 MB, below the 3.85 MB of a 16-path batch that kept its

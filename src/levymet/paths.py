@@ -129,7 +129,11 @@ class JumpPath:
         return self.continuous_at(t) + self._jump_cum[idx]
 
     def continuous_increment(self, t0, t1):
-        return self.continuous_at(t1) - self.continuous_at(t0)
+        """continuous_at(t1) - continuous_at(t0), elementwise for arrays,
+        from one lookup of both ends; a HorizonError names the first time
+        outside, of t1 before t0."""
+        ends = self.continuous_at(np.stack(np.broadcast_arrays(t1, t0)))
+        return ends[0] - ends[1]
 
     def jumps_in(self, a, b):
         """Jump times and sizes with a < s <= b."""
@@ -303,8 +307,13 @@ class TwoSidedPath:
             raise StructuralError("leg dimensions differ")
         if forward.t_start != 0.0 or backward.t_end != 0.0:
             raise StructuralError("legs must meet at 0")
-        if np.any(forward.evaluate(0.0) != 0.0) or np.any(backward.evaluate(0.0) != 0.0):
-            raise StructuralError("legs must vanish at the origin")
+        for leg in (forward, backward):
+            # evaluate(0.0): np.interp returns the skeleton row of the last
+            # node at 0 exactly, plus the jumps at times <= 0
+            node = np.searchsorted(leg.node_times, 0.0, side="right") - 1
+            jumps = np.searchsorted(leg.jump_times, 0.0, side="right")
+            if np.any(leg.cont[node] + leg._jump_cum[jumps] != 0.0):
+                raise StructuralError("legs must vanish at the origin")
         self.forward = forward
         self.backward = backward
         self._move_to(offset)
@@ -346,7 +355,8 @@ class TwoSidedPath:
         out = np.empty(s0.shape + (self.d,))
         for leg, on in ((self.forward, fwd0 & fwd1),
                         (self.backward, ~fwd0 & ~fwd1)):
-            out[on] = leg.continuous_increment(s0[on], s1[on])
+            if np.any(on):
+                out[on] = leg.continuous_increment(s0[on], s1[on])
         cross = fwd0 != fwd1
         if np.any(cross):
             a, b = s0[cross], s1[cross]

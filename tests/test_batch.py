@@ -85,6 +85,18 @@ def test_stacked_linalg_matches_per_matrix_calls():
     _same_bits(_mT(E) @ T_, [e.T @ T_ for e in E])
     m = _mT(E) @ T_
     _same_bits(T_ - E @ m, [T_ - e @ mm for e, mm in zip(E, m)])
+    # the exact backend's cocycle-law residual: diagonal matrices from a
+    # stack of log-diagonals, phi(s + t) and phi(s) as halves of one stack,
+    # and phi(s + t) - phi(t, theta_s) phi(s) with a norm per pair
+    lg = rng.normal(0.0, 3.0, (3 * n, 2))
+    D = np.exp(lg)[..., None] * np.eye(2)
+    _same_bits(D, [np.exp(x)[..., None] * np.eye(2) for x in lg])
+    phi, theta = D[:2 * n], D[2 * n:]
+    _same_bits(theta @ phi[n:], [a @ b for a, b in zip(theta, phi[n:])])
+    defect = phi[:n] - theta @ phi[n:]
+    _same_bits([_hs_norm(M) for M in defect],
+               [_hs_norm(a - b @ c) for a, b, c in zip(phi[:n], theta,
+                                                       phi[n:])])
 
 
 def test_norm_screen_returns_the_per_matrix_max():

@@ -874,9 +874,63 @@ def test_exact_shifted_rebuilds_a_cut_jump_table():
     assert (ev.shifted(-0.3)._jump_t[0].size
             == ev._jump_t[0].size - 1)
     s, t = np.array([-0.3, 0.2, -0.3]), np.array([0.9, -0.5, -1.2])
+    # the stacked residual declines these shifts and runs the pairs one at
+    # a time, through the rebuilt tables
+    assert ev._shifted_matrices(s, t) is None
     res = lm.cocycle_residual(ev, s, t)
     assert res.tolist() == [_residual_reference(paths, a, b)
                             for a, b in zip(s, t)]
+
+
+def _per_pair_residuals(ev, s, t):
+    """The cocycle-law residuals pair by pair, each from a shifted
+    evaluator of its own; raises what the first failing pair raises."""
+    return np.array([np.linalg.norm(ev.matrix(a + b)
+                                    - ev.shifted(a).matrix(b) @ ev.matrix(a))
+                     for a, b in zip(s.tolist(), t.tolist())])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), end_jumps=st.booleans(),
+       pairs=st.lists(st.tuples(st.floats(-2.6, 2.6), st.floats(-2.6, 2.6)),
+                      min_size=1, max_size=8))
+# shifts whose horizon cuts the end jump off, then one past the horizon and
+# one evaluating past it
+@example(seed=0, end_jumps=True, pairs=[(0.2, -0.5), (-0.3, 0.9)])
+@example(seed=0, end_jumps=True, pairs=[(0.5, 0.2), (2.5, -1.0), (1.0, 1.5)])
+@example(seed=0, end_jumps=False, pairs=[(1.0, 1.5), (2.5, -1.0)])
+# shifts onto a jump time, so a re-timed jump sits at 0
+@example(seed=0, end_jumps=True, pairs=[(0.4, 0.3), (0.9, -0.5)])
+# past the horizon by less than the 1e-12 slack of evaluation: phi(s) and
+# phi(s + t) evaluate, but the shift, or the evaluation at t on the shifted
+# paths, does not
+@example(seed=0, end_jumps=False, pairs=[(0.5, 0.2), (2.0 + 5e-13, -1.0)])
+@example(seed=0, end_jumps=False, pairs=[(0.5, 0.2), (-2.0 - 5e-13, 1.0)])
+@example(seed=0, end_jumps=False, pairs=[(0.5, 0.2), (-1.89, 3.890000000001)])
+def test_stacked_residual_is_the_per_pair_loop(seed, end_jumps, pairs):
+    # bitwise the per-pair residuals, or the same error as the per-pair
+    # loop, on paths whose shifted tables are re-timed or rebuilt
+    paths = _end_jump_paths() if end_jumps else benchmark_paths(ATOM, 2.0,
+                                                                seed)
+    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    s, t = np.array(pairs).T
+    try:
+        want = _per_pair_residuals(ev, s, t)
+    except LevyMetError as exc:
+        with pytest.raises(type(exc)) as info:
+            lm.cocycle_residual(ev, s, t)
+        assert str(info.value) == str(exc)
+        return
+    assert lm.cocycle_residual(ev, s, t).tobytes() == want.tobytes()
+    # shifted's tables are those of an evaluator built on the shifted paths
+    assert want.tolist() == [_residual_reference(paths, a, b)
+                             for a, b in pairs]
+    theta = ev._shifted_matrices(s, t)
+    if not end_jumps:  # sampled paths keep every jump on these shifts
+        assert theta is not None
+    if theta is not None:
+        assert theta.tobytes() == np.stack(
+            [ev.shifted(a).matrix(b) for a, b in pairs]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -155,6 +155,25 @@ def test_two_sided_construction_checks():
         lm.TwoSidedPath(fwd2, bwd)
 
 
+@pytest.mark.parametrize("zero_node_value", [0.0, -0.25, 0.25, math.nan])
+def test_origin_check_is_evaluate_at_zero(zero_node_value):
+    # legs whose nodes repeat 0 and with jumps at 0 or before it: a leg
+    # passes the check exactly when its evaluate(0.0) is 0 (forward: at
+    # -0.25, backward: at 0.25)
+    fwd = lm.JumpPath([0.0, 0.0, 1.0, 2.0], [3.0, zero_node_value, 0.1, 0.2],
+                      [0.0, 1.5], [0.25, 0.1])
+    bwd = lm.JumpPath([-2.0, -1.0, 0.0, 0.0], [0.3, 0.2, 7.0, zero_node_value],
+                      [-1.0, -0.5], [0.5, -0.75])
+    good_fwd = lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 1)
+    good_bwd = lm.sample_backward(ATOM_TRIPLET, lm.TimeGrid(-2.0, 0.0, 0.5), 2)
+    for legs, leg in (((fwd, good_bwd), fwd), ((good_fwd, bwd), bwd)):
+        if np.all(leg.evaluate(0.0) == 0.0):
+            lm.TwoSidedPath(*legs)
+        else:
+            with pytest.raises(StructuralError, match="vanish at the origin"):
+                lm.TwoSidedPath(*legs)
+
+
 def test_zero_two_sided_path():
     tri = lm.scalar_triplet()
     ts = lm.sample_two_sided(tri, 2.0, 0.5, 5)
@@ -291,6 +310,34 @@ def test_two_sided_array_lookups_match_scalar_calls(offset):
     # a scalar end against an array of starts broadcasts
     np.testing.assert_array_equal(path.continuous_increment(t0, 0.0),
                                   -path.continuous_increment(0.0, t0))
+    # windows wholly on the forward leg, wholly on the backward leg, and
+    # across 0, against each leg's continuous_at(t1) - continuous_at(t0)
+    s0, s1 = t0 + offset, t1 + offset
+    for on in (np.minimum(s0, s1) >= 0.0, np.maximum(s0, s1) < 0.0,
+               (s0 >= 0.0) != (s1 >= 0.0)):
+        assert np.any(on)
+        assert (path.continuous_increment(t0[on], t1[on]).tobytes()
+                == _two_sided_increment(path, t0[on], t1[on]).tobytes())
+
+
+def _two_sided_increment(path, t0, t1):
+    """TwoSidedPath.continuous_increment from each leg's continuous_at(t1)
+    - continuous_at(t0), with both legs called whatever the windows."""
+    def leg_increment(leg, a, b):
+        return leg.continuous_at(b) - leg.continuous_at(a)
+
+    s0, s1 = t0 + path.offset, t1 + path.offset
+    fwd0, fwd1 = s0 >= 0.0, s1 >= 0.0
+    out = np.empty(s0.shape + (path.d,))
+    for leg, on in ((path.forward, fwd0 & fwd1),
+                    (path.backward, ~fwd0 & ~fwd1)):
+        out[on] = leg_increment(leg, s0[on], s1[on])
+    cross = fwd0 != fwd1
+    a, b = s0[cross], s1[cross]
+    sgn = np.where(b >= a, 1.0, -1.0)[:, None]
+    out[cross] = sgn * (leg_increment(path.backward, np.minimum(a, b), 0.0)
+                        + leg_increment(path.forward, 0.0, np.maximum(a, b)))
+    return out
 
 
 def test_array_lookups_outside_horizon():
@@ -299,6 +346,10 @@ def test_array_lookups_outside_horizon():
         fwd.continuous_at(np.array([0.5, 2.5, 1.0]))
     with pytest.raises(HorizonError):
         fwd.continuous_increment(np.array([0.1, 0.2]), np.array([1.0, -0.1]))
+    # both ends outside: the error names the end's time, as continuous_at(t1)
+    # - continuous_at(t0) does
+    with pytest.raises(HorizonError, match=r"^t=2\.5 outside"):
+        fwd.continuous_increment(np.array([0.1, -0.3]), np.array([1.0, 2.5]))
     ts = lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 57).shift(0.5)
     with pytest.raises(HorizonError):
         ts.continuous_increment(np.array([-2.6, 0.0]), np.array([0.3, 0.4]))
