@@ -28,7 +28,6 @@ Backends:
   integral equation, used as an independent oracle for the Euler backend.
 """
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -141,8 +140,13 @@ def _fold(win, pos, factors, count):
 def _window_count(span, step):
     """The fewest equal windows of length <= step that cover span, at least
     one, elementwise for arrays; a span within rounding of a whole number
-    of steps gets that number."""
-    return np.maximum(1, np.ceil(np.abs(span) / step - 1e-9).astype(int))
+    of steps gets that number.  Raises a ConfigurationError for a count
+    past the integer range."""
+    n = np.ceil(np.abs(span) / step - 1e-9)
+    if not np.all(n < 2.0**63):  # False for inf and nan too
+        raise ConfigurationError(f"{np.max(n):.3g} windows overflow the "
+                                 "window count; raise the step")
+    return np.maximum(1, n.astype(int))
 
 
 def _windows(t0, t1, step):
@@ -178,11 +182,9 @@ class _EvaluatorBase:
     def _shifted_matrices(self, s, t):
         """The (n, d, d) stack of phi(t_k, theta_{s_k} omega) for equal-length
         arrays s and t, or None to have :func:`cocycle_residual` take the
-        pairs one at a time.  By default ``shifted(s_k).matrix(t_k)``, pair
-        by pair."""
-        return np.reshape([self.shifted(a).matrix(b)
-                           for a, b in zip(s.tolist(), t.tolist())],
-                          (s.size, self.d, self.d))
+        pairs one at a time, each on ``shifted(s_k)``.  Only the exact
+        benchmark backend has a stacked form."""
+        return None
 
 
 class ExactDiagonal2D(_EvaluatorBase):
@@ -216,20 +218,8 @@ class ExactDiagonal2D(_EvaluatorBase):
             integrals = self.band_integrals(driver_paths[0].triplet, measure,
                                             self.delta)
         self.compensator_integral, self._log_moment = integrals
-        self._tabulate_jumps()
-
-    @staticmethod
-    def band_integrals(triplet, measure, delta):
-        """(I, K) over {lo < |u| <= delta}, lo the triplet's eps_cut (0 for
-        None): the ``integrals`` all paths of one triplet share."""
-        lo = 0.0 if triplet is None else min(triplet.effective_cut(), delta)
-        return measure.log_compensator(lo, delta), measure.log_moment(lo, delta)
-
-    def _tabulate_jumps(self):
-        """Per-path jump times and cumulative log(1 + kappa) tables."""
-        self._jump_t = []
-        self._log_cum = []
-        self._anchor = []
+        # per path: jump times and cumulative log(1 + kappa) tables
+        self._jump_t, self._log_cum, self._anchor = [], [], []
         for p in self.driver_paths:
             if p.d != 1:
                 raise StructuralError("driver paths must be scalar")
@@ -245,6 +235,13 @@ class ExactDiagonal2D(_EvaluatorBase):
             cum = np.concatenate([[0.0], np.cumsum(np.log1p(sizes))])
             self._log_cum.append(cum)
             self._anchor.append(cum[np.searchsorted(times, 0.0, side="right")])
+
+    @staticmethod
+    def band_integrals(triplet, measure, delta):
+        """(I, K) over {lo < |u| <= delta}, lo the triplet's eps_cut (0 for
+        None): the ``integrals`` all paths of one triplet share."""
+        lo = 0.0 if triplet is None else min(triplet.effective_cut(), delta)
+        return measure.log_compensator(lo, delta), measure.log_moment(lo, delta)
 
     def log_growth(self, t):
         """log phi(t)_ii, exact in log scale for any horizon: a 2-vector for
@@ -264,30 +261,26 @@ class ExactDiagonal2D(_EvaluatorBase):
         return _diagonal_exp(ends[1] - ends[0])
 
     def shifted(self, s):
-        """The evaluator on the shifted paths.  The band integrals are
-        shift-invariant, and so is each cumulative jump table while the
-        shifted horizon keeps every jump of its path, taken as ``jumps_in``
-        takes it: then the jump times move by s and the anchor is re-read
-        (:meth:`_retimed`).  Otherwise the tables are rebuilt."""
-        ev = copy.copy(self)
-        ev.driver_paths = [p.shift(s) for p in self.driver_paths]
-        retimed = self._retimed(np.array([s], float))
-        if retimed is None:
-            ev._tabulate_jumps()
-        else:
-            ev._jump_t = [times[0] for *_, times, _ in retimed]
-            ev._anchor = [anchor[0] for *_, anchor in retimed]
-        return ev
+        """The evaluator on the shifted paths; the band integrals are
+        shift-invariant and carry over."""
+        return ExactDiagonal2D([p.shift(s) for p in self.driver_paths],
+                               self.measure, self.delta,
+                               (self.compensator_integral, self._log_moment))
 
-    def _retimed(self, s):
-        """The tables ``shifted`` re-times, for an array of shifts s at once:
-        per driver path the shifted horizon (lo, hi), the jump times minus
-        the shifted offsets ``p.offset + s`` (one row per shift) and each
-        row's anchor into the path's cumulative table.  None if some shift
-        moves the offset off the sampled horizon or its horizon cuts a jump
-        off."""
-        out = []
-        for p, cum in zip(self.driver_paths, self._log_cum):
+    def _shifted_matrices(self, s, t):
+        """phi(t_k, theta_{s_k} omega), bitwise ``shifted(s_k).matrix(t_k)``,
+        for all pairs at once.  Each cumulative jump table is shift-invariant
+        while the shifted horizon keeps every jump of its path, taken as
+        ``jumps_in`` takes it: then the jump times move by the shifted offset
+        ``p.offset + s_k`` (one row per shift) and the anchor is re-read.
+        None where some ``shifted(s_k)`` would raise or its horizon cuts a
+        jump off; raises, with a message of its own, where some
+        ``matrix(t_k)`` on it would."""
+        x = np.stack([np.zeros_like(t), t])  # the ends of Phi(0 -> t_k)
+        rate = self.compensator_integral - self._log_moment
+        cols = []
+        for c, p, cum in zip(BENCHMARK_DRIFTS, self.driver_paths,
+                             self._log_cum):
             off = (p.offset + s)[:, None]
             lo, hi = p.backward.t_start - off, p.forward.t_end - off
             times = np.concatenate([p.backward.jump_times,
@@ -300,30 +293,12 @@ class ExactDiagonal2D(_EvaluatorBase):
                     or cum.size != times.size + 1
                     or np.any(times <= lo + off) or np.any(times > hi + off)):
                 return None
+            if np.any(_outside_horizon(x, (lo[:, 0], hi[:, 0]))):
+                raise HorizonError("t outside a shifted horizon")
             times = times - off
             # rounding is monotone, so each row stays sorted and the count of
             # its times <= 0 is searchsorted(row, 0.0, side="right")
-            out.append((lo[:, 0], hi[:, 0], times,
-                        cum[np.sum(times <= 0.0, axis=1)]))
-        return out
-
-    def _shifted_matrices(self, s, t):
-        """phi(t_k, theta_{s_k} omega), bitwise ``shifted(s_k).matrix(t_k)``,
-        from the :meth:`_retimed` tables of all shifts at once.  None where
-        some ``shifted(s_k)`` would raise or rebuild its tables; raises, with
-        a message of its own, where some ``matrix(t_k)`` on it would."""
-        retimed = self._retimed(s)
-        if retimed is None:
-            return None
-        x = np.stack([np.zeros_like(t), t])  # the ends of Phi(0 -> t_k)
-        lo = np.max([lo for lo, *_ in retimed], axis=0)
-        hi = np.min([hi for _, hi, *_ in retimed], axis=0)
-        if np.any(_outside_horizon(x, (lo, hi))):
-            raise HorizonError("t outside a shifted horizon")
-        rate = self.compensator_integral - self._log_moment
-        cols = []
-        for c, cum, (_, _, times, anchor) in zip(BENCHMARK_DRIFTS,
-                                                 self._log_cum, retimed):
+            anchor = cum[np.sum(times <= 0.0, axis=1)]
             jump_sum = cum[np.sum(times <= x[..., None], axis=-1)] - anchor
             cols.append((c + rate) * x + jump_sum)
         ends = np.stack(cols, axis=-1)
@@ -764,19 +739,19 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
 def cocycle_residual(ev, s, t):
     """Hilbert-Schmidt defect of the cocycle law,
     || phi(t+s) - phi(t, theta_s .) phi(s) ||, at (s, t), or one per pair
-    for equal-length arrays s and t.  phi(s+t) and phi(s) of all pairs come
-    from one stacked ``matrix`` call, phi(t, theta_s .) from the backend's
-    stacked evaluation (one shifted evaluator per pair, except on the exact
-    benchmark backend), and the compositions from one ``matmul``.  If either
-    stacked call raises, or the backend has no stacked form for some pair,
-    the pairs are evaluated one at a time, so an error is the first failing
-    pair's."""
+    for equal-length arrays s and t.  Where the backend has a stacked form
+    of phi(t, theta_s .) (``_shifted_matrices``; the exact benchmark backend
+    only), phi(s+t) and phi(s) of all pairs come from one stacked ``matrix``
+    call and the compositions from one ``matmul``.  Otherwise, or if either
+    stacked call raises, the pairs are evaluated one at a time, each on
+    ``ev.shifted(s)``, so an error is the first failing pair's."""
     s_all = np.atleast_1d(np.asarray(s, float))
     t_all = np.atleast_1d(np.asarray(t, float))
     n = s_all.size
     try:
-        phi = ev.matrix(np.concatenate([s_all + t_all, s_all]))
         theta = ev._shifted_matrices(s_all, t_all)
+        if theta is not None:
+            phi = ev.matrix(np.concatenate([s_all + t_all, s_all]))
     except LevyMetError:
         theta = None
     if theta is None:

@@ -619,11 +619,21 @@ def _agg_backward_spectrum(cfg, rows):
     return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 2)}
 
 
+# Most Euler steps on the finest rung, and most QR windows per direction,
+# that a path may need
+_STEP_BUDGET = 1e6
+
+
 def _check_qr_horizon(cfg):
     if cfg.horizon < _QR_MIN_WINDOWS * cfg.renorm_step:
         raise ParseError(f"{cfg.experiment} needs horizon >= "
                          f"{_QR_MIN_WINDOWS} * renorm_step (at least "
                          f"{_QR_MIN_WINDOWS} QR windows)")
+    windows = cfg.horizon / cfg.renorm_step
+    if windows > _STEP_BUDGET:
+        raise ParseError(f"{cfg.experiment} needs {windows:.3g} QR windows "
+                         f"per direction, above {_STEP_BUDGET:.0e}; raise "
+                         "renorm_step")
 
 
 def _check_example_2d_exact(cfg):
@@ -637,11 +647,17 @@ def _check_example_2d_euler(cfg):
     if cfg.horizon > 100.0:
         raise ParseError(f"{cfg.experiment} needs horizon <= 100 "
                          "(plain matrices overflow past that)")
-    steps = cfg.horizon / (cfg.dt_int / 2.0 ** cfg.halvings)
-    if steps > 1e6:
-        raise ParseError(f"{cfg.experiment}'s finest rung needs {steps:.3g} "
-                         "Euler steps per path, above 1e6; raise dt_int or "
-                         "lower halvings")
+    # horizon / (dt_int / 2^halvings); 2.0 ** halvings overflows from 1024 on
+    try:
+        steps = math.ldexp(cfg.horizon / cfg.dt_int, cfg.halvings)
+    except OverflowError:
+        steps = math.inf
+    if steps > _STEP_BUDGET:
+        count = (f"{steps:.3g}" if math.isfinite(steps) else
+                 f"{cfg.horizon:g} / ({cfg.dt_int:g} / 2^{cfg.halvings})")
+        raise ParseError(f"{cfg.experiment}'s finest rung needs {count} "
+                         f"Euler steps per path, above {_STEP_BUDGET:.0e}; "
+                         "raise dt_int or lower halvings")
 
 
 # Largest batch of paths, unless an experiment sets its own cap.  The

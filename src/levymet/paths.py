@@ -53,6 +53,9 @@ class TimeGrid:
         if not self.t_start < self.t_end:
             raise ConfigurationError("t_start must be < t_end")
         n = (self.t_end - self.t_start) / self.dt
+        if not math.isfinite(n):
+            raise ConfigurationError(f"(t_end - t_start)/dt = {n} steps; "
+                                     "raise dt")
         if abs(n - round(n)) > 4.0 * np.finfo(float).eps * max(1.0, abs(n)):
             raise ConfigurationError("(t_end - t_start)/dt must be an integer")
 

@@ -933,6 +933,34 @@ def test_stacked_residual_is_the_per_pair_loop(seed, end_jumps, pairs):
             [ev.shifted(a).matrix(b) for a, b in pairs]).tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), kind=st.sampled_from(["euler", "doleans"]),
+       pairs=st.lists(st.tuples(st.floats(-0.5, 2.6), st.floats(-0.5, 2.6)),
+                      min_size=1, max_size=4))
+# the Doléans-Dade exponential raises for t < 0; both raise past the horizon
+@example(seed=0, kind="doleans", pairs=[(0.5, 0.2), (0.3, -0.1)])
+@example(seed=0, kind="euler", pairs=[(0.5, 0.2), (1.0, 1.5), (2.5, 0.1)])
+def test_residual_without_a_stacked_form_is_the_per_pair_loop(seed, kind,
+                                                              pairs):
+    # the Euler and Doléans-Dade backends have no stacked shifted form:
+    # their residual is the per-pair loop, bitwise, or its first error
+    paths = benchmark_paths(ATOM, 2.0, seed)
+    if kind == "doleans":
+        ev = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
+    else:
+        ev = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5), paths, 0.1)
+    s, t = np.array(pairs).T
+    assert ev._shifted_matrices(s, t) is None
+    try:
+        want = _per_pair_residuals(ev, s, t)
+    except LevyMetError as exc:
+        with pytest.raises(type(exc)) as info:
+            lm.cocycle_residual(ev, s, t)
+        assert str(info.value) == str(exc)
+        return
+    assert lm.cocycle_residual(ev, s, t).tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16),
        pairs=st.lists(st.tuples(st.floats(-1.4, 1.4), st.floats(-1.4, 1.4)),

@@ -75,9 +75,10 @@ def _configs(draw):
     experiment = draw(st.sampled_from(list(EXPERIMENTS)))
     delta = (st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
              if experiment == "example_2d_exact" else _POSITIVE)
-    # the QR experiments need at least 10 renorm steps in the horizon
-    renorm_step = (st.floats(min_value=1e-6, max_value=horizon / 10).filter(
-        lambda r: horizon >= 10.0 * r)
+    # the QR experiments need 10 to 1e6 renorm steps in the horizon
+    renorm_step = (st.floats(min_value=horizon / 1e6,
+                             max_value=horizon / 10).filter(
+        lambda r: horizon >= 10.0 * r and horizon / r <= 1e6)
         if experiment in ("example_2d_exact", "backward_spectrum")
         else _POSITIVE)
     # the Euler ladder's finest rung takes at most 1e6 steps
@@ -360,6 +361,47 @@ def test_euler_ladder_over_the_step_budget_fails_at_parse(tmp_path, capsys):
     lm.parse_config(edge.format(12))
     with pytest.raises(ParseError, match=r"needs 2e\+06 Euler steps"):
         lm.parse_config(edge.format(13))
+
+
+def test_euler_ladder_past_the_float_range_fails_at_parse(tmp_path, capsys):
+    # 2.0 ** 2000 overflows a float; the message names the step count
+    text = ("experiment = example_2d_euler\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 2\ndt_int = 0.08\n"
+            "halvings = 2000\nn_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text, "finest rung needs "
+                           "2 / (0.08 / 2^2000) Euler steps per path")
+
+
+@pytest.mark.parametrize("experiment",
+                         ["example_2d_exact", "backward_spectrum"])
+def test_qr_horizon_over_the_window_budget_fails_before_any_path(
+        tmp_path, capsys, experiment):
+    # 20 / 1e-300 windows: cast to an integer count, it would overflow
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 20\ndt = 0.5\n"
+            "renorm_step = 1e-300\nn_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text,
+                           "needs 2e+301 QR windows per direction")
+    edge = (f"experiment = {experiment}\nhorizon = 20\ndt = 0.5\n"
+            "renorm_step = {}\n")
+    lm.parse_config(edge.format(2e-5))
+    with pytest.raises(ParseError, match=r"needs 2\.5e\+06 QR windows"):
+        lm.parse_config(edge.format(8e-6))
+
+
+@pytest.mark.parametrize("experiment,grid,message", [
+    ("stable_1d", "horizon = 60\ndt = 1e-320\n",
+     "(t_end - t_start)/dt = inf steps"),
+    ("flag_convergence", "horizon = 1e308\ndt = 0.5\n",
+     "(t_end - t_start)/dt = inf steps"),
+    ("example_2d_exact", "horizon = 1e308\ndt = 0.5\n",
+     "needs 1e+308 QR windows per direction"),
+])
+def test_infinite_step_count_fails_before_any_path(tmp_path, capsys,
+                                                   experiment, grid, message):
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            f"measure.atoms = 0.2:3.0\n{grid}n_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text, message)
 
 
 def test_duplicate_key_names_both_lines():

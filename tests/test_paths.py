@@ -25,6 +25,10 @@ def test_time_grid_validation():
         lm.TimeGrid(0.0, 1.0, 0.3)
     with pytest.raises(ConfigurationError):
         lm.TimeGrid(1.0, 0.0, 0.5)
+    # step counts past the float range
+    for grid in ((-1e308, 1e308, 0.5), (0.0, 60.0, 1e-320)):
+        with pytest.raises(ConfigurationError, match="= inf steps"):
+            lm.TimeGrid(*grid)
 
 
 def test_pure_drift_forward_path():

@@ -112,6 +112,14 @@ def test_spectrum_qr_requires_long_horizon():
         lm.spectrum_qr(ev, 5.0, 1.0)
 
 
+def test_spectrum_qr_rejects_a_window_count_past_the_integer_range():
+    # 2e301 windows: the count is checked before the integer cast, which
+    # would wrap it to one window over [0, 20]
+    ev = exact_ev(EMPTY, 20.0, 42)
+    with pytest.raises(ConfigurationError, match=r"2e\+301 windows"):
+        lm.spectrum_qr(ev, 20.0, renorm_step=1e-300)
+
+
 def test_spectrum_qr_ensemble_hits_closed_form():
     gt = lm.ground_truth_2d(ATOM, 0.5)
     l1, l2 = [], []
