@@ -26,7 +26,7 @@ for t in (0.5, 2.0, 7.5):
 brown = lm.scalar_triplet(gauss=1.0)
 bp = lm.sample_forward(brown, lm.TimeGrid(0.0, 1.0, 0.01), 5)
 ddb = lm.StochasticExponential1D(bp)
-w1 = bp.evaluate(1.0)[0]
+w1 = bp.evaluate(1.0)
 print("\nBrownian case vs exp(W_1 - 1/2):",
       abs(ddb.value(1.0) - np.exp(w1 - 0.5)))
 
@@ -34,12 +34,12 @@ print("\nBrownian case vs exp(W_1 - 1/2):",
 # 2-stable, a truncated power law only approximately alpha-stable
 print("\nscaling residual |Psi(kz) - k^alpha Psi(z)|:")
 print("  Brownian, alpha = 2:",
-      lm.stable_scaling_residual(brown, 2.0, 3.0, [1.0]))
+      lm.stable_scaling_residual(brown, 2.0, 3.0, 1.0))
 pl = lm.scalar_triplet(measure=lm.LevyMeasure.power_law(1.5, 1.0, 0.5),
                        delta=0.5)
 for k in (2.0, 4.0):
     print(f"  truncated power law, alpha = 1.5, k = {k}:",
-          lm.stable_scaling_residual(pl, 1.5, k, [1.0]))
+          lm.stable_scaling_residual(pl, 1.5, k, 1.0))
 
 # 1d exponent of dY = mu Y dt + Y dL for a power-law driver
 soft = lm.LevyMeasure.power_law(0.8, 0.5, 0.5)

@@ -89,9 +89,6 @@ class LinearSystem:
         for s in sig:
             if s.shape != a.shape:
                 raise StructuralError("sigma shape mismatch")
-        for tr in self.drivers:
-            if tr.d != 1:
-                raise StructuralError("drivers must be scalar triplets")
 
     @property
     def d(self):
@@ -105,7 +102,7 @@ class LinearSystem:
         """a + sum_i sigma_i b^i."""
         B = self.a.copy()
         for s, tr in zip(self.sigmas, self.drivers):
-            B += s * float(tr.drift[0])
+            B += s * tr.drift
         return B
 
 
@@ -142,7 +139,8 @@ def _window_count(span, step):
     one, elementwise for arrays; a span within rounding of a whole number
     of steps gets that number.  Raises a ConfigurationError for a count
     past the integer range."""
-    n = np.ceil(np.abs(span) / step - 1e-9)
+    with np.errstate(over="ignore"):  # a subnormal step: the check below
+        n = np.ceil(np.abs(span) / step - 1e-9)
     if not np.all(n < 2.0**63):  # False for inf and nan too
         raise ConfigurationError(f"{np.max(n):.3g} windows overflow the "
                                  "window count; raise the step")
@@ -221,11 +219,7 @@ class ExactDiagonal2D(_EvaluatorBase):
         # per path: jump times and cumulative log(1 + kappa) tables
         self._jump_t, self._log_cum, self._anchor = [], [], []
         for p in self.driver_paths:
-            if p.d != 1:
-                raise StructuralError("driver paths must be scalar")
-            lo_h, hi_h = p.horizon
-            times, sizes = p.jumps_in(lo_h, hi_h)
-            sizes = sizes[:, 0]
+            times, sizes = p.jumps_in(*p.horizon)
             if np.any(sizes <= -1.0):
                 raise SingularityError("jump factor 1 + u hit zero or below")
             if np.any(np.abs(sizes) > self.delta * self._DELTA_SLACK):
@@ -325,19 +319,16 @@ class StochasticExponential1D(_EvaluatorBase):
     d = 1
 
     def __init__(self, path):
-        if path.d != 1:
-            raise StructuralError("path must be scalar")
         self.path = path
         self.driver_paths = [path]
-        A = path.triplet.gaussian if path.triplet is not None else None
-        self._gauss_var = float(np.sum(A * A)) if A is not None else 0.0
+        sigma = path.triplet.gaussian if path.triplet is not None else 0.0
+        self._gauss_var = sigma * sigma
 
     def log_value(self, t):
         if t < 0.0:
             raise HorizonError("the exponential is defined for t >= 0 here")
-        g = float(self.path.evaluate(t)[0])
-        times, sizes = self.path.jumps_in(0.0, t)
-        sizes = sizes[:, 0]
+        g = float(self.path.evaluate(t))
+        sizes = self.path.jumps_in(0.0, t)[1]
         corr = 0.0
         if sizes.size:
             if sizes.min() <= -1.0:
@@ -423,13 +414,13 @@ class EulerEvaluator(_EvaluatorBase):
                 jw.append(np.full(times.size, k))
                 jt.append(times)
                 ji.append(np.full(times.size, i))
-                js.append(sizes[:, 0])
+                js.append(sizes)
         jw, jt, ji, js = map(np.concatenate, (jw, jt, ji, js))
         sw, sp, st = self._steps(a, b, h, jw, jt)
 
         G = (st - sp)[:, None, None] * self.system.a
         for sigma, p in zip(self.system.sigmas, self.driver_paths):
-            dc = p.continuous_increment(sp, st)[:, 0]
+            dc = p.continuous_increment(sp, st)
             G = G + dc[:, None, None] * sigma
         if self.scheme == "expm":
             from scipy.linalg import expm  # only this library-only scheme needs it
@@ -589,7 +580,7 @@ def _jump_events(driver_paths, a, b, keep=None):
     events = {}
     for i, p in enumerate(driver_paths):
         times, sizes = p.jumps_in(a, b)
-        for t, s in zip(times, sizes[:, 0]):
+        for t, s in zip(times, sizes):
             if keep is None or keep(i, s):
                 events.setdefault(float(t), []).append((i, float(s)))
     return events
@@ -690,8 +681,8 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
     xi = t
     for i, p in enumerate(driver_paths):
         jt, js = p.jumps_in(0.0, t)
-        big = np.abs(js[:, 0]) > system.drivers[i].delta
-        xi += _hs_norm(system.sigmas[i]) * float(np.sum(np.abs(js[big, 0])))
+        big = np.abs(js) > system.drivers[i].delta
+        xi += _hs_norm(system.sigmas[i]) * float(np.sum(np.abs(js[big])))
     hump = c3 * xi
 
     K = len(times)

@@ -562,8 +562,7 @@ def _agg_stable_1d(cfg, rows):
         triplet = scalar_triplet(drift=cfg.drift, measure=measure,
                                  delta=cfg.delta)
         for k in (2.0, 4.0):
-            res = stable_scaling_residual(triplet, measure.alpha, k,
-                                          np.array([1.0]))
+            res = stable_scaling_residual(triplet, measure.alpha, k, 1.0)
             summary[f"scaling_residual_k{int(k)}"] = float(res)
     return checks, summary, {"spectrum.csv": _spectrum_csv(rows, 1)}
 

@@ -8,11 +8,11 @@ integral of (u^2 and 1) finite.  Two kinds are supported:
 * symmetric power laws c|u|^(-1-alpha) du on 0 < |u| <= cutoff, optionally
   untruncated (cutoff = inf) to provide heavy large-jump tails.
 
-A :class:`LevyTriplet` bundles drift, Gaussian factor, measure, and the
-small/large jump split delta, i.e. everything the Lévy–Itô decomposition
-needs.  The module-level functions compute the scalar integrals that feed
-closed-form Lyapunov exponents, compensation rates, and the characteristic
-exponent of the Lévy–Khintchine formula.
+A :class:`LevyTriplet` bundles drift, Gaussian scale sigma, measure, and the
+small/large jump split delta of a scalar driver, i.e. everything the
+Lévy–Itô decomposition needs.  The module-level functions compute the
+scalar integrals that feed closed-form Lyapunov exponents, compensation
+rates, and the characteristic exponent of the Lévy–Khintchine formula.
 
 Power-law integrals are closed forms in numpy: the moments directly, and
 the log and characteristic-exponent integrands as even-power series (the
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, QuadratureError, StructuralError, SupportError
+from .errors import ConfigurationError, QuadratureError, SupportError
 
 ATOMS = "atom_list"
 POWER_LAW = "power_law_truncated"
@@ -356,35 +356,21 @@ class LevyMeasure:
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """Drift b, Gaussian factor A, jump measure, and small-jump threshold
-    delta of a Lévy process.  One triplet drives both time directions; the
-    sampling grid says which."""
+    """Drift b, Gaussian scale sigma (0.0 for none), jump measure, and
+    small-jump threshold delta of a scalar Lévy process.  One triplet
+    drives both time directions; the sampling grid says which."""
 
-    drift: np.ndarray
-    gaussian: np.ndarray | None
+    drift: float
+    gaussian: float
     measure: LevyMeasure
     delta: float
     eps_cut: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "drift", np.atleast_1d(np.asarray(self.drift, float)))
-        if self.drift.ndim != 1:
-            raise StructuralError("drift must be a vector")
-        if self.gaussian is not None:
-            A = np.atleast_2d(np.asarray(self.gaussian, float))
-            if A.shape[0] != self.d:
-                raise StructuralError("gaussian factor row count must equal dim")
-            if not np.any(A):
-                A = None
-            object.__setattr__(self, "gaussian", A)
+        object.__setattr__(self, "drift", float(self.drift))
+        object.__setattr__(self, "gaussian", float(self.gaussian))
         if not self.delta > 0.0:
             raise ConfigurationError("delta must be > 0")
-        if not self.measure.is_empty and self.d != 1:
-            raise StructuralError("jump measures are scalar; use d = 1 drivers")
-
-    @property
-    def d(self):
-        return self.drift.shape[0]
 
     def effective_cut(self):
         """Small-jump simulation floor: jumps below it are dropped together
@@ -419,10 +405,9 @@ class LevyTriplet:
 
 
 def scalar_triplet(drift=0.0, gauss=0.0, measure=None, delta=0.5, **kw):
-    """Convenience constructor for one-dimensional driving processes."""
+    """Keyword constructor of a triplet; no measure means no jumps."""
     measure = LevyMeasure.empty() if measure is None else measure
-    A = None if gauss == 0.0 else np.array([[float(gauss)]])
-    return LevyTriplet(np.array([float(drift)]), A, measure, delta, **kw)
+    return LevyTriplet(drift, gauss, measure, delta, **kw)
 
 
 # -- module-level operations ----------------------------------------------------
@@ -438,28 +423,24 @@ def log_compensator_integral(measure, delta):
 
 
 def characteristic_exponent(triplet, z):
-    """Characteristic exponent Psi(z) of the triplet at a real vector z.
+    """Characteristic exponent Psi(z) of the triplet at a real z.
 
-    Psi(z) = -<z, Qz>/2 + i<z, gamma> + jump integral with compensation
-    below delta, where Q = A A^T and gamma is identified with the drift b.
+    Psi(z) = -sigma^2 z^2 / 2 + i z b + jump integral with compensation
+    below delta, where sigma is the Gaussian scale and b the drift.
     """
-    z = np.atleast_1d(np.asarray(z, float))
-    if z.shape != (triplet.d,):
-        raise StructuralError(f"z must have shape ({triplet.d},)")
-    val = 1j * float(np.dot(z, triplet.drift))
-    if triplet.gaussian is not None:
-        q = triplet.gaussian @ triplet.gaussian.T
-        val += -0.5 * float(z @ q @ z)
+    z = float(z)
+    val = 1j * (z * triplet.drift)
+    if triplet.gaussian:
+        val += -0.5 * (z * (triplet.gaussian * triplet.gaussian) * z)
     if not triplet.measure.is_empty:
-        val += triplet.measure.char_exponent_jump(float(z[0]), triplet.delta)
+        val += triplet.measure.char_exponent_jump(z, triplet.delta)
     return val
 
 
 def stable_scaling_residual(triplet, alpha, k, z):
-    """|Psi(kz) - k^alpha Psi(z)|: zero exactly when the triplet is
-    alpha-stable, strictly positive e.g. for truncated power laws."""
+    """|Psi(kz) - k^alpha Psi(z)| at a real z: zero exactly when the triplet
+    is alpha-stable, strictly positive e.g. for truncated power laws."""
     if k <= 0.0:
         raise ConfigurationError("scaling factor k must be > 0")
-    z = np.atleast_1d(np.asarray(z, float))
     return abs(characteristic_exponent(triplet, k * z)
                - k**alpha * characteristic_exponent(triplet, z))

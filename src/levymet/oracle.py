@@ -46,7 +46,7 @@ def benchmark_drivers(measure, delta):
     """The two independent scalar driving triplets (pure compensated small
     jumps: no drift, no Gaussian part).  Both drivers follow one law, so
     they share one triplet and its band constants."""
-    triplet = LevyTriplet(np.zeros(1), None, measure, delta)
+    triplet = LevyTriplet(0.0, 0.0, measure, delta)
     return (triplet, triplet)
 
 

@@ -68,35 +68,34 @@ class TimeGrid:
 
 
 class JumpPath:
-    """One-sided path skeleton: continuous part at nodes + jump list.
+    """One-sided scalar path: continuous skeleton at nodes + jump list, all
+    1-D arrays.
 
     ``values`` (continuous part plus all jumps at times <= node) is what a
     càdlàg reader sees at the nodes; ``cont`` is the skeleton used for
-    interpolation.  Node times include every jump time.  ``triplet`` is the
+    interpolation.  Node times include every jump time; node and jump times
+    never decrease, and each jump time has one size.  ``triplet`` is the
     law the path was sampled from (None for a hand-built path); its
     simulated band and compensation rate are read from it, not stored.
     """
 
     def __init__(self, node_times, cont, jump_times, jump_sizes, triplet=None):
         self.node_times = np.asarray(node_times, float)
-        cont = np.asarray(cont, float)
-        if cont.ndim == 1:
-            cont = cont[:, None]
-        self.cont = cont
+        self.cont = np.asarray(cont, float)
         self.jump_times = np.asarray(jump_times, float)
-        sizes = np.asarray(jump_sizes, float)
-        if sizes.ndim == 1:
-            sizes = sizes[:, None]
-        self.jump_sizes = sizes if sizes.size else np.empty((0, cont.shape[1]))
+        self.jump_sizes = np.asarray(jump_sizes, float)
         self.triplet = triplet
-        if self.node_times.shape[0] != self.cont.shape[0]:
+        if self.node_times.shape != self.cont.shape:
             raise StructuralError("node_times and cont length mismatch")
-        self._jump_cum = np.zeros((self.jump_sizes.shape[0] + 1, self.d))
-        np.cumsum(self.jump_sizes, axis=0, out=self._jump_cum[1:])
-
-    @property
-    def d(self):
-        return self.cont.shape[1]
+        if self.jump_times.shape != self.jump_sizes.shape:
+            raise StructuralError("jump_times and jump_sizes length mismatch")
+        for name in ("node_times", "jump_times"):
+            # bool temporaries only: np.diff would make a float one
+            x = getattr(self, name)
+            if np.any(x[1:] < x[:-1]):
+                raise StructuralError(f"{name} must not decrease")
+        self._jump_cum = np.zeros(self.jump_sizes.size + 1)
+        np.cumsum(self.jump_sizes, out=self._jump_cum[1:])
 
     @property
     def t_start(self):
@@ -117,14 +116,10 @@ class JumpPath:
         return self.cont + self._jump_cum[idx]
 
     def continuous_at(self, t):
-        """Interpolated skeleton at t: shape (d,) for a scalar t, one row
-        per time for an array of times."""
+        """Interpolated skeleton at t, elementwise for arrays of times."""
         t = np.asarray(t, float)
         _check_in_horizon(t, self.horizon, "sampled horizon")
-        out = np.empty(t.shape + (self.d,))
-        for j in range(self.d):
-            out[..., j] = np.interp(t, self.node_times, self.cont[:, j])
-        return out
+        return np.interp(t, self.node_times, self.cont)
 
     def evaluate(self, t):
         """Path value at t: interpolated skeleton + jumps at times <= t."""
@@ -159,8 +154,8 @@ def substream(master_seed, path_index=0, driver=0, leg=0):
 
 
 # Most grid steps, and most expected jumps, one leg may sample.  Each step
-# or jump adds a node time and a skeleton row of 8 bytes per component, so
-# at the budget each of a leg's arrays takes about 40 MB per component.
+# or jump adds a node time and a skeleton value of 8 bytes each, so at the
+# budget each of a leg's arrays takes about 40 MB.
 SAMPLER_BUDGET = 5e6
 
 
@@ -273,15 +268,15 @@ def sample_forward(triplet, grid, rng_seed):
     rng = _as_rng(rng_seed)
     jt, js = _draw_jumps(triplet, grid.t_end, rng)
     node_times = _merge_nodes(grid.times(), jt)
-    cont = np.outer(node_times, triplet.drift)
+    cont = node_times * triplet.drift
     if not triplet.measure.is_empty:
-        cont -= triplet.compensation_rate() * node_times[:, None]
-    if triplet.gaussian is not None:
-        A = triplet.gaussian
-        dW = rng.standard_normal((node_times.size - 1, A.shape[1]))
-        dW *= np.sqrt(np.diff(node_times))[:, None]
-        W = np.vstack([np.zeros(A.shape[1]), np.cumsum(dW, axis=0)])
-        cont = cont + W @ A.T
+        cont -= triplet.compensation_rate() * node_times
+    if triplet.gaussian:
+        dW = rng.standard_normal(node_times.size - 1)
+        dW *= np.sqrt(np.diff(node_times))
+        W = np.zeros(node_times.size)
+        np.cumsum(dW, out=W[1:])
+        cont += triplet.gaussian * W
     return JumpPath(node_times, cont, jt, js, triplet)
 
 
@@ -306,8 +301,6 @@ class TwoSidedPath:
     evaluates s -> base(offset + s) - base(offset)."""
 
     def __init__(self, forward, backward, offset=0.0):
-        if forward.d != backward.d:
-            raise StructuralError("leg dimensions differ")
         if forward.t_start != 0.0 or backward.t_end != 0.0:
             raise StructuralError("legs must meet at 0")
         for leg in (forward, backward):
@@ -315,7 +308,7 @@ class TwoSidedPath:
             # node at 0 exactly, plus the jumps at times <= 0
             node = np.searchsorted(leg.node_times, 0.0, side="right") - 1
             jumps = np.searchsorted(leg.jump_times, 0.0, side="right")
-            if np.any(leg.cont[node] + leg._jump_cum[jumps] != 0.0):
+            if leg.cont[node] + leg._jump_cum[jumps] != 0.0:
                 raise StructuralError("legs must vanish at the origin")
         self.forward = forward
         self.backward = backward
@@ -326,10 +319,6 @@ class TwoSidedPath:
             raise HorizonError("shift offset leaves the sampled horizon")
         self.offset = float(offset)
         self._anchor = None  # base(offset), read on the first evaluate
-
-    @property
-    def d(self):
-        return self.forward.d
 
     @property
     def horizon(self):
@@ -355,7 +344,7 @@ class TwoSidedPath:
         s0, s1 = np.broadcast_arrays(np.asarray(t0, float) + self.offset,
                                      np.asarray(t1, float) + self.offset)
         fwd0, fwd1 = s0 >= 0.0, s1 >= 0.0
-        out = np.empty(s0.shape + (self.d,))
+        out = np.empty(s0.shape)
         for leg, on in ((self.forward, fwd0 & fwd1),
                         (self.backward, ~fwd0 & ~fwd1)):
             if np.any(on):
@@ -363,7 +352,7 @@ class TwoSidedPath:
         cross = fwd0 != fwd1
         if np.any(cross):
             a, b = s0[cross], s1[cross]
-            sgn = np.where(b >= a, 1.0, -1.0)[:, None]
+            sgn = np.where(b >= a, 1.0, -1.0)
             inc = (self.backward.continuous_increment(np.minimum(a, b), 0.0)
                    + self.forward.continuous_increment(0.0, np.maximum(a, b)))
             out[cross] = sgn * inc
@@ -376,9 +365,7 @@ class TwoSidedPath:
         a, b = a + self.offset, b + self.offset
         tb, sb = self.backward.jumps_in(a, b)
         tf, sf = self.forward.jumps_in(a, b)
-        times = np.concatenate([tb, tf]) - self.offset
-        sizes = np.vstack([sb, sf]) if (sb.size or sf.size) else np.empty((0, self.d))
-        return times, sizes
+        return np.concatenate([tb, tf]) - self.offset, np.concatenate([sb, sf])
 
     def shift(self, t):
         """The shifted path s -> self(t + s) - self(t).  Its legs are this
@@ -404,26 +391,18 @@ def with_drift(path, rate):
     if isinstance(path, TwoSidedPath):
         return TwoSidedPath(with_drift(path.forward, rate),
                             with_drift(path.backward, rate), path.offset)
-    cont = path.cont + np.asarray(rate, float) * path.node_times[:, None]
+    cont = path.cont + rate * path.node_times
     return JumpPath(path.node_times, cont, path.jump_times, path.jump_sizes,
                     path.triplet)
 
 
 def dump_path_csv(path, stream):
-    """Debug dump: node rows `t,component_1..component_d,is_jump` with
-    is_jump=0, plus one row per jump carrying its time and size."""
-    d = path.d
-    header = "t," + ",".join(f"component_{j+1}" for j in range(d)) + ",is_jump"
-    stream.write(header + "\n")
-    if isinstance(path, TwoSidedPath):
-        legs = (path.backward, path.forward)
-    else:
-        legs = (path,)
-    for leg in legs:
-        vals = leg.values
-        for i, t in enumerate(leg.node_times):
-            row = [repr(float(t))] + [repr(float(v)) for v in vals[i]] + ["0"]
-            stream.write(",".join(row) + "\n")
-        for k, t in enumerate(leg.jump_times):
-            row = [repr(float(t))] + [repr(float(v)) for v in leg.jump_sizes[k]] + ["1"]
-            stream.write(",".join(row) + "\n")
+    """Debug dump: node rows `t,component_1,is_jump` with is_jump=0, plus
+    one row per jump carrying its time and size."""
+    stream.write("t,component_1,is_jump\n")
+    two_sided = isinstance(path, TwoSidedPath)
+    for leg in (path.backward, path.forward) if two_sided else (path,):
+        for t, v in zip(leg.node_times.tolist(), leg.values.tolist()):
+            stream.write(f"{t!r},{v!r},0\n")
+        for t, s in zip(leg.jump_times.tolist(), leg.jump_sizes.tolist()):
+            stream.write(f"{t!r},{s!r},1\n")

@@ -54,7 +54,7 @@ def test_exact_hand_composed_product():
         for i, c in enumerate((2.0, -4.0)):
             _, sizes = ev.driver_paths[i].jumps_in(0.0, t)
             hand[i] = math.exp((c + i_nu - k_nu) * t
-                               + float(np.sum(np.log1p(sizes[:, 0]))))
+                               + float(np.sum(np.log1p(sizes))))
         np.testing.assert_allclose(np.diag(ev.matrix(t)), hand, rtol=1e-12)
 
 
@@ -67,7 +67,7 @@ def test_exact_negative_time_uses_backward_leg():
     for i, c in enumerate((2.0, -4.0)):
         _, sizes = ev.driver_paths[i].jumps_in(t, 0.0)
         hand[i] = math.exp((c + i_nu - k_nu) * t
-                           - float(np.sum(np.log1p(sizes[:, 0]))))
+                           - float(np.sum(np.log1p(sizes))))
     np.testing.assert_allclose(np.diag(ev.matrix(t)), hand, rtol=1e-12)
 
 
@@ -75,7 +75,7 @@ def test_exact_singular_jump_rejected():
     paths = benchmark_paths(ATOM, 2.0, 3)
     p = paths[0].forward
     bad = lm.JumpPath(p.node_times, p.cont, np.array([0.7]),
-                      np.array([[-1.0]]), p.triplet)
+                      np.array([-1.0]), p.triplet)
     two = lm.TwoSidedPath(bad, paths[0].backward)
     with pytest.raises(SingularityError):
         lm.ExactDiagonal2D([two, paths[1]], ATOM, 0.5)
@@ -115,7 +115,7 @@ def test_doleans_brownian_exponential_martingale():
     tri = lm.scalar_triplet(gauss=1.0)
     p = lm.sample_forward(tri, lm.TimeGrid(0.0, 1.0, 0.01), 5)
     dd = lm.StochasticExponential1D(p)
-    w1 = p.evaluate(1.0)[0]
+    w1 = p.evaluate(1.0)
     assert dd.value(1.0) == pytest.approx(math.exp(w1 - 0.5), rel=1e-14)
 
 
@@ -123,8 +123,8 @@ def test_doleans_single_jump_hand_formula():
     # one jump of 0.5 at s = 0.3, no continuous part:
     # Y_1 = exp(Gamma_1) * (1.5) * exp(-0.5) = 1.5
     nodes = np.array([0.0, 0.3, 0.5, 1.0])
-    p = lm.JumpPath(nodes, np.zeros((4, 1)), np.array([0.3]),
-                    np.array([[0.5]]))
+    p = lm.JumpPath(nodes, np.zeros(4), np.array([0.3]),
+                    np.array([0.5]))
     dd = lm.StochasticExponential1D(p)
     assert dd.value(1.0) == pytest.approx(1.5, rel=1e-14)
     assert dd.value(0.2) == pytest.approx(1.0, rel=1e-14)
@@ -132,8 +132,8 @@ def test_doleans_single_jump_hand_formula():
 
 def test_doleans_degenerate_jump():
     nodes = np.array([0.0, 0.5, 1.0])
-    p = lm.JumpPath(nodes, np.zeros((3, 1)), np.array([0.5]),
-                    np.array([[-1.0]]))
+    p = lm.JumpPath(nodes, np.zeros(3), np.array([0.5]),
+                    np.array([-1.0]))
     dd = lm.StochasticExponential1D(p)
     with pytest.raises(DegeneracyError):
         dd.value(1.0)
@@ -147,15 +147,15 @@ def test_doleans_degenerate_jump():
 def test_doleans_jump_guard_and_log_value(sizes, message):
     nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     jt = np.array([0.25, 0.5, 0.75][:len(sizes)])
-    p = lm.JumpPath(nodes, 0.1 * nodes, jt, np.array(sizes)[:, None])
+    p = lm.JumpPath(nodes, 0.1 * nodes, jt, np.array(sizes))
     dd = lm.StochasticExponential1D(p)
-    assert dd.log_value(0.1) == float(p.evaluate(0.1)[0])  # no jump yet
+    assert dd.log_value(0.1) == float(p.evaluate(0.1))  # no jump yet
     if message is not None:
         with pytest.raises(DegeneracyError, match=message):
             dd.log_value(1.0)
         return
     s = np.array(sizes)
-    assert dd.log_value(1.0) == (float(p.evaluate(1.0)[0])
+    assert dd.log_value(1.0) == (float(p.evaluate(1.0))
                                  + float(np.sum(np.log1p(s) - s)))
 
 
@@ -324,7 +324,7 @@ def _euler_loop(ev, t0, t1):
         if h > 0.0:
             G = h * a_mat
             for i, p in enumerate(ev.driver_paths):
-                dc = float(p.continuous_increment(prev, t)[0])
+                dc = float(p.continuous_increment(prev, t))
                 G = G + dc * sig[i]
             step = expm(G) if ev.scheme == "expm" else np.eye(ev.d) + G
             M = step @ M
@@ -359,7 +359,7 @@ def _hand_leg(node_times, jump_times, jump_sizes, seed):
     cont = np.concatenate([[0.0], np.cumsum(
         np.random.default_rng(seed).normal(0.0, 0.3, nodes.size - 1))])
     return lm.JumpPath(nodes, cont, np.asarray(jump_times, float),
-                       np.asarray(jump_sizes, float)[:, None])
+                       np.asarray(jump_sizes, float))
 
 
 def lattice_jump_paths():
@@ -414,7 +414,7 @@ def _blowup_path(jump_time, kappa):
     nodes = np.union1d([0.0, 0.3, 0.6, 0.7, 1.0], [jump_time])
     cont = np.where(nodes > 0.6, 1e305, 0.0)
     return lm.JumpPath(nodes, cont, np.array([jump_time]),
-                       np.array([[kappa]]))
+                       np.array([kappa]))
 
 
 def _blowup_evaluator(jump_time):
@@ -1025,11 +1025,11 @@ def test_liouville_identity_euler_expm(seed):
     assert np.all(sign != 0.0)
     terms = [np.trace(a) * T]
     for sigma, p in zip(sigmas, paths):
-        dc = float(p.continuous_increment(0.0, T)[0])
+        dc = float(p.continuous_increment(0.0, T))
         terms.append(np.trace(sigma) * dc)
         _, sizes = p.jumps_in(0.0, T)
         terms.extend(np.linalg.slogdet(np.eye(3) + u * sigma)[1]
-                     for u in sizes[:, 0])
+                     for u in sizes)
     assert len(terms) > 10
     assert abs(float(np.sum(logdet)) - math.fsum(terms)) <= \
         1e-10 * max(1.0, math.fsum(abs(x) for x in terms))

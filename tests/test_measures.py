@@ -108,40 +108,40 @@ def test_log_moment_diverges_for_heavy_small_jumps():
 
 def test_characteristic_exponent_trivial_cases():
     tri_drift = lm.scalar_triplet(drift=2.5)
-    assert lm.characteristic_exponent(tri_drift, [0.0]) == 0.0
-    assert lm.characteristic_exponent(tri_drift, [1.0]) == pytest.approx(2.5j)
+    assert lm.characteristic_exponent(tri_drift, 0.0) == 0.0
+    assert lm.characteristic_exponent(tri_drift, 1.0) == pytest.approx(2.5j)
     tri_gauss = lm.scalar_triplet(gauss=1.0)
-    assert lm.characteristic_exponent(tri_gauss, [2.0]) == pytest.approx(-2.0)
+    assert lm.characteristic_exponent(tri_gauss, 2.0) == pytest.approx(-2.0)
 
 
 def test_characteristic_exponent_atom_vs_direct_sum():
     tri = lm.scalar_triplet(measure=ATOM, delta=0.5)
     z = 1.3
     expected = 3.0 * (np.exp(1j * z * 0.2) - 1.0 - 1j * z * 0.2)
-    assert lm.characteristic_exponent(tri, [z]) == pytest.approx(expected, rel=1e-12)
+    assert lm.characteristic_exponent(tri, z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_characteristic_exponent_conjugate_symmetry():
     tri = lm.scalar_triplet(measure=PL, delta=0.5)
     for z in (0.3, 1.1, 2.7):
-        a = lm.characteristic_exponent(tri, [z])
-        b = lm.characteristic_exponent(tri, [-z])
+        a = lm.characteristic_exponent(tri, z)
+        b = lm.characteristic_exponent(tri, -z)
         assert a == pytest.approx(np.conj(b), abs=1e-12)
 
 
 def test_stable_scaling_residuals():
     brown = lm.scalar_triplet(gauss=1.0)
-    assert lm.stable_scaling_residual(brown, 2.0, 3.0, [0.7]) < 1e-12
+    assert lm.stable_scaling_residual(brown, 2.0, 3.0, 0.7) < 1e-12
     drift = lm.scalar_triplet(drift=1.0)
-    assert lm.stable_scaling_residual(drift, 1.0, 3.0, [1.0]) < 1e-14
+    assert lm.stable_scaling_residual(drift, 1.0, 3.0, 1.0) < 1e-14
     truncated = lm.scalar_triplet(measure=PL, delta=0.5)
     # truncation breaks exact scaling: recorded as strictly positive
-    assert lm.stable_scaling_residual(truncated, 1.5, 2.0, [1.0]) > 1e-3
+    assert lm.stable_scaling_residual(truncated, 1.5, 2.0, 1.0) > 1e-3
 
 
 def test_stable_scaling_requires_positive_k():
     with pytest.raises(ConfigurationError):
-        lm.stable_scaling_residual(lm.scalar_triplet(drift=1.0), 1.0, 0.0, [1.0])
+        lm.stable_scaling_residual(lm.scalar_triplet(drift=1.0), 1.0, 0.0, 1.0)
 
 
 def test_effective_cut_variance_rule():
@@ -156,7 +156,7 @@ def test_effective_cut_variance_rule():
 
 def test_triplet_validation():
     with pytest.raises(ConfigurationError):
-        lm.LevyTriplet(np.zeros(1), None, ATOM, delta=0.0)
+        lm.LevyTriplet(0.0, 0.0, ATOM, delta=0.0)
     tri = lm.scalar_triplet(measure=ATOM, delta=0.5)
     assert tri.compensation_rate() == pytest.approx(0.6, rel=1e-14)
 
@@ -226,7 +226,7 @@ def test_characteristic_exponent_matches_quad(a, z, cutoff):
     # delta 0.5 < cutoff except at 0.5; the compensation below delta only
     # touches the imaginary part, which symmetry makes exactly 0
     m = lm.LevyMeasure.power_law(a, 0.7, cutoff)
-    psi = lm.characteristic_exponent(lm.scalar_triplet(measure=m, delta=0.5), [z])
+    psi = lm.characteristic_exponent(lm.scalar_triplet(measure=m, delta=0.5), z)
     assert psi.imag == 0.0
     assert psi.real == pytest.approx(_cos_oracle(a, 0.7, z, cutoff), **ORACLE)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import tracemalloc
@@ -34,23 +35,23 @@ def test_time_grid_validation():
 def test_pure_drift_forward_path():
     tri = lm.scalar_triplet(drift=1.0)
     p = lm.sample_forward(tri, lm.TimeGrid(0.0, 2.0, 0.5), 1)
-    np.testing.assert_allclose(p.values[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
+    np.testing.assert_allclose(p.values, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert p.jump_times.size == 0
 
 
 def test_pure_drift_backward_path():
     tri = lm.scalar_triplet(drift=1.0)
     p = lm.sample_backward(tri, lm.TimeGrid(-2.0, 0.0, 0.5), 2)
-    assert p.evaluate(-2.0)[0] == pytest.approx(-2.0)
-    assert p.evaluate(0.0)[0] == 0.0
-    assert p.evaluate(-1.3)[0] == pytest.approx(-1.3)
+    assert p.evaluate(-2.0) == pytest.approx(-2.0)
+    assert p.evaluate(0.0) == 0.0
+    assert p.evaluate(-1.3) == pytest.approx(-1.3)
 
 
 def test_zero_triplet_backward_is_zero():
     tri = lm.scalar_triplet()
     p = lm.sample_backward(tri, lm.TimeGrid(-2.0, 0.0, 0.5), 3)
     for t in (-2.0, -1.1, 0.0):
-        assert p.evaluate(t)[0] == 0.0
+        assert p.evaluate(t) == 0.0
 
 
 def test_direction_tags_enforced():
@@ -89,7 +90,7 @@ def test_compensated_small_jump_martingale_mean():
     grid = lm.TimeGrid(0.0, 1.0, 1.0)
     vals = np.empty(n)
     for s in range(n):
-        vals[s] = lm.sample_forward(ATOM_TRIPLET, grid, substream(107, s)).evaluate(1.0)[0]
+        vals[s] = lm.sample_forward(ATOM_TRIPLET, grid, substream(107, s)).evaluate(1.0)
     assert abs(vals.mean()) < 3.0 * math.sqrt(0.12 / n)
 
 
@@ -100,7 +101,7 @@ def test_independent_increments_covariance():
     inc2 = np.empty(n)
     for s in range(n):
         p = lm.sample_forward(ATOM_TRIPLET, grid, substream(109, s))
-        a, b, c = p.evaluate(0.0)[0], p.evaluate(1.0)[0], p.evaluate(2.0)[0]
+        a, b, c = p.evaluate(0.0), p.evaluate(1.0), p.evaluate(2.0)
         inc1[s] = b - a
         inc2[s] = c - b
     cov = float(np.mean(inc1 * inc2) - inc1.mean() * inc2.mean())
@@ -121,21 +122,21 @@ def test_evaluate_cadlag_at_jumps():
     p = lm.sample_two_sided(ATOM_TRIPLET, 5.0, 0.5, 7)
     assert p.forward.jump_times.size > 0
     s = float(p.forward.jump_times[0])
-    kappa = float(p.forward.jump_sizes[0, 0])
-    at = p.evaluate(s)[0]
-    below = p.evaluate(s - 1e-12)[0]
+    kappa = float(p.forward.jump_sizes[0])
+    at = p.evaluate(s)
+    below = p.evaluate(s - 1e-12)
     # value at the jump time includes the jump; just below excludes it
     assert at - below == pytest.approx(kappa, abs=1e-9)
     # grid nodes return stored values
     node = p.forward.node_times[3]
-    assert p.forward.evaluate(node)[0] == pytest.approx(p.forward.values[3, 0])
+    assert p.forward.evaluate(node) == pytest.approx(p.forward.values[3])
 
 
 def test_jump_reconstruction_along_refinement():
     p = lm.sample_two_sided(ATOM_TRIPLET, 5.0, 0.5, 11)
     s = float(p.forward.jump_times[1])
-    kappa = float(p.forward.jump_sizes[1, 0])
-    errs = [abs(p.evaluate(s)[0] - p.evaluate(s - h)[0] - kappa)
+    kappa = float(p.forward.jump_sizes[1])
+    errs = [abs(p.evaluate(s) - p.evaluate(s - h) - kappa)
             for h in (1e-3, 1e-6, 1e-9)]
     assert errs[0] > errs[-1]
     assert errs[-1] < 1e-8
@@ -145,18 +146,14 @@ def test_two_sided_construction_checks():
     fwd = lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 1)
     bwd = lm.sample_backward(ATOM_TRIPLET, lm.TimeGrid(-2.0, 0.0, 0.5), 2)
     ts = lm.TwoSidedPath(fwd, bwd)
-    assert ts.evaluate(0.0)[0] == 0.0
+    assert ts.evaluate(0.0) == 0.0
     # positive times never read the backward leg
-    assert ts.evaluate(1.3)[0] == fwd.evaluate(1.3)[0]
-    assert ts.evaluate(-1.3)[0] == bwd.evaluate(-1.3)[0]
+    assert ts.evaluate(1.3) == fwd.evaluate(1.3)
+    assert ts.evaluate(-1.3) == bwd.evaluate(-1.3)
     bad = lm.JumpPath(fwd.node_times, fwd.cont + 1.0, fwd.jump_times,
                       fwd.jump_sizes)
     with pytest.raises(StructuralError):
         lm.TwoSidedPath(bad, bwd)
-    two_d = lm.LevyTriplet(np.zeros(2), None, lm.LevyMeasure.empty(), 0.5)
-    fwd2 = lm.sample_forward(two_d, lm.TimeGrid(0.0, 2.0, 0.5), 3)
-    with pytest.raises(StructuralError):
-        lm.TwoSidedPath(fwd2, bwd)
 
 
 @pytest.mark.parametrize("zero_node_value", [0.0, -0.25, 0.25, math.nan])
@@ -182,18 +179,18 @@ def test_zero_two_sided_path():
     tri = lm.scalar_triplet()
     ts = lm.sample_two_sided(tri, 2.0, 0.5, 5)
     for t in (-2.0, -0.7, 0.0, 1.9):
-        assert ts.evaluate(t)[0] == 0.0
+        assert ts.evaluate(t) == 0.0
 
 
 def test_shift_identity_and_drift():
     ts = lm.sample_two_sided(ATOM_TRIPLET, 5.0, 0.5, 13)
     same = ts.shift(0.0)
     for t in (-4.0, -0.5, 0.0, 2.5):
-        assert same.evaluate(t)[0] == ts.evaluate(t)[0]
+        assert same.evaluate(t) == ts.evaluate(t)
     drift = lm.sample_two_sided(lm.scalar_triplet(drift=1.0), 5.0, 0.5, 14)
     shifted = drift.shift(1.0)
     for s in (-1.0, 0.0, 2.0):
-        assert shifted.evaluate(s)[0] == pytest.approx(s, abs=1e-14)
+        assert shifted.evaluate(s) == pytest.approx(s, abs=1e-14)
 
 
 def test_shift_group_law_exact():
@@ -201,7 +198,7 @@ def test_shift_group_law_exact():
     a = ts.shift(1.25).shift(-0.5)
     b = ts.shift(0.75)
     for t in (-2.0, -0.3, 0.0, 1.1, 3.0):
-        assert a.evaluate(t)[0] == b.evaluate(t)[0]
+        assert a.evaluate(t) == b.evaluate(t)
 
 
 def test_shift_and_evaluate_range_errors():
@@ -228,15 +225,15 @@ def test_with_drift():
     ts = lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 18)
     shifted = lm.with_drift(ts, 2.0)
     for t in (-1.5, 0.0, 1.5):
-        assert shifted.evaluate(t)[0] == pytest.approx(ts.evaluate(t)[0] + 2.0 * t,
-                                                       rel=1e-14, abs=1e-14)
+        assert shifted.evaluate(t) == pytest.approx(ts.evaluate(t) + 2.0 * t,
+                                                    rel=1e-14, abs=1e-14)
 
 
 def test_brownian_gaussian_part():
     tri = lm.scalar_triplet(gauss=1.0)
     n = 4000
     grid = lm.TimeGrid(0.0, 1.0, 0.25)
-    vals = np.array([lm.sample_forward(tri, grid, substream(119, s)).evaluate(1.0)[0]
+    vals = np.array([lm.sample_forward(tri, grid, substream(119, s)).evaluate(1.0)
                      for s in range(n)])
     assert abs(vals.mean()) < 3.0 / math.sqrt(n)
     assert abs(vals.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
@@ -244,7 +241,7 @@ def test_brownian_gaussian_part():
 
 def test_infinite_activity_requires_cut():
     pl = lm.LevyMeasure.power_law(0.8, 0.5, 0.5)
-    tri = lm.LevyTriplet(np.zeros(1), None, pl, 0.5, eps_cut=0.0)
+    tri = lm.LevyTriplet(0.0, 0.0, pl, 0.5, eps_cut=0.0)
     with pytest.raises(ConfigurationError):
         lm.sample_forward(tri, lm.TimeGrid(0.0, 1.0, 0.5), 1)
     # the variance-rule default keeps the rate simulable here
@@ -258,7 +255,7 @@ def test_power_law_band_jump_sizes():
     tri = lm.scalar_triplet(measure=pl, delta=0.5)
     p = lm.sample_forward(tri, lm.TimeGrid(0.0, 5.0, 1.0), 21)
     eps = tri.effective_cut()
-    mags = np.abs(p.jump_sizes[:, 0])
+    mags = np.abs(p.jump_sizes)
     assert np.all(mags >= eps * (1 - 1e-12))
     assert np.all(mags <= 0.5 * (1 + 1e-12))
 
@@ -271,6 +268,46 @@ def test_path_csv_dump():
     assert lines[0] == "t,component_1,is_jump"
     n_jump_rows = sum(1 for ln in lines[1:] if ln.endswith(",1"))
     assert n_jump_rows == ts.forward.jump_times.size + ts.backward.jump_times.size
+
+
+def test_jump_path_rejects_inconsistent_tables():
+    nodes, zeros = [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]
+    # one jump time, two sizes
+    with pytest.raises(StructuralError, match="jump_sizes length mismatch"):
+        lm.JumpPath(nodes, zeros, [0.5], [0.1, 0.2])
+    with pytest.raises(StructuralError, match="cont length mismatch"):
+        lm.JumpPath(nodes, zeros[:2], [], [])
+    # unsorted times would count the jump at 1.5 at t = 0.7
+    with pytest.raises(StructuralError, match="jump_times must not decrease"):
+        lm.JumpPath(nodes, zeros, [1.5, 0.5], [0.1, 0.2])
+    with pytest.raises(StructuralError, match="node_times must not decrease"):
+        lm.JumpPath([0.0, 2.0, 1.0], zeros, [], [])
+    # repeated times stay legal
+    p = lm.JumpPath([0.0, 0.0, 1.0, 2.0], np.zeros(4), [0.5, 0.5], [0.1, 0.2])
+    assert p.evaluate(0.7) == 0.1 + 0.2
+    assert p.evaluate(0.4) == 0.0
+
+
+def test_gaussian_branch_is_pinned():
+    """No shipped config has a Gaussian part, so the Gaussian branch of the
+    sampler, the characteristic exponent and the Doléans exponential is
+    pinned here, bit for bit."""
+    m = lm.LevyMeasure.from_atoms([(0.2, 3.0), (-0.3, 1.0)])
+    tri = lm.scalar_triplet(drift=0.7, gauss=1.3, measure=m, delta=0.5)
+    path = lm.sample_two_sided(tri, 5.0, 0.25, 11)
+    buf = io.StringIO()
+    lm.dump_path_csv(path, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "ab4cf1078b0ae3fcf6b4f4440aae18abf63c39a1c0a4c2b90f4dd1444d5bf255")
+    assert repr(lm.characteristic_exponent(tri, 1.7)) == (
+        "(-2.74104149576921+1.1922840295395356j)")
+    assert repr(lm.StochasticExponential1D(path).log_value(3.3)) == (
+        "0.5084241146643882")
+    # the stable_1d config's triplet, as its scaling check reads it
+    stable = lm.scalar_triplet(
+        drift=1.0, measure=lm.LevyMeasure.power_law(0.8, 0.5, 0.5), delta=0.5)
+    assert repr(lm.stable_scaling_residual(stable, 0.8, 2.0, 1.0)) == (
+        "0.4680512822425999")
 
 
 # -- array lookups -------------------------------------------------------------
@@ -289,7 +326,7 @@ def test_jump_path_array_lookups_match_scalar_calls(seed):
     t1 = _lookup_times(0.0, 3.0, seed + 1, p.node_times[5:8])
     at = p.continuous_at(t0)
     inc = p.continuous_increment(t0, t1)
-    assert at.shape == inc.shape == (t0.size, 1)
+    assert at.shape == inc.shape == (t0.size,)
     for k in range(t0.size):
         assert at[k].tobytes() == p.continuous_at(float(t0[k])).tobytes()
         assert (inc[k].tobytes()
@@ -332,13 +369,13 @@ def _two_sided_increment(path, t0, t1):
 
     s0, s1 = t0 + path.offset, t1 + path.offset
     fwd0, fwd1 = s0 >= 0.0, s1 >= 0.0
-    out = np.empty(s0.shape + (path.d,))
+    out = np.empty(s0.shape)
     for leg, on in ((path.forward, fwd0 & fwd1),
                     (path.backward, ~fwd0 & ~fwd1)):
         out[on] = leg_increment(leg, s0[on], s1[on])
     cross = fwd0 != fwd1
     a, b = s0[cross], s1[cross]
-    sgn = np.where(b >= a, 1.0, -1.0)[:, None]
+    sgn = np.where(b >= a, 1.0, -1.0)
     out[cross] = sgn * (leg_increment(path.backward, np.minimum(a, b), 0.0)
                         + leg_increment(path.forward, 0.0, np.maximum(a, b)))
     return out
@@ -554,7 +591,7 @@ def test_backward_leg_bitwise_equals_reflected_forward_leg():
         sizes = fwd.jump_sizes[::-1]
         total = np.cumsum(sizes, axis=0)[-1] if sizes.size else 0.0
         assert np.array_equal(_bits(bwd.cont), _bits(-fwd.cont[::-1] - total))
-        assert bwd.evaluate(0.0)[0] == 0.0
+        assert bwd.evaluate(0.0) == 0.0
 
 
 def test_forward_leg_memory_peak():

@@ -120,6 +120,24 @@ def test_spectrum_qr_rejects_a_window_count_past_the_integer_range():
         lm.spectrum_qr(ev, 20.0, renorm_step=1e-300)
 
 
+@pytest.mark.parametrize("call", ["spectrum_qr", "euler_matrix",
+                                  "vector_exponent"])
+def test_subnormal_step_fails_cleanly(call):
+    # span / 1e-320 overflows to inf: the count check raises, with no
+    # RuntimeWarning (an error under the suite's filter) before it
+    ev = exact_ev(EMPTY, 20.0, 42)
+    run = {
+        "spectrum_qr": lambda: lm.spectrum_qr(ev, 20.0, renorm_step=1e-320),
+        "euler_matrix": lambda: lm.EulerEvaluator(
+            lm.benchmark_system_2d(EMPTY, 0.5), ev.driver_paths,
+            1e-320).matrix(1.0),
+        "vector_exponent": lambda: lm.vector_exponent(
+            ev, np.array([1.0, 1.0]), 20.0, renorm_step=1e-320),
+    }[call]
+    with pytest.raises(ConfigurationError, match="inf windows overflow"):
+        run()
+
+
 def test_spectrum_qr_ensemble_hits_closed_form():
     gt = lm.ground_truth_2d(ATOM, 0.5)
     l1, l2 = [], []

@@ -92,7 +92,7 @@ def test_untruncated_power_law_falls_back_to_scipy_integrate():
         "import math\n"
         "import levymet as lm\n"
         "pl = lm.LevyMeasure.power_law(1.5, 1.0, math.inf)\n"
-        "psi = lm.characteristic_exponent(lm.scalar_triplet(measure=pl), [2.0])\n"
+        "psi = lm.characteristic_exponent(lm.scalar_triplet(measure=pl), 2.0)\n"
         "value = [psi.real, psi.imag]")
     assert "scipy.integrate" in loaded
     # strictly 1.5-stable: Re Psi(z) = -2c |z|^a Gamma(1 - a) cos(pi a / 2) / a
