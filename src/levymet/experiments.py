@@ -11,8 +11,9 @@ Paths run in contiguous batches of at most the experiment's
 number in each.  With N > 1 processes, a pool of N - 1 runs the first
 shares and the calling process runs the last one itself.  The cap is set
 by what a stage holds per path: 64 for the two QR experiments, whose
-build keeps only each path's window stacks (about 14 KB) and drops its
-evaluator, so that a 100-path run is one batch per process;
+build draws only each driver's jump table (the closed form reads no
+continuous part), keeps only the path's window stacks (about 14 KB) and
+drops its evaluator, so that a 100-path run is one batch per process;
 :data:`BATCH_PATHS` (16) for the others, since the Euler ladder fold grows
 with its batch.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples, and every experiment gets it
@@ -54,6 +55,7 @@ from .cocycle import (
     _alpha_stack,
     _euler_propagators,
     _integrability_alphas,
+    _window_count,
     cocycle_residual,
 )
 from .errors import ConfigurationError, LevyMetError, ParseError, SupportError
@@ -67,6 +69,7 @@ from .oracle import (
 from .paths import (
     SAMPLER_BUDGET,
     TimeGrid,
+    _JumpTable,
     check_jump_budget,
     sample_forward,
     sample_two_sided,
@@ -195,17 +198,18 @@ def _lockstep(build, stage=None, finish=None):
     return rows
 
 
-def _benchmark_cocycles(cfg):
+def _benchmark_cocycles(cfg, sample=sample_two_sided):
     """The measure and ``cocycle(index)``, the exact cocycle of one benchmark
-    path; the drivers' triplet and the band integrals are shared."""
+    path, its drivers drawn by ``sample`` (the signature of
+    ``sample_two_sided``); the drivers' triplet and the band integrals are
+    shared."""
     measure = cfg.build_measure()
     drivers = benchmark_drivers(measure, cfg.delta)
     integrals = ExactDiagonal2D.band_integrals(drivers[0], measure, cfg.delta)
 
     def cocycle(index):
-        paths = [sample_two_sided(drivers[i], cfg.horizon, cfg.dt,
-                                  cfg.master_seed, path_index=index, driver=i)
-                 for i in range(2)]
+        paths = [sample(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
+                        path_index=index, driver=i) for i in range(2)]
         return ExactDiagonal2D(paths, measure, cfg.delta, integrals)
     return measure, cocycle
 
@@ -235,10 +239,13 @@ class _Stacks(NamedTuple):
 
 def _exact_cocycle(cfg, alpha=False):
     """``path(index)``: the :class:`_Stacks` of the exact cocycle of one
-    benchmark path (with its alpha stack if ``alpha``), after which the
-    evaluator is dropped: a batch holds about 14 KB per path, not the
-    evaluator's 170 KB."""
-    cocycle = _benchmark_cocycles(cfg)[1]
+    benchmark path (with its alpha stack if ``alpha``).  The closed form
+    reads the drivers' jumps alone, so each driver is only its jump table
+    (``paths._JumpTable``), bitwise the jumps of ``sample_two_sided``'s
+    path, with no continuous skeleton; the evaluator and its tables are
+    dropped once the stacks exist, so a batch holds about 14 KB per
+    path."""
+    cocycle = _benchmark_cocycles(cfg, _JumpTable)[1]
     T, step = cfg.horizon, cfg.renorm_step
 
     def path(index):
@@ -657,6 +664,10 @@ def _check_example_2d_euler(cfg):
         raise ParseError(f"{cfg.experiment}'s finest rung needs {count} "
                          f"Euler steps per path, above {_STEP_BUDGET:.0e}; "
                          "raise dt_int or lower halvings")
+    if _window_count(cfg.horizon, cfg.dt_int / 2) == 1:
+        raise ParseError(f"{cfg.experiment} needs dt_int / 2 < horizon: the "
+                         "first two rungs are one Euler step each, so their "
+                         "halving ratio is exactly 1; lower dt_int")
 
 
 # Largest batch of paths, unless an experiment sets its own cap.  The
@@ -666,11 +677,11 @@ def _check_example_2d_euler(cfg):
 # the euler_ladder bench config in one batch peak at 10.4 MB under
 # tracemalloc and run at 293-329 paths/s, in three batches of at most 16 at
 # 4.2 MB and 339-373 paths/s (serial, wall clock, medians of 15 runs with
-# the two caps interleaved, two sessions).  The QR experiments keep
-# window stacks only (about 14 KB per path; an evaluator is about 170 KB)
-# and cap at 64: a 64-path example_2d_exact batch of the shipped config
-# peaks at 3.4 MB, below the 3.85 MB of a 16-path batch that kept its
-# evaluators.
+# the two caps interleaved, two sessions).  The QR experiments build each
+# path from its drivers' jump tables alone, keep its window stacks only
+# (about 14 KB per path; an evaluator is about 170 KB) and cap at 64: a
+# 64-path example_2d_exact batch of the shipped config peaks at 3.4 MB,
+# below the 3.85 MB of a 16-path batch that kept its evaluators.
 BATCH_PATHS = 16
 
 

@@ -143,7 +143,9 @@ class LevyMeasure:
         """nu({0}) = 0 holds by construction; verify the (u^2 and 1) integral
         is finite, in closed form."""
         if self.kind == ATOMS:
-            val = float(np.sum(self.atom_rates * np.minimum(self.atom_locs**2, 1.0)))
+            # capped before squaring, so a huge atom cannot overflow
+            val = float(np.sum(self.atom_rates
+                               * np.minimum(np.abs(self.atom_locs), 1.0)**2))
         else:
             a, c = self.alpha, self.c
             inner = min(self.cutoff, 1.0)

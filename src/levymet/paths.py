@@ -13,9 +13,14 @@ càdlàg, vanishes at 0, and carries the re-timed jumps (-s_k, kappa_k).
 Two-sided paths support the shift flow theta_t as a lazy view: shifting
 adds an offset and re-anchors at the new origin, so the group law
 theta_s theta_t = theta_{s+t} holds exactly.
+
+A reader of the jumps alone (the closed-form exact cocycle) can take a
+two-sided jump table instead: the same draws from the same substreams,
+without the skeleton.
 """
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,13 +92,8 @@ class JumpPath:
         self.triplet = triplet
         if self.node_times.shape != self.cont.shape:
             raise StructuralError("node_times and cont length mismatch")
-        if self.jump_times.shape != self.jump_sizes.shape:
-            raise StructuralError("jump_times and jump_sizes length mismatch")
-        for name in ("node_times", "jump_times"):
-            # bool temporaries only: np.diff would make a float one
-            x = getattr(self, name)
-            if np.any(x[1:] < x[:-1]):
-                raise StructuralError(f"{name} must not decrease")
+        _check_not_decreasing(self.node_times, "node_times")
+        _check_jump_table(self.jump_times, self.jump_sizes)
         self._jump_cum = np.zeros(self.jump_sizes.size + 1)
         np.cumsum(self.jump_sizes, out=self._jump_cum[1:])
 
@@ -135,9 +135,27 @@ class JumpPath:
 
     def jumps_in(self, a, b):
         """Jump times and sizes with a < s <= b."""
-        i = np.searchsorted(self.jump_times, a, side="right")
-        j = np.searchsorted(self.jump_times, b, side="right")
-        return self.jump_times[i:j], self.jump_sizes[i:j]
+        return _leg_jumps_in(self.jump_times, self.jump_sizes, a, b)
+
+
+def _check_not_decreasing(x, name):
+    # bool temporaries only: np.diff would make a float one
+    if np.any(x[1:] < x[:-1]):
+        raise StructuralError(f"{name} must not decrease")
+
+
+def _check_jump_table(times, sizes):
+    """A leg's jump table: one size per time, times not decreasing."""
+    if times.shape != sizes.shape:
+        raise StructuralError("jump_times and jump_sizes length mismatch")
+    _check_not_decreasing(times, "jump_times")
+
+
+def _leg_jumps_in(times, sizes, a, b):
+    """The jumps of one leg's table with a < s <= b."""
+    i = np.searchsorted(times, a, side="right")
+    j = np.searchsorted(times, b, side="right")
+    return times[i:j], sizes[i:j]
 
 
 def _as_rng(seed):
@@ -280,6 +298,12 @@ def sample_forward(triplet, grid, rng_seed):
     return JumpPath(node_times, cont, jt, js, triplet)
 
 
+def _reflected(times, sizes):
+    """A forward leg's jump table re-timed to negative time: the jumps of
+    t -> -F((-t)-), times not decreasing."""
+    return -times[::-1], sizes[::-1]
+
+
 def sample_backward(triplet, grid, rng_seed):
     """Sample a negative-time path on [t_start, 0] by reflecting an
     independent forward sample: L(t) = -F((-t)-)."""
@@ -288,7 +312,7 @@ def sample_backward(triplet, grid, rng_seed):
     fwd = sample_forward(triplet, TimeGrid(0.0, -grid.t_start, grid.dt),
                          rng_seed)
     path = JumpPath(-fwd.node_times[::-1], -fwd.cont[::-1],
-                    -fwd.jump_times[::-1], fwd.jump_sizes[::-1], triplet)
+                    *_reflected(fwd.jump_times, fwd.jump_sizes), triplet)
     # the jump total, accumulated in evaluation order, so the value at 0
     # cancels exactly
     path.cont -= path._jump_cum[-1]
@@ -383,6 +407,44 @@ def sample_two_sided(triplet, T, dt, master_seed, path_index=0, driver=0):
     bwd = sample_backward(triplet, TimeGrid(-T, 0.0, dt),
                           substream(master_seed, path_index, driver, 1))
     return TwoSidedPath(fwd, bwd)
+
+
+@functools.lru_cache(maxsize=8)
+def _leg_end(T, dt):
+    """The last grid node of each leg of a two-sided sample on [-T, T], as
+    ``sample_two_sided`` reads it, after the checks on both of its grids."""
+    TimeGrid(-T, 0.0, dt)
+    return float(TimeGrid(0.0, T, dt).times()[-1])
+
+
+class _JumpTable:
+    """The jumps of the two-sided sample ``sample_two_sided`` draws from the
+    same arguments, without its continuous part: bitwise that path's
+    ``horizon``, ``jumps_in`` and ``triplet``, and nothing else.  Both legs
+    come from :func:`_draw_jumps` on the same substreams, so a reader of
+    these three members (the closed-form exact cocycle) cannot tell the two
+    apart."""
+
+    def __init__(self, triplet, T, dt, master_seed, path_index=0, driver=0):
+        end = _leg_end(T, dt)
+        self.triplet = triplet
+        fwd, bwd = (_draw_jumps(triplet, T, substream(master_seed, path_index,
+                                                       driver, leg))
+                    for leg in (0, 1))
+        # a leg's last node: its grid's, or a later jump's
+        ends = [max(end, float(t[-1])) if t.size else end
+                for t, _ in (fwd, bwd)]
+        self.horizon = (-ends[1], ends[0])
+        self._legs = (_reflected(*bwd), fwd)
+        for times, sizes in self._legs:
+            _check_jump_table(times, sizes)
+
+    def jumps_in(self, a, b):
+        """Jump times and sizes with a < s <= b, backward leg first."""
+        if a > b:
+            a, b = b, a
+        (tb, sb), (tf, sf) = (_leg_jumps_in(*leg, a, b) for leg in self._legs)
+        return np.concatenate([tb, tf]), np.concatenate([sb, sf])
 
 
 def with_drift(path, rate):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import levymet as lm
 from levymet.cli import main
+from levymet.cocycle import _window_count
 from levymet.config import MEASURE_KINDS
 from levymet.errors import ConfigurationError, ParseError
 from levymet import experiments
@@ -81,11 +82,13 @@ def _configs(draw):
         lambda r: horizon >= 10.0 * r and horizon / r <= 1e6)
         if experiment in ("example_2d_exact", "backward_spectrum")
         else _POSITIVE)
-    # the Euler ladder's finest rung takes at most 1e6 steps
+    # the Euler ladder's finest rung takes at most 1e6 steps, and its
+    # second rung more than one
     halvings = draw(st.integers(min_value=1, max_value=12))
     dt_int = (st.floats(min_value=horizon * 2.0**halvings / 1e6,
                         max_value=1e6).filter(
-        lambda h: horizon / (h / 2.0**halvings) <= 1e6)
+        lambda h: horizon / (h / 2.0**halvings) <= 1e6
+        and _window_count(horizon, h / 2) > 1)
         if experiment == "example_2d_euler" else _POSITIVE)
     return lm.ExperimentConfig(
         experiment=experiment,
@@ -188,6 +191,14 @@ def test_validate_runs_the_jump_budget_preflight(tmp_path, capsys):
     assert main(["validate", "--config", _write(tmp_path, "a.cfg", text)]) == 2
     assert ("exceeds the sampler budget of 5e+06; lower the measure.atoms "
             "rates, or shorten the horizon") in capsys.readouterr().err
+
+
+def test_validate_accepts_a_huge_atom(tmp_path, capsys):
+    # squaring the atom at 1e200 in the support check overflowed
+    text = ("experiment = stable_1d\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0, 1e200:1.0\n")
+    assert main(["validate", "--config", _write(tmp_path, "h.cfg", text)]) == 0
+    assert "config OK" in capsys.readouterr().out
 
 
 def _fails_before_any_path(tmp_path, capsys, text, message):
@@ -361,6 +372,18 @@ def test_euler_ladder_over_the_step_budget_fails_at_parse(tmp_path, capsys):
     lm.parse_config(edge.format(12))
     with pytest.raises(ParseError, match=r"needs 2e\+06 Euler steps"):
         lm.parse_config(edge.format(13))
+
+
+def test_euler_ladder_of_two_one_step_rungs_fails_at_parse(tmp_path, capsys):
+    # dt_int = 5 and 2.5 both cover horizon 2 in one step: the halving
+    # ratio of the two rungs is exactly 1
+    text = ("experiment = example_2d_euler\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 2\ndt_int = 5\n"
+            "halvings = 1\nn_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text, "example_2d_euler needs "
+                           "dt_int / 2 < horizon")
+    # 2 / (3.9 / 2) takes two windows
+    lm.parse_config(text.replace("dt_int = 5", "dt_int = 3.9"))
 
 
 def test_euler_ladder_past_the_float_range_fails_at_parse(tmp_path, capsys):
@@ -879,6 +902,24 @@ def test_stable_row_bitwise_equals_two_sided_row(measure):
     for index in range(4):
         row = experiments._row_stable_1d(cfg)(index)
         assert repr(row) == repr(_stable_row_two_sided(cfg, index))
+
+
+@pytest.mark.parametrize("experiment",
+                         ["example_2d_exact", "backward_spectrum"])
+def test_qr_build_samples_no_continuous_skeleton(monkeypatch, experiment):
+    # the closed form reads the drivers' jumps alone: no node merge and no
+    # JumpPath per path
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{experiment} built a continuous skeleton")
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(lm.paths, "_merge_nodes", refuse)
+    monkeypatch.setattr(lm.paths.JumpPath, "__init__", refuse)
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0\nhorizon = 20\ndt = 0.5\nn_paths = 3\n")
+    report = lm.run_experiment(lm.parse_config(text))
+    assert not report.path_errors
+    assert [r["index"] for r in report.rows] == [0, 1, 2]
 
 
 def test_stable_1d_samples_no_backward_leg(monkeypatch):

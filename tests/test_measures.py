@@ -96,6 +96,13 @@ def test_no_atom_at_zero():
         lm.LevyMeasure.from_atoms([(0.0, 1.0)])
 
 
+def test_huge_atoms_build_without_overflow():
+    # the support check caps |u| at 1 before squaring: from about 1.3e154
+    # on, u**2 overflowed, an error under the suite's warning filter
+    m = lm.LevyMeasure.from_atoms([(0.2, 3.0), (1e200, 1.0), (-1e300, 2.0)])
+    assert sorted(m.atom_locs.tolist()) == [-1e300, 0.2, 1e200]
+
+
 def test_log_moment_diverges_for_heavy_small_jumps():
     with pytest.raises(SupportError):
         PL.log_moment(0.0, 0.5)

@@ -610,3 +610,48 @@ def test_forward_leg_memory_peak():
     n = path.jump_times.size
     assert n > 600_000
     assert peak <= 5.5 * 8 * n
+
+
+# (measure, the drivers' delta, the evaluator's delta, T, dt); the atoms
+# fill both jump bands, {|u| <= 0.5} and {|u| > 0.5}, so the evaluator
+# takes a delta above the large atom
+_TABLE_LAWS = {
+    "atom_bands": (lm.LevyMeasure.from_atoms(
+        [(0.2, 3.0), (-0.3, 1.0), (0.7, 0.5)]), 0.5, 0.8, 20.0, 0.5),
+    "power_law": (lm.LevyMeasure.power_law(0.8, 0.5, 0.5), 0.5, 0.5, 1.0, 0.1),
+    "none": (lm.LevyMeasure.empty(), 0.5, 0.5, 20.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("law", list(_TABLE_LAWS))
+def test_jump_table_is_bitwise_the_two_sided_paths_jumps(law):
+    # the QR experiments' per-path build draws jump tables only; each must
+    # be what sample_two_sided's path gives the closed form, bit for bit
+    from levymet.cocycle import _alpha_stack
+    from levymet.paths import _JumpTable
+    from levymet.spectrum import _qr_stack
+
+    measure, delta, ev_delta, T, dt = _TABLE_LAWS[law]
+    drivers = lm.benchmark_drivers(measure, delta)
+    built = []
+    for make in (lm.sample_two_sided, _JumpTable):
+        built.append([make(drivers[i], T, dt, 7, path_index=3, driver=i)
+                      for i in range(2)])
+    for path, table in zip(*built):
+        assert table.triplet is path.triplet
+        assert [x.hex() for x in table.horizon] == \
+            [x.hex() for x in path.horizon]
+        for a, b in ((-T, T), (0.0, 1.0)):
+            for got, want in zip(table.jumps_in(a, b), path.jumps_in(a, b)):
+                assert np.array_equal(_bits(got), _bits(want))
+        n = [leg.jump_times.size for leg in (path.forward, path.backward)]
+        if law == "none":
+            assert n == [0, 0]
+        elif law == "power_law":  # the packed _time_order branch
+            assert min(n) > _PACKED_SORT_MIN
+    stacks = [(_qr_stack(ev, T, dt), _qr_stack(ev, -T, dt),
+               _alpha_stack(ev, lm.TimeGrid(0.0, 1.0, 0.05)))
+              for ev in (lm.ExactDiagonal2D(x, measure, ev_delta)
+                         for x in built)]
+    for got, want in zip(*stacks):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

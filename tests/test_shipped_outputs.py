@@ -61,3 +61,15 @@ def test_shipped_outputs_are_pinned(name, tmp_path, monkeypatch):
     if name == "example_2d_euler":
         assert (repr(report.summary["max_exact_cocycle_residual"])
                 == EULER_MAX_RESIDUAL)
+
+
+@pytest.mark.parametrize("name", ["backward_spectrum", "example_2d_exact"])
+def test_qr_outputs_are_pinned_on_two_processes(name, tmp_path, monkeypatch):
+    # a pool worker and the calling process each build their share of the
+    # paths; the bytes are the serial run's
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    cfg = lm.parse_config((ROOT / "configs" / f"{name}.cfg").read_text())
+    write_outputs(run_experiment(replace(cfg, threads=2)), tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
+                for n in CSV_NAMES)
+    assert got == PINNED[name]
