@@ -12,7 +12,9 @@ comments, e.g.::
     master_seed = 12345
 
 Unknown keys, duplicate keys, type mismatches, and missing required fields
-are rejected with the key and line number.
+are rejected with the key and line number.  A built config can run: it
+also refuses what would fail every path (``experiments._check_runnable``),
+so :func:`parse_config` raises or returns a config ``run_experiment`` runs.
 
 Adding a key is adding one field to :class:`ExperimentConfig`: its dotted
 name follows the field name (``measure_kind`` -> ``measure.kind``) and its
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ParseError
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, _check_runnable
 from .measures import LevyMeasure
 
 MEASURE_KINDS = ("none", "atoms", "power_law")
@@ -64,7 +66,7 @@ def _key(name):
 _POWER_LAW = {"measure_kind": "power_law"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see the module docstring for the
     on-disk schema."""
@@ -108,7 +110,7 @@ class ExperimentConfig:
             raise ParseError("halvings must be >= 1")
         if not self.output_dir:
             raise ParseError("output_dir must not be empty")
-        EXPERIMENTS[self.experiment].check(self)
+        _check_runnable(self)
 
     def build_measure(self):
         if self.measure_kind == "none":

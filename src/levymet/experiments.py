@@ -33,8 +33,8 @@ every path of a batch whose worker crashed; an experiment fails outright
 if more than 1% of its paths error out.
 
 Adding an experiment is adding one entry to :data:`EXPERIMENTS` (batch
-rows from :func:`_lockstep`, aggregator, optional config check); the
-config parser validates experiment names against that table.
+rows from :func:`_lockstep`, aggregator, optional config check); a built
+config names an entry of that table and passes :func:`_check_runnable`.
 """
 
 import math
@@ -92,6 +92,9 @@ class CheckOutcome:
     check_id: str
     passed: bool
     detail: str
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # not numpy's bool_
 
 
 @dataclass
@@ -224,6 +227,8 @@ def _stored(fn, *args):
 
 # integrability_alpha's grid in example_2d_exact
 _ALPHA_GRID = TimeGrid(0.0, 1.0, 0.05)
+# example_2d_euler's cocycle-law probes s, t: uniform on +-_PROBE_REACH
+_PROBE_REACH = 0.9
 
 
 class _Stacks(NamedTuple):
@@ -339,7 +344,7 @@ def _finish_example_2d_euler(cfg, index, built, rungs):
     exact, target, scale, _ = built
     errors = [float(np.linalg.norm(M - target)) / scale for M in rungs]
     probes = substream(cfg.master_seed, path_index=index, driver=7,
-                       leg=7).uniform(-0.9, 0.9, 16)
+                       leg=7).uniform(-_PROBE_REACH, _PROBE_REACH, 16)
     residuals = cocycle_residual(exact, probes[0::2], probes[1::2])
     return {"index": index, "euler_errors": errors,
             "exact_residual": max([0.0] + residuals.tolist())}
@@ -605,10 +610,11 @@ def _agg_flag_convergence(cfg, rows):
 
 def _agg_backward_spectrum(cfg, rows):
     checks, summary = [], {}
-    p = len(rows[0]["pair_sums"])
-    ok_all = True
-    details = []
-    for k in range(p):
+    counts = sorted({len(r["pair_sums"]) for r in rows})
+    ok_all = len(counts) == 1
+    details = [] if ok_all else [f"paths resolve different exponent counts "
+                                 f"{counts}"]
+    for k in range(counts[0] if ok_all else 0):
         vals = [r["pair_sums"][k] for r in rows]
         m, s = _mean_se(vals)
         summary[f"pair_sum_{k+1}_mean"] = m
@@ -646,6 +652,9 @@ def _check_example_2d_exact(cfg):
     if cfg.delta >= 1.0:
         raise ParseError(f"{cfg.experiment} needs delta < 1 (the "
                          "integrability bound is finite only there)")
+    if cfg.horizon < _ALPHA_GRID.t_end:
+        raise ParseError(f"{cfg.experiment} needs horizon >= "
+                         f"{_ALPHA_GRID.t_end:g} (integrability_alpha's grid)")
     _check_qr_horizon(cfg)
 
 
@@ -653,6 +662,9 @@ def _check_example_2d_euler(cfg):
     if cfg.horizon > 100.0:
         raise ParseError(f"{cfg.experiment} needs horizon <= 100 "
                          "(plain matrices overflow past that)")
+    if cfg.horizon < 2 * _PROBE_REACH:
+        raise ParseError(f"{cfg.experiment} needs horizon >= "
+                         f"{2 * _PROBE_REACH:g} (its cocycle-law probes s + t)")
     # horizon / (dt_int / 2^halvings); 2.0 ** halvings overflows from 1024 on
     try:
         steps = math.ldexp(cfg.horizon / cfg.dt_int, cfg.halvings)
@@ -717,6 +729,33 @@ EXPERIMENTS = {
 }
 
 
+def _check_runnable(cfg):
+    """What a built config meets past its range checks: the experiment's
+    own check, then, on the drivers every experiment samples, their grid
+    on [0, horizon] at step dt and its size, their jump sizes and their
+    expected jump count.  No factor 1 + u may be <= 0, and no jump may
+    exceed delta (the exact cocycle and stable_1d's target take small
+    jumps only).  Raises a LevyMetError."""
+    EXPERIMENTS[cfg.experiment].check(cfg)
+    steps = TimeGrid(0.0, cfg.horizon, cfg.dt).n_steps
+    if steps > SAMPLER_BUDGET:
+        raise ConfigurationError(
+            f"the sampling grid has {steps:.3g} steps per leg, above the "
+            f"sampler budget of {SAMPLER_BUDGET:.0e}; raise dt")
+    measure = cfg.build_measure()
+    lowest = (min(measure.atom_locs, default=0.0) if measure.kind == ATOMS
+              else -measure.support_bound)
+    if lowest <= -1.0:
+        raise SupportError(f"the measure charges u = {lowest} <= -1, where "
+                           "the jump factor 1 + u is not positive")
+    if measure.support_bound > cfg.delta * ExactDiagonal2D._DELTA_SLACK:
+        raise SupportError(f"the measure charges |u| up to "
+                           f"{measure.support_bound} > delta = {cfg.delta}; "
+                           "the exact benchmark cocycle takes small jumps only")
+    check_jump_budget(scalar_triplet(measure=measure, delta=cfg.delta),
+                      cfg.horizon)
+
+
 def _n_workers(cfg):
     """Pool size: ``threads`` if set, else LEVY_MET_THREADS, else 1; a set
     LEVY_MET_THREADS also caps ``threads``."""
@@ -758,34 +797,6 @@ def _run_here(tasks):
     return [_settle(partial(_path_task, t), t[1]) for t in tasks]
 
 
-def preflight(cfg):
-    """Checks that ``run`` and ``validate`` both make before any path: the
-    worker count, and on the drivers every experiment samples, their grid
-    on [0, horizon] at step dt and its size, their expected jump count,
-    and their jump sizes.  No jump factor 1 + u may be <= 0, and every
-    experiment but ``stable_1d`` builds the exact benchmark cocycle, which
-    takes no jump above delta.  Raises a LevyMetError."""
-    _n_workers(cfg)
-    steps = TimeGrid(0.0, cfg.horizon, cfg.dt).n_steps
-    if steps > SAMPLER_BUDGET:
-        raise ConfigurationError(
-            f"the sampling grid has {steps:.3g} steps per leg, above the "
-            f"sampler budget of {SAMPLER_BUDGET:.0e}; raise dt")
-    measure = cfg.build_measure()
-    lowest = (min(measure.atom_locs, default=0.0) if measure.kind == ATOMS
-              else -measure.support_bound)
-    if lowest <= -1.0:
-        raise SupportError(f"the measure charges u = {lowest} <= -1, where "
-                           "the jump factor 1 + u is not positive")
-    if (cfg.experiment != "stable_1d" and measure.support_bound
-            > cfg.delta * ExactDiagonal2D._DELTA_SLACK):
-        raise SupportError(f"the measure charges |u| up to "
-                           f"{measure.support_bound} > delta = {cfg.delta}; "
-                           "the exact benchmark cocycle takes small jumps only")
-    check_jump_budget(scalar_triplet(measure=measure, delta=cfg.delta),
-                      cfg.horizon)
-
-
 def run_experiment(cfg):
     """Run one configured experiment and return its report.
 
@@ -795,7 +806,6 @@ def run_experiment(cfg):
     from . import __version__
 
     t0 = time.perf_counter()
-    preflight(cfg)
     workers = _n_workers(cfg)
     cap = EXPERIMENTS[cfg.experiment].batch_paths
     tasks = [(cfg, b) for b in _batches(cfg.n_paths, workers, cap)]

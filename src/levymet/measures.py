@@ -194,7 +194,7 @@ class LevyMeasure:
         these inputs get there: the characteristic exponent at |z| * cutoff
         above _COS_REACH, an untruncated measure (cutoff = inf) included, and
         a log integrand on a band past |u| = _LOG_REACH (a cutoff between 0.9
-        and 1; preflight refuses 1 and above).  The shipped configs have
+        and 1; a config refuses 1 and above).  The shipped configs have
         cutoff 0.5 and take their scaling residuals at z <= 4."""
         lo = max(lo, 0.0)
         hi = min(hi, self.cutoff)

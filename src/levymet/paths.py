@@ -63,6 +63,9 @@ class TimeGrid:
                                      "raise dt")
         if abs(n - round(n)) > 4.0 * np.finfo(float).eps * max(1.0, abs(n)):
             raise ConfigurationError("(t_end - t_start)/dt must be an integer")
+        if round(n) == 0:
+            raise ConfigurationError(f"(t_end - t_start)/dt = {n:.3g} rounds "
+                                     "to 0 steps; lower dt")
 
     @property
     def n_steps(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import multiprocessing
 import os
 import pathlib
@@ -11,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levymet as lm
@@ -19,6 +20,7 @@ from levymet.cli import main
 from levymet.cocycle import _window_count
 from levymet.config import MEASURE_KINDS
 from levymet.errors import ConfigurationError, ParseError
+from levymet.paths import check_jump_budget
 from levymet import experiments
 from levymet.experiments import EXPERIMENTS
 
@@ -58,24 +60,52 @@ def test_config_round_trip():
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
-_MEASURE_KEYS = {
-    "none": st.fixed_dictionaries({}),
-    "atoms": st.fixed_dictionaries({"measure_atoms": st.lists(
-        st.tuples(_FINITE, _FINITE), min_size=1, max_size=3).map(tuple)}),
-    "power_law": st.fixed_dictionaries({
-        "measure_alpha": _FINITE, "measure_c": _FINITE}),
-}
+
+
+def _within_jump_budget(alpha, c, delta, horizon):
+    try:
+        measure = lm.LevyMeasure.power_law(alpha, c, delta)
+        check_jump_budget(lm.scalar_triplet(measure=measure, delta=delta),
+                          horizon)
+    except lm.LevyMetError:
+        return False
+    return True
+
+
+def _measure_keys(kind, delta, horizon):
+    """measure.* keys of a kind: atoms inside (-min(delta, 1), delta], and
+    power laws (cut at delta < 1) of at most the sampler budget of jumps."""
+    if kind == "atoms":
+        loc = st.floats(min_value=-min(delta, 1.0), max_value=delta,
+                        exclude_min=True).filter(bool)
+        return st.fixed_dictionaries({"measure_atoms": st.lists(
+            st.tuples(loc, st.floats(min_value=0.0, max_value=1e3)),
+            min_size=1, max_size=3).map(tuple)})
+    if kind == "power_law":
+        return st.fixed_dictionaries({
+            "measure_alpha": st.floats(min_value=0.0, max_value=2.0,
+                                       exclude_min=True, exclude_max=True),
+            "measure_c": st.floats(min_value=1e-6, max_value=1e3)}).filter(
+            lambda m: _within_jump_budget(m["measure_alpha"], m["measure_c"],
+                                          delta, horizon))
+    return st.fixed_dictionaries({})
 
 
 @st.composite
 def _configs(draw):
-    """Valid configs of every experiment and measure kind; measure.* keys
-    are set only for the configured kind, since echo() prints only those."""
+    """Runnable configs of every experiment and measure kind, since parsing
+    refuses any other; measure.* keys are set only for the configured
+    kind, since echo() prints only those."""
     kind = draw(st.sampled_from(MEASURE_KINDS))
-    horizon = draw(st.floats(min_value=1.0, max_value=100.0))
     experiment = draw(st.sampled_from(list(EXPERIMENTS)))
-    delta = (st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
-             if experiment == "example_2d_exact" else _POSITIVE)
+    # example_2d_euler's cocycle-law probes reach 1.8
+    horizon = draw(st.floats(min_value=1.8 if experiment == "example_2d_euler"
+                             else 1.0, max_value=100.0))
+    # example_2d_exact's integrability bound and a power law's factors
+    # 1 + u >= 1 - delta need delta < 1
+    delta = draw(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
+                 if experiment == "example_2d_exact" or kind == "power_law"
+                 else _POSITIVE)
     # the QR experiments need 10 to 1e6 renorm steps in the horizon
     renorm_step = (st.floats(min_value=horizon / 1e6,
                              max_value=horizon / 10).filter(
@@ -93,11 +123,12 @@ def _configs(draw):
     return lm.ExperimentConfig(
         experiment=experiment,
         measure_kind=kind,
-        **draw(_MEASURE_KEYS[kind]),
-        delta=draw(delta),
+        **draw(_measure_keys(kind, delta, horizon)),
+        delta=delta,
         drift=draw(_FINITE),
         horizon=horizon,
-        dt=draw(_POSITIVE),
+        # a grid on the horizon within the sampler budget
+        dt=horizon / draw(st.integers(min_value=1, max_value=10**6)),
         dt_int=draw(dt_int),
         renorm_step=draw(renorm_step),
         n_paths=draw(st.integers(min_value=1, max_value=10**6)),
@@ -134,11 +165,10 @@ def _bench_workloads():
 @pytest.mark.parametrize("name", sorted(_bench_workloads()))
 def test_bench_workload_configs_parse_and_pass_preflight(name):
     # the benchmark writes its configs itself; a key change must not break
-    # them
+    # them, and parsing makes every check a run makes before any path
     text = _bench_workloads()[name].config_text(seed=3, threads=2)
     cfg = lm.parse_config(text)
     assert lm.parse_config(cfg.echo()) == cfg
-    experiments.preflight(cfg)
 
 
 def test_shipped_configs_cover_every_experiment():
@@ -194,9 +224,10 @@ def test_validate_runs_the_jump_budget_preflight(tmp_path, capsys):
 
 
 def test_validate_accepts_a_huge_atom(tmp_path, capsys):
-    # squaring the atom at 1e200 in the support check overflowed
+    # squaring the atom at 1e200 in the support check overflowed; delta
+    # makes it a small jump, since no experiment takes one above delta
     text = ("experiment = stable_1d\nmeasure.kind = atoms\n"
-            "measure.atoms = 0.2:3.0, 1e200:1.0\n")
+            "measure.atoms = 0.2:3.0, 1e200:1.0\ndelta = 1e201\n")
     assert main(["validate", "--config", _write(tmp_path, "h.cfg", text)]) == 0
     assert "config OK" in capsys.readouterr().out
 
@@ -267,7 +298,7 @@ _SHORT_RUN = "horizon = 10\ndt = 0.5\nn_paths = 3\n"
     pytest.param(name, "measure.atoms = 0.7:1\n",
                  "charges |u| up to 0.7 > delta = 0.5",
                  id=f"{name}-atom_above_delta")
-    for name in EXPERIMENTS if name != "stable_1d"] + [
+    for name in EXPERIMENTS] + [
     pytest.param("doleans_1d", "measure.atoms = -1:1\ndelta = 1.5\n",
                  "charges u = -1.0 <= -1", id="atom_at_-1"),
     pytest.param("stable_1d", "measure.atoms = -1.5:1, 0.2:1\n",
@@ -286,14 +317,12 @@ def test_bad_jump_measure_fails_before_any_path(
 
 
 @pytest.mark.parametrize("experiment,measure", [
-    # jumps of size delta are small jumps; stable_1d takes large ones too
+    # jumps of size delta are small jumps
     ("example_2d_exact", "measure.atoms = 0.5:1, -0.5:1\n"),
-    ("stable_1d", "measure.atoms = 0.7:1, -0.9:1\n"),
 ])
 def test_preflight_keeps_measures_every_path_takes(experiment, measure):
     cfg = lm.parse_config(f"experiment = {experiment}\nmeasure.kind = atoms\n"
                           f"{measure}{_SHORT_RUN}")
-    experiments.preflight(cfg)
     assert not lm.run_experiment(cfg).path_errors
 
 
@@ -335,20 +364,20 @@ def test_fixed_settings_are_not_keys(tmp_path, capsys, experiment, key):
 
 def test_sampling_grid_over_the_budget_fails_before_any_path(tmp_path, capsys):
     # 200 / 1e-6 = 2e8 steps per leg, 1.6 GB per array of grid times.  Only
-    # validate and preflight are called: neither samples a path.
+    # parse_config and validate are called: neither samples a path.
     text = ("experiment = example_2d_exact\nmeasure.kind = atoms\n"
             "measure.atoms = 0.2:3.0\ndt = 0.000001\n")
     with pytest.raises(ConfigurationError, match=r"2e\+08 steps per leg"):
-        experiments.preflight(lm.parse_config(text))
+        lm.parse_config(text)
     assert main(["validate", "--config", _write(tmp_path, "g.cfg", text)]) == 2
     out, err = capsys.readouterr()
     assert "config OK" not in out
     assert err.count("error:") == 1 and "above the sampler budget" in err
     # the budget's edge: 5e6 steps pass, one more fails
     edge = "experiment = stable_1d\nhorizon = {}\ndt = 0.000001\n"
-    experiments.preflight(lm.parse_config(edge.format(5)))
+    lm.parse_config(edge.format(5))
     with pytest.raises(ConfigurationError, match=r"5e\+06 steps per leg"):
-        experiments.preflight(lm.parse_config(edge.format(5.000001)))
+        lm.parse_config(edge.format(5.000001))
 
 
 def test_negative_seed_flag_fails_before_any_path(tmp_path, capsys):
@@ -366,9 +395,10 @@ def test_euler_ladder_over_the_step_budget_fails_at_parse(tmp_path, capsys):
             "n_paths = 3\n")
     _fails_before_any_path(tmp_path, capsys, text,
                            "finest rung needs 3.2e+10 Euler steps")
-    # exactly 1e6 steps: 7.62939453125 / 2^-17
+    # exactly 1e6 steps: 7.62939453125 / 2^-17; the sampling grid is one
+    # step
     edge = ("experiment = example_2d_euler\nhorizon = 7.62939453125\n"
-            "dt_int = 0.03125\nhalvings = {}\n")
+            "dt = 7.62939453125\ndt_int = 0.03125\nhalvings = {}\n")
     lm.parse_config(edge.format(12))
     with pytest.raises(ParseError, match=r"needs 2e\+06 Euler steps"):
         lm.parse_config(edge.format(13))
@@ -425,6 +455,43 @@ def test_infinite_step_count_fails_before_any_path(tmp_path, capsys,
     text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
             f"measure.atoms = 0.2:3.0\n{grid}n_paths = 3\n")
     _fails_before_any_path(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+@pytest.mark.parametrize("grid", ["horizon = 2\ndt = 1e300\n",
+                                  "horizon = 1e-320\ndt = 0.05\n"],
+                         ids=["huge_dt", "tiny_horizon"])
+def test_grid_of_no_step_fails_before_any_path(tmp_path, capsys, experiment,
+                                               grid):
+    # 2 / 1e300 passes for an integer step count, but that integer is 0
+    message = "rounds to 0 steps"
+    if "1e-320" in grid:  # three experiments refuse the horizon first
+        message = {"example_2d_exact": "needs horizon >= 1 ",
+                   "example_2d_euler": "needs horizon >= 1.8 ",
+                   "backward_spectrum": "needs horizon >= 10 * renorm_step",
+                   }.get(experiment, message)
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            f"measure.atoms = 0.2:3.0\n{grid}renorm_step = 0.2\nn_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize("experiment,keys,short,shipped,message", [
+    pytest.param("example_2d_exact", "dt = 0.05\nrenorm_step = 0.05\n", 0.5,
+                 200, "example_2d_exact needs horizon >= 1 "
+                 "(integrability_alpha's grid)", id="example_2d_exact"),
+    pytest.param("example_2d_euler", "dt = 0.1\ndt_int = 0.08\nhalvings = 2\n",
+                 1.0, 2, "example_2d_euler needs horizon >= 1.8 "
+                 "(its cocycle-law probes s + t)", id="example_2d_euler"),
+])
+def test_horizon_below_the_fixed_probes_fails_before_any_path(
+        tmp_path, capsys, experiment, keys, short, shipped, message):
+    # integrability_alpha is read on [0, 1], and the Euler experiment's
+    # cocycle-law probes s + t reach 1.8: every path would fail on them
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
+            f"measure.atoms = 0.2:3.0\n{keys}n_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text + f"horizon = {short}\n",
+                           "config error: " + message)
+    lm.parse_config(text + f"horizon = {shipped}\n")
 
 
 def test_duplicate_key_names_both_lines():
@@ -712,6 +779,66 @@ def test_euler_rows_equal_per_rung_rows_in_any_batch(experiment, extra):
     assert repr(rows(cfg, (5, 2))) == repr([batch[5], batch[2]])
 
 
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_check_outcomes_pass_python_bools(monkeypatch, experiment):
+    # a numpy comparison gives numpy's bool_, which json.dumps refuses
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    cfg = lm.parse_config(EULER.replace("example_2d_euler", experiment) +
+                          "measure.atoms = 0.2:3.0\nn_paths = 3\n" +
+                          _SHORT.get(experiment, ""))
+    checks = lm.run_experiment(cfg).checks
+    assert checks and all(type(c.passed) is bool for c in checks)
+    json.dumps([vars(c) for c in checks])
+
+
+def test_unequal_exponent_counts_fail_backward_pairing(tmp_path, capsys):
+    # the grouping tolerance 10 / 1.8 sits just under the gap of 6: path 0
+    # resolves two exponents, paths 1 and 2 one each
+    text = ("experiment = backward_spectrum\nmeasure.kind = atoms\n"
+            "measure.atoms = 0.2:3.0, -0.3:1.0\nhorizon = 1.8\ndt = 0.05\n"
+            "renorm_step = 0.05\nn_paths = 3\nmaster_seed = 5\n"
+            f"output_dir = {tmp_path}/out\n")
+    report = lm.run_experiment(lm.parse_config(text))
+    assert [len(r["pair_sums"]) for r in report.rows] == [2, 1, 1]
+    detail = "paths resolve different exponent counts [1, 2]"
+    assert {c.check_id: (c.passed, c.detail) for c in report.checks}[
+        "backward_pairing"] == (False, detail)
+    assert main(["run", "--config", _write(tmp_path, "b.cfg", text)]) == 1
+    assert f"[FAIL] backward_pairing: {detail}\n" in capsys.readouterr().out
+
+
+_ONE_ATOM = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0\n"
+_TWO_ATOMS = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0, -0.3:1.0\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(EXPERIMENTS)),
+       st.sampled_from([1e-320, 0.3, 0.5, 0.99, 1.0, 1.5, 1.79, 1.8, 2.0]),
+       st.sampled_from([0.05, 0.1, 1e300]), st.sampled_from([0.05, 0.1]),
+       st.sampled_from(["measure.kind = none\n", _ONE_ATOM, _TWO_ATOMS]))
+# a grid of no step, on either side
+@example("stable_1d", 2.0, 1e300, 0.1, _ONE_ATOM)
+@example("flag_convergence", 1e-320, 0.05, 0.1, _ONE_ATOM)
+# horizons below integrability_alpha's grid and the cocycle-law probes
+@example("example_2d_exact", 0.5, 0.05, 0.05, _ONE_ATOM)
+@example("example_2d_euler", 1.0, 0.1, 0.1, _ONE_ATOM)
+# paths that resolve different exponent counts
+@example("backward_spectrum", 1.8, 0.05, 0.05, _TWO_ATOMS)
+def test_a_parsed_config_runs(experiment, horizon, dt, renorm_step, measure):
+    # parse_config raises, or the paths of the run do not all fail for one
+    # reason, which the config alone would set
+    text = (f"experiment = {experiment}\n{measure}horizon = {horizon!r}\n"
+            f"dt = {dt!r}\nrenorm_step = {renorm_step!r}\nn_paths = 3\n"
+            "threads = 1\nmaster_seed = 5\n")
+    try:
+        cfg = lm.parse_config(text)
+    except lm.LevyMetError:
+        return
+    errors = lm.run_experiment(cfg).path_errors
+    types = {err.split(":")[0] for _, err in errors}
+    assert len(errors) < cfg.n_paths or len(types) > 1, errors
+
+
 def test_expm_ladder_fold_equals_per_window_propagate():
     # the example_2d_euler stage with the expm scheme: every rung of every
     # path's ladder, folded in lockstep, is bitwise the propagate(0, T) of
@@ -764,8 +891,13 @@ def test_euler_failing_rung_quarantines_only_its_path():
                for i in failed)
 
 
-def test_euler_failing_residual_reports_its_first_probe():
-    # at T = 0.5 some probe (s, t) leaves the horizon
+def test_euler_failing_residual_reports_its_first_probe(monkeypatch):
+    # at T = 0.5 some probe (s, t) leaves the horizon.  Parsing refuses
+    # horizons below 1.8, so the experiment's check is lifted to reach the
+    # quarantine of the rows
+    monkeypatch.setitem(EXPERIMENTS, "example_2d_euler",
+                        EXPERIMENTS["example_2d_euler"]._replace(
+                            check=lambda cfg: None))
     cfg = lm.parse_config(EULER.replace("horizon = 2", "horizon = 0.5") +
                           "measure.atoms = 0.2:3.0\n")
     batch = EXPERIMENTS["example_2d_euler"].rows(cfg, tuple(range(4)))

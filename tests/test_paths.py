@@ -30,6 +30,10 @@ def test_time_grid_validation():
     for grid in ((-1e308, 1e308, 0.5), (0.0, 60.0, 1e-320)):
         with pytest.raises(ConfigurationError, match="= inf steps"):
             lm.TimeGrid(*grid)
+    # step counts within rounding of the integer 0: no step at all
+    for grid in ((0.0, 200.0, 1e300), (0.0, 1e-320, 0.05)):
+        with pytest.raises(ConfigurationError, match="rounds to 0 steps"):
+            lm.TimeGrid(*grid)
 
 
 def test_pure_drift_forward_path():
