@@ -492,22 +492,19 @@ def _euler_propagators(jobs):
     """Window propagators of several Euler evaluators from lockstep
     :func:`_fold` calls.
 
-    A job is (ev, t0, t1, h): an :class:`EulerEvaluator`, the ends of its
-    windows Phi(t0_k -> t1_k) and the step size h_k of each window's
-    lattice.  ``ev.propagate(t0, t1)`` is the one-job case, with
-    h_k = ev.dt_int; a halving ladder is one window per step size.  The
-    evaluators share one dimension.  The windows of all jobs are sorted by
-    lattice length and cut into groups of at most :data:`_FOLD_BYTES`; a
-    group builds its factors with one ``_factors`` call per job in it and
-    folds them in one :func:`_fold`.  Returns per
-    job the (n, d, d) stack, bitwise what each window folded on its own
+    ``jobs`` is a non-empty list of (ev, t0, t1, h): an
+    :class:`EulerEvaluator`, the ends of its windows Phi(t0_k -> t1_k) and
+    the step size h_k of each window's lattice.  ``ev.propagate(t0, t1)``
+    is the one-job case, with h_k = ev.dt_int; a halving ladder is one
+    window per step size.  The evaluators share one dimension.  The
+    windows of all jobs are sorted by lattice length and cut into groups
+    of at most :data:`_FOLD_BYTES`; a group builds its factors with one
+    ``_factors`` call per job in it and folds them in one :func:`_fold`.
+    Returns per job the (n, d, d) stack, bitwise what each window folded on its own
     gives, or the error ``propagate`` would raise: that of the first
     window with a failing factor, else a HorizonError if a window leaves
     the sampled horizon.
     """
-    jobs = list(jobs)
-    if not jobs:
-        return []
     plans, windows, prods, errs = [], [], [], []
     job_of, local, steps = [], [], []
     for j, (ev, t0, t1, h) in enumerate(jobs):
@@ -771,20 +768,16 @@ def _alpha_stack(ev, grid):
 
 
 def _integrability_alphas(stacks):
-    """``integrability_alpha`` from :func:`_alpha_stack` stacks of one
-    dimension: their running products in one :func:`_fold`, one stacked
-    det and inverse.  Per stack (alpha+, alpha-), or the LevyMetError given
-    in its place."""
-    out = list(stacks)
-    props = {i: P for i, P in enumerate(stacks)
-             if not isinstance(P, LevyMetError)}
-    if not props:
-        return out
-    count = np.array([P.shape[0] for P in props.values()])
+    """``integrability_alpha`` from :func:`_alpha_stack` stacks, arrays of
+    one dimension: their running products in one :func:`_fold`, one
+    stacked det and inverse.  Per stack (alpha+, alpha-), or a
+    SingularityError if one of its running products is singular."""
+    if not stacks:  # every path of a batch failed before its alpha
+        return []
+    count = np.array([P.shape[0] for P in stacks])
     owner = np.repeat(np.arange(count.size), count)
     pos = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    running, rank, _ = _fold(owner, pos, np.concatenate(list(props.values())),
-                             count)
+    running, rank, _ = _fold(owner, pos, np.concatenate(stacks), count)
     phis = running[pos, rank[owner]]
     singular = np.zeros(count.size, bool)
     singular[owner[np.abs(np.linalg.det(phis)) < 1e-300]] = True
@@ -792,10 +785,8 @@ def _integrability_alphas(stacks):
     floor = max(0.0, math.log(_hs_norm(np.eye(phis.shape[-1]))))
     plus, minus = (_log_norm_max(X, owner[ok], count.size, floor)
                    for X in (phis[ok], np.linalg.inv(phis[ok])))
-    for k, i in enumerate(props):
-        out[i] = (SingularityError("propagator numerically singular")
-                  if singular[k] else (plus[k], minus[k]))
-    return out
+    return [SingularityError("propagator numerically singular") if singular[k]
+            else (plus[k], minus[k]) for k in range(count.size)]
 
 
 def _log_norm_max(mats, owner, n, floor):

@@ -28,9 +28,10 @@ not multiply the buffers by the batch) and stacks each path's cocycle-law
 probes; the others have no stage, their build being the row.  A path's
 row does not depend on the batch it falls in, and aggregation is in
 path-index order, so outputs are byte-identical regardless of worker
-count.  Per-path errors are quarantined as ``"<Type>: <msg>"``, and so is
-every path of a batch whose worker crashed; an experiment fails outright
-if more than 1% of its paths error out.
+count.  A path's error is the first its build (a QR path's window stacks
+included), the stage or its finish raises; it is quarantined as
+``"<Type>: <msg>"``, and so is every path of a batch whose worker crashed;
+an experiment fails outright if more than 1% of its paths error out.
 
 Adding an experiment is adding one entry to :data:`EXPERIMENTS` (batch
 rows from :func:`_lockstep`, aggregator, optional config check); a built
@@ -171,12 +172,12 @@ def _lockstep(build, stage=None, finish=None):
     what the config alone determines, once per batch, and returns
     ``path(index)``, which builds each path; without a stage, the built
     value is the row.  A stage runs once on the whole batch,
-    ``stage(cfg, built)`` on the list of built paths, with one result per
-    path (an Exception for a path that failed there), and
+    ``stage(cfg, built)`` on the list of paths whose build returned, with
+    one result per path (an Exception for a path that failed there), and
     ``finish(cfg, index, built_path, result)`` makes each row.  A path
     reports its first error: the batch build's, its own build's, then the
     stage's, then its finish's; an exception out of the stage call fails
-    every built path."""
+    every built path.  Only here are all three phases of a path seen."""
     def rows(cfg, indices):
         path, err = _attempt(build, cfg)
         if err is not None:  # every path's build would raise it
@@ -217,14 +218,6 @@ def _benchmark_cocycles(cfg, sample=sample_two_sided):
     return measure, cocycle
 
 
-def _stored(fn, *args):
-    """fn(*args), or the LevyMetError it raised."""
-    try:
-        return fn(*args)
-    except LevyMetError as exc:
-        return exc
-
-
 # integrability_alpha's grid in example_2d_exact
 _ALPHA_GRID = TimeGrid(0.0, 1.0, 0.05)
 # example_2d_euler's cocycle-law probes s, t: uniform on +-_PROBE_REACH
@@ -234,8 +227,7 @@ _PROBE_REACH = 0.9
 class _Stacks(NamedTuple):
     """What the QR stage keeps of one exact benchmark path: its window
     stacks over [0, T] and [0, -T] and, for example_2d_exact, the stack of
-    integrability_alpha on _ALPHA_GRID, each an array or the LevyMetError
-    computing it raised."""
+    integrability_alpha on _ALPHA_GRID."""
 
     forward: object
     backward: object
@@ -249,15 +241,15 @@ def _exact_cocycle(cfg, alpha=False):
     (``paths._JumpTable``), bitwise the jumps of ``sample_two_sided``'s
     path, with no continuous skeleton; the evaluator and its tables are
     dropped once the stacks exist, so a batch holds about 14 KB per
-    path."""
+    path.  A stack that raises fails the path's build, so the error of the
+    forward stack comes before the backward one's, then the alpha one's."""
     cocycle = _benchmark_cocycles(cfg, _JumpTable)[1]
     T, step = cfg.horizon, cfg.renorm_step
 
     def path(index):
         ev = cocycle(index)
-        return _Stacks(_stored(_qr_stack, ev, T, step),
-                       _stored(_qr_stack, ev, -T, step),
-                       _stored(_alpha_stack, ev, _ALPHA_GRID) if alpha else None)
+        return _Stacks(_qr_stack(ev, T, step), _qr_stack(ev, -T, step),
+                       _alpha_stack(ev, _ALPHA_GRID) if alpha else None)
     return path
 
 
@@ -277,7 +269,7 @@ def _oseledets_stage(cfg, built):
     batch, the Oseledets splits, their angles to the axes and
     integrability_alpha on [0, 1].  Per path (est, best, split, angles,
     alphas), or its first error: the spectra's, a flag's, the split's, then
-    integrability_alpha's."""
+    a singular fold of its alpha stack."""
     out, live, good = _spectra(cfg, built), [], []
     for k, res in enumerate(out):
         try:
@@ -355,9 +347,10 @@ def _row_stable_1d(cfg):
     sampled, from the substream of leg 0 of ``sample_two_sided``."""
     triplet = scalar_triplet(drift=cfg.drift, measure=cfg.build_measure(),
                              delta=cfg.delta)
+    grid = TimeGrid(0.0, cfg.horizon, cfg.dt)
 
     def row(index):
-        path = sample_forward(triplet, TimeGrid(0.0, cfg.horizon, cfg.dt),
+        path = sample_forward(triplet, grid,
                               substream(cfg.master_seed, index, 0, 0))
         dd = StochasticExponential1D(path)
         lam = dd.log_value(cfg.horizon) / cfg.horizon
@@ -749,9 +742,12 @@ def _check_runnable(cfg):
         raise SupportError(f"the measure charges u = {lowest} <= -1, where "
                            "the jump factor 1 + u is not positive")
     if measure.support_bound > cfg.delta * ExactDiagonal2D._DELTA_SLACK:
+        reason = ("stable_1d's target covers |u| <= delta only"
+                  if cfg.experiment == "stable_1d" else
+                  "the exact benchmark cocycle takes small jumps only")
         raise SupportError(f"the measure charges |u| up to "
                            f"{measure.support_bound} > delta = {cfg.delta}; "
-                           "the exact benchmark cocycle takes small jumps only")
+                           + reason)
     check_jump_budget(scalar_triplet(measure=measure, delta=cfg.delta),
                       cfg.horizon)
 
@@ -831,8 +827,6 @@ def run_experiment(cfg):
         aggregate = EXPERIMENTS[cfg.experiment].aggregate
         agg_checks, summary, tables = aggregate(cfg, rows)
         checks.extend(agg_checks)
-    elif not checks:
-        checks.append(CheckOutcome("error_rate", False, "no path succeeded"))
     wall = time.perf_counter() - t0
     return ExperimentReport(
         experiment=cfg.experiment,

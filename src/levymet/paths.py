@@ -387,8 +387,6 @@ class TwoSidedPath:
 
     def jumps_in(self, a, b):
         """Jump times and sizes with a < s <= b (shift-adjusted times)."""
-        if a > b:
-            a, b = b, a
         a, b = a + self.offset, b + self.offset
         tb, sb = self.backward.jumps_in(a, b)
         tf, sf = self.forward.jumps_in(a, b)
@@ -444,8 +442,6 @@ class _JumpTable:
 
     def jumps_in(self, a, b):
         """Jump times and sizes with a < s <= b, backward leg first."""
-        if a > b:
-            a, b = b, a
         (tb, sb), (tf, sf) = (_leg_jumps_in(*leg, a, b) for leg in self._legs)
         return np.concatenate([tb, tf]), np.concatenate([sb, sf])
 

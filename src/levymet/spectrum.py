@@ -188,10 +188,6 @@ class SpectrumEstimate:
     def grouped(self):
         return list(zip(self.lambdas, self.multiplicities))
 
-    @property
-    def d(self):
-        return self.raw.size
-
 
 # Fewest renorm windows a QR estimate accepts.
 _QR_MIN_WINDOWS = 10
@@ -210,31 +206,27 @@ def _qr_stack(ev, T, renorm_step):
 
 
 def _qr_estimate(jobs, renorm_step):
-    """QR estimates of (stack, T) jobs in one lockstep push.  A stack is
-    the :func:`_qr_stack` of an evaluator over [0, T], or the LevyMetError
-    computing it raised, which is that job's entry.  Every job covers
-    [0, T] with at least _QR_MIN_WINDOWS windows of at most renorm_step;
-    T is signed (a negative T is the time-reversed cocycle) and all jobs
-    share one |T| and one stack shape.  Each job pushes two frames: one
-    through phi for its log growths, grouped per unit |T| with group_tol
-    10/|T|, and one through the transposed stack for its flag.  log|det|
-    is accumulated independently of the QR diagonal for the sum rule.
+    """QR estimates of (stack, T) jobs, at least one, in one lockstep push.
+    A stack is the array :func:`_qr_stack` returns for an evaluator over
+    [0, T].  Every job covers [0, T] with at least _QR_MIN_WINDOWS windows
+    of at most renorm_step; T is signed (a negative T is the time-reversed
+    cocycle) and all jobs share one |T| and one stack shape.  Each job
+    pushes two frames: one through phi for its log growths, grouped per
+    unit |T| with group_tol 10/|T|, and one through the transposed stack
+    for its flag.  log|det| is accumulated independently of the QR
+    diagonal for the sum rule.
     Returns one entry per job: its SpectrumEstimate, or the LevyMetError
-    of its path."""
+    its push or grouping raised."""
     if len({abs(T) for _, T in jobs}) > 1:
         raise ConfigurationError("jobs must share one horizon length |T|")
     for _, T in jobs:
         _check_span(T, renorm_step)
-    out = [P if isinstance(P, LevyMetError) else None for P, _ in jobs]
-    live = [i for i, e in enumerate(out) if e is None]
-    if not live:
-        return out
     # entries 0..n-1 push the spectrum frames through the stacks, n..2n-1
     # the flag frames through the same stacks as _transposed returns them;
     # both halves fill one buffer, the only copy of the stacks made here
-    n, shape = len(live), jobs[live[0]][0].shape
+    n, shape = len(jobs), jobs[0][0].shape
     props = np.empty((2 * n,) + shape)  # (2 jobs, windows, d, d)
-    np.stack([jobs[i][0] for i in live], out=props[:n])
+    np.stack([P for P, _ in jobs], out=props[:n])
     props[n:] = np.swapaxes(props[:n, ::-1], -1, -2)
     with np.errstate(invalid="ignore"):  # a non-finite window fails its path
         signs, lds = np.linalg.slogdet(props[:n])
@@ -242,14 +234,14 @@ def _qr_estimate(jobs, renorm_step):
     d = shape[-1]
     Q, logs, degenerated = _push(np.broadcast_to(np.eye(d), (2 * n, d, d)),
                                  props)
-    for j, i in enumerate(live):
-        T = jobs[i][1]
+    out = []
+    for j, (_, T) in enumerate(jobs):
         span = abs(T)
         tol = 10.0 / span
         if np.any(signs[j] == 0.0):
-            out[i] = SingularityError("window propagator is singular")
+            out.append(SingularityError("window propagator is singular"))
         elif degenerated[j] or degenerated[n + j]:
-            out[i] = InstabilityError(_DEGENERATED)
+            out.append(InstabilityError(_DEGENERATED))
         else:
             raw = np.sort(logs[j] / span)[::-1]
             try:
@@ -258,12 +250,12 @@ def _qr_estimate(jobs, renorm_step):
                     cut = _cut_flag(Q[n + j], logs[n + j], T, groups)
                 except LevyMetError as exc:  # the exponents stand without it
                     cut = exc
-                out[i] = SpectrumEstimate(
+                out.append(SpectrumEstimate(
                     raw, tuple(g[0] for g in groups),
                     tuple(g[1] for g in groups), gap, T, logdets[j] / span, tol,
-                    cut)
+                    cut))
             except LevyMetError as exc:
-                out[i] = exc
+                out.append(exc)
     return out
 
 
@@ -603,10 +595,6 @@ class OseledetsSplit:
 
     subspaces: tuple
     dims: tuple
-
-    @property
-    def p(self):
-        return len(self.subspaces)
 
     def stacked(self):
         return np.hstack(self.subspaces)

@@ -123,15 +123,20 @@ def test_norm_screen_returns_the_per_matrix_max():
 # -- batch split ---------------------------------------------------------------------
 
 
+def _public_cocycle(cfg, index):
+    """The exact cocycle of one path from the public single-path functions."""
+    measure = cfg.build_measure()
+    drivers = lm.benchmark_drivers(measure, cfg.delta)
+    paths = [lm.sample_two_sided(drivers[i], cfg.horizon, cfg.dt,
+                                 cfg.master_seed, path_index=index, driver=i)
+             for i in range(2)]
+    return lm.ExactDiagonal2D(paths, measure, cfg.delta)
+
+
 def _public_triple(cfg, index):
     """The row of one path from the public single-path functions."""
     try:
-        measure = cfg.build_measure()
-        drivers = lm.benchmark_drivers(measure, cfg.delta)
-        paths = [lm.sample_two_sided(drivers[i], cfg.horizon, cfg.dt,
-                                     cfg.master_seed, path_index=index,
-                                     driver=i) for i in range(2)]
-        ev = lm.ExactDiagonal2D(paths, measure, cfg.delta)
+        ev = _public_cocycle(cfg, index)
         est = lm.spectrum_qr(ev, cfg.horizon, cfg.renorm_step)
         best = lm.backward_spectrum(ev, cfg.horizon, cfg.renorm_step)
         row = {"index": index, "raw": [float(v) for v in est.raw],
@@ -200,11 +205,81 @@ def test_stage_failure_quarantines_only_its_path(monkeypatch):
     assert repr(batch[:2] + batch[3:]) == repr(clean[:2] + clean[3:])
 
 
+def _jumps_key(ev):
+    """The bytes of the first driver's jump times: one path's fingerprint,
+    the same for its jump table and its sampled path."""
+    p = ev.driver_paths[0]
+    return p.jumps_in(*p.horizon)[0].tobytes()
+
+
+@pytest.mark.parametrize("experiment,end", [
+    ("example_2d_exact", 20.0), ("example_2d_exact", -20.0),
+    ("example_2d_exact", 1.0), ("backward_spectrum", 20.0),
+    ("backward_spectrum", -20.0)], ids=["exact-forward", "exact-backward",
+                                        "exact-alpha", "backward-forward",
+                                        "backward-backward"])
+def test_stack_error_is_quarantined_as_a_build_error(monkeypatch, experiment,
+                                                     end):
+    # the window stack ending at ``end`` (the QR stack over [0, T] or
+    # [0, -T], or the alpha stack over [0, 1]) raises for the batch's third
+    # path: its build fails, so the stage never sees it, it reports what
+    # the public single-path calls raise on it, and the other rows stand
+    cfg = lm.parse_config(f"experiment = {experiment}\n{SHORT}"
+                          "master_seed = 5\n")
+    rows = EXPERIMENTS[experiment].rows
+    indices = (4, 9, 2, 7)
+    clean = rows(cfg, indices)
+    assert all(err is None for _, _, err in clean)
+    victim = _jumps_key(_public_cocycle(cfg, 2))
+    propagators, qr_estimate, pushed = (lm.ExactDiagonal2D.propagators,
+                                        experiments._qr_estimate, [])
+
+    def failing(self, edges):
+        if edges[-1] == end and _jumps_key(self) == victim:
+            raise lm.InstabilityError("window stack overflows")
+        return propagators(self, edges)
+
+    def counted(jobs, renorm_step):
+        pushed.append(len(jobs))
+        return qr_estimate(jobs, renorm_step)
+
+    monkeypatch.setattr(lm.ExactDiagonal2D, "propagators", failing)
+    monkeypatch.setattr(experiments, "_qr_estimate", counted)
+    batch = rows(cfg, indices)
+    assert pushed == [2 * 3]
+    alone = _public_triple(cfg, 2)
+    assert alone == (2, None, "InstabilityError: window stack overflows")
+    assert repr(batch) == repr(clean[:2] + [alone] + clean[3:])
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_batch_build_error_fails_every_path(monkeypatch, experiment):
+    # what the config alone determines is computed once per batch: if that
+    # raises, every path of the batch reports it, and a run in which no
+    # path succeeded fails on its error rate alone
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    cfg = lm.parse_config(f"experiment = {experiment}\n"
+                          + _CONFIG.get(experiment, SHORT) + "n_paths = 3\n")
+
+    def unavailable(self):
+        raise lm.ConfigurationError("measure unavailable")
+
+    monkeypatch.setattr(lm.ExperimentConfig, "build_measure", unavailable)
+    want = "ConfigurationError: measure unavailable"
+    assert EXPERIMENTS[experiment].rows(cfg, (3, 0, 1)) == \
+        [(i, None, want) for i in (3, 0, 1)]
+    report = lm.run_experiment(cfg)
+    assert report.rows == [] and report.summary == {}
+    assert report.path_errors == [(i, want) for i in range(3)]
+    assert [(c.check_id, c.passed, c.detail) for c in report.checks] == \
+        [("error_rate", False, "3/3 paths errored (>1%)")]
+
+
 def test_stack_errors_keep_their_order(monkeypatch):
-    # the build keeps the error of a stack that raised in its place; the
-    # stage still reports each path's first error in the order forward,
-    # backward, flag, split, alpha, so a forward-stack error and a QR
-    # degeneration both win over an alpha error
+    # a stack that raises fails its path's build, in the order forward,
+    # backward, alpha; the stage then reports each path's first error in
+    # the order flag, split, alpha fold, so a forward-stack error wins over
+    # an alpha-stack error, and an alpha-stack error over a QR degeneration
     cfg = lm.parse_config(f"experiment = example_2d_exact\n{SHORT}"
                           "master_seed = 5\n")
     qr_stack, alpha_stack = experiments._qr_stack, experiments._alpha_stack
@@ -238,6 +313,8 @@ def test_stack_errors_keep_their_order(monkeypatch):
             ({"alpha": alpha_error, "backward": backward, "forward": forward},
              "HorizonError: forward"),
             ({"alpha": alpha_error, "forward": shear},
+             "SingularityError: alpha stack"),
+            ({"forward": shear},
              "InstabilityError: frame degenerated; shorten renorm_step")):
         faults.clear()
         faults.update(case)

@@ -425,6 +425,16 @@ def _blowup_evaluator(jump_time):
     return lm.EulerEvaluator(system, [_blowup_path(jump_time, -0.5)], 0.1)
 
 
+def _dead_step_evaluator():
+    # the steps (0, 0.5] and (0.5, 1] are I + 0.5 a = 0 exactly, so the
+    # forward product over (0, 1] is singular; its jump factor is not
+    path = lm.JumpPath(np.array([0.0, 0.5, 1.0]), np.zeros(3),
+                       np.array([0.5]), np.array([0.5]))
+    system = lm.LinearSystem(-2.0 * np.eye(2), (np.eye(2),),
+                             (lm.scalar_triplet(),))
+    return lm.EulerEvaluator(system, [path], 1.0)
+
+
 def _loop_error(ev, edges):
     for a, b in zip(edges[:-1], edges[1:]):
         try:
@@ -527,6 +537,7 @@ def test_euler_batch_failing_job_leaves_others_unchanged(monkeypatch, budget):
         (good, edges),
         (_blowup_evaluator(0.3), np.array([0.0, 0.5, 1.0])),  # singular
         (_blowup_evaluator(0.9), np.array([0.0, 1.0])),  # overflow
+        (_dead_step_evaluator(), np.array([1.0, 0.0])),  # singular forward
         (good, np.array([0.0, 1.0, 2.5])),  # leaves the horizon
         (good, np.array([0.4])),  # no window
         (good, edges[::-1]),
