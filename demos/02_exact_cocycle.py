@@ -15,7 +15,7 @@ drivers = lm.benchmark_drivers(measure, delta)
 paths = [lm.sample_two_sided(drivers[i], 4.0, 0.1, 11, driver=i)
          for i in range(2)]
 
-exact = lm.ExactDiagonal2D(paths, measure, delta)
+exact = lm.ExactDiagonal2D(paths)
 print("phi(0) =\n", exact.matrix(0.0))
 print("phi(1) =\n", exact.matrix(1.0))
 print("phi(-1) =\n", exact.matrix(-1.0))
@@ -30,7 +30,7 @@ defect = np.linalg.norm(exact.inverse(t) - exact.shifted(t).matrix(-t))
 print("time-reversal inverse defect:", defect)
 
 # jump-adapted Euler converges at first order to the exact solution
-system = lm.benchmark_system_2d(measure, delta)
+system = lm.benchmark_system_2d()
 target = exact.matrix(2.0)
 print("\nEuler error vs dt:")
 for dt in (0.04, 0.02, 0.01, 0.005):

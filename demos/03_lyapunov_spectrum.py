@@ -20,7 +20,7 @@ raw = np.empty((n_paths, 2))
 for k in range(n_paths):
     paths = [lm.sample_two_sided(drivers[i], T, 0.5, 21, path_index=k, driver=i)
              for i in range(2)]
-    ev = lm.ExactDiagonal2D(paths, measure, delta)
+    ev = lm.ExactDiagonal2D(paths)
     est = lm.spectrum_qr(ev, T, renorm_step=1.0)
     raw[k] = est.raw
 
@@ -38,7 +38,7 @@ print("sum rule |sum(raw) - logdet/T|:",
 
 # per-direction exponents: lambda(x) = lambda_1 unless x lies in the slow
 # subspace
-ev = lm.ExactDiagonal2D(paths, measure, delta)
+ev = lm.ExactDiagonal2D(paths)
 for x in ([1.0, 0.0], [0.0, 1.0], [0.3, 0.7]):
     print(f"vector exponent of {x}:", lm.vector_exponent(ev, x, T))
 

@@ -14,7 +14,7 @@ delta = 0.5
 drivers = lm.benchmark_drivers(measure, delta)
 T = 80.0
 paths = [lm.sample_two_sided(drivers[i], T, 0.5, 33, driver=i) for i in range(2)]
-ev = lm.ExactDiagonal2D(paths, measure, delta)
+ev = lm.ExactDiagonal2D(paths)
 
 fwd = lm.spectrum_qr(ev, T, 1.0)
 bwd = lm.backward_spectrum(ev, T, 1.0)

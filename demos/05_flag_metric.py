@@ -30,7 +30,7 @@ gt = lm.ground_truth_2d(measure, 0.5)
 drivers = lm.benchmark_drivers(measure, 0.5)
 paths = [lm.sample_two_sided(drivers[i], 100.0, 0.5, 55, driver=i)
          for i in range(2)]
-ev = lm.ExactDiagonal2D(paths, measure, 0.5)
+ev = lm.ExactDiagonal2D(paths)
 
 theta = 0.7
 frame = np.array([[math.cos(theta), -math.sin(theta)],

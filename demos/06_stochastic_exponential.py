@@ -14,7 +14,7 @@ measure = lm.LevyMeasure.from_atoms([(0.2, 3.0)])
 drivers = lm.benchmark_drivers(measure, 0.5)
 paths = [lm.sample_two_sided(drivers[i], 10.0, 0.25, 77, driver=i)
          for i in range(2)]
-exact = lm.ExactDiagonal2D(paths, measure, 0.5)
+exact = lm.ExactDiagonal2D(paths)
 dd = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
 
 print("log Y_t vs log M^1_t:")

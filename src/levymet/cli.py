@@ -78,7 +78,7 @@ def _selftest():
     measure = LevyMeasure.empty()
     drivers = benchmark_drivers(measure, 0.5)
     paths = [sample_two_sided(drivers[i], 40.0, 0.5, 1, driver=i) for i in range(2)]
-    ev = ExactDiagonal2D(paths, measure, 0.5)
+    ev = ExactDiagonal2D(paths)
     est = spectrum_qr(ev, 40.0, 1.0)
     gt = ground_truth_2d(measure, 0.5)
     check("drift_only_spectrum",
@@ -117,8 +117,8 @@ def _selftest():
     # at T = 40 the slow ones sit e^-120 below the fast ones (2-d hides that)
     P = np.eye(3) + 0.5 * np.random.default_rng(0).standard_normal((3, 3))
     flow = EulerEvaluator(LinearSystem(
-        P @ np.diag([2.0, -1.0, -4.0]) @ np.linalg.inv(P), (np.zeros((3, 3)),),
-        (tri,)), [sample_two_sided(tri, 40.0, 1.0, 5)], 1.0, "expm")
+        P @ np.diag([2.0, -1.0, -4.0]) @ np.linalg.inv(P), (np.zeros((3, 3)),)),
+        [sample_two_sided(tri, 40.0, 1.0, 5)], 1.0, "expm")
     split = oseledets_spaces(spectrum_qr(flow, 40.0).flag,
                              backward_spectrum(flow, 40.0).flag)
     worst = max(split.angles_to([P[:, i:i + 1] for i in range(3)]))

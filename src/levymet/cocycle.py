@@ -70,21 +70,19 @@ def _check_finite(M):
 @dataclass(frozen=True)
 class LinearSystem:
     """Coefficients of dX = a X dt + sigma_i X dL^i with q independent
-    scalar drivers."""
+    scalar drivers, whose laws are their paths' triplets."""
 
     a: np.ndarray
     sigmas: tuple
-    drivers: tuple
 
     def __post_init__(self):
         a = np.asarray(self.a, float)
         object.__setattr__(self, "a", a)
         sig = tuple(np.asarray(s, float) for s in self.sigmas)
         object.__setattr__(self, "sigmas", sig)
-        object.__setattr__(self, "drivers", tuple(self.drivers))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError("a must be square")
-        if len(sig) == 0 or len(sig) != len(self.drivers):
+        if len(sig) == 0:
             raise StructuralError("need q >= 1 sigma matrices, one per driver")
         for s in sig:
             if s.shape != a.shape:
@@ -97,13 +95,6 @@ class LinearSystem:
     @property
     def q(self):
         return len(self.sigmas)
-
-    def drift_matrix(self):
-        """a + sum_i sigma_i b^i."""
-        B = self.a.copy()
-        for s, tr in zip(self.sigmas, self.drivers):
-            B += s * tr.drift
-        return B
 
 
 def _fold(win, pos, factors, count):
@@ -191,38 +182,42 @@ class ExactDiagonal2D(_EvaluatorBase):
         dX^1 = c_1 X^1 dt + X^1 dL^1,   dX^2 = c_2 X^2 dt + X^2 dL^2,
 
     with (c_1, c_2) = BENCHMARK_DRIFTS and compensated small-jump drivers
-    sharing one measure.  phi(t) is diagonal with log-entries
+    sharing one law.  phi(t) is diagonal with log-entries
 
         (c_i + I - K) t + sum_{0 < s <= t} log(1 + kappa^i_s)
 
     where I and K are the band integrals of log(1+u)-u and log(1+u); for
     t < 0 the jump sum runs over (t, 0] with a minus sign, which is exactly
-    the inverse of the forward window.  All integrals are over the actually
-    simulated band, so the evaluator is the exact solution along the
-    sampled path.
+    the inverse of the forward window.  The law is the drivers' one shared
+    triplet, with no drift or Gaussian part, and all integrals are over its
+    simulated band, so the evaluator is the exact solution along the path.
     """
 
     d = 2
     # relative slack of the |u| <= delta test on the drivers' jumps
     _DELTA_SLACK = 1 + 1e-12
 
-    def __init__(self, driver_paths, measure, delta, integrals=None):
+    def __init__(self, driver_paths):
         if len(driver_paths) != 2:
             raise StructuralError("need exactly two scalar driver paths")
         self.driver_paths = list(driver_paths)
-        self.measure = measure
-        self.delta = float(delta)
-        if integrals is None:
-            integrals = self.band_integrals(driver_paths[0].triplet, measure,
-                                            self.delta)
-        self.compensator_integral, self._log_moment = integrals
+        law, other = (p.triplet for p in self.driver_paths)
+        if law is None or other != law:
+            raise StructuralError("the closed form reads one law, the triplet "
+                                  "both driver paths share")
+        for part, value in (("drift", law.drift), ("Gaussian part", law.gaussian)):
+            if value:
+                raise ConfigurationError(f"the drivers have a {part} ({value}); "
+                                         "the closed form leaves it out")
+        I, K = law.log_integrals
+        self._rate = I - K
         # per path: jump times and cumulative log(1 + kappa) tables
         self._jump_t, self._log_cum, self._anchor = [], [], []
         for p in self.driver_paths:
             times, sizes = p.jumps_in(*p.horizon)
             if np.any(sizes <= -1.0):
                 raise SingularityError("jump factor 1 + u hit zero or below")
-            if np.any(np.abs(sizes) > self.delta * self._DELTA_SLACK):
+            if np.any(np.abs(sizes) > law.delta * self._DELTA_SLACK):
                 raise SupportError("driver carries jumps above delta; the "
                                    "closed form covers small jumps only")
             self._jump_t.append(times)
@@ -230,24 +225,16 @@ class ExactDiagonal2D(_EvaluatorBase):
             self._log_cum.append(cum)
             self._anchor.append(cum[np.searchsorted(times, 0.0, side="right")])
 
-    @staticmethod
-    def band_integrals(triplet, measure, delta):
-        """(I, K) over {lo < |u| <= delta}, lo the triplet's eps_cut (0 for
-        None): the ``integrals`` all paths of one triplet share."""
-        lo = 0.0 if triplet is None else min(triplet.effective_cut(), delta)
-        return measure.log_compensator(lo, delta), measure.log_moment(lo, delta)
-
     def log_growth(self, t):
         """log phi(t)_ii, exact in log scale for any horizon: a 2-vector for
         a scalar t, one row per time for an array of times."""
         t = np.asarray(t, float)
         _check_in_horizon(t, self.horizon)
-        rate = self.compensator_integral - self._log_moment
         cols = []
         for c, times, cum, anchor in zip(BENCHMARK_DRIFTS, self._jump_t,
                                          self._log_cum, self._anchor):
             jump_sum = cum[np.searchsorted(times, t, side="right")] - anchor
-            cols.append((c + rate) * t + jump_sum)
+            cols.append((c + self._rate) * t + jump_sum)
         return np.stack(cols, axis=-1)
 
     def propagate(self, t0, t1):
@@ -255,11 +242,9 @@ class ExactDiagonal2D(_EvaluatorBase):
         return _diagonal_exp(ends[1] - ends[0])
 
     def shifted(self, s):
-        """The evaluator on the shifted paths; the band integrals are
-        shift-invariant and carry over."""
-        return ExactDiagonal2D([p.shift(s) for p in self.driver_paths],
-                               self.measure, self.delta,
-                               (self.compensator_integral, self._log_moment))
+        """The evaluator on the shifted paths, whose triplet still holds
+        the band integrals."""
+        return ExactDiagonal2D([p.shift(s) for p in self.driver_paths])
 
     def _shifted_matrices(self, s, t):
         """phi(t_k, theta_{s_k} omega), bitwise ``shifted(s_k).matrix(t_k)``,
@@ -271,7 +256,6 @@ class ExactDiagonal2D(_EvaluatorBase):
         jump off; raises, with a message of its own, where some
         ``matrix(t_k)`` on it would."""
         x = np.stack([np.zeros_like(t), t])  # the ends of Phi(0 -> t_k)
-        rate = self.compensator_integral - self._log_moment
         cols = []
         for c, p, cum in zip(BENCHMARK_DRIFTS, self.driver_paths,
                              self._log_cum):
@@ -294,7 +278,7 @@ class ExactDiagonal2D(_EvaluatorBase):
             # its times <= 0 is searchsorted(row, 0.0, side="right")
             anchor = cum[np.sum(times <= 0.0, axis=1)]
             jump_sum = cum[np.sum(times <= x[..., None], axis=-1)] - anchor
-            cols.append((c + rate) * x + jump_sum)
+            cols.append((c + self._rate) * x + jump_sum)
         ends = np.stack(cols, axis=-1)
         return _diagonal_exp(ends[1] - ends[0])
 
@@ -592,15 +576,15 @@ def _psi_grid(system, driver_paths, times):
     psi solves d psi = sigma_i psi u dN~ restricted to |u| <= delta: between
     jumps d psi = -(sum_i sigma_i c_i) psi dt with c_i the small-jump
     compensation rate; at a small jump, psi <- (I + kappa sigma_i) psi and
-    psi^(-1) <- psi^(-1) (I + kappa sigma_i)^(-1).
+    psi^(-1) <- psi^(-1) (I + kappa sigma_i)^(-1).  Each driver's delta
+    and c_i are its path's triplet's.
     """
     d = system.d
     C = np.zeros((d, d))
     for s_mat, p in zip(system.sigmas, driver_paths):
-        if p.triplet is not None:
-            C += p.triplet.compensation_rate() * s_mat
+        C += p.triplet.compensation_rate() * s_mat
     jumps = _jump_events(driver_paths, 0.0, times[-1],
-                         lambda i, s: abs(s) <= system.drivers[i].delta)
+                         lambda i, s: abs(s) <= driver_paths[i].triplet.delta)
     psis = np.empty((len(times), d, d))
     psinvs = np.empty((len(times), d, d))
     psi = np.eye(d)
@@ -653,21 +637,31 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
         X_t = psi_t ( x + int_0^t psi_s^(-1) (a + sigma_i b^i) X_s ds
                         + int_0^t int_{|u|>delta} psi_s^(-1) sigma_i X_s u N(ds,du) ),
 
-    starting from X^0 = x.  Time integrals are left-endpoint Riemann sums
-    on the jump-adapted grid; the counting-measure sum evaluates integrands
-    at s-.  Serves as an independent oracle for the Euler backend.
+    starting from X^0 = x, with each driver's b^i, delta and compensation
+    read from its path's triplet; a Gaussian part (no dW term) is refused.
+    Time integrals are left-endpoint Riemann sums on the jump-adapted grid;
+    the counting-measure sum evaluates integrands at s-.  Serves as an
+    independent oracle for the Euler backend.
     """
     if n_iter < 1:
         raise ConfigurationError("n_iter must be >= 1")
     if t <= 0.0:
         raise HorizonError("solve on a window (0, t] with t > 0")
+    laws = [p.triplet for p in driver_paths]
+    if None in laws:
+        raise StructuralError("a driver path has no triplet to read its law")
+    if any(law.gaussian for law in laws):
+        raise ConfigurationError("a driver has a Gaussian part; the integral "
+                                 "equation has no dW term")
     x = np.asarray(x, float)
     d = system.d
     times = _breakpoints(driver_paths, t, dt_int)
     psis, psinvs = _psi_grid(system, driver_paths, times)
-    B = system.drift_matrix()
+    B = system.a.copy()  # a + sigma_i b^i
+    for s_mat, law in zip(system.sigmas, laws):
+        B += s_mat * law.drift
     large = _jump_events(driver_paths, 0.0, t,
-                         lambda i, s: abs(s) > system.drivers[i].delta)
+                         lambda i, s: abs(s) > laws[i].delta)
 
     # convergent iterates obey |X^{n+1}-X^n| <= (C3 xi_t)^n / n! * const, so
     # differences may grow until n ~ C3 xi_t; the divergence detector is
@@ -678,13 +672,13 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
     xi = t
     for i, p in enumerate(driver_paths):
         jt, js = p.jumps_in(0.0, t)
-        big = np.abs(js) > system.drivers[i].delta
+        big = np.abs(js) > laws[i].delta
         xi += _hs_norm(system.sigmas[i]) * float(np.sum(np.abs(js[big])))
     hump = c3 * xi
 
     K = len(times)
     X_prev = np.tile(x, (K, 1))
-    X_prev_pre = {k: x.copy() for k in range(K)}
+    X_prev_pre = {k: x for k in range(K) if float(times[k]) in large}
     diffs = []
     grow = 0
     for _ in range(n_iter):
@@ -692,17 +686,18 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
         X_new_pre = {}
         acc = x.astype(float).copy()
         X_new[0] = x
-        for k in range(1, K):
-            h = times[k] - times[k - 1]
-            acc = acc + h * (psinvs[k - 1] @ (B @ X_prev[k - 1]))
-            hits = large.get(float(times[k]), ())
-            if hits:
-                X_new_pre[k] = psis[k] @ acc
-                for i, kappa in hits:
-                    acc = acc + kappa * (psinvs[k] @ (system.sigmas[i]
-                                                      @ X_prev_pre[k]))
-            X_new[k] = psis[k] @ acc
-        step = float(np.max(np.abs(X_new - X_prev)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for k in range(1, K):
+                h = times[k] - times[k - 1]
+                acc = acc + h * (psinvs[k - 1] @ (B @ X_prev[k - 1]))
+                hits = large.get(float(times[k]), ())
+                if hits:
+                    X_new_pre[k] = psis[k] @ acc
+                    for i, kappa in hits:
+                        acc = acc + kappa * (psinvs[k] @ (system.sigmas[i]
+                                                          @ X_prev_pre[k]))
+                X_new[k] = psis[k] @ acc
+            step = float(np.max(np.abs(X_new - X_prev)))
         diffs.append(step)
         if not math.isfinite(step):
             raise DivergenceError("Picard iterate overflowed")
@@ -714,10 +709,7 @@ def picard_solve(system, driver_paths, t, n_iter, x, dt_int=1e-3):
                                       "contraction threshold")
         else:
             grow = 0
-        X_prev = X_new
-        X_prev_pre = {k: v for k, v in X_new_pre.items()}
-        for k in range(K):
-            X_prev_pre.setdefault(k, X_prev[k])
+        X_prev, X_prev_pre = X_new, X_new_pre
     return PicardResult(value=X_prev[-1], diffs=diffs)
 
 

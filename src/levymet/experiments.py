@@ -205,16 +205,15 @@ def _lockstep(build, stage=None, finish=None):
 def _benchmark_cocycles(cfg, sample=sample_two_sided):
     """The measure and ``cocycle(index)``, the exact cocycle of one benchmark
     path, its drivers drawn by ``sample`` (the signature of
-    ``sample_two_sided``); the drivers' triplet and the band integrals are
-    shared."""
+    ``sample_two_sided``).  All paths share one triplet, which holds the
+    law and computes its band integrals once."""
     measure = cfg.build_measure()
     drivers = benchmark_drivers(measure, cfg.delta)
-    integrals = ExactDiagonal2D.band_integrals(drivers[0], measure, cfg.delta)
 
     def cocycle(index):
         paths = [sample(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
                         path_index=index, driver=i) for i in range(2)]
-        return ExactDiagonal2D(paths, measure, cfg.delta, integrals)
+        return ExactDiagonal2D(paths)
     return measure, cocycle
 
 
@@ -310,8 +309,8 @@ def _finish_example_2d_exact(cfg, index, stacks, staged):
 def _ladder_path(cfg):
     """Per path: the exact benchmark cocycle, its phi(T) with norm, and the
     path's Euler evaluator."""
-    measure, cocycle = _benchmark_cocycles(cfg)
-    system = benchmark_system_2d(measure, cfg.delta)
+    cocycle = _benchmark_cocycles(cfg)[1]
+    system = benchmark_system_2d()
 
     def path(index):
         exact = cocycle(index)

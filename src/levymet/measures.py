@@ -405,6 +405,14 @@ class LevyTriplet:
             (lo, hi, self.measure.rate(lo, hi))
             for lo, hi in ((eps, self.delta), (self.delta, math.inf)))
 
+    @cached_property
+    def log_integrals(self):
+        """(I, K), the integrals of log(1+u) - u and of log(1+u) over the
+        simulated small jumps {min(eps_cut, delta) < |u| <= delta}."""
+        lo = min(self.effective_cut(), self.delta)
+        return (self.measure.log_compensator(lo, self.delta),
+                self.measure.log_moment(lo, self.delta))
+
 
 def scalar_triplet(drift=0.0, gauss=0.0, measure=None, delta=0.5, **kw):
     """Keyword constructor of a triplet; no measure means no jumps."""

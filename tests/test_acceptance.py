@@ -118,7 +118,7 @@ def test_criterion_06_cocycle_law():
     for p in range(5):
         paths = [lm.sample_two_sided(drivers[i], 3.0, 0.1, SEED + 2,
                                      path_index=p, driver=i) for i in range(2)]
-        ev = lm.ExactDiagonal2D(paths, measure, 0.5)
+        ev = lm.ExactDiagonal2D(paths)
         rng = substream(SEED + 3, path_index=p)
         for _ in range(100):
             s = float(rng.uniform(-0.95, 0.95))
@@ -137,7 +137,7 @@ def test_criterion_06_cocycle_law():
     ratios = [rep.summary[f"halving_ratio_{k}"] for k in range(1, 5)]
     ok_euler = _check(rep, "euler_convergence").passed
 
-    system = lm.benchmark_system_2d(measure, 0.5)
+    system = lm.benchmark_system_2d()
     paths = [lm.sample_two_sided(drivers[i], 3.0, 0.1, SEED + 5, driver=i)
              for i in range(2)]
     law = []
@@ -164,7 +164,7 @@ def test_criterion_07_picard_vs_euler():
         rate = float(rng.uniform(0.5, 2.0))
         measure = lm.LevyMeasure.from_atoms([(u0, rate)])
         driver = lm.scalar_triplet(measure=measure, delta=0.5)
-        system = lm.LinearSystem(a, (sigma,), (driver,))
+        system = lm.LinearSystem(a, (sigma,))
         path = lm.sample_two_sided(driver, 1.5, 0.1, SEED + 7, path_index=inst)
         x = rng.uniform(-1.0, 1.0, 2)
         t, dt = 1.0, 0.02

@@ -130,7 +130,7 @@ def _public_cocycle(cfg, index):
     paths = [lm.sample_two_sided(drivers[i], cfg.horizon, cfg.dt,
                                  cfg.master_seed, path_index=index, driver=i)
              for i in range(2)]
-    return lm.ExactDiagonal2D(paths, measure, cfg.delta)
+    return lm.ExactDiagonal2D(paths)
 
 
 def _public_triple(cfg, index):
@@ -202,6 +202,38 @@ def test_stage_failure_quarantines_only_its_path(monkeypatch):
     batch = rows(cfg, indices)
     assert batch[2] == (2, None, "ResolutionError: frame growth rates "
                                  "inconsistent with grouping")
+    assert repr(batch[:2] + batch[3:]) == repr(clean[:2] + clean[3:])
+
+
+def test_split_failure_quarantines_only_its_path(monkeypatch):
+    # the third path's backward flag has its blocks swapped, so its
+    # Oseledets summands coincide: that path alone is quarantined with what
+    # oseledets_spaces raises on it, and the other rows stand bitwise
+    cfg = lm.parse_config(f"experiment = example_2d_exact\n{SHORT}"
+                          "master_seed = 5\n")
+    rows = EXPERIMENTS["example_2d_exact"].rows
+    indices = (4, 9, 2, 7, 11)
+    clean = rows(cfg, indices)
+    assert all(err is None for _, _, err in clean)
+    ev = _public_cocycle(cfg, 2)
+    fwd = lm.spectrum_qr(ev, cfg.horizon, cfg.renorm_step).flag
+    bwd = lm.backward_spectrum(ev, cfg.horizon, cfg.renorm_step).flag
+
+    def swapped(flag):
+        return type(flag)(flag.blocks[::-1])
+
+    with pytest.raises(ResolutionError) as alone:
+        lm.oseledets_spaces(fwd, swapped(bwd), angle_tol=experiments.ANGLE_TOL)
+    split = experiments._oseledets_batch
+
+    def failing(pairs, angle_tol):  # every path reaches it, in batch order
+        (F, G), pairs = pairs[2], list(pairs)
+        pairs[2] = (F, swapped(G))
+        return split(pairs, angle_tol)
+
+    monkeypatch.setattr(experiments, "_oseledets_batch", failing)
+    batch = rows(cfg, indices)
+    assert batch[2] == (2, None, f"ResolutionError: {alone.value}")
     assert repr(batch[:2] + batch[3:]) == repr(clean[:2] + clean[3:])
 
 
@@ -375,15 +407,24 @@ def test_band_constants_once_per_batch(experiment, monkeypatch):
 @pytest.mark.parametrize("measure", [
     lm.LevyMeasure.from_atoms([(0.2, 3.0), (-0.3, 1.0)]),
     lm.LevyMeasure.power_law(0.8, 0.5, 0.5)], ids=["atoms", "power_law"])
-def test_exact_cocycle_with_given_integrals_is_bitwise_the_same(measure):
-    drivers = lm.benchmark_drivers(measure, 0.5)
-    paths = [lm.sample_two_sided(drivers[i], 1.0, 0.1, 3, driver=i)
+def test_triplet_log_integrals_are_the_measure_calls_once(measure,
+                                                           monkeypatch):
+    # the exact cocycle's (I, K) are bitwise the measure's two log integrals
+    # over the simulated band, computed once per triplet however many
+    # evaluators and shifts read them
+    triplet = lm.benchmark_drivers(measure, 0.5)[0]
+    lo = min(triplet.effective_cut(), 0.5)
+    want = (measure.log_compensator(lo, 0.5), measure.log_moment(lo, 0.5))
+    calls = []
+    for name in ("log_compensator", "log_moment"):
+        def spy(self, *args, _fn=getattr(lm.LevyMeasure, name)):
+            calls.append(args)
+            return _fn(self, *args)
+        monkeypatch.setattr(lm.LevyMeasure, name, spy)
+    paths = [lm.sample_two_sided(triplet, 1.0, 0.1, 3, driver=i)
              for i in range(2)]
-    own = lm.ExactDiagonal2D(paths, measure, 0.5)
-    given_ = lm.ExactDiagonal2D(paths, measure, 0.5,
-                                lm.ExactDiagonal2D.band_integrals(
-                                    drivers[0], measure, 0.5))
-    assert own.compensator_integral.hex() == given_.compensator_integral.hex()
-    assert own._log_moment.hex() == given_._log_moment.hex()
-    t0, t1 = np.linspace(-1.0, 0.9, 20), np.linspace(-0.9, 1.0, 20)
-    assert _bits(own.propagate(t0, t1)) == _bits(given_.propagate(t0, t1))
+    for s in (0.0, 0.2, -0.4):
+        lm.ExactDiagonal2D(paths).shifted(s)
+    assert calls == [(lo, 0.5), (lo, 0.5)]
+    assert ([x.hex() for x in triplet.log_integrals]
+            == [x.hex() for x in want])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scipy.linalg import expm
 import levymet as lm
 from levymet.cocycle import _check_finite, _jump_events
 from levymet.errors import (
+    ConfigurationError,
     DegeneracyError,
+    DivergenceError,
     HorizonError,
     LevyMetError,
     SingularityError,
@@ -27,7 +30,7 @@ def benchmark_paths(measure, T, seed, dt=0.1):
 
 
 def exact_ev(measure, T, seed, dt=0.1):
-    return lm.ExactDiagonal2D(benchmark_paths(measure, T, seed, dt), measure, 0.5)
+    return lm.ExactDiagonal2D(benchmark_paths(measure, T, seed, dt))
 
 
 # -- exact diagonal backend ------------------------------------------------------
@@ -78,7 +81,41 @@ def test_exact_singular_jump_rejected():
                       np.array([-1.0]), p.triplet)
     two = lm.TwoSidedPath(bad, paths[0].backward)
     with pytest.raises(SingularityError):
-        lm.ExactDiagonal2D([two, paths[1]], ATOM, 0.5)
+        lm.ExactDiagonal2D([two, paths[1]])
+
+
+def _relabelled(path, triplet):
+    """The two-sided path with its forward leg labelled ``triplet``."""
+    p = path.forward
+    return lm.TwoSidedPath(lm.JumpPath(p.node_times, p.cont, p.jump_times,
+                                       p.jump_sizes, triplet), path.backward)
+
+
+def test_exact_reads_one_shared_law_from_its_paths():
+    # a driver without a triplet, or two different laws, is refused; an
+    # equal triplet built apart is the same law and gives the same bits
+    paths = benchmark_paths(ATOM, 2.0, 3)
+    for pair in ([_relabelled(paths[0], None), paths[1]],
+                 [paths[0], _relabelled(paths[1], None)],
+                 [_relabelled(paths[0], lm.scalar_triplet(measure=ATOM,
+                                                          delta=0.6)),
+                  paths[1]]):
+        with pytest.raises(StructuralError, match="one law"):
+            lm.ExactDiagonal2D(pair)
+    twin = _relabelled(paths[0], lm.scalar_triplet(measure=ATOM, delta=0.5))
+    assert (lm.ExactDiagonal2D([twin, paths[1]]).matrix(1.5).tobytes()
+            == lm.ExactDiagonal2D(paths).matrix(1.5).tobytes())
+
+
+@pytest.mark.parametrize("part, law", [("drift", {"drift": 1.0}),
+                                       ("Gaussian part", {"gauss": 1.0})])
+def test_exact_refuses_a_part_of_the_law_it_leaves_out(part, law):
+    # the closed form has no drift or Gaussian term: with drift 1 it read
+    # log phi_11(2) = 3.894 where Euler reads 5.893
+    tri = lm.scalar_triplet(measure=ATOM, **law)
+    paths = [lm.sample_two_sided(tri, 2.0, 0.1, 5, driver=i) for i in range(2)]
+    with pytest.raises(ConfigurationError, match=part):
+        lm.ExactDiagonal2D(paths)
 
 
 def test_exact_backward_forward_inverse_relation():
@@ -161,7 +198,7 @@ def test_doleans_jump_guard_and_log_value(sizes, message):
 
 def test_doleans_matches_exact_coordinate():
     paths = benchmark_paths(ATOM, 3.0, 12)
-    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    ev = lm.ExactDiagonal2D(paths)
     dd = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
     for t in (0.3, 1.1, 2.9):
         assert dd.log_value(t) == pytest.approx(ev.log_growth(t)[0], abs=1e-12)
@@ -173,10 +210,10 @@ def test_doleans_matches_exact_coordinate():
 def _stream_backend(kind):
     paths = benchmark_paths(ATOM, 3.0, 21)
     if kind == "exact":
-        return lm.ExactDiagonal2D(paths, ATOM, 0.5)
+        return lm.ExactDiagonal2D(paths)
     if kind == "doleans":
         return lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     return lm.EulerEvaluator(system, paths, 0.05, scheme=kind)
 
 
@@ -240,14 +277,14 @@ def test_exact_log_growth_array_outside_horizon(bad):
 
 
 def test_euler_identity_window():
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(ATOM, 2.0, 13)
     ev = lm.EulerEvaluator(system, paths, 0.01)
     np.testing.assert_array_equal(ev.propagate(0.7, 0.7), np.eye(2))
 
 
 def test_euler_deterministic_first_order():
-    system = lm.benchmark_system_2d(EMPTY, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(EMPTY, 2.0, 14)
     target = np.diag([math.exp(2.0), math.exp(-4.0)])
     errs = []
@@ -260,8 +297,8 @@ def test_euler_deterministic_first_order():
 
 def test_euler_matches_exact_under_refinement():
     paths = benchmark_paths(ATOM, 2.0, 15)
-    system = lm.benchmark_system_2d(ATOM, 0.5)
-    exact = lm.ExactDiagonal2D(paths, ATOM, 0.5).matrix(1.5)
+    system = lm.benchmark_system_2d()
+    exact = lm.ExactDiagonal2D(paths).matrix(1.5)
     errs = []
     for k in range(4):
         ev = lm.EulerEvaluator(system, paths, 0.02 / 2**k)
@@ -276,7 +313,7 @@ def test_euler_matches_exact_under_refinement():
 def test_euler_singular_jump_guard():
     measure = lm.LevyMeasure.from_atoms([(0.7, 2.0)])
     drivers = (lm.scalar_triplet(measure=measure, delta=0.5),)
-    system = lm.LinearSystem(np.zeros((1, 1)), (np.array([[-1.0 / 0.7]]),), drivers)
+    system = lm.LinearSystem(np.zeros((1, 1)), (np.array([[-1.0 / 0.7]]),))
     path = lm.sample_two_sided(drivers[0], 4.0, 0.5, 17)
     assert path.forward.jump_times.size > 0  # rate 2 on [0,4]
     ev = lm.EulerEvaluator(system, [path], 0.1)
@@ -285,7 +322,7 @@ def test_euler_singular_jump_guard():
 
 
 def test_euler_horizon_error():
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(ATOM, 2.0, 18)
     ev = lm.EulerEvaluator(system, paths, 0.01)
     with pytest.raises(HorizonError):
@@ -344,22 +381,23 @@ def _euler_loop(ev, t0, t1):
 P_CONJ = np.array([[1.0, 0.4], [-0.3, 1.2]])
 
 
-def conjugated_system(measure, delta, P=P_CONJ):
+def conjugated_system(P=P_CONJ):
     """The benchmark system conjugated by P: a' = P a P^-1, sigma' = P sigma P^-1."""
-    base = lm.benchmark_system_2d(measure, delta)
+    base = lm.benchmark_system_2d()
     Pi = np.linalg.inv(P)
     return lm.LinearSystem(P @ base.a @ Pi,
-                           tuple(P @ s @ Pi for s in base.sigmas), base.drivers)
+                           tuple(P @ s @ Pi for s in base.sigmas))
 
 
-def _hand_leg(node_times, jump_times, jump_sizes, seed):
+def _hand_leg(node_times, jump_times, jump_sizes, seed, triplet=None):
     """Forward leg on [0, 2] with a random continuous skeleton and the given
-    jumps; its nodes are the given ones plus the jump times."""
+    jumps, labelled with ``triplet``; its nodes are the given ones plus the
+    jump times."""
     nodes = np.union1d(node_times, jump_times)
     cont = np.concatenate([[0.0], np.cumsum(
         np.random.default_rng(seed).normal(0.0, 0.3, nodes.size - 1))])
     return lm.JumpPath(nodes, cont, np.asarray(jump_times, float),
-                       np.asarray(jump_sizes, float))
+                       np.asarray(jump_sizes, float), triplet)
 
 
 def lattice_jump_paths():
@@ -394,7 +432,7 @@ def test_euler_stack_bitwise_equals_step_loop(scheme, paths_kind):
         paths = lattice_jump_paths()
     else:
         paths = benchmark_paths(ATOM, 2.0, 42)
-    for system in (lm.benchmark_system_2d(ATOM, 0.5), conjugated_system(ATOM, 0.5)):
+    for system in (lm.benchmark_system_2d(), conjugated_system()):
         ev = lm.EulerEvaluator(system, paths, 0.125, scheme=scheme)
         if paths_kind == "shifted":
             ev = ev.shifted(0.0731)
@@ -420,8 +458,7 @@ def _blowup_path(jump_time, kappa):
 def _blowup_evaluator(jump_time):
     # the jump factor diag(0, 0.5) is singular but keeps the second
     # coordinate alive, so a later overflowing step still overflows
-    drivers = (lm.scalar_triplet(),)
-    system = lm.LinearSystem(np.zeros((2, 2)), (np.diag([2.0, 1.0]),), drivers)
+    system = lm.LinearSystem(np.zeros((2, 2)), (np.diag([2.0, 1.0]),))
     return lm.EulerEvaluator(system, [_blowup_path(jump_time, -0.5)], 0.1)
 
 
@@ -430,8 +467,7 @@ def _dead_step_evaluator():
     # forward product over (0, 1] is singular; its jump factor is not
     path = lm.JumpPath(np.array([0.0, 0.5, 1.0]), np.zeros(3),
                        np.array([0.5]), np.array([0.5]))
-    system = lm.LinearSystem(-2.0 * np.eye(2), (np.eye(2),),
-                             (lm.scalar_triplet(),))
+    system = lm.LinearSystem(-2.0 * np.eye(2), (np.eye(2),))
     return lm.EulerEvaluator(system, [path], 1.0)
 
 
@@ -467,7 +503,7 @@ def test_euler_first_failing_factor_wins(jump_time, edges, first):
 
 
 def test_euler_stack_horizon_after_good_windows():
-    ev = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
+    ev = lm.EulerEvaluator(lm.benchmark_system_2d(),
                            benchmark_paths(ATOM, 2.0, 43), 0.1)
     with pytest.raises(HorizonError, match="window outside"):
         ev.propagators([0.0, 1.0, 2.5, 1.0])
@@ -487,8 +523,7 @@ def _ladder_jobs(scheme):
     for paths_kind in ("sampled", "shifted", "lattice"):
         paths = (lattice_jump_paths() if paths_kind == "lattice"
                  else benchmark_paths(ATOM, 2.0, 42))
-        for system in (lm.benchmark_system_2d(ATOM, 0.5),
-                       conjugated_system(ATOM, 0.5)):
+        for system in (lm.benchmark_system_2d(), conjugated_system()):
             ev = lm.EulerEvaluator(system, paths, 0.01, scheme=scheme)
             if paths_kind == "shifted":
                 ev = ev.shifted(0.0731)
@@ -514,7 +549,7 @@ def test_euler_ladder_batch_bitwise_equals_step_loop(scheme):
 
 
 def test_euler_matrix_of_times_stacks_scalar_calls():
-    ev = lm.EulerEvaluator(conjugated_system(ATOM, 0.5),
+    ev = lm.EulerEvaluator(conjugated_system(),
                            benchmark_paths(ATOM, 2.0, 49), 0.05)
     times = np.array([0.7, -1.2, 0.0, 1.9, 0.7])
     stack = ev.matrix(times)
@@ -530,7 +565,7 @@ def test_euler_matrix_of_times_stacks_scalar_calls():
 def test_euler_batch_failing_job_leaves_others_unchanged(monkeypatch, budget):
     if budget is not None:  # every window folded alone
         monkeypatch.setattr(lm.cocycle, "_FOLD_BYTES", budget)
-    good = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
+    good = lm.EulerEvaluator(lm.benchmark_system_2d(),
                              benchmark_paths(ATOM, 2.0, 43), 0.1)
     edges = np.array([0.0, 0.8, 1.0, 0.0])
     cases = [
@@ -570,7 +605,7 @@ def _ladder_peak_bytes(n_paths):
     """Peak traced allocation of one batch call on the halving ladders
     (0, 2] at 1e-3 / 2^k, k = 0..3, of n_paths benchmark paths."""
     steps = 1e-3 / 2.0 ** np.arange(4)
-    jobs = [(lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5),
+    jobs = [(lm.EulerEvaluator(lm.benchmark_system_2d(),
                                benchmark_paths(ATOM, 2.0, 60 + i), 1e-3),
              np.zeros(4), np.full(4, 2.0), steps) for i in range(n_paths)]
     tracemalloc.start()
@@ -596,9 +631,9 @@ def test_euler_conjugated_system_is_conjugated_euler():
     paths = benchmark_paths(ATOM, 2.0, 44)
     Pi = np.linalg.inv(P_CONJ)
     for scheme in ("euler", "expm"):
-        base = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5), paths,
+        base = lm.EulerEvaluator(lm.benchmark_system_2d(), paths,
                                  0.01, scheme=scheme)
-        conj = lm.EulerEvaluator(conjugated_system(ATOM, 0.5), paths, 0.01,
+        conj = lm.EulerEvaluator(conjugated_system(), paths, 0.01,
                                  scheme=scheme)
         for t in (-1.6, 0.7, 1.5):
             want = P_CONJ @ base.matrix(t) @ Pi
@@ -608,8 +643,8 @@ def test_euler_conjugated_system_is_conjugated_euler():
 
 def test_euler_conjugated_first_order_against_exact():
     paths = benchmark_paths(ATOM, 2.0, 15)
-    system = conjugated_system(ATOM, 0.5)
-    exact = (P_CONJ @ lm.ExactDiagonal2D(paths, ATOM, 0.5).matrix(1.5)
+    system = conjugated_system()
+    exact = (P_CONJ @ lm.ExactDiagonal2D(paths).matrix(1.5)
              @ np.linalg.inv(P_CONJ))
     errs = [np.linalg.norm(lm.EulerEvaluator(system, paths, 0.02 / 2**k)
                            .matrix(1.5) - exact) for k in range(5)]
@@ -619,7 +654,7 @@ def test_euler_conjugated_first_order_against_exact():
 
 def test_euler_and_expm_schemes_agree_to_first_order():
     paths = benchmark_paths(ATOM, 2.0, 45)
-    system = conjugated_system(ATOM, 0.5)
+    system = conjugated_system()
     gaps = []
     for k in range(5):
         dt = 0.02 / 2**k
@@ -634,9 +669,9 @@ def test_euler_and_expm_schemes_agree_to_first_order():
 def test_euler_conjugated_spectrum_matches_exact(seed):
     T, h = 50.0, 0.0025
     paths = benchmark_paths(ATOM, T, seed)
-    euler = lm.spectrum_qr(lm.EulerEvaluator(conjugated_system(ATOM, 0.5),
+    euler = lm.spectrum_qr(lm.EulerEvaluator(conjugated_system(),
                                              paths, h), T)
-    exact = lm.spectrum_qr(lm.ExactDiagonal2D(paths, ATOM, 0.5), T)
+    exact = lm.spectrum_qr(lm.ExactDiagonal2D(paths), T)
     # Tolerance.  Between jumps coordinate i of the diagonal system grows at
     # r_i = c_i - (compensation rate), and an Euler step turns r h into
     # log(1 + r h), off by at most (r h)^2 / (2 (1 - |r| h)): a bias of at most
@@ -660,8 +695,8 @@ def test_euler_conjugated_spectrum_matches_exact(seed):
 @given(s=st.floats(-2.5, 2.5), seed=st.integers(0, 2**16))
 def test_exact_shifted_equals_fresh_evaluator(s, seed):
     paths = benchmark_paths(ATOM, 3.0, seed)
-    shifted = lm.ExactDiagonal2D(paths, ATOM, 0.5).shifted(s)
-    fresh = lm.ExactDiagonal2D([p.shift(s) for p in paths], ATOM, 0.5)
+    shifted = lm.ExactDiagonal2D(paths).shifted(s)
+    fresh = lm.ExactDiagonal2D([p.shift(s) for p in paths])
     lo, hi = fresh.horizon
     assert shifted.horizon == (lo, hi)
     times = np.concatenate([np.linspace(lo, hi, 9),
@@ -684,7 +719,7 @@ def _psi_pair(system, paths, t, dt_int=1e-3):
 
 
 def test_psi_identity_cases():
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(ATOM, 2.0, 19)
     psi, psinv = _psi_pair(system, paths, 0.0)
     np.testing.assert_array_equal(psi, np.eye(2))
@@ -697,7 +732,7 @@ def test_psi_no_small_jumps_is_identity():
     drivers = (lm.scalar_triplet(measure=measure, delta=0.5),
                lm.scalar_triplet(measure=measure, delta=0.5))
     system = lm.LinearSystem(np.diag([2.0, -4.0]),
-                             (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), drivers)
+                             (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     paths = [lm.sample_two_sided(drivers[i], 2.0, 0.5, 23, driver=i)
              for i in range(2)]
     psi, psinv = _psi_pair(system, paths, 2.0, 0.05)
@@ -706,7 +741,7 @@ def test_psi_no_small_jumps_is_identity():
 
 
 def test_psi_inverse_consistency_under_refinement():
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(ATOM, 2.0, 24)
     defects = []
     for dt in (0.02, 0.01, 0.005):
@@ -717,7 +752,7 @@ def test_psi_inverse_consistency_under_refinement():
 
 
 def test_picard_deterministic_ode():
-    system = lm.benchmark_system_2d(EMPTY, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(EMPTY, 2.0, 25)
     x = np.array([1.0, 1.0])
     res = lm.picard_solve(system, paths, 1.0, 30, x, dt_int=5e-4)
@@ -730,7 +765,7 @@ def test_picard_deterministic_ode():
 def test_picard_first_iterate_hand_formula():
     # X^1 = psi_t (x + int_0^t psi_s^(-1) B x ds + sum psi^(-1) sigma x u),
     # left-endpoint sums on the same breakpoint grid
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     paths = benchmark_paths(ATOM, 2.0, 26)
     x = np.array([0.7, -0.4])
     t, dt = 1.0, 0.01
@@ -739,7 +774,8 @@ def test_picard_first_iterate_hand_formula():
     from levymet.cocycle import _breakpoints, _psi_grid
     times = _breakpoints(paths, t, dt)
     psis, psinvs = _psi_grid(system, paths, times)
-    B = system.drift_matrix()
+    B = system.a + sum(s * p.triplet.drift
+                       for s, p in zip(system.sigmas, paths))
     acc = x.astype(float).copy()
     for k in range(1, len(times)):
         h = times[k] - times[k - 1]
@@ -751,8 +787,8 @@ def test_picard_first_iterate_hand_formula():
 
 def test_picard_matches_exact_benchmark():
     paths = benchmark_paths(ATOM, 2.0, 27)
-    system = lm.benchmark_system_2d(ATOM, 0.5)
-    exact = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    system = lm.benchmark_system_2d()
+    exact = lm.ExactDiagonal2D(paths)
     x = np.array([1.0, 1.0])
     res = lm.picard_solve(system, paths, 1.0, 24, x, dt_int=0.005)
     target = exact.matrix(1.0) @ x
@@ -764,12 +800,34 @@ def test_picard_large_jump_term():
     # driver with jumps above delta exercises the counting-measure sum
     measure = lm.LevyMeasure.from_atoms([(0.7, 2.0)])
     drivers = (lm.scalar_triplet(measure=measure, delta=0.5),)
-    system = lm.LinearSystem(np.array([[0.3]]), (np.array([[1.0]]),), drivers)
+    system = lm.LinearSystem(np.array([[0.3]]), (np.array([[1.0]]),))
     path = lm.sample_two_sided(drivers[0], 2.0, 0.5, 29)
     assert path.forward.jumps_in(0.0, 1.5)[0].size > 0
     res = lm.picard_solve(system, [path], 1.5, 16, np.array([1.0]), dt_int=0.002)
     dd = lm.StochasticExponential1D(lm.with_drift(path, 0.3))
     assert res.value[0] == pytest.approx(dd.value(1.5), rel=5e-3)
+
+
+def test_picard_refuses_a_gaussian_driver_and_a_path_without_law():
+    # the integral equation has no dW term: on a Gaussian driver it returned
+    # exactly 1.0 where the Doleans value exp(W_1 - 1/2) is 1.0041
+    system = lm.LinearSystem(np.zeros((1, 1)), (np.eye(1),))
+    path = lm.sample_two_sided(lm.scalar_triplet(gauss=1.0), 2.0, 0.01, 5)
+    with pytest.raises(ConfigurationError, match="Gaussian part"):
+        lm.picard_solve(system, [path], 1.0, 4, np.ones(1))
+    with pytest.raises(StructuralError, match="no triplet"):
+        lm.picard_solve(system, [_relabelled(path, None)], 1.0, 4, np.ones(1))
+
+
+def test_picard_overflow_raises_its_divergence_error():
+    # the iterates of a = 1e6 over t = 7 overflow: the solver's own error,
+    # not a RuntimeWarning from the products before it
+    path = lm.sample_two_sided(lm.scalar_triplet(delta=0.5), 8.0, 0.1, 1)
+    system = lm.LinearSystem(np.array([[1e6]]), (np.eye(1),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="overflowed"):
+            lm.picard_solve(system, [path], 7.0, 100, np.ones(1), dt_int=0.1)
 
 
 # -- cocycle law and integrability ----------------------------------------------------
@@ -792,7 +850,7 @@ def test_residual_exact_backend_small():
 
 def test_residual_euler_halves_under_refinement():
     paths = benchmark_paths(ATOM, 3.0, 32)
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     # off-lattice shifts: if s were a multiple of dt_int, the composed and
     # direct integration grids would coincide and the residual would collapse
     # to rounding instead of O(dt)
@@ -813,8 +871,8 @@ def test_residual_euler_halves_under_refinement():
 def _residual_reference(paths, s, t):
     """The cocycle-law residual of the exact benchmark backend, term by
     term, with the shifted evaluator built afresh on the shifted paths."""
-    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
-    shifted = lm.ExactDiagonal2D([p.shift(s) for p in paths], ATOM, 0.5)
+    ev = lm.ExactDiagonal2D(paths)
+    shifted = lm.ExactDiagonal2D([p.shift(s) for p in paths])
     return float(np.linalg.norm(ev.matrix(s + t)
                                 - shifted.matrix(t) @ ev.matrix(s)))
 
@@ -830,8 +888,8 @@ def test_residual_arrays_equal_scalar_calls(seed):
     s, t = np.array(RESIDUAL_PAIRS).T
     doleans = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
     backends = [  # the Doléans-Dade exponential runs forward only
-        (lm.ExactDiagonal2D(paths, ATOM, 0.5), s, t),
-        (lm.EulerEvaluator(conjugated_system(ATOM, 0.5), paths, 0.05), s, t),
+        (lm.ExactDiagonal2D(paths), s, t),
+        (lm.EulerEvaluator(conjugated_system(), paths, 0.05), s, t),
         (doleans, np.abs(s) / 2, np.abs(t) / 2),
     ]
     for ev, s_, t_ in backends:
@@ -856,11 +914,12 @@ def test_residual_array_reports_first_failing_pair():
 
 def _end_jump_paths():
     """Benchmark paths on [-2, 2] whose forward legs carry a jump exactly
-    at their end, 2.0, and others inside."""
+    at their end, 2.0, and others inside, under the sampled drivers' law."""
     sampled = benchmark_paths(ATOM, 2.0, 53)
     grid = np.linspace(0.0, 2.0, 9)
-    legs = [_hand_leg(grid, [0.4, 1.1, 2.0], [0.2, -0.3, 0.25], 3),
-            _hand_leg(grid, [0.9, 2.0], [0.15, 0.3], 4)]
+    law = sampled[0].triplet
+    legs = [_hand_leg(grid, [0.4, 1.1, 2.0], [0.2, -0.3, 0.25], 3, law),
+            _hand_leg(grid, [0.9, 2.0], [0.15, 0.3], 4, law)]
     return [lm.TwoSidedPath(leg, p.backward) for leg, p in zip(legs, sampled)]
 
 
@@ -869,13 +928,13 @@ def test_exact_shifted_rebuilds_a_cut_jump_table():
     # 2.0 once the offset is added back, so jumps_in drops the end jump
     paths = _end_jump_paths()
     assert (2.0 + 0.3) - 0.3 < 2.0
-    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    ev = lm.ExactDiagonal2D(paths)
     for shifts in ([-0.3], [-0.3, 0.3], [0.7], [0.7, -1.1]):
         moved, fresh_paths = ev, paths
         for s in shifts:
             moved = moved.shifted(s)
             fresh_paths = [p.shift(s) for p in fresh_paths]
-        fresh = lm.ExactDiagonal2D(fresh_paths, ATOM, 0.5)
+        fresh = lm.ExactDiagonal2D(fresh_paths)
         lo, hi = fresh.horizon
         assert moved.horizon == (lo, hi)
         times = np.concatenate([np.linspace(lo, hi, 11),
@@ -923,7 +982,7 @@ def test_stacked_residual_is_the_per_pair_loop(seed, end_jumps, pairs):
     # loop, on paths whose shifted tables are re-timed or rebuilt
     paths = _end_jump_paths() if end_jumps else benchmark_paths(ATOM, 2.0,
                                                                 seed)
-    ev = lm.ExactDiagonal2D(paths, ATOM, 0.5)
+    ev = lm.ExactDiagonal2D(paths)
     s, t = np.array(pairs).T
     try:
         want = _per_pair_residuals(ev, s, t)
@@ -959,7 +1018,7 @@ def test_residual_without_a_stacked_form_is_the_per_pair_loop(seed, kind,
     if kind == "doleans":
         ev = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
     else:
-        ev = lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5), paths, 0.1)
+        ev = lm.EulerEvaluator(lm.benchmark_system_2d(), paths, 0.1)
     s, t = np.array(pairs).T
     assert ev._shifted_matrices(s, t) is None
     try:
@@ -1003,7 +1062,7 @@ def test_cocycle_law_dense_euler_expm(seed, d, s, t):
     driver = lm.scalar_triplet(
         measure=lm.LevyMeasure.from_atoms([(0.2, 3.0), (-0.3, 1.0)]),
         delta=0.5)
-    system = lm.LinearSystem(a, (sigma,), (driver,))
+    system = lm.LinearSystem(a, (sigma,))
     paths = [lm.sample_two_sided(driver, 3.0, 0.1, seed)]
     for dt_int in (0.02, 0.01, 0.005):
         for scheme, bound in (("euler", dt_int), ("expm", 1e-12)):
@@ -1030,7 +1089,7 @@ def test_liouville_identity_euler_expm(seed):
     T = 5.0
     paths = [lm.sample_two_sided(drivers[i], T, 0.1, seed, driver=i)
              for i in range(2)]
-    ev = lm.EulerEvaluator(lm.LinearSystem(a, sigmas, drivers), paths, 0.01,
+    ev = lm.EulerEvaluator(lm.LinearSystem(a, sigmas), paths, 0.01,
                            scheme="expm")
     sign, logdet = np.linalg.slogdet(ev.propagators(np.linspace(0.0, T, 6)))
     assert np.all(sign != 0.0)
@@ -1089,9 +1148,9 @@ def _alpha_loop(ev, grid):
 def _alpha_backends():
     paths = benchmark_paths(ATOM, 2.0, 38)
     tri = lm.scalar_triplet(measure=ATOM, delta=0.5)
-    yield lm.ExactDiagonal2D(paths, ATOM, 0.5)
-    yield lm.EulerEvaluator(conjugated_system(ATOM, 0.5), paths, 0.01)
-    yield lm.EulerEvaluator(lm.benchmark_system_2d(ATOM, 0.5), paths, 0.02,
+    yield lm.ExactDiagonal2D(paths)
+    yield lm.EulerEvaluator(conjugated_system(), paths, 0.01)
+    yield lm.EulerEvaluator(lm.benchmark_system_2d(), paths, 0.02,
                             scheme="expm")
     yield lm.StochasticExponential1D(lm.sample_two_sided(tri, 2.0, 0.1, 39))
     for seed in range(100, 200):
@@ -1123,12 +1182,9 @@ def test_integrability_alpha_singular_node():
 
 def test_linear_system_validation():
     with pytest.raises(StructuralError):
-        lm.LinearSystem(np.zeros((2, 2)), (), ())
+        lm.LinearSystem(np.zeros((2, 2)), ())
     with pytest.raises(StructuralError):
-        lm.LinearSystem(np.zeros((2, 2)), (np.zeros((3, 3)),),
-                        (lm.scalar_triplet(),))
-    sys2 = lm.benchmark_system_2d(ATOM, 0.5)
-    np.testing.assert_allclose(sys2.drift_matrix(), np.diag([2.0, -4.0]))
+        lm.LinearSystem(np.zeros((2, 2)), (np.zeros((3, 3)),))
 
 
 def test_backend_determinism():
@@ -1136,7 +1192,7 @@ def test_backend_determinism():
     b = exact_ev(ATOM, 3.0, 36).matrix(2.0)
     np.testing.assert_array_equal(a, b)
     paths = benchmark_paths(ATOM, 2.0, 37)
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     m1 = lm.EulerEvaluator(system, paths, 0.01).matrix(1.0)
     m2 = lm.EulerEvaluator(system, paths, 0.01).matrix(1.0)
     np.testing.assert_array_equal(m1, m2)

@@ -715,10 +715,9 @@ def _euler_row_per_rung(cfg, index):
     """The example_2d_euler row one rung and one residual probe at a time:
     an Euler evaluator per step size dt_int / 2^k, and the scalar
     cocycle-law residual of each probe (s, t) drawn in turn."""
-    measure, cocycle = experiments._benchmark_cocycles(cfg)
-    exact = cocycle(index)
+    exact = experiments._benchmark_cocycles(cfg)[1](index)
     paths = exact.driver_paths
-    system = lm.benchmark_system_2d(measure, cfg.delta)
+    system = lm.benchmark_system_2d()
     target = exact.matrix(cfg.horizon)
     scale = float(np.linalg.norm(target))
     errors = []
@@ -862,7 +861,7 @@ def test_expm_ladder_fold_equals_per_window_propagate():
     # path's ladder, folded in lockstep, is bitwise the propagate(0, T) of
     # an evaluator stepping at that rung's step size
     cfg = lm.parse_config(EULER + "measure.atoms = 0.2:3.0, -0.3:1.0\n")
-    system = lm.benchmark_system_2d(cfg.build_measure(), cfg.delta)
+    system = lm.benchmark_system_2d()
     steps = cfg.dt_int / 2.0 ** np.arange(cfg.halvings + 1)
     cocycle = experiments._benchmark_cocycles(cfg)[1]
     paths = [cocycle(i).driver_paths for i in range(7)]

@@ -43,12 +43,11 @@ def test_ground_truth_rate_sensitivity():
 
 
 def test_benchmark_system_shape():
-    system = lm.benchmark_system_2d(ATOM, 0.5)
+    system = lm.benchmark_system_2d()
     np.testing.assert_allclose(system.a, np.diag([2.0, -4.0]))
     np.testing.assert_allclose(system.sigmas[0], np.diag([1.0, 0.0]))
     np.testing.assert_allclose(system.sigmas[1], np.diag([0.0, 1.0]))
     assert system.q == 2
-    assert all(tr.measure is ATOM for tr in system.drivers)
 
 
 def test_integrability_bound_formula():

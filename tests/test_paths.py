@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levymet as lm
-from levymet.errors import ConfigurationError, HorizonError, StructuralError
+from levymet.errors import (ConfigurationError, HorizonError, StructuralError,
+                            SupportError)
 from levymet.measures import ATOMS
 from levymet.paths import (_PACKED_SORT_MIN, _draw_jumps, _merge_nodes,
                            _time_order, substream)
@@ -616,14 +617,13 @@ def test_forward_leg_memory_peak():
     assert peak <= 5.5 * 8 * n
 
 
-# (measure, the drivers' delta, the evaluator's delta, T, dt); the atoms
-# fill both jump bands, {|u| <= 0.5} and {|u| > 0.5}, so the evaluator
-# takes a delta above the large atom
+# (measure, delta, T, dt); the atoms fill both jump bands, {|u| <= 0.5}
+# and {|u| > 0.5}
 _TABLE_LAWS = {
     "atom_bands": (lm.LevyMeasure.from_atoms(
-        [(0.2, 3.0), (-0.3, 1.0), (0.7, 0.5)]), 0.5, 0.8, 20.0, 0.5),
-    "power_law": (lm.LevyMeasure.power_law(0.8, 0.5, 0.5), 0.5, 0.5, 1.0, 0.1),
-    "none": (lm.LevyMeasure.empty(), 0.5, 0.5, 20.0, 0.5),
+        [(0.2, 3.0), (-0.3, 1.0), (0.7, 0.5)]), 0.5, 20.0, 0.5),
+    "power_law": (lm.LevyMeasure.power_law(0.8, 0.5, 0.5), 0.5, 1.0, 0.1),
+    "none": (lm.LevyMeasure.empty(), 0.5, 20.0, 0.5),
 }
 
 
@@ -635,7 +635,7 @@ def test_jump_table_is_bitwise_the_two_sided_paths_jumps(law):
     from levymet.paths import _JumpTable
     from levymet.spectrum import _qr_stack
 
-    measure, delta, ev_delta, T, dt = _TABLE_LAWS[law]
+    measure, delta, T, dt = _TABLE_LAWS[law]
     drivers = lm.benchmark_drivers(measure, delta)
     built = []
     for make in (lm.sample_two_sided, _JumpTable):
@@ -653,9 +653,15 @@ def test_jump_table_is_bitwise_the_two_sided_paths_jumps(law):
             assert n == [0, 0]
         elif law == "power_law":  # the packed _time_order branch
             assert min(n) > _PACKED_SORT_MIN
+    if law == "atom_bands":
+        # the closed form takes small jumps only, and refuses both alike;
+        # its stacks return once it takes large jumps
+        for x in built:
+            with pytest.raises(SupportError, match="above delta"):
+                lm.ExactDiagonal2D(x)
+        return
     stacks = [(_qr_stack(ev, T, dt), _qr_stack(ev, -T, dt),
                _alpha_stack(ev, lm.TimeGrid(0.0, 1.0, 0.05)))
-              for ev in (lm.ExactDiagonal2D(x, measure, ev_delta)
-                         for x in built)]
+              for ev in (lm.ExactDiagonal2D(x) for x in built)]
     for got, want in zip(*stacks):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

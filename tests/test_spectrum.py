@@ -24,7 +24,7 @@ def exact_ev(measure, T, seed, dt=0.5):
     drivers = lm.benchmark_drivers(measure, 0.5)
     paths = [lm.sample_two_sided(drivers[i], T, dt, seed, driver=i)
              for i in range(2)]
-    return lm.ExactDiagonal2D(paths, measure, 0.5)
+    return lm.ExactDiagonal2D(paths)
 
 
 def haar(d, seed):
@@ -129,7 +129,7 @@ def test_subnormal_step_fails_cleanly(call):
     run = {
         "spectrum_qr": lambda: lm.spectrum_qr(ev, 20.0, renorm_step=1e-320),
         "euler_matrix": lambda: lm.EulerEvaluator(
-            lm.benchmark_system_2d(EMPTY, 0.5), ev.driver_paths,
+            lm.benchmark_system_2d(), ev.driver_paths,
             1e-320).matrix(1.0),
         "vector_exponent": lambda: lm.vector_exponent(
             ev, np.array([1.0, 1.0]), 20.0, renorm_step=1e-320),
@@ -201,7 +201,7 @@ def dense_euler_ev(seed, scheme, T):
                lm.scalar_triplet(measure=ATOM, delta=0.5))
     paths = [lm.sample_two_sided(drivers[i], T, 0.1, seed, driver=i)
              for i in range(2)]
-    return lm.EulerEvaluator(lm.LinearSystem(a, sigmas, drivers), paths, 0.01,
+    return lm.EulerEvaluator(lm.LinearSystem(a, sigmas), paths, 0.01,
                              scheme=scheme)
 
 
@@ -267,7 +267,7 @@ def test_flag_at_rotated_system():
     paths = [lm.sample_two_sided(drivers[i], 30.0, 0.5, 45, driver=i)
              for i in range(2)]
     system = lm.LinearSystem(Q @ np.diag([2.0, -4.0]) @ Q.T,
-                             (np.zeros((2, 2)), np.zeros((2, 2))), drivers)
+                             (np.zeros((2, 2)), np.zeros((2, 2))))
     ev = lm.EulerEvaluator(system, paths, 0.01, scheme="expm")
     F = lm.flag_at(ev, 20.0, [(2.0, 1), (-4.0, 1)])
     assert float(np.max(lm.principal_angles(F.blocks[0], Q[:, :1]))) < 1e-6
@@ -414,7 +414,7 @@ def test_flag_convergence_generic_path():
     drivers = lm.benchmark_drivers(EMPTY, 0.5)
     paths = [lm.sample_two_sided(drivers[i], 5.0, 0.5, 50, driver=i)
              for i in range(2)]
-    system = lm.benchmark_system_2d(EMPTY, 0.5)
+    system = lm.benchmark_system_2d()
     ev = lm.EulerEvaluator(system, paths, 0.01, scheme="expm")
     params = lm.FlagMetricParams((2.0, -4.0), 6.0, 2)
     frame = np.array([[math.cos(0.7), -math.sin(0.7)],
@@ -703,7 +703,7 @@ def test_flag_convergence_floor_follows_the_metric():
     tri = lm.scalar_triplet(drift=1.0)
     flow = lm.EulerEvaluator(lm.LinearSystem(
         P_3D @ np.diag([2.0, -1.0, -4.0]) @ np.linalg.inv(P_3D),
-        (np.zeros((3, 3)),), (tri,)),
+        (np.zeros((3, 3)),)),
         [lm.sample_two_sided(tri, 40.0, 1.0, 5)], 1.0, "expm")
     c, s = math.cos(0.7), math.sin(0.7)
     frame = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -754,7 +754,7 @@ def conjugated_benchmark_3d(seed, T):
     system = lm.LinearSystem(
         P_CONJ_3D @ np.diag([2.0, -1.0, -4.0]) @ Pi,
         (P_CONJ_3D @ np.diag([1.0, 0.0, 0.5]) @ Pi,
-         P_CONJ_3D @ np.diag([0.0, 1.0, -0.5]) @ Pi), drivers)
+         P_CONJ_3D @ np.diag([0.0, 1.0, -0.5]) @ Pi))
     paths = [lm.sample_two_sided(drivers[i], T, 0.5, seed, driver=i)
              for i in range(2)]
     return lm.EulerEvaluator(system, paths, EULER_DT_3D, scheme="expm")
