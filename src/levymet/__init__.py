@@ -38,7 +38,6 @@ from .paths import (
     sample_backward,
     sample_forward,
     sample_two_sided,
-    with_drift,
 )
 from .cocycle import (
     EulerEvaluator,

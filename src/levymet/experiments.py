@@ -1,19 +1,20 @@
 """Config-driven batch experiments with CSV reports.
 
-Every experiment samples ``n_paths`` independent two-sided paths from
-substreams keyed by (master_seed, path_index, driver, leg), runs the
-estimation pipeline per path, and aggregates ensemble means with standard
-errors against analytic targets.  ``stable_1d`` samples the forward leg
-only (leg 0), the one its estimate reads.
+Every experiment draws ``n_paths`` independent paths from substreams
+keyed by (master_seed, path_index, driver, leg), runs the estimation
+pipeline per path, and aggregates ensemble means with standard errors
+against analytic targets.  Each samples only what it reads: the exact
+cocycle takes jump tables, the Doléans exponential of ``stable_1d`` and
+``doleans_1d`` the forward leg (leg 0) of a triplet carrying the drift,
+and only ``example_2d_euler``'s ladder takes two-sided paths.
 
 Paths run in contiguous batches of at most the experiment's
 ``batch_paths`` indices, at least one batch per process and the same
 number in each.  With N > 1 processes, a pool of N - 1 runs the first
 shares and the calling process runs the last one itself.  The cap is set
 by what a stage holds per path: 64 for the two QR experiments, whose
-build draws only each driver's jump table (the closed form reads no
-continuous part), keeps only the path's window stacks (about 14 KB) and
-drops its evaluator, so that a 100-path run is one batch per process;
+build keeps only the path's window stacks (about 14 KB) and drops its
+evaluator, so that a 100-path run is one batch per process;
 :data:`BATCH_PATHS` (16) for the others, since the Euler ladder fold grows
 with its batch.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples, and every experiment gets it
@@ -75,7 +76,6 @@ from .paths import (
     sample_forward,
     sample_two_sided,
     substream,
-    with_drift,
 )
 from .spectrum import (
     _QR_MIN_WINDOWS,
@@ -202,19 +202,32 @@ def _lockstep(build, stage=None, finish=None):
     return rows
 
 
-def _benchmark_cocycles(cfg, sample=sample_two_sided):
-    """The measure and ``cocycle(index)``, the exact cocycle of one benchmark
-    path, its drivers drawn by ``sample`` (the signature of
-    ``sample_two_sided``).  All paths share one triplet, which holds the
-    law and computes its band integrals once."""
-    measure = cfg.build_measure()
-    drivers = benchmark_drivers(measure, cfg.delta)
+def _benchmark_cocycles(cfg):
+    """``cocycle(index)``, the exact cocycle of one benchmark path.  The
+    closed form reads no continuous part, so each driver is only its jump
+    table (``paths._JumpTable``).  All paths share one triplet, which holds
+    the law and computes its band integrals once."""
+    drivers = benchmark_drivers(cfg.build_measure(), cfg.delta)
 
     def cocycle(index):
-        paths = [sample(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
-                        path_index=index, driver=i) for i in range(2)]
-        return ExactDiagonal2D(paths)
-    return measure, cocycle
+        return ExactDiagonal2D([_JumpTable(drivers[i], cfg.horizon, cfg.dt,
+                                           cfg.master_seed, path_index=index,
+                                           driver=i) for i in range(2)])
+    return cocycle
+
+
+def _doleans_exponentials(cfg, drift):
+    """``exponential(index)``: the Doléans exponential of drift t + L on
+    [0, T], L driver 0 of the path: the forward leg of ``sample_two_sided``,
+    with the drift in the triplet it is sampled from."""
+    triplet = scalar_triplet(drift=drift, measure=cfg.build_measure(),
+                             delta=cfg.delta)
+    grid = TimeGrid(0.0, cfg.horizon, cfg.dt)
+
+    def exponential(index):
+        return StochasticExponential1D(sample_forward(
+            triplet, grid, substream(cfg.master_seed, index, 0, 0)))
+    return exponential
 
 
 # integrability_alpha's grid in example_2d_exact
@@ -235,14 +248,12 @@ class _Stacks(NamedTuple):
 
 def _exact_cocycle(cfg, alpha=False):
     """``path(index)``: the :class:`_Stacks` of the exact cocycle of one
-    benchmark path (with its alpha stack if ``alpha``).  The closed form
-    reads the drivers' jumps alone, so each driver is only its jump table
-    (``paths._JumpTable``), bitwise the jumps of ``sample_two_sided``'s
-    path, with no continuous skeleton; the evaluator and its tables are
-    dropped once the stacks exist, so a batch holds about 14 KB per
-    path.  A stack that raises fails the path's build, so the error of the
-    forward stack comes before the backward one's, then the alpha one's."""
-    cocycle = _benchmark_cocycles(cfg, _JumpTable)[1]
+    benchmark path (with its alpha stack if ``alpha``).  The evaluator and
+    its jump tables are dropped once the stacks exist, so a batch holds
+    about 14 KB per path.  A stack that raises fails the path's build, so
+    the error of the forward stack comes before the backward one's, then
+    the alpha one's."""
+    cocycle = _benchmark_cocycles(cfg)
     T, step = cfg.horizon, cfg.renorm_step
 
     def path(index):
@@ -308,12 +319,14 @@ def _finish_example_2d_exact(cfg, index, stacks, staged):
 
 def _ladder_path(cfg):
     """Per path: the exact benchmark cocycle, its phi(T) with norm, and the
-    path's Euler evaluator."""
-    cocycle = _benchmark_cocycles(cfg)[1]
+    path's Euler evaluator, which reads the drivers' continuous parts."""
+    drivers = benchmark_drivers(cfg.build_measure(), cfg.delta)
     system = benchmark_system_2d()
 
     def path(index):
-        exact = cocycle(index)
+        exact = ExactDiagonal2D([
+            sample_two_sided(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
+                             path_index=index, driver=i) for i in range(2)])
         target = exact.matrix(cfg.horizon)
         euler = EulerEvaluator(system, exact.driver_paths, cfg.dt_int)
         return exact, target, float(np.linalg.norm(target)), euler
@@ -342,28 +355,20 @@ def _finish_example_2d_euler(cfg, index, built, rungs):
 
 
 def _row_stable_1d(cfg):
-    """log Y_T / T reads the path on [0, T] only, so only the forward leg is
-    sampled, from the substream of leg 0 of ``sample_two_sided``."""
-    triplet = scalar_triplet(drift=cfg.drift, measure=cfg.build_measure(),
-                             delta=cfg.delta)
-    grid = TimeGrid(0.0, cfg.horizon, cfg.dt)
+    exponential = _doleans_exponentials(cfg, cfg.drift)
 
     def row(index):
-        path = sample_forward(triplet, grid,
-                              substream(cfg.master_seed, index, 0, 0))
-        dd = StochasticExponential1D(path)
-        lam = dd.log_value(cfg.horizon) / cfg.horizon
+        lam = exponential(index).log_value(cfg.horizon) / cfg.horizon
         return {"index": index, "raw": [lam], "logdet_over_T": lam}
     return row
 
 
 def _row_doleans_1d(cfg):
-    cocycle = _benchmark_cocycles(cfg)[1]
+    cocycle = _benchmark_cocycles(cfg)
+    exponential = _doleans_exponentials(cfg, BENCHMARK_DRIFTS[0])
 
     def row(index):
-        ev = cocycle(index)
-        dd = StochasticExponential1D(with_drift(ev.driver_paths[0],
-                                                BENCHMARK_DRIFTS[0]))
+        ev, dd = cocycle(index), exponential(index)
         rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
         times = np.sort(rng.uniform(0.0, cfg.horizon, 16))
         worst = 0.0
@@ -376,8 +381,8 @@ def _row_doleans_1d(cfg):
 
 
 def _row_flag_convergence(cfg):
-    measure, cocycle = _benchmark_cocycles(cfg)
-    gt = ground_truth_2d(measure, cfg.delta)
+    cocycle = _benchmark_cocycles(cfg)
+    gt = ground_truth_2d(cfg.build_measure(), cfg.delta)
     params = FlagMetricParams((gt.lambda1, gt.lambda2), gt.gap / 1.0, 2)
     grouping = [(gt.lambda1, 1), (gt.lambda2, 1)]
     # fit times t_k = k T / 12, k = 1..10: inside any horizon T, and the

@@ -446,17 +446,6 @@ class _JumpTable:
         return np.concatenate([tb, tf]), np.concatenate([sb, sf])
 
 
-def with_drift(path, rate):
-    """A copy of the path with an extra deterministic drift rate*t added to
-    the continuous skeleton (both legs for two-sided paths)."""
-    if isinstance(path, TwoSidedPath):
-        return TwoSidedPath(with_drift(path.forward, rate),
-                            with_drift(path.backward, rate), path.offset)
-    cont = path.cont + rate * path.node_times
-    return JumpPath(path.node_times, cont, path.jump_times, path.jump_sizes,
-                    path.triplet)
-
-
 def dump_path_csv(path, stream):
     """Debug dump: node rows `t,component_1,is_jump` with is_jump=0, plus
     one row per jump carrying its time and size."""

@@ -454,8 +454,7 @@ class FlagConvergence:
     h: float
 
 
-def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
-                          target=None):
+def flag_convergence_rate(ev, grouping, params, t_list, frame=None):
     """Convergence of push-forward frame flags to the limit flag.
 
     The frame (default: identity; pass a rotation to see a nontrivial
@@ -463,14 +462,15 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
     leading blocks span the images of the leading frame directions, which
     align with the limiting flag at rate e^(-h(d-1) t) per adjacent pair.
     Returns the log-distance series and the fitted slope over the points
-    above the floating-point floor.  A generic frame is aligned to ~1e-13,
+    above the floating-point floor.  A generic backend's limit flag is the
+    pushed flag at the last time.  A generic frame is aligned to ~1e-13,
     and ``flag_distance`` raises that to h/|lambda_i - lambda_j|, so its
     floor is 1e-13^(h/spread), spread the largest exponent difference.
 
-    For a diagonal closed-form backend (d = 2) with the coordinate target,
-    the log-distance is computed in the log domain, so the decay stays
-    resolvable far below the float64 alignment floor of a generic frame
-    computation (~1e-16).
+    For a diagonal closed-form backend (d = 2, two groups) the limit flag
+    is the coordinate flag, and the log-distance to it is computed in the
+    log domain, so the decay stays resolvable far below the float64
+    alignment floor of a generic frame computation (~1e-16).
     """
     t_list = np.asarray(sorted(t_list), float)
     if t_list.size < 2:
@@ -481,8 +481,7 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
         frame = np.eye(d)
     frame = np.asarray(frame, float)
 
-    exact = (hasattr(ev, "log_growth") and d == 2 and len(lams) == 2
-             and target is None)
+    exact = hasattr(ev, "log_growth") and d == 2 and len(lams) == 2
     # generic frames saturate at the float alignment level; the log-domain
     # path resolves distances down to the exp underflow limit
     spread = max(params.lambdas) - min(params.lambdas)
@@ -512,8 +511,7 @@ def flag_convergence_rate(ev, grouping, params, t_list, frame=None,
             if degenerated:
                 raise InstabilityError(_DEGENERATED)
             frames.append(Q)
-        if target is None:
-            target = _frame_flag(frames[-1], dims)
+        target = _frame_flag(frames[-1], dims)
         with np.errstate(divide="ignore"):
             for k, Q in enumerate(frames):
                 dist = flag_distance(_frame_flag(Q, dims), target, params)

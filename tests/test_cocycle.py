@@ -33,6 +33,14 @@ def exact_ev(measure, T, seed, dt=0.1):
     return lm.ExactDiagonal2D(benchmark_paths(measure, T, seed, dt))
 
 
+def doleans_ev(measure, T, seed):
+    """The Doléans exponential of 2t + L^1, L^1 driver 0 of
+    ``benchmark_paths``: the same substream, with the drift in its law."""
+    triplet = lm.scalar_triplet(drift=2.0, measure=measure, delta=0.5)
+    return lm.StochasticExponential1D(lm.sample_two_sided(triplet, T, 0.1,
+                                                          seed, driver=0))
+
+
 # -- exact diagonal backend ------------------------------------------------------
 
 
@@ -197,9 +205,8 @@ def test_doleans_jump_guard_and_log_value(sizes, message):
 
 
 def test_doleans_matches_exact_coordinate():
-    paths = benchmark_paths(ATOM, 3.0, 12)
-    ev = lm.ExactDiagonal2D(paths)
-    dd = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
+    ev = exact_ev(ATOM, 3.0, 12)
+    dd = doleans_ev(ATOM, 3.0, 12)
     for t in (0.3, 1.1, 2.9):
         assert dd.log_value(t) == pytest.approx(ev.log_growth(t)[0], abs=1e-12)
 
@@ -212,7 +219,7 @@ def _stream_backend(kind):
     if kind == "exact":
         return lm.ExactDiagonal2D(paths)
     if kind == "doleans":
-        return lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
+        return doleans_ev(ATOM, 3.0, 21)
     system = lm.benchmark_system_2d()
     return lm.EulerEvaluator(system, paths, 0.05, scheme=kind)
 
@@ -797,14 +804,15 @@ def test_picard_matches_exact_benchmark():
 
 
 def test_picard_large_jump_term():
-    # driver with jumps above delta exercises the counting-measure sum
+    # driver with jumps above delta exercises the counting-measure sum; the
+    # drift 0.3 is in the one triplet both solvers read, with a = 0
     measure = lm.LevyMeasure.from_atoms([(0.7, 2.0)])
-    drivers = (lm.scalar_triplet(measure=measure, delta=0.5),)
-    system = lm.LinearSystem(np.array([[0.3]]), (np.array([[1.0]]),))
-    path = lm.sample_two_sided(drivers[0], 2.0, 0.5, 29)
+    triplet = lm.scalar_triplet(drift=0.3, measure=measure, delta=0.5)
+    system = lm.LinearSystem(np.array([[0.0]]), (np.array([[1.0]]),))
+    path = lm.sample_two_sided(triplet, 2.0, 0.5, 29)
     assert path.forward.jumps_in(0.0, 1.5)[0].size > 0
     res = lm.picard_solve(system, [path], 1.5, 16, np.array([1.0]), dt_int=0.002)
-    dd = lm.StochasticExponential1D(lm.with_drift(path, 0.3))
+    dd = lm.StochasticExponential1D(path)
     assert res.value[0] == pytest.approx(dd.value(1.5), rel=5e-3)
 
 
@@ -886,11 +894,10 @@ RESIDUAL_PAIRS = [(0.6, -1.1), (-0.8, 1.5), (0.3, 0.4), (-0.5, -0.7),
 def test_residual_arrays_equal_scalar_calls(seed):
     paths = benchmark_paths(ATOM, 3.0, seed)
     s, t = np.array(RESIDUAL_PAIRS).T
-    doleans = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
     backends = [  # the Doléans-Dade exponential runs forward only
         (lm.ExactDiagonal2D(paths), s, t),
         (lm.EulerEvaluator(conjugated_system(), paths, 0.05), s, t),
-        (doleans, np.abs(s) / 2, np.abs(t) / 2),
+        (doleans_ev(ATOM, 3.0, seed), np.abs(s) / 2, np.abs(t) / 2),
     ]
     for ev, s_, t_ in backends:
         res = lm.cocycle_residual(ev, s_, t_)
@@ -1014,11 +1021,11 @@ def test_residual_without_a_stacked_form_is_the_per_pair_loop(seed, kind,
                                                               pairs):
     # the Euler and Doléans-Dade backends have no stacked shifted form:
     # their residual is the per-pair loop, bitwise, or its first error
-    paths = benchmark_paths(ATOM, 2.0, seed)
     if kind == "doleans":
-        ev = lm.StochasticExponential1D(lm.with_drift(paths[0], 2.0))
+        ev = doleans_ev(ATOM, 2.0, seed)
     else:
-        ev = lm.EulerEvaluator(lm.benchmark_system_2d(), paths, 0.1)
+        ev = lm.EulerEvaluator(lm.benchmark_system_2d(),
+                               benchmark_paths(ATOM, 2.0, seed), 0.1)
     s, t = np.array(pairs).T
     assert ev._shifted_matrices(s, t) is None
     try:

@@ -715,7 +715,7 @@ def _euler_row_per_rung(cfg, index):
     """The example_2d_euler row one rung and one residual probe at a time:
     an Euler evaluator per step size dt_int / 2^k, and the scalar
     cocycle-law residual of each probe (s, t) drawn in turn."""
-    exact = experiments._benchmark_cocycles(cfg)[1](index)
+    exact = experiments._ladder_path(cfg)(index)[0]
     paths = exact.driver_paths
     system = lm.benchmark_system_2d()
     target = exact.matrix(cfg.horizon)
@@ -863,8 +863,8 @@ def test_expm_ladder_fold_equals_per_window_propagate():
     cfg = lm.parse_config(EULER + "measure.atoms = 0.2:3.0, -0.3:1.0\n")
     system = lm.benchmark_system_2d()
     steps = cfg.dt_int / 2.0 ** np.arange(cfg.halvings + 1)
-    cocycle = experiments._benchmark_cocycles(cfg)[1]
-    paths = [cocycle(i).driver_paths for i in range(7)]
+    ladder_path = experiments._ladder_path(cfg)
+    paths = [ladder_path(i)[0].driver_paths for i in range(7)]
     jobs = [(lm.EulerEvaluator(system, p, cfg.dt_int, scheme="expm"),
              np.zeros(steps.size), np.full(steps.size, cfg.horizon), steps)
             for p in paths]
@@ -1026,13 +1026,13 @@ def test_pooled_run_leaves_no_child_process(monkeypatch):
 
 
 def _stable_row_two_sided(cfg, index):
-    """The stable_1d row computed from a two-sided path: a zero-drift
-    triplet sampled on [-T, T], the drift added by ``with_drift``."""
-    triplet = lm.scalar_triplet(drift=0.0, measure=cfg.build_measure(),
+    """The stable_1d row computed from a two-sided path on [-T, T] of the
+    triplet with the config's drift."""
+    triplet = lm.scalar_triplet(drift=cfg.drift, measure=cfg.build_measure(),
                                 delta=cfg.delta)
     path = lm.sample_two_sided(triplet, cfg.horizon, cfg.dt, cfg.master_seed,
                                path_index=index, driver=0)
-    dd = lm.StochasticExponential1D(lm.with_drift(path, cfg.drift))
+    dd = lm.StochasticExponential1D(path)
     lam = dd.log_value(cfg.horizon) / cfg.horizon
     return {"index": index, "raw": [lam], "logdet_over_T": lam}
 
@@ -1053,8 +1053,49 @@ def test_stable_row_bitwise_equals_two_sided_row(measure):
         assert repr(row) == repr(_stable_row_two_sided(cfg, index))
 
 
-@pytest.mark.parametrize("experiment",
-                         ["example_2d_exact", "backward_spectrum"])
+def _doleans_row_two_sided(cfg, index):
+    """The doleans_1d row computed from the two-sided benchmark paths: the
+    exact cocycle of the sampled paths, and the Doléans exponential of
+    driver 0's forward leg with the benchmark drift added to its skeleton
+    by hand."""
+    drivers = lm.benchmark_drivers(cfg.build_measure(), cfg.delta)
+    paths = [lm.sample_two_sided(drivers[i], cfg.horizon, cfg.dt,
+                                 cfg.master_seed, path_index=index, driver=i)
+             for i in range(2)]
+    ev = lm.ExactDiagonal2D(paths)
+    fwd = paths[0].forward
+    dd = lm.StochasticExponential1D(lm.JumpPath(
+        fwd.node_times, fwd.cont + 2.0 * fwd.node_times, fwd.jump_times,
+        fwd.jump_sizes))
+    rng = lm.paths.substream(cfg.master_seed, path_index=index, driver=7,
+                             leg=7)
+    worst = 0.0
+    for t in np.sort(rng.uniform(0.0, cfg.horizon, 16)):
+        worst = max(worst, abs(dd.log_value(float(t))
+                               - ev.log_growth(float(t))[0]))
+    return {"index": index, "max_log_defect": worst}
+
+
+DOLEANS_MEASURES = {
+    "power_law": STABLE_MEASURES["power_law"],
+    "atoms": "measure.kind = atoms\nmeasure.atoms = 0.2:3.0, -0.3:1.0\n"
+             "horizon = 40\n",
+}
+
+
+@pytest.mark.parametrize("measure", sorted(DOLEANS_MEASURES))
+def test_doleans_row_bitwise_equals_two_sided_row(measure):
+    # the exponential samples the forward leg of a triplet with drift 2;
+    # the exact cocycle reads jump tables
+    cfg = lm.parse_config("experiment = doleans_1d\ndt = 0.5\n"
+                          "master_seed = 17\n" + DOLEANS_MEASURES[measure])
+    for index in range(4):
+        row = experiments._row_doleans_1d(cfg)(index)
+        assert repr(row) == repr(_doleans_row_two_sided(cfg, index))
+
+
+@pytest.mark.parametrize("experiment", ["example_2d_exact", "backward_spectrum",
+                                        "flag_convergence"])
 def test_qr_build_samples_no_continuous_skeleton(monkeypatch, experiment):
     # the closed form reads the drivers' jumps alone: no node merge and no
     # JumpPath per path
@@ -1071,13 +1112,24 @@ def test_qr_build_samples_no_continuous_skeleton(monkeypatch, experiment):
     assert [r["index"] for r in report.rows] == [0, 1, 2]
 
 
-def test_stable_1d_samples_no_backward_leg(monkeypatch):
+def _rows_without_backward_leg(monkeypatch, experiment):
     def refuse(*args, **kwargs):
-        raise AssertionError("stable_1d sampled a backward leg")
+        raise AssertionError(f"{experiment} sampled a backward leg")
 
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     monkeypatch.setattr(lm.paths, "sample_backward", refuse)
-    text = "experiment = stable_1d\n" + STABLE_MEASURES["atoms"] + "n_paths = 3\n"
+    text = (f"experiment = {experiment}\n" + STABLE_MEASURES["atoms"] +
+            "n_paths = 3\n")
     report = lm.run_experiment(lm.parse_config(text))
     assert not report.path_errors
     assert [r["index"] for r in report.rows] == [0, 1, 2]
+
+
+def test_stable_1d_samples_no_backward_leg(monkeypatch):
+    _rows_without_backward_leg(monkeypatch, "stable_1d")
+
+
+def test_doleans_1d_samples_no_backward_leg(monkeypatch):
+    # the exponential reads the forward leg, the exact cocycle the jump
+    # tables of both legs
+    _rows_without_backward_leg(monkeypatch, "doleans_1d")

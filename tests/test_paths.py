@@ -226,14 +226,6 @@ def test_shifted_jump_list_retimed():
     np.testing.assert_allclose(s1, s0[keep], atol=0)
 
 
-def test_with_drift():
-    ts = lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 18)
-    shifted = lm.with_drift(ts, 2.0)
-    for t in (-1.5, 0.0, 1.5):
-        assert shifted.evaluate(t) == pytest.approx(ts.evaluate(t) + 2.0 * t,
-                                                    rel=1e-14, abs=1e-14)
-
-
 def test_brownian_gaussian_part():
     tri = lm.scalar_triplet(gauss=1.0)
     n = 4000

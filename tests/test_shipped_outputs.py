@@ -49,11 +49,10 @@ def test_every_shipped_config_is_pinned():
     assert set(PINNED) == {p.stem for p in (ROOT / "configs").glob("*.cfg")}
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_shipped_outputs_are_pinned(name, tmp_path, monkeypatch):
+def _assert_pinned(name, threads, tmp_path, monkeypatch):
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     cfg = lm.parse_config((ROOT / "configs" / f"{name}.cfg").read_text())
-    report = run_experiment(replace(cfg, threads=1))
+    report = run_experiment(replace(cfg, threads=threads))
     write_outputs(report, tmp_path)
     got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
                 for n in CSV_NAMES)
@@ -63,13 +62,14 @@ def test_shipped_outputs_are_pinned(name, tmp_path, monkeypatch):
                 == EULER_MAX_RESIDUAL)
 
 
-@pytest.mark.parametrize("name", ["backward_spectrum", "example_2d_exact"])
-def test_qr_outputs_are_pinned_on_two_processes(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_shipped_outputs_are_pinned(name, tmp_path, monkeypatch):
+    _assert_pinned(name, 1, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_shipped_outputs_are_pinned_on_two_processes(name, tmp_path,
+                                                     monkeypatch):
     # a pool worker and the calling process each build their share of the
     # paths; the bytes are the serial run's
-    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
-    cfg = lm.parse_config((ROOT / "configs" / f"{name}.cfg").read_text())
-    write_outputs(run_experiment(replace(cfg, threads=2)), tmp_path)
-    got = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
-                for n in CSV_NAMES)
-    assert got == PINNED[name]
+    _assert_pinned(name, 2, tmp_path, monkeypatch)

@@ -420,8 +420,7 @@ def test_flag_convergence_generic_path():
     frame = np.array([[math.cos(0.7), -math.sin(0.7)],
                       [math.sin(0.7), math.cos(0.7)]])
     conv = lm.flag_convergence_rate(ev, [(2.0, 1), (-4.0, 1)], params,
-                                    [1.0, 2.0, 3.0, 4.0], frame=frame,
-                                    target=lm.coordinate_flag((1, 1)))
+                                    [1.0, 2.0, 3.0, 4.0], frame=frame)
     assert conv.slope == pytest.approx(-6.0, abs=0.3)
 
 
