@@ -762,7 +762,7 @@ def _alpha_stack(ev, grid):
     times = grid.times()
     if times[0] != 0.0:
         raise ConfigurationError("grid must start at 0")
-    return ev.propagators(_with_jumps(getattr(ev, "driver_paths", []), times))
+    return ev.propagators(_with_jumps(ev.driver_paths, times))
 
 
 def _integrability_alphas(stacks):

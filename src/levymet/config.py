@@ -20,8 +20,9 @@ Adding a key is adding one field to :class:`ExperimentConfig`: its dotted
 name follows the field name (``measure_kind`` -> ``measure.kind``) and its
 value converter the field type.  Field metadata holds what the type cannot
 say: the atom-list ``parse``/``format`` and the ``measure_kind`` the key
-belongs to (a key of another kind is rejected, and ``echo`` prints only the
-keys of the configured kind).
+belongs to; a key read by only some experiments is named in their entries
+of ``experiments.EXPERIMENTS``.  A config refuses a key it does not read,
+set in its text or to a non-default value, and ``echo`` prints the others.
 """
 
 import math
@@ -79,7 +80,7 @@ class ExperimentConfig:
     measure_alpha: float = field(default=1.5, metadata=_POWER_LAW)
     measure_c: float = field(default=1.0, metadata=_POWER_LAW)
     delta: float = 0.5
-    drift: float = 0.0                # 1d experiments
+    drift: float = 0.0
     horizon: float = 200.0
     dt: float = 0.1
     dt_int: float = 0.01
@@ -98,6 +99,10 @@ class ExperimentConfig:
             raise ParseError(f"measure.kind must be one of {MEASURE_KINDS}")
         if self.measure_kind == "atoms" and not self.measure_atoms:
             raise ParseError("measure.kind = atoms requires measure.atoms")
+        for f in fields(self):
+            why = _refusal(_key(f.name), self.experiment, self.measure_kind)
+            if why and getattr(self, f.name) != f.default:
+                raise ParseError(why)
         if self.n_paths < 1:
             raise ParseError("n_paths must be >= 1")
         for name in ("delta", "horizon", "dt", "dt_int", "renorm_step"):
@@ -125,15 +130,27 @@ class ExperimentConfig:
         """Canonical config text (round-trips through parse_config)."""
         lines = []
         for f in fields(self):
-            # measure.* keys of other measure kinds are left out
-            kind = f.metadata.get("measure_kind", self.measure_kind)
-            if kind == self.measure_kind:
+            if not _refusal(_key(f.name), self.experiment, self.measure_kind):
                 fmt = f.metadata.get("format", str)
                 lines.append(f"{_key(f.name)} = {fmt(getattr(self, f.name))}")
         return "\n".join(lines) + "\n"
 
 
 _FIELDS = {_key(f.name): f for f in fields(ExperimentConfig)}
+_CLAIMED = {name for entry in EXPERIMENTS.values() for name in entry.keys}
+
+
+def _refusal(key, experiment, kind):
+    """Why a config of this experiment and measure kind does not read
+    ``key``, or None if it does: a measure.* key is read for its own kind
+    only, a key of an entry's ``keys`` by the experiments naming it only,
+    any other key always."""
+    f = _FIELDS[key]
+    if f.metadata.get("measure_kind", kind) != kind:
+        return f"key {key!r} is not a key of measure.kind = {kind}"
+    if f.name in _CLAIMED and f.name not in EXPERIMENTS[experiment].keys:
+        return f"key {key!r} is not a key of experiment = {experiment}"
+    return None
 
 
 def parse_config(text):
@@ -165,9 +182,10 @@ def parse_config(text):
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}")
     if "experiment" not in values:
         raise ParseError("missing required key 'experiment'")
-    kind = values.get("measure_kind", "none")
+    experiment, kind = values["experiment"], values.get("measure_kind", "none")
     for key, lineno in seen.items():
-        if _FIELDS[key].metadata.get("measure_kind", kind) != kind:
-            raise ParseError(f"line {lineno}: key {key!r} is not a key of "
-                             f"measure.kind = {kind}")
+        # an unknown experiment is refused by the config itself
+        why = experiment in EXPERIMENTS and _refusal(key, experiment, kind)
+        if why:
+            raise ParseError(f"line {lineno}: {why}")
     return ExperimentConfig(**values)

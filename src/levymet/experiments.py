@@ -34,9 +34,10 @@ included), the stage or its finish raises; it is quarantined as
 ``"<Type>: <msg>"``, and so is every path of a batch whose worker crashed;
 an experiment fails outright if more than 1% of its paths error out.
 
-Adding an experiment is adding one entry to :data:`EXPERIMENTS` (batch
-rows from :func:`_lockstep`, aggregator, optional config check); a built
-config names an entry of that table and passes :func:`_check_runnable`.
+Adding an experiment is adding one entry to :data:`EXPERIMENTS`: batch
+rows from :func:`_lockstep`, aggregator, optional config check, and the
+config keys it reads that not every experiment does; a built config names
+an entry of that table and passes :func:`_check_runnable`.
 """
 
 import math
@@ -700,29 +701,35 @@ class Experiment(NamedTuple):
     as ``"<Type>: <msg>"`` (row None) and a path's row independent of the
     rest of its batch; ``aggregate(cfg, rows)`` -> (checks, summary, csv
     tables); ``check(cfg)`` raises ParseError; ``batch_paths`` caps the
-    paths of one batch."""
+    paths of one batch; ``keys`` names the config fields it reads that
+    not every experiment does."""
 
     rows: Callable
     aggregate: Callable
     check: Callable = lambda cfg: None
     batch_paths: int = BATCH_PATHS
+    keys: tuple = ()
 
 
 EXPERIMENTS = {
     "example_2d_exact": Experiment(
         _lockstep(partial(_exact_cocycle, alpha=True), _oseledets_stage,
                   _finish_example_2d_exact),
-        _agg_example_2d_exact, _check_example_2d_exact, batch_paths=64),
+        _agg_example_2d_exact, _check_example_2d_exact, batch_paths=64,
+        keys=("renorm_step",)),
     "example_2d_euler": Experiment(
         _lockstep(_ladder_path, _ladder_rungs, _finish_example_2d_euler),
-        _agg_example_2d_euler, _check_example_2d_euler),
-    "stable_1d": Experiment(_lockstep(_row_stable_1d), _agg_stable_1d),
+        _agg_example_2d_euler, _check_example_2d_euler,
+        keys=("dt_int", "halvings")),
+    "stable_1d": Experiment(_lockstep(_row_stable_1d), _agg_stable_1d,
+                            keys=("drift",)),
     "doleans_1d": Experiment(_lockstep(_row_doleans_1d), _agg_doleans_1d),
     "flag_convergence": Experiment(_lockstep(_row_flag_convergence),
                                    _agg_flag_convergence),
     "backward_spectrum": Experiment(
         _lockstep(_exact_cocycle, _spectra, _finish_backward_spectrum),
-        _agg_backward_spectrum, _check_qr_horizon, batch_paths=64),
+        _agg_backward_spectrum, _check_qr_horizon, batch_paths=64,
+        keys=("renorm_step",)),
 }
 
 

@@ -1139,7 +1139,7 @@ def _alpha_loop(ev, grid):
     """integrability_alpha node by node, one running product at a time:
     the reference the stacked version must equal bitwise."""
     times = np.asarray(grid.times(), float)
-    nodes = lm.cocycle._with_jumps(getattr(ev, "driver_paths", []), times)
+    nodes = lm.cocycle._with_jumps(ev.driver_paths, times)
     M = np.eye(ev.d)
     a_plus = max(0.0, math.log(np.linalg.norm(M)))
     a_minus = a_plus
@@ -1172,9 +1172,11 @@ def test_integrability_alpha_bitwise_equals_node_loop():
 
 class _Shrinking:
     """A cocycle whose running product turns numerically singular at its
-    second node: every window multiplies the determinant by 1e-200."""
+    second node: every window multiplies the determinant by 1e-200.  It
+    has no driver paths, so its windows are the grid's."""
 
     d = 2
+    driver_paths = []
 
     def propagators(self, edges):
         return np.tile(np.diag([1e-100, 1e-100]), (len(edges) - 1, 1, 1))

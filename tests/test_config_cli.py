@@ -8,7 +8,7 @@ import subprocess
 import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import levymet as lm
 from levymet.cli import main
 from levymet.cocycle import _window_count
-from levymet.config import MEASURE_KINDS
+from levymet.config import MEASURE_KINDS, _key
 from levymet.errors import ConfigurationError, ParseError
 from levymet.paths import check_jump_budget
 from levymet import experiments
@@ -95,7 +95,8 @@ def _measure_keys(kind, delta, horizon):
 def _configs(draw):
     """Runnable configs of every experiment and measure kind, since parsing
     refuses any other; measure.* keys are set only for the configured
-    kind, since echo() prints only those."""
+    kind, and the keys of some experiments only for those, since echo()
+    prints only the keys a config reads."""
     kind = draw(st.sampled_from(MEASURE_KINDS))
     experiment = draw(st.sampled_from(list(EXPERIMENTS)))
     # example_2d_euler's cocycle-law probes reach 1.8
@@ -106,37 +107,38 @@ def _configs(draw):
     delta = draw(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
                  if experiment == "example_2d_exact" or kind == "power_law"
                  else _POSITIVE)
-    # the QR experiments need 10 to 1e6 renorm steps in the horizon
-    renorm_step = (st.floats(min_value=horizon / 1e6,
-                             max_value=horizon / 10).filter(
-        lambda r: horizon >= 10.0 * r and horizon / r <= 1e6)
-        if experiment in ("example_2d_exact", "backward_spectrum")
-        else _POSITIVE)
-    # the Euler ladder's finest rung takes at most 1e6 steps, and its
-    # second rung more than one
-    halvings = draw(st.integers(min_value=1, max_value=12))
-    dt_int = (st.floats(min_value=horizon * 2.0**halvings / 1e6,
-                        max_value=1e6).filter(
-        lambda h: horizon / (h / 2.0**halvings) <= 1e6
-        and _window_count(horizon, h / 2) > 1)
-        if experiment == "example_2d_euler" else _POSITIVE)
+    # the keys only some experiments read, drawn for those alone
+    own = {}
+    if experiment == "stable_1d":
+        own["drift"] = draw(_FINITE)
+    if experiment in ("example_2d_exact", "backward_spectrum"):
+        # the QR experiments need 10 to 1e6 renorm steps in the horizon
+        own["renorm_step"] = draw(st.floats(
+            min_value=horizon / 1e6, max_value=horizon / 10).filter(
+            lambda r: horizon >= 10.0 * r and horizon / r <= 1e6))
+    if experiment == "example_2d_euler":
+        # the Euler ladder's finest rung takes at most 1e6 steps, and its
+        # second rung more than one
+        n = own["halvings"] = draw(st.integers(min_value=1, max_value=12))
+        own["dt_int"] = draw(st.floats(
+            min_value=horizon * 2.0**n / 1e6, max_value=1e6).filter(
+            lambda h: horizon / (h / 2.0**n) <= 1e6
+            and _window_count(horizon, h / 2) > 1))
+    assert set(own) == set(EXPERIMENTS[experiment].keys)
     return lm.ExperimentConfig(
         experiment=experiment,
         measure_kind=kind,
         **draw(_measure_keys(kind, delta, horizon)),
+        **own,
         delta=delta,
-        drift=draw(_FINITE),
         horizon=horizon,
         # a grid on the horizon within the sampler budget
         dt=horizon / draw(st.integers(min_value=1, max_value=10**6)),
-        dt_int=draw(dt_int),
-        renorm_step=draw(renorm_step),
         n_paths=draw(st.integers(min_value=1, max_value=10**6)),
         master_seed=draw(st.integers(min_value=0, max_value=2**64)),
         threads=draw(st.integers(min_value=0, max_value=64)),
         output_dir=draw(st.text("abcxyz0123456789_-./", min_size=1,
                                 max_size=20)),
-        halvings=halvings,
     )
 
 
@@ -289,6 +291,11 @@ def test_qr_horizon_below_ten_renorm_steps_fails_before_any_path(
 
 # a short run of every experiment: 10 QR windows
 _SHORT_RUN = "horizon = 10\ndt = 0.5\nn_paths = 3\n"
+# each experiment's own keys on a horizon of 2: the Euler ladder, and ten
+# QR windows
+_SHORT = {"example_2d_euler": "dt_int = 0.08\nhalvings = 3\n",
+          "example_2d_exact": "renorm_step = 0.2\n",
+          "backward_spectrum": "renorm_step = 0.2\n"}
 
 
 @pytest.mark.parametrize("experiment,measure,message", [
@@ -363,6 +370,87 @@ def test_fixed_settings_are_not_keys(tmp_path, capsys, experiment, key):
     with pytest.raises(ParseError, match=re.escape(message)):
         lm.parse_config(text)
     _fails_before_any_path(tmp_path, capsys, text, "config error: " + message)
+
+
+# the keys only some experiments read, by experiment, and a value other
+# than each key's default
+_OWN_KEYS = {"example_2d_exact": {"renorm_step"},
+             "example_2d_euler": {"dt_int", "halvings"},
+             "stable_1d": {"drift"}, "doleans_1d": set(),
+             "flag_convergence": set(), "backward_spectrum": {"renorm_step"}}
+_OTHER_VALUE = {"drift": 1.3, "renorm_step": 0.25, "dt_int": 0.04,
+                "halvings": 2}
+_UNREAD = [(name, key) for name in EXPERIMENTS for key in _OTHER_VALUE
+           if key not in _OWN_KEYS[name]]
+
+
+def test_each_entry_declares_the_config_fields_it_reads():
+    names = {f.name for f in fields(lm.ExperimentConfig)}
+    for entry in EXPERIMENTS.values():
+        assert set(entry.keys) <= names
+    assert {name: set(e.keys) for name, e in EXPERIMENTS.items()} == _OWN_KEYS
+    assert len(_UNREAD) == 19
+
+
+@pytest.mark.parametrize("experiment,key", [
+    (name, key) for name in EXPERIMENTS for key in sorted(_OWN_KEYS[name])])
+def test_each_declared_key_changes_the_run(experiment, key):
+    # a key an experiment declares is one its run reads
+    horizon = 2 if experiment == "example_2d_euler" else 40
+    cfg = lm.parse_config(
+        f"experiment = {experiment}\nmeasure.kind = atoms\n"
+        f"measure.atoms = 0.2:3.0, -0.3:1.0\nhorizon = {horizon}\ndt = 0.5\n"
+        "n_paths = 3\nthreads = 1\nmaster_seed = 5\n")
+    tables = lm.run_experiment(cfg).csv_tables
+    other = lm.run_experiment(replace(cfg, **{key: _OTHER_VALUE[key]}))
+    assert not other.path_errors
+    assert other.csv_tables.keys() == tables.keys()
+    assert other.csv_tables != tables
+
+
+@pytest.mark.parametrize("experiment,key", _UNREAD)
+def test_a_key_the_experiment_does_not_read_is_refused(tmp_path, capsys,
+                                                       experiment, key):
+    base = _short(experiment) + "measure.atoms = 0.2:3.0\nn_paths = 3\n"
+    cfg = lm.parse_config(base)
+    message = f"key {key!r} is not a key of experiment = {experiment}"
+    lineno = base.count("\n") + 1
+    default = getattr(cfg, key)
+    for value in (_OTHER_VALUE[key], default):  # set at all, it is refused
+        text = base + f"{key} = {value}\n"
+        with pytest.raises(ParseError, match=re.escape(
+                f"line {lineno}: {message}")):
+            lm.parse_config(text)
+    _fails_before_any_path(tmp_path, capsys, text,
+                           f"config error: line {lineno}: {message}")
+    # a built config refuses a value other than the default
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **{key: _OTHER_VALUE[key]})
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        lm.ExperimentConfig(**{**vars(cfg), key: _OTHER_VALUE[key]})
+
+
+def test_a_built_config_refuses_a_measure_key_of_another_kind():
+    cfg = lm.parse_config(MINIMAL)
+    with pytest.raises(ParseError, match="^key 'measure.alpha' is not a key "
+                       "of measure.kind = atoms$"):
+        replace(cfg, measure_alpha=0.3)
+    assert replace(cfg, measure_alpha=1.5) == cfg  # its default
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+@pytest.mark.parametrize("measure", [
+    "measure.kind = atoms\nmeasure.atoms = 0.2:3.0\n",
+    "measure.kind = power_law\nmeasure.alpha = 0.8\n"],
+    ids=["atoms", "power_law"])
+def test_echo_prints_only_the_keys_the_config_reads(experiment, measure):
+    cfg = lm.parse_config(f"experiment = {experiment}\n{measure}"
+                          + _SHORT.get(experiment, "") + "horizon = 2\n")
+    printed = {line.partition(" = ")[0] for line in cfg.echo().splitlines()}
+    unread = set(_OTHER_VALUE) - _OWN_KEYS[experiment]
+    unread |= ({"measure.alpha", "measure.c"} if "atoms" in measure
+               else {"measure.atoms"})
+    assert printed == {_key(f.name) for f in fields(cfg)} - unread
 
 
 def test_sampling_grid_over_the_budget_fails_before_any_path(tmp_path, capsys):
@@ -474,7 +562,8 @@ def test_grid_of_no_step_fails_before_any_path(tmp_path, capsys, experiment,
                    "backward_spectrum": "needs horizon >= 10 * renorm_step",
                    }.get(experiment, message)
     text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
-            f"measure.atoms = 0.2:3.0\n{grid}renorm_step = 0.2\nn_paths = 3\n")
+            f"measure.atoms = 0.2:3.0\n{grid}{_SHORT.get(experiment, '')}"
+            "n_paths = 3\n")
     _fails_before_any_path(tmp_path, capsys, text, message)
 
 
@@ -742,34 +831,32 @@ def _per_rung_triple(cfg, index):
         return (index, None, f"{type(exc).__name__}: {exc}")
 
 
-EULER = """
-experiment = example_2d_euler
+def _short(experiment):
+    """A config of ``experiment`` on the Euler ladder's short horizon,
+    with the keys of its own that give it real rows (``_SHORT``)."""
+    return f"""
+experiment = {experiment}
 measure.kind = atoms
 delta = 0.5
 horizon = 2
 dt = 0.1
-dt_int = 0.08
-halvings = 3
 master_seed = 31
-"""
+""" + _SHORT.get(experiment, "")
 
 
-# keys that give each experiment real rows on EULER's short horizon: ten
-# QR windows
-_SHORT = {"example_2d_exact": "renorm_step = 0.2\n",
-          "backward_spectrum": "renorm_step = 0.2\n"}
+EULER = _short("example_2d_euler")
 
 
 @pytest.mark.parametrize("experiment,extra", [
     pytest.param("example_2d_euler", "measure.atoms = 0.2:3.0\n",
                  id="measure.atoms = 0.2:3.0\n")
-] + [pytest.param(name, "measure.atoms = 0.2:3.0\n" + _SHORT.get(name, ""),
-                  id=name) for name in EXPERIMENTS if name != "example_2d_euler"])
+] + [pytest.param(name, "measure.atoms = 0.2:3.0\n", id=name)
+     for name in EXPERIMENTS if name != "example_2d_euler"])
 def test_euler_rows_equal_per_rung_rows_in_any_batch(experiment, extra):
     # every experiment: each triple of a batch, its error included, is
     # bitwise the triple of that path run alone; the Euler rows are also
     # those of one rung and one probe at a time
-    cfg = lm.parse_config(EULER.replace("example_2d_euler", experiment) + extra)
+    cfg = lm.parse_config(_short(experiment) + extra)
     rows = EXPERIMENTS[experiment].rows
     batch = rows(cfg, tuple(range(7)))
     assert [triple[0] for triple in batch] == list(range(7))
@@ -785,9 +872,8 @@ def test_euler_rows_equal_per_rung_rows_in_any_batch(experiment, extra):
 def test_check_outcomes_pass_python_bools(monkeypatch, experiment):
     # a numpy comparison gives numpy's bool_, which json.dumps refuses
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
-    cfg = lm.parse_config(EULER.replace("example_2d_euler", experiment) +
-                          "measure.atoms = 0.2:3.0\nn_paths = 3\n" +
-                          _SHORT.get(experiment, ""))
+    cfg = lm.parse_config(_short(experiment) +
+                          "measure.atoms = 0.2:3.0\nn_paths = 3\n")
     checks = lm.run_experiment(cfg).checks
     assert checks and all(type(c.passed) is bool for c in checks)
     json.dumps([vars(c) for c in checks])
@@ -828,6 +914,22 @@ _ONE_ATOM = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0\n"
 _TWO_ATOMS = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0, -0.3:1.0\n"
 
 
+def _grid_config(experiment, horizon, dt, renorm_step, measure):
+    """A config of test_a_parsed_config_runs' grid; renorm_step is set for
+    the QR experiments only, which alone read it."""
+    step = (f"renorm_step = {renorm_step!r}\n"
+            if experiment in ("example_2d_exact", "backward_spectrum") else "")
+    return (f"experiment = {experiment}\n{measure}horizon = {horizon!r}\n"
+            f"dt = {dt!r}\n{step}n_paths = 3\nthreads = 1\nmaster_seed = 5\n")
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_the_grid_of_parsed_configs_holds_every_experiment(experiment):
+    # test_a_parsed_config_runs returns on a parse error, so it runs an
+    # experiment only if some config of its grid parses
+    lm.parse_config(_grid_config(experiment, 2.0, 0.1, 0.1, _ONE_ATOM))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(list(EXPERIMENTS)),
        st.sampled_from([1e-320, 0.3, 0.5, 0.99, 1.0, 1.5, 1.79, 1.8, 2.0]),
@@ -844,11 +946,9 @@ _TWO_ATOMS = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0, -0.3:1.0\n"
 def test_a_parsed_config_runs(experiment, horizon, dt, renorm_step, measure):
     # parse_config raises, or the paths of the run do not all fail for one
     # reason, which the config alone would set
-    text = (f"experiment = {experiment}\n{measure}horizon = {horizon!r}\n"
-            f"dt = {dt!r}\nrenorm_step = {renorm_step!r}\nn_paths = 3\n"
-            "threads = 1\nmaster_seed = 5\n")
     try:
-        cfg = lm.parse_config(text)
+        cfg = lm.parse_config(_grid_config(experiment, horizon, dt,
+                                           renorm_step, measure))
     except lm.LevyMetError:
         return
     errors = lm.run_experiment(cfg).path_errors
