@@ -3,10 +3,10 @@
 Every experiment draws ``n_paths`` independent paths from substreams
 keyed by (master_seed, path_index, driver, leg), runs the estimation
 pipeline per path, and aggregates ensemble means with standard errors
-against analytic targets.  Each samples only what it reads: the exact
-cocycle takes jump tables, the Doléans exponential of ``stable_1d`` and
-``doleans_1d`` the forward leg (leg 0) of a triplet carrying the drift,
-and only ``example_2d_euler``'s ladder takes two-sided paths.
+against analytic targets.  The exact cocycle takes two-sided paths and
+reads their jumps alone, so only ``example_2d_euler``'s ladder builds
+their skeletons; the Doléans exponential of ``stable_1d`` and
+``doleans_1d`` takes the forward leg (leg 0) of a triplet with the drift.
 
 Paths run in contiguous batches of at most the experiment's
 ``batch_paths`` indices, at least one batch per process and the same
@@ -72,7 +72,6 @@ from .oracle import (
 from .paths import (
     SAMPLER_BUDGET,
     TimeGrid,
-    _JumpTable,
     check_jump_budget,
     sample_forward,
     sample_two_sided,
@@ -204,16 +203,16 @@ def _lockstep(build, stage=None, finish=None):
 
 
 def _benchmark_cocycles(cfg):
-    """``cocycle(index)``, the exact cocycle of one benchmark path.  The
-    closed form reads no continuous part, so each driver is only its jump
-    table (``paths._JumpTable``).  All paths share one triplet, which holds
-    the law and computes its band integrals once."""
+    """``cocycle(index)``, the exact cocycle of one benchmark path.  It
+    reads its two-sided driver paths' jumps alone, so builds no skeleton.
+    All paths share one triplet, which holds the law and computes its band
+    integrals once."""
     drivers = benchmark_drivers(cfg.build_measure(), cfg.delta)
 
     def cocycle(index):
-        return ExactDiagonal2D([_JumpTable(drivers[i], cfg.horizon, cfg.dt,
-                                           cfg.master_seed, path_index=index,
-                                           driver=i) for i in range(2)])
+        return ExactDiagonal2D([
+            sample_two_sided(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
+                             path_index=index, driver=i) for i in range(2)])
     return cocycle
 
 
@@ -321,13 +320,11 @@ def _finish_example_2d_exact(cfg, index, stacks, staged):
 def _ladder_path(cfg):
     """Per path: the exact benchmark cocycle, its phi(T) with norm, and the
     path's Euler evaluator, which reads the drivers' continuous parts."""
-    drivers = benchmark_drivers(cfg.build_measure(), cfg.delta)
+    cocycle = _benchmark_cocycles(cfg)
     system = benchmark_system_2d()
 
     def path(index):
-        exact = ExactDiagonal2D([
-            sample_two_sided(drivers[i], cfg.horizon, cfg.dt, cfg.master_seed,
-                             path_index=index, driver=i) for i in range(2)])
+        exact = cocycle(index)
         target = exact.matrix(cfg.horizon)
         euler = EulerEvaluator(system, exact.driver_paths, cfg.dt_int)
         return exact, target, float(np.linalg.norm(target)), euler

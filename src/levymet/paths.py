@@ -2,7 +2,8 @@
 
 Paths are stored as a continuous skeleton on a node set (the uniform grid
 plus every jump time, so Brownian increments are exact at jump times) plus
-an explicit jump list.  Evaluation linearly interpolates the skeleton and
+an explicit jump list; a sampled leg without a Gaussian part builds its
+skeleton on first read.  Evaluation linearly interpolates the skeleton and
 adds all jumps at times <= t (right-continuous convention); the value at
 time 0 is exactly 0.
 
@@ -13,16 +14,12 @@ càdlàg, vanishes at 0, and carries the re-timed jumps (-s_k, kappa_k).
 Two-sided paths support the shift flow theta_t as a lazy view: shifting
 adds an offset and re-anchors at the new origin, so the group law
 theta_s theta_t = theta_{s+t} holds exactly.
-
-A reader of the jumps alone (the closed-form exact cocycle) can take a
-two-sided jump table instead: the same draws from the same substreams,
-without the skeleton.
 """
 
 import copy
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,32 +82,69 @@ class JumpPath:
     never decrease, and each jump time has one size.  ``triplet`` is the
     law the path was sampled from (None for a hand-built path); its
     simulated band and compensation rate are read from it, not stored.
+    A leg sampled without a Gaussian part stores its jump table, triplet,
+    horizon and grid, and builds ``node_times`` and ``cont`` on first read.
     """
 
     def __init__(self, node_times, cont, jump_times, jump_sizes, triplet=None):
-        self.node_times = np.asarray(node_times, float)
-        self.cont = np.asarray(cont, float)
+        self._skeleton = tuple(np.asarray(x, float) for x in (node_times, cont))
         self.jump_times = np.asarray(jump_times, float)
         self.jump_sizes = np.asarray(jump_sizes, float)
         self.triplet = triplet
         if self.node_times.shape != self.cont.shape:
             raise StructuralError("node_times and cont length mismatch")
         _check_not_decreasing(self.node_times, "node_times")
-        _check_jump_table(self.jump_times, self.jump_sizes)
-        self._jump_cum = np.zeros(self.jump_sizes.size + 1)
-        np.cumsum(self.jump_sizes, out=self._jump_cum[1:])
+        if self.jump_times.shape != self.jump_sizes.shape:
+            raise StructuralError("jump_times and jump_sizes length mismatch")
+        _check_not_decreasing(self.jump_times, "jump_times")
 
-    @property
-    def t_start(self):
-        return float(self.node_times[0])
+    @classmethod
+    def _sampled(cls, jump_times, jump_sizes, triplet, grid):
+        """A sampled forward leg on ``grid``: jumps sorted, skeleton unbuilt."""
+        path = cls.__new__(cls)
+        path.jump_times, path.jump_sizes = jump_times, jump_sizes
+        path.triplet, path._grid, path._backward = triplet, grid, False
+        end = grid.dt * grid.n_steps  # the last node: the grid's, or a jump's
+        if jump_times.size and jump_times[-1] > end:
+            end = float(jump_times[-1])
+        path.horizon = (0.0, end)
+        return path
 
-    @property
-    def t_end(self):
-        return float(self.node_times[-1])
+    def _reflection(self):
+        """The reflection t -> -F((-t)-) of this sampled forward leg F; its
+        skeleton is built on first read, or now if F's is."""
+        path = JumpPath.__new__(JumpPath)
+        path.jump_times = -self.jump_times[::-1]
+        path.jump_sizes = self.jump_sizes[::-1]
+        path.triplet, path._grid, path._backward = self.triplet, self._grid, True
+        path.horizon = (-self.t_end, -self.t_start)
+        if "_skeleton" in vars(self):  # a Gaussian leg's, drawn with it
+            path._skeleton = _reflect(*self._skeleton, path)
+        return path
 
-    @property
+    @cached_property
+    def _skeleton(self):
+        """A sampled leg's (node_times, cont), by the sampler's arithmetic."""
+        times = -self.jump_times[::-1] if self._backward else self.jump_times
+        node_times = _merge_nodes(self._grid.times(), times)
+        skeleton = node_times, _forward_cont(self.triplet, node_times)
+        return _reflect(*skeleton, self) if self._backward else skeleton
+
+    @cached_property
+    def _jump_cum(self):
+        cum = np.zeros(self.jump_sizes.size + 1)
+        np.cumsum(self.jump_sizes, out=cum[1:])
+        return cum
+
+    node_times = property(lambda self: self._skeleton[0])
+    cont = property(lambda self: self._skeleton[1])
+
+    @cached_property
     def horizon(self):
-        return (self.t_start, self.t_end)
+        return (float(self.node_times[0]), float(self.node_times[-1]))
+
+    t_start = property(lambda self: self.horizon[0])
+    t_end = property(lambda self: self.horizon[1])
 
     @property
     def values(self):
@@ -138,27 +172,26 @@ class JumpPath:
 
     def jumps_in(self, a, b):
         """Jump times and sizes with a < s <= b."""
-        return _leg_jumps_in(self.jump_times, self.jump_sizes, a, b)
+        i, j = self.jump_times.searchsorted((a, b), side="right")
+        return self.jump_times[i:j], self.jump_sizes[i:j]
+
+    def _at_origin(self):
+        """evaluate(0.0) building no skeleton: an unbuilt leg's last node <= 0
+        is its forward leg's first, 0, where a backward leg's jumps cancel
+        (unless their total, and so the whole leg, is not finite)."""
+        if "_skeleton" in vars(self):
+            return self.evaluate(0.0)
+        row = _forward_cont(self.triplet, 0.0)
+        if self._backward:
+            return -row
+        i = self.jump_times.searchsorted(0.0, side="right")
+        return row + (self._jump_cum[i] if i else 0.0)  # no sums for none
 
 
 def _check_not_decreasing(x, name):
     # bool temporaries only: np.diff would make a float one
     if np.any(x[1:] < x[:-1]):
         raise StructuralError(f"{name} must not decrease")
-
-
-def _check_jump_table(times, sizes):
-    """A leg's jump table: one size per time, times not decreasing."""
-    if times.shape != sizes.shape:
-        raise StructuralError("jump_times and jump_sizes length mismatch")
-    _check_not_decreasing(times, "jump_times")
-
-
-def _leg_jumps_in(times, sizes, a, b):
-    """The jumps of one leg's table with a < s <= b."""
-    i = np.searchsorted(times, a, side="right")
-    j = np.searchsorted(times, b, side="right")
-    return times[i:j], sizes[i:j]
 
 
 def _as_rng(seed):
@@ -278,6 +311,14 @@ def _merge_nodes(*times):
     return nodes[keep]
 
 
+def _forward_cont(triplet, node_times):
+    """Drift less compensation at node times: a Gaussian-free skeleton."""
+    cont = node_times * triplet.drift
+    if not triplet.measure.is_empty:
+        cont -= triplet.compensation_rate() * node_times
+    return cont
+
+
 def sample_forward(triplet, grid, rng_seed):
     """Sample a forward path on [0, T] from the Lévy–Itô decomposition:
     drift + Gaussian part + compensated small jumps on [eps_cut, delta]
@@ -287,24 +328,24 @@ def sample_forward(triplet, grid, rng_seed):
     if grid.t_start != 0.0:
         raise ConfigurationError("forward grid must start at 0")
     rng = _as_rng(rng_seed)
-    jt, js = _draw_jumps(triplet, grid.t_end, rng)
-    node_times = _merge_nodes(grid.times(), jt)
-    cont = node_times * triplet.drift
-    if not triplet.measure.is_empty:
-        cont -= triplet.compensation_rate() * node_times
-    if triplet.gaussian:
+    path = JumpPath._sampled(*_draw_jumps(triplet, grid.t_end, rng), triplet,
+                             grid)
+    if triplet.gaussian:  # its increments follow the jumps in the stream
+        node_times, cont = path._skeleton
         dW = rng.standard_normal(node_times.size - 1)
         dW *= np.sqrt(np.diff(node_times))
         W = np.zeros(node_times.size)
         np.cumsum(dW, out=W[1:])
         cont += triplet.gaussian * W
-    return JumpPath(node_times, cont, jt, js, triplet)
+    return path
 
 
-def _reflected(times, sizes):
-    """A forward leg's jump table re-timed to negative time: the jumps of
-    t -> -F((-t)-), times not decreasing."""
-    return -times[::-1], sizes[::-1]
+def _reflect(node_times, cont, path):
+    """A forward skeleton re-timed to the backward leg ``path``, less its jump
+    total in evaluation order, so its value at 0 cancels exactly."""
+    cont = -cont[::-1]
+    cont -= path._jump_cum[-1]
+    return -node_times[::-1], cont
 
 
 def sample_backward(triplet, grid, rng_seed):
@@ -312,14 +353,8 @@ def sample_backward(triplet, grid, rng_seed):
     independent forward sample: L(t) = -F((-t)-)."""
     if grid.t_end != 0.0:
         raise ConfigurationError("backward grid must end at 0")
-    fwd = sample_forward(triplet, TimeGrid(0.0, -grid.t_start, grid.dt),
-                         rng_seed)
-    path = JumpPath(-fwd.node_times[::-1], -fwd.cont[::-1],
-                    *_reflected(fwd.jump_times, fwd.jump_sizes), triplet)
-    # the jump total, accumulated in evaluation order, so the value at 0
-    # cancels exactly
-    path.cont -= path._jump_cum[-1]
-    return path
+    return sample_forward(triplet, TimeGrid(0.0, -grid.t_start, grid.dt),
+                          rng_seed)._reflection()
 
 
 class TwoSidedPath:
@@ -331,11 +366,7 @@ class TwoSidedPath:
         if forward.t_start != 0.0 or backward.t_end != 0.0:
             raise StructuralError("legs must meet at 0")
         for leg in (forward, backward):
-            # evaluate(0.0): np.interp returns the skeleton row of the last
-            # node at 0 exactly, plus the jumps at times <= 0
-            node = np.searchsorted(leg.node_times, 0.0, side="right") - 1
-            jumps = np.searchsorted(leg.jump_times, 0.0, side="right")
-            if leg.cont[node] + leg._jump_cum[jumps] != 0.0:
+            if leg._at_origin() != 0.0:
                 raise StructuralError("legs must vanish at the origin")
         self.forward = forward
         self.backward = backward
@@ -357,12 +388,20 @@ class TwoSidedPath:
         return self.forward.triplet
 
     def _base_eval(self, s):
-        return self.forward.evaluate(s) if s >= 0.0 else self.backward.evaluate(s)
+        """base(s), elementwise: the forward leg at s >= 0, else backward."""
+        s = np.asarray(s, float)
+        fwd = s >= 0.0
+        out = np.empty(s.shape)
+        for leg, on in ((self.forward, fwd), (self.backward, ~fwd)):
+            if np.any(on):
+                out[on] = leg.evaluate(s[on])
+        return out[()]
 
     def evaluate(self, t):
+        """Path value at t, elementwise for arrays of times."""
         if self._anchor is None:
             self._anchor = self._base_eval(self.offset)
-        return self._base_eval(t + self.offset) - self._anchor
+        return self._base_eval(np.asarray(t, float) + self.offset) - self._anchor
 
     def continuous_increment(self, t0, t1):
         """Continuous increment over (t0, t1), elementwise for arrays.  A
@@ -403,47 +442,10 @@ class TwoSidedPath:
 def sample_two_sided(triplet, T, dt, master_seed, path_index=0, driver=0):
     """Two-sided sample on [-T, T] from independent substreams keyed by
     (master_seed, path_index, driver, leg)."""
-    fwd = sample_forward(triplet, TimeGrid(0.0, T, dt),
-                         substream(master_seed, path_index, driver, 0))
-    bwd = sample_backward(triplet, TimeGrid(-T, 0.0, dt),
-                          substream(master_seed, path_index, driver, 1))
-    return TwoSidedPath(fwd, bwd)
-
-
-@functools.lru_cache(maxsize=8)
-def _leg_end(T, dt):
-    """The last grid node of each leg of a two-sided sample on [-T, T], as
-    ``sample_two_sided`` reads it, after the checks on both of its grids."""
-    TimeGrid(-T, 0.0, dt)
-    return float(TimeGrid(0.0, T, dt).times()[-1])
-
-
-class _JumpTable:
-    """The jumps of the two-sided sample ``sample_two_sided`` draws from the
-    same arguments, without its continuous part: bitwise that path's
-    ``horizon``, ``jumps_in`` and ``triplet``, and nothing else.  Both legs
-    come from :func:`_draw_jumps` on the same substreams, so a reader of
-    these three members (the closed-form exact cocycle) cannot tell the two
-    apart."""
-
-    def __init__(self, triplet, T, dt, master_seed, path_index=0, driver=0):
-        end = _leg_end(T, dt)
-        self.triplet = triplet
-        fwd, bwd = (_draw_jumps(triplet, T, substream(master_seed, path_index,
-                                                       driver, leg))
-                    for leg in (0, 1))
-        # a leg's last node: its grid's, or a later jump's
-        ends = [max(end, float(t[-1])) if t.size else end
-                for t, _ in (fwd, bwd)]
-        self.horizon = (-ends[1], ends[0])
-        self._legs = (_reflected(*bwd), fwd)
-        for times, sizes in self._legs:
-            _check_jump_table(times, sizes)
-
-    def jumps_in(self, a, b):
-        """Jump times and sizes with a < s <= b, backward leg first."""
-        (tb, sb), (tf, sf) = (_leg_jumps_in(*leg, a, b) for leg in self._legs)
-        return np.concatenate([tb, tf]), np.concatenate([sb, sf])
+    grid = TimeGrid(0.0, T, dt)  # checks what TimeGrid(-T, 0, dt) does
+    fwd, bwd = (sample_forward(triplet, grid, substream(
+        master_seed, path_index, driver, leg)) for leg in (0, 1))
+    return TwoSidedPath(fwd, bwd._reflection())
 
 
 def dump_path_csv(path, stream):

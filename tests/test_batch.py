@@ -374,6 +374,23 @@ def test_qr_batch_holds_stacks_not_evaluators():
     assert peak <= 3.85e6
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_qr_build_cocycle_shifts(index):
+    # the exact cocycle the QR build reads is built on two-sided paths, so
+    # it shifts: the cocycle law holds at 8 probe pairs, and the stacked
+    # matrices on the shifted paths are shifted(s).matrix(t), pair by pair
+    cfg = lm.parse_config((ROOT / "configs" / "example_2d_exact.cfg")
+                          .read_text())
+    ev = experiments._benchmark_cocycles(cfg)(index)
+    rng = lm.paths.substream(cfg.master_seed, index, 7, 7)
+    s, t = rng.uniform(-0.9, 0.9, (2, 8))
+    assert np.max(lm.cocycle_residual(ev, s, t)) <= experiments.RESIDUAL_TOL
+    stacked = ev._shifted_matrices(s, t)
+    assert stacked is not None
+    for k in range(8):
+        assert stacked[k].tobytes() == ev.shifted(s[k]).matrix(t[k]).tobytes()
+
+
 # -- constants once per batch ------------------------------------------------------
 
 _SPIED = ("log_compensator", "log_moment", "mean", "rate")

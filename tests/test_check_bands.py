@@ -6,7 +6,8 @@ import pytest
 
 import levymet as lm
 from levymet import experiments
-from levymet.experiments import EXPERIMENTS, SE_MULT, SPECTRUM_ABS
+from levymet.experiments import (ANGLE_TOL, EXPERIMENTS, RATIO_HI, RATIO_LO,
+                                 SE_MULT, SPECTRUM_ABS)
 
 _ATOMS = "measure.kind = atoms\nmeasure.atoms = 0.2:3.0\n"
 
@@ -103,3 +104,104 @@ def test_stochastic_exponential_band(side, passed):
     rows = [{"index": i, "max_log_defect": d}
             for i, d in enumerate([0.0, side * experiments.DOLEANS_TOL])]
     assert _judge(cfg, rows, "stochastic_exponential")[0] is passed
+
+
+def _exact_rows(raws, **fields):
+    """example_2d_exact rows with the given exponents, each field of
+    ``fields`` one value per row, and the rest inside every band."""
+    rows = []
+    for i, raw in enumerate(raws):
+        row = {"index": i, "raw": list(raw), "logdet_over_T": sum(raw),
+               "sum_defect": 0.0, "angles": [0.0, 0.0], "alpha_plus": 1.0,
+               "alpha_minus": 1.0, "flag_blocks": [[[1.0], [0.0]], [[0.0], [1.0]]],
+               "oseledets": [[[1.0], [0.0]], [[0.0], [1.0]]]}
+        row.update({k: v[i] for k, v in fields.items()})
+        rows.append(row)
+    return rows
+
+
+def _targets(cfg):
+    gt = lm.ground_truth_2d(cfg.build_measure(), cfg.delta)
+    return gt.lambda1, gt.lambda2
+
+
+def _drift_only():
+    return lm.parse_config("experiment = example_2d_exact\nmeasure.kind = none\n"
+                           "horizon = 20\ndt = 0.5\nn_paths = 1\n")
+
+
+@pytest.mark.parametrize("side,passed", [(0.9, True), (1.1, False)],
+                         ids=["inside", "outside"])
+def test_drift_only_exact_band(side, passed):
+    # one path without jumps: each exponent within 1e-8 of its closed form
+    cfg = _drift_only()
+    l1, l2 = _targets(cfg)
+    for raw in ([l1 + side * 1e-8, l2], [l1, l2 - side * 1e-8]):
+        assert _judge(cfg, _exact_rows([raw]), "drift_only_exact")[0] is passed
+
+
+@pytest.mark.parametrize("side,passed", [(0.9, True), (1.1, False)],
+                         ids=["inside", "outside"])
+def test_gap_invariance_deterministic_band(side, passed):
+    # each exponent moves by half the gap's distance, inside its own 1e-8
+    cfg = _drift_only()
+    l1, l2 = _targets(cfg)
+    rows = _exact_rows([[l1 + side * 0.5e-8, l2 - side * 0.5e-8]])
+    assert _judge(cfg, rows, "drift_only_exact")[0] is True
+    assert _judge(cfg, rows, "gap_invariance")[0] is passed
+
+
+@pytest.mark.parametrize("side,passed", [(0.97, True), (1.03, False)],
+                         ids=["inside", "outside"])
+def test_spectrum_and_gap_abs_bands(side, passed):
+    # se 1 leaves the SPECTRUM_ABS band binding alone.  Both exponents move
+    # together for spectrum_vs_closed_form; apart, by half each, for
+    # gap_invariance, whose gaps then have no spread
+    cfg = _cfg("example_2d_exact")
+    l1, l2 = _targets(cfg)
+    d = side * SPECTRUM_ABS
+    rows = _exact_rows([[l1 + d + e, l2 + d + e] for e in (-1.0, 1.0)])
+    assert _judge(cfg, rows, "spectrum_vs_closed_form")[0] is passed
+    assert _judge(cfg, rows, "gap_invariance")[0] is True
+    rows = _exact_rows([[l1 + d / 2 + e, l2 - d / 2 + e] for e in (-1.0, 1.0)])
+    assert _judge(cfg, rows, "spectrum_vs_closed_form")[0] is True
+    assert _judge(cfg, rows, "gap_invariance")[0] is passed
+
+
+@pytest.mark.parametrize("side,passed", [(0.9, True), (1.1, False)],
+                         ids=["inside", "outside"])
+def test_oseledets_axes_and_sum_rule_bands(side, passed):
+    cfg = _cfg("example_2d_exact")
+    raws = [_targets(cfg)] * 2
+    rows = _exact_rows(raws, angles=[[0.0, 0.0], [0.0, side * ANGLE_TOL]])
+    assert _judge(cfg, rows, "oseledets_axes")[0] is passed
+    rows = _exact_rows(raws, sum_defect=[0.0, side * 1e-8])
+    assert _judge(cfg, rows, "sum_rule")[0] is passed
+
+
+@pytest.mark.parametrize("ratio,passed", [
+    (RATIO_LO * 1.01, True), (RATIO_LO * 0.99, False),
+    (RATIO_HI * 0.99, True), (RATIO_HI * 1.01, False),
+], ids=["above_lo", "below_lo", "below_hi", "above_hi"])
+def test_euler_convergence_band(ratio, passed):
+    cfg = _cfg("example_2d_euler")
+    rows = [{"index": i, "euler_errors": [0.4 / ratio ** k for k in range(5)],
+             "exact_residual": 0.0} for i in range(2)]
+    assert _judge(cfg, rows, "euler_convergence")[0] is passed
+
+
+@pytest.mark.parametrize("errored,passed", [(1, True), (2, False)])
+def test_error_rate_edge(monkeypatch, errored, passed):
+    # at most 1 % of the paths may error: 1 of 100 passes, 2 of 100 fail
+    def rows(cfg, indices):
+        return [(i, None, "ValueError: made to fail") if i < errored
+                else (i, {"index": i, "max_log_defect": 0.0}, None)
+                for i in indices]
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setitem(EXPERIMENTS, "doleans_1d",
+                        EXPERIMENTS["doleans_1d"]._replace(rows=rows))
+    report = lm.run_experiment(_cfg("doleans_1d", "n_paths = 100\n"))
+    assert len(report.path_errors) == errored
+    failed = [c.check_id for c in report.checks if not c.passed]
+    assert failed == ([] if passed else ["error_rate"])

@@ -1197,14 +1197,13 @@ def test_doleans_row_bitwise_equals_two_sided_row(measure):
 @pytest.mark.parametrize("experiment", ["example_2d_exact", "backward_spectrum",
                                         "flag_convergence"])
 def test_qr_build_samples_no_continuous_skeleton(monkeypatch, experiment):
-    # the closed form reads the drivers' jumps alone: no node merge and no
-    # JumpPath per path
+    # the closed form reads the drivers' jumps alone, so no leg of its
+    # two-sided paths merges its nodes
     def refuse(*args, **kwargs):
         raise AssertionError(f"{experiment} built a continuous skeleton")
 
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     monkeypatch.setattr(lm.paths, "_merge_nodes", refuse)
-    monkeypatch.setattr(lm.paths.JumpPath, "__init__", refuse)
     text = (f"experiment = {experiment}\nmeasure.kind = atoms\n"
             "measure.atoms = 0.2:3.0\nhorizon = 20\ndt = 0.5\nn_paths = 3\n")
     report = lm.run_experiment(lm.parse_config(text))
@@ -1212,12 +1211,7 @@ def test_qr_build_samples_no_continuous_skeleton(monkeypatch, experiment):
     assert [r["index"] for r in report.rows] == [0, 1, 2]
 
 
-def _rows_without_backward_leg(monkeypatch, experiment):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{experiment} sampled a backward leg")
-
-    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
-    monkeypatch.setattr(lm.paths, "sample_backward", refuse)
+def _three_rows(experiment):
     text = (f"experiment = {experiment}\n" + STABLE_MEASURES["atoms"] +
             "n_paths = 3\n")
     report = lm.run_experiment(lm.parse_config(text))
@@ -1226,10 +1220,24 @@ def _rows_without_backward_leg(monkeypatch, experiment):
 
 
 def test_stable_1d_samples_no_backward_leg(monkeypatch):
-    _rows_without_backward_leg(monkeypatch, "stable_1d")
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_1d sampled a backward leg")
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(lm.paths, "sample_backward", refuse)
+    _three_rows("stable_1d")
 
 
-def test_doleans_1d_samples_no_backward_leg(monkeypatch):
-    # the exponential reads the forward leg, the exact cocycle the jump
-    # tables of both legs
-    _rows_without_backward_leg(monkeypatch, "doleans_1d")
+def test_doleans_1d_builds_one_skeleton_per_path(monkeypatch):
+    # the exponential reads its forward leg's skeleton; the exact cocycle
+    # reads the jumps of both legs of its two-sided paths and builds none
+    merges = []
+
+    def merge(*times, _merge=lm.paths._merge_nodes):
+        merges.append(len(times))
+        return _merge(*times)
+
+    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(lm.paths, "_merge_nodes", merge)
+    _three_rows("doleans_1d")
+    assert merges == [2] * 3  # one grid and one jump table a path

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import io
 import math
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +351,14 @@ def test_two_sided_array_lookups_match_scalar_calls(offset):
     # a scalar end against an array of starts broadcasts
     np.testing.assert_array_equal(path.continuous_increment(t0, 0.0),
                                   -path.continuous_increment(0.0, t0))
+    # evaluate is elementwise too, with and without a Gaussian part
+    plain = lm.sample_two_sided(lm.scalar_triplet(drift=1.0, measure=ATOM),
+                                3.0, 0.1, 53).shift(offset)
+    for p in (path, plain):
+        at = p.evaluate(t0)
+        assert at.shape == t0.shape
+        for k in range(t0.size):
+            assert at[k].tobytes() == p.evaluate(float(t0[k])).tobytes()
     # windows wholly on the forward leg, wholly on the backward leg, and
     # across 0, against each leg's continuous_at(t1) - continuous_at(t0)
     s0, s1 = t0 + offset, t1 + offset
@@ -595,12 +606,13 @@ def test_forward_leg_memory_peak():
     """A shipped stable_1d leg (about 664k jumps) allocates at most 5.5
     arrays of its jump count at once (5.0 measured on seeds 1-3, with the
     compensation subtracted in place), so no full-size temporary creeps
-    back into the draw."""
+    back into the draw or into the skeleton it builds on first read."""
     tri = _DRAW_LAWS["shipped"]
     grid = lm.TimeGrid(0.0, 60.0, 0.5)
     tracemalloc.start()
     try:
         path = lm.sample_forward(tri, grid, 11)
+        path.cont
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -619,32 +631,44 @@ _TABLE_LAWS = {
 }
 
 
+# a doleans_1d config of each law of _TABLE_LAWS it accepts
+_TABLE_CONFIGS = {
+    "power_law": "measure.kind = power_law\nmeasure.alpha = 0.8\n"
+                 "measure.c = 0.5\nhorizon = 1\ndt = 0.1\n",
+    "none": "measure.kind = none\nhorizon = 20\ndt = 0.5\n",
+}
+
+
+def _skeletons_read(path):
+    """``path``, each of its legs' skeletons built."""
+    for leg in (path.forward, path.backward):
+        leg.node_times
+    return path
+
+
 @pytest.mark.parametrize("law", list(_TABLE_LAWS))
-def test_jump_table_is_bitwise_the_two_sided_paths_jumps(law):
-    # the QR experiments' per-path build draws jump tables only; each must
-    # be what sample_two_sided's path gives the closed form, bit for bit
+def test_closed_form_is_bitwise_with_or_without_skeleton(law, monkeypatch):
+    # the closed form reads the drivers' jumps alone: its QR and alpha
+    # stacks, and the doleans_1d rows, are the same bits whether or not the
+    # legs' skeletons were built first, and computing them builds none
+    from levymet import experiments
     from levymet.cocycle import _alpha_stack
-    from levymet.paths import _JumpTable
     from levymet.spectrum import _qr_stack
+
+    def refuse(*args):
+        raise AssertionError("the closed form built a skeleton")
 
     measure, delta, T, dt = _TABLE_LAWS[law]
     drivers = lm.benchmark_drivers(measure, delta)
-    built = []
-    for make in (lm.sample_two_sided, _JumpTable):
-        built.append([make(drivers[i], T, dt, 7, path_index=3, driver=i)
-                      for i in range(2)])
-    for path, table in zip(*built):
-        assert table.triplet is path.triplet
-        assert [x.hex() for x in table.horizon] == \
-            [x.hex() for x in path.horizon]
-        for a, b in ((-T, T), (0.0, 1.0)):
-            for got, want in zip(table.jumps_in(a, b), path.jumps_in(a, b)):
-                assert np.array_equal(_bits(got), _bits(want))
-        n = [leg.jump_times.size for leg in (path.forward, path.backward)]
-        if law == "none":
-            assert n == [0, 0]
-        elif law == "power_law":  # the packed _time_order branch
-            assert min(n) > _PACKED_SORT_MIN
+    built = [[read(lm.sample_two_sided(drivers[i], T, dt, 7, path_index=3,
+                                       driver=i)) for i in range(2)]
+             for read in (lambda path: path, _skeletons_read)]
+    n = [leg.jump_times.size for leg in (built[0][0].forward,
+                                         built[0][0].backward)]
+    if law == "none":
+        assert n == [0, 0]
+    elif law == "power_law":  # the packed _time_order branch
+        assert min(n) > _PACKED_SORT_MIN
     if law == "atom_bands":
         # the closed form takes small jumps only, and refuses both alike;
         # its stacks return once it takes large jumps
@@ -652,8 +676,61 @@ def test_jump_table_is_bitwise_the_two_sided_paths_jumps(law):
             with pytest.raises(SupportError, match="above delta"):
                 lm.ExactDiagonal2D(x)
         return
-    stacks = [(_qr_stack(ev, T, dt), _qr_stack(ev, -T, dt),
-               _alpha_stack(ev, lm.TimeGrid(0.0, 1.0, 0.05)))
-              for ev in (lm.ExactDiagonal2D(x) for x in built)]
+    stacks = []
+    for x in built:
+        with monkeypatch.context() as m:
+            if x is built[0]:
+                m.setattr(lm.paths, "_merge_nodes", refuse)
+            ev = lm.ExactDiagonal2D(x)
+            stacks.append((_qr_stack(ev, T, dt), _qr_stack(ev, -T, dt),
+                           _alpha_stack(ev, lm.TimeGrid(0.0, 1.0, 0.05))))
     for got, want in zip(*stacks):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    cfg = lm.parse_config("experiment = doleans_1d\nmaster_seed = 7\n"
+                          + _TABLE_CONFIGS[law])
+    rows = [repr([experiments._row_doleans_1d(cfg)(i) for i in range(4)])]
+    monkeypatch.setattr(experiments, "sample_two_sided",
+                        lambda *args, **kwargs: _skeletons_read(
+                            lm.sample_two_sided(*args, **kwargs)))
+    rows.append(repr([experiments._row_doleans_1d(cfg)(i) for i in range(4)]))
+    assert rows[0] == rows[1]
+
+
+def _leg_refs(path):
+    return [weakref.ref(leg) for leg in (path.forward, path.backward)]
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_sampled_legs_are_freed_by_refcount(read):
+    # a leg holds data, not a closure over itself: with the cycle collector
+    # off, dropping the path frees both legs, before and after their
+    # skeletons are built
+    path = lm.sample_two_sided(lm.scalar_triplet(drift=1.0, measure=ATOM),
+                               4.0, 0.5, 2)
+    if read:
+        _skeletons_read(path.shift(0.5))
+        path.evaluate(np.array([-1.0, 1.0]))
+    refs = _leg_refs(path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del path
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_sampled_path_round_trips_through_pickle(read):
+    path = lm.sample_two_sided(ATOM_TRIPLET, 4.0, 0.5, 3)
+    if read:
+        _skeletons_read(path)
+    back = pickle.loads(pickle.dumps(path))
+    t = np.linspace(-4.0, 4.0, 17)
+    for got, want in ((back.jumps_in(-4.0, 4.0), path.jumps_in(-4.0, 4.0)),
+                      ((back.evaluate(t),), (path.evaluate(t),)),
+                      ((back.forward.node_times, back.backward.node_times),
+                       (path.forward.node_times, path.backward.node_times))):
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b))
