@@ -83,8 +83,11 @@ class JumpPath:
     law the path was sampled from (None for a hand-built path); its
     simulated band and compensation rate are read from it, not stored.
     A leg sampled without a Gaussian part stores its jump table, triplet,
-    horizon and grid, and builds ``node_times`` and ``cont`` on first read.
+    horizon and grid, and builds ``node_times`` and ``cont`` on first read;
+    ``_grid`` is None for a hand-built path.
     """
+
+    _grid = None
 
     def __init__(self, node_times, cont, jump_times, jump_sizes, triplet=None):
         self._skeleton = tuple(np.asarray(x, float) for x in (node_times, cont))
@@ -175,18 +178,6 @@ class JumpPath:
         i, j = self.jump_times.searchsorted((a, b), side="right")
         return self.jump_times[i:j], self.jump_sizes[i:j]
 
-    def _at_origin(self):
-        """evaluate(0.0) building no skeleton: an unbuilt leg's last node <= 0
-        is its forward leg's first, 0, where a backward leg's jumps cancel
-        (unless their total, and so the whole leg, is not finite)."""
-        if "_skeleton" in vars(self):
-            return self.evaluate(0.0)
-        row = _forward_cont(self.triplet, 0.0)
-        if self._backward:
-            return -row
-        i = self.jump_times.searchsorted(0.0, side="right")
-        return row + (self._jump_cum[i] if i else 0.0)  # no sums for none
-
 
 def _check_not_decreasing(x, name):
     # bool temporaries only: np.diff would make a float one
@@ -215,9 +206,16 @@ SAMPLER_BUDGET = 5e6
 
 def check_jump_budget(triplet, T):
     """The triplet's jump bands (lo, hi, rate) of nonzero rate, sampled on
-    (0, T).  Raises ConfigurationError for an infinite rate or an expected
-    jump count above :data:`SAMPLER_BUDGET`."""
+    (0, T).  Raises ConfigurationError for an infinite rate, an expected
+    jump count above :data:`SAMPLER_BUDGET`, or a drift, Gaussian scale or
+    compensation rate that is not finite (a sampled leg's skeleton then
+    vanishes at 0 by construction)."""
     m = triplet.measure
+    comp = 0.0 if m.is_empty else triplet.compensation_rate()
+    if not all(map(math.isfinite, (triplet.drift, triplet.gaussian, comp))):
+        raise ConfigurationError(
+            f"drift {triplet.drift}, Gaussian scale {triplet.gaussian} and "
+            f"compensation rate {comp} must be finite")
     bands = []
     for lo, hi, rate in triplet._band_constants[1]:
         if rate == 0.0:
@@ -365,8 +363,10 @@ class TwoSidedPath:
     def __init__(self, forward, backward, offset=0.0):
         if forward.t_start != 0.0 or backward.t_end != 0.0:
             raise StructuralError("legs must meet at 0")
+        # a sampled leg vanishes at 0 by construction, its triplet's
+        # constants finite; a hand-built one is checked
         for leg in (forward, backward):
-            if leg._at_origin() != 0.0:
+            if leg._grid is None and leg.evaluate(0.0) != 0.0:
                 raise StructuralError("legs must vanish at the origin")
         self.forward = forward
         self.backward = backward

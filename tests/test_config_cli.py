@@ -1220,12 +1220,24 @@ def _three_rows(experiment):
 
 
 def test_stable_1d_samples_no_backward_leg(monkeypatch):
+    # each path builds one skeleton, its forward leg's, and nothing in the
+    # row samples or reflects a backward leg
+    merges = []
+
+    def merge(*times, _merge=lm.paths._merge_nodes):
+        merges.append(len(times))
+        return _merge(*times)
+
     def refuse(*args, **kwargs):
         raise AssertionError("stable_1d sampled a backward leg")
 
     monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+    monkeypatch.setattr(lm.paths, "_merge_nodes", merge)
     monkeypatch.setattr(lm.paths, "sample_backward", refuse)
+    monkeypatch.setattr(lm.paths.JumpPath, "_reflection", refuse)
+    monkeypatch.setattr(lm.experiments, "sample_two_sided", refuse)
     _three_rows("stable_1d")
+    assert merges == [2] * 3  # one grid and one jump table a path
 
 
 def test_doleans_1d_builds_one_skeleton_per_path(monkeypatch):

@@ -183,6 +183,35 @@ def test_origin_check_is_evaluate_at_zero(zero_node_value):
                 lm.TwoSidedPath(*legs)
 
 
+@pytest.mark.parametrize("law", [
+    {"drift": math.inf}, {"gauss": math.nan},
+    {"measure": lm.LevyMeasure.from_atoms([(10.0, 1e308)]), "delta": 10.0}])
+def test_sampler_refuses_non_finite_constants(law):
+    # with these finite a sampled leg vanishes at 0 by construction, so the
+    # two-sided origin check reads only hand-built legs
+    tri = lm.scalar_triplet(**law)
+    with np.errstate(over="ignore"), pytest.raises(ConfigurationError,
+                                                   match="must be finite"):
+        lm.sample_forward(tri, lm.TimeGrid(0.0, 2.0, 0.5), 1)
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_overflowing_jump_sums_are_sampled_not_refused(read):
+    # jumps of 1e308 overflow a leg's running sums from its second jump on;
+    # both legs are sampled and glued alike, built or not, and their values
+    # past the overflow are not finite
+    tri = lm.scalar_triplet(measure=lm.LevyMeasure.from_atoms([(1e308, 1.0)]))
+    p = lm.sample_two_sided(tri, 8.0, 0.5, 3)
+    assert p.forward.jump_sizes.size >= 2 and p.backward.jump_sizes.size >= 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if read:
+            p.forward.cont, p.backward.cont
+        p = lm.TwoSidedPath(p.forward, p.backward)
+        assert p.evaluate(0.0) == 0.0
+        assert not np.isfinite(p.backward.values).any()
+        assert np.isinf(p.forward.values[-1])
+
+
 def test_zero_two_sided_path():
     tri = lm.scalar_triplet()
     ts = lm.sample_two_sided(tri, 2.0, 0.5, 5)
