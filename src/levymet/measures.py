@@ -90,6 +90,7 @@ class LevyMeasure:
             order = np.argsort(locs)
             self.atom_locs = locs[order]
             self.atom_rates = rates[order]
+            self._draw_tables = {}  # (lo, hi): see _draw_table
             self.support_bound = float(np.max(np.abs(locs))) if locs.size else 0.0
         elif kind == POWER_LAW:
             if not (0.0 < alpha < 2.0):
@@ -164,6 +165,18 @@ class LevyMeasure:
     def _atom_band(self, lo, hi):
         m = (np.abs(self.atom_locs) > lo) & (np.abs(self.atom_locs) <= hi)
         return self.atom_locs[m], self.atom_rates[m]
+
+    def _draw_table(self, lo, hi):
+        """The atoms of the band {lo < |u| <= hi} and their normalised
+        probabilities, computed once per band: a triplet's bands are
+        fixed, and every jump draw of its paths reads them."""
+        table = self._draw_tables.get((lo, hi))
+        if table is None:
+            u, r = self._atom_band(lo, hi)
+            if u.size == 0:
+                raise ConfigurationError("no atoms in the requested band")
+            table = self._draw_tables[lo, hi] = u, r / np.sum(r)
+        return table
 
     def _band_quad(self, g, lo, hi):
         """Generic band integral of g(u) nu(du) over {lo < |u| <= hi}: an
@@ -330,10 +343,14 @@ class LevyMeasure:
         if n == 0:
             return np.empty(0)
         if self.kind == ATOMS:
-            u, r = self._atom_band(lo, hi)
-            if u.size == 0:
-                raise ConfigurationError("no atoms in the requested band")
-            probs = r / np.sum(r)
+            u, probs = self._draw_table(lo, hi)
+            if u.size == 1 and type(rng.bit_generator) is np.random.PCG64:
+                # every size is the one atom; choice(1, size=n, p=[1.0])
+                # would spend one double, one PCG64 step, per size, so the
+                # stream advances by as many (bitwise the same on numpy
+                # 2.4.6; other bit generators step otherwise, or not at all)
+                rng.bit_generator.advance(n)
+                return np.full(n, u[0])
             return u[rng.choice(u.size, size=n, p=probs)]
         a = self.alpha
         hi = min(hi, self.cutoff)

@@ -3,9 +3,10 @@
 Paths are stored as a continuous skeleton on a node set (the uniform grid
 plus every jump time, so Brownian increments are exact at jump times) plus
 an explicit jump list; a sampled leg without a Gaussian part builds its
-skeleton on first read.  Evaluation linearly interpolates the skeleton and
-adds all jumps at times <= t (right-continuous convention); the value at
-time 0 is exactly 0.
+skeleton on the first read strictly between its end nodes, and answers a
+read at or beyond them from those two nodes.  Evaluation linearly
+interpolates the skeleton and adds all jumps at times <= t
+(right-continuous convention); the value at time 0 is exactly 0.
 
 Negative-time paths are built by time-reflecting an independent forward
 sample: for a forward path F, the backward path is t -> -F((-t)-), which is
@@ -83,8 +84,9 @@ class JumpPath:
     law the path was sampled from (None for a hand-built path); its
     simulated band and compensation rate are read from it, not stored.
     A leg sampled without a Gaussian part stores its jump table, triplet,
-    horizon and grid, and builds ``node_times`` and ``cont`` on first read;
-    ``_grid`` is None for a hand-built path.
+    horizon and grid, and builds ``node_times`` and ``cont`` on first read
+    of either, or of the skeleton strictly between its end nodes (see
+    :meth:`continuous_at`); ``_grid`` is None for a hand-built path.
     """
 
     _grid = None
@@ -125,13 +127,17 @@ class JumpPath:
             path._skeleton = _reflect(*self._skeleton, path)
         return path
 
-    @cached_property
-    def _skeleton(self):
-        """A sampled leg's (node_times, cont), by the sampler's arithmetic."""
-        times = -self.jump_times[::-1] if self._backward else self.jump_times
-        node_times = _merge_nodes(self._grid.times(), times)
+    def _skeleton_on(self, node_times):
+        """A sampled leg's skeleton on the forward node times ``node_times``,
+        by the sampler's arithmetic: re-timed to this leg if it is backward."""
         skeleton = node_times, _forward_cont(self.triplet, node_times)
         return _reflect(*skeleton, self) if self._backward else skeleton
+
+    @cached_property
+    def _skeleton(self):
+        """A sampled leg's (node_times, cont) on the grid and its jumps."""
+        times = -self.jump_times[::-1] if self._backward else self.jump_times
+        return self._skeleton_on(_merge_nodes(self._grid.times(), times))
 
     @cached_property
     def _jump_cum(self):
@@ -156,9 +162,19 @@ class JumpPath:
         return self.cont + self._jump_cum[idx]
 
     def continuous_at(self, t):
-        """Interpolated skeleton at t, elementwise for arrays of times."""
+        """Interpolated skeleton at t, elementwise for arrays of times.
+
+        An unbuilt leg read only at or beyond its end nodes stays unbuilt:
+        there ``np.interp`` returns the end values, and these are the
+        skeleton's on its first and last node alone."""
         t = np.asarray(t, float)
         _check_in_horizon(t, self.horizon, "sampled horizon")
+        if "_skeleton" not in vars(self):  # a Gaussian-free sampled leg
+            lo, hi = self.horizon
+            if np.all((t <= lo) | (t >= hi)):
+                # hi - lo: the forward sample's last node, either way
+                ends = self._skeleton_on(np.array([0.0, hi - lo]))
+                return np.interp(t, *ends)
         return np.interp(t, self.node_times, self.cont)
 
     def evaluate(self, t):

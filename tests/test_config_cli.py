@@ -1220,8 +1220,9 @@ def _three_rows(experiment):
 
 
 def test_stable_1d_samples_no_backward_leg(monkeypatch):
-    # each path builds one skeleton, its forward leg's, and nothing in the
-    # row samples or reflects a backward leg
+    # the row reads its forward leg at the leg's last node only, so no path
+    # builds a skeleton, and nothing in the row samples or reflects a
+    # backward leg
     merges = []
 
     def merge(*times, _merge=lm.paths._merge_nodes):
@@ -1237,7 +1238,7 @@ def test_stable_1d_samples_no_backward_leg(monkeypatch):
     monkeypatch.setattr(lm.paths.JumpPath, "_reflection", refuse)
     monkeypatch.setattr(lm.experiments, "sample_two_sided", refuse)
     _three_rows("stable_1d")
-    assert merges == [2] * 3  # one grid and one jump table a path
+    assert merges == []
 
 
 def test_doleans_1d_builds_one_skeleton_per_path(monkeypatch):

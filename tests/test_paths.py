@@ -620,6 +620,34 @@ def test_power_law_sizes_bitwise_equal_reference(law, n):
             assert np.array_equal(_bits(got), _bits(want))
 
 
+def test_single_atom_sizes_bitwise_equal_choice():
+    # one atom in the band: the sizes are that atom and the stream moves on
+    # as Generator.choice with p = [1.0] would move it (checked on numpy
+    # 2.4.6), so the uniform and Poisson draws after it are the same
+    m = lm.LevyMeasure.from_atoms([(0.2, 3.0), (0.7, 1.0)])
+    for index in range(50):
+        n = 1 + 37 * index
+        got, want = (substream(3, index, 0, 0) for _ in range(2))
+        sizes = m.sample_sizes(got, n, 0.0, 0.5)
+        assert np.array_equal(
+            _bits(sizes), _bits(np.array([0.2])[want.choice(1, n, p=[1.0])]))
+        assert _bits(got.uniform(0.0, 5.0, 3)).tolist() == _bits(
+            want.uniform(0.0, 5.0, 3)).tolist()
+        assert got.poisson(30.0) == want.poisson(30.0)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+def test_single_atom_sizes_on_other_bit_generators(bit_generator):
+    # PCG64 alone takes the stream advance; a generator without advance, or
+    # whose advance steps by blocks (Philox), draws through choice
+    m = lm.LevyMeasure.from_atoms([(0.2, 3.0)])
+    got, want = (np.random.Generator(bit_generator(7)) for _ in range(2))
+    sizes = m.sample_sizes(got, 25, 0.0, 0.5)
+    assert np.array_equal(sizes, np.array([0.2])[want.choice(1, 25, p=[1.0])])
+    assert got.random() == want.random()
+
+
 def test_backward_leg_bitwise_equals_reflected_forward_leg():
     tri = _DRAW_LAWS["untruncated"]
     for seed in (5, 6):
@@ -648,6 +676,72 @@ def test_forward_leg_memory_peak():
     n = path.jump_times.size
     assert n > 600_000
     assert peak <= 5.5 * 8 * n
+
+
+def test_stable_1d_row_memory_peak():
+    """stable_1d's row, a shipped leg read at its last node by the Doléans
+    exponential, allocates at most 5.5 arrays of the leg's jump count at
+    once (5.0 measured on seeds 1, 2, 3 and 11; 6.0 while the read built
+    the skeleton)."""
+    tri = _DRAW_LAWS["shipped"]
+    grid = lm.TimeGrid(0.0, 60.0, 0.5)
+    tracemalloc.start()
+    try:
+        path = lm.sample_forward(tri, grid, 11)
+        lm.StochasticExponential1D(path).log_value(60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = path.jump_times.size
+    assert n > 600_000
+    assert peak <= 5.5 * 8 * n
+
+
+def _end_reads(leg):
+    """Times at and 1e-13 past a leg's end nodes, one at a time and as an
+    array."""
+    lo, hi = leg.horizon
+    times = [lo, hi, lo - 1e-13, hi + 1e-13]
+    return times + [np.array(times), np.array([hi, hi]), np.array([[lo]])]
+
+
+@pytest.mark.parametrize("law", list(_DRAW_LAWS))
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_end_reads_are_the_built_skeleton_bits(law, backward):
+    # a sampled leg read only at or past its end nodes answers from those
+    # two nodes and stays unbuilt; a built twin reads the merged skeleton
+    tri = _DRAW_LAWS[law]
+
+    def leg(seed, T, dt):
+        if backward:
+            return lm.sample_backward(tri, lm.TimeGrid(-T, 0.0, dt), seed)
+        return lm.sample_forward(tri, lm.TimeGrid(0.0, T, dt), seed)
+
+    for seed in range(5):
+        # T = 0.3, dt = 0.1: the last grid node is 0.30000000000000004
+        for T, dt in ((1.0, 0.1), (0.3, 0.1)):
+            path, twin = leg(seed, T, dt), leg(seed, T, dt)
+            twin.node_times
+            for t in _end_reads(path):
+                for read in ("continuous_at", "evaluate"):
+                    got = getattr(path, read)(t)
+                    want = getattr(twin, read)(t)
+                    assert type(got) is type(want)
+                    assert np.array_equal(_bits(got), _bits(want))
+            assert "_skeleton" not in vars(path)
+            if T == 0.3:  # +-0.3 lies inside the horizon: the read builds
+                t = -0.3 if backward else 0.3
+                assert abs(t) < abs(path.horizon[0 if backward else 1])
+                got, want = path.continuous_at(t), twin.continuous_at(t)
+                assert "_skeleton" in vars(path)
+                assert _bits(got) == _bits(want)
+
+
+def test_nan_read_takes_the_skeleton_path():
+    for t in (np.nan, np.array([0.0, np.nan])):
+        path = lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 4)
+        assert np.isnan(path.continuous_at(t)).any()
+        assert "_skeleton" in vars(path)
 
 
 # (measure, delta, T, dt); the atoms fill both jump bands, {|u| <= 0.5}

@@ -73,3 +73,24 @@ def test_workload_outputs_are_pinned_on_other_seeds(name, tmp_path,
             digest.update((tmp_path / str(seed) / n).read_bytes())
         got.append(digest.hexdigest())
     assert tuple(got) == PINNED[name]
+
+
+def test_stable_heavy_rows_with_or_without_skeleton(monkeypatch):
+    # stable_1d's row reads its leg at the last node and builds no
+    # skeleton; on seeds 1-10, one path each, it is the same row whether
+    # or not the leg's skeleton was built first
+    from levymet import experiments
+
+    def built(*args, _sample=experiments.sample_forward):
+        path = _sample(*args)
+        path.node_times
+        return path
+
+    workload = _workloads()["stable_heavy"]
+    for seed in range(1, 11):
+        cfg = lm.parse_config(workload.config_text(seed, 1, 1))
+        rows = [repr(experiments._row_stable_1d(cfg)(0))]
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "sample_forward", built)
+            rows.append(repr(experiments._row_stable_1d(cfg)(0)))
+        assert rows[0] == rows[1]
