@@ -7,9 +7,9 @@
 ``run`` executes the configured experiment, writes spectrum.csv, flags.csv,
 oseledets.csv and report.txt into the output directory, prints the check
 lines, and exits 0 iff every enabled check passed.  Flags override config
-keys.  The worker count is capped by the LEVY_MET_THREADS environment
-variable; outputs do not depend on it.  ``validate`` parses the config,
-which makes every check ``run`` makes before any path, and echoes it.
+keys.  The config key ``threads`` sets the number of processes; outputs do
+not depend on it.  ``validate`` parses the config, which makes every check
+``run`` makes before any path, and echoes it.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import parse_config
 from .errors import LevyMetError, ParseError
-from .experiments import _n_workers, run_experiment, write_outputs
+from .experiments import run_experiment, write_outputs
 
 
 def _load_config(path):
@@ -34,9 +34,7 @@ def _cmd_run(args):
                  "output_dir": args.output}
     cfg = replace(_load_config(args.config),
                   **{k: v for k, v in overrides.items() if v is not None})
-    # a bad LEVY_MET_THREADS writes nothing; an unwritable directory fails
-    # before the first path
-    _n_workers(cfg)
+    # an unwritable directory fails before the first path
     os.makedirs(cfg.output_dir, exist_ok=True)
     report = run_experiment(cfg)
     write_outputs(report, cfg.output_dir)
@@ -49,9 +47,7 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    cfg = _load_config(args.config)
-    _n_workers(cfg)
-    sys.stdout.write(cfg.echo())
+    sys.stdout.write(_load_config(args.config).echo())
     print("# config OK")
     return 0
 

@@ -87,7 +87,7 @@ class ExperimentConfig:
     renorm_step: float = 1.0
     n_paths: int = 100
     master_seed: int = 12345
-    threads: int = 0                  # 0 -> LEVY_MET_THREADS or serial
+    threads: int = 1                  # processes a run uses
     output_dir: str = "out"
     halvings: int = 4
 
@@ -108,11 +108,11 @@ class ExperimentConfig:
         for name in ("delta", "horizon", "dt", "dt_int", "renorm_step"):
             if getattr(self, name) <= 0.0:
                 raise ParseError(f"{name} must be > 0")
-        for name in ("master_seed", "threads"):
-            if getattr(self, name) < 0:
-                raise ParseError(f"{name} must be >= 0")
-        if self.halvings < 1:
-            raise ParseError("halvings must be >= 1")
+        if self.master_seed < 0:
+            raise ParseError("master_seed must be >= 0")
+        for name in ("threads", "halvings"):
+            if getattr(self, name) < 1:
+                raise ParseError(f"{name} must be >= 1")
         if not self.output_dir:
             raise ParseError("output_dir must not be empty")
         _check_runnable(self)

@@ -10,13 +10,13 @@ their skeletons; the Doléans exponential of ``stable_1d`` and
 
 Paths run in contiguous batches of at most the experiment's
 ``batch_paths`` indices, at least one batch per process and the same
-number in each.  With N > 1 processes, a pool of N - 1 runs the first
-shares and the calling process runs the last one itself.  The cap is set
-by what a stage holds per path: 64 for the two QR experiments, whose
-build keeps only the path's window stacks (about 14 KB) and drops its
-evaluator, so that a 100-path run is one batch per process;
-:data:`BATCH_PATHS` (16) for the others, since the Euler ladder fold grows
-with its batch.  An experiment's ``rows(cfg, indices)`` turns
+number in each.  With N = ``threads`` > 1 processes, a pool of N - 1
+runs the first shares and the calling process runs the last one itself.
+The cap is set by what a stage holds per path: 64 for the two QR
+experiments, whose build keeps only the path's window stacks (about
+14 KB) and drops its evaluator, so that a 100-path run is one batch per
+process; :data:`BATCH_PATHS` (16) for the others, since the Euler ladder
+fold grows with its batch.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples, and every experiment gets it
 from :func:`_lockstep`: compute what the config determines once, build
 each path, run at most one stage on the whole batch, finish each path.
@@ -349,7 +349,7 @@ def _finish_example_2d_euler(cfg, index, built, rungs):
                        leg=7).uniform(-_PROBE_REACH, _PROBE_REACH, 16)
     residuals = cocycle_residual(exact, probes[0::2], probes[1::2])
     return {"index": index, "euler_errors": errors,
-            "exact_residual": max([0.0] + residuals.tolist())}
+            "exact_residual": float(np.max(residuals))}
 
 
 def _row_stable_1d(cfg):
@@ -368,12 +368,10 @@ def _row_doleans_1d(cfg):
     def row(index):
         ev, dd = cocycle(index), exponential(index)
         rng = substream(cfg.master_seed, path_index=index, driver=7, leg=7)
-        times = np.sort(rng.uniform(0.0, cfg.horizon, 16))
-        worst = 0.0
-        for t in times:
-            log_dd = dd.log_value(float(t))
-            log_m1 = ev.log_growth(float(t))[0]
-            worst = max(worst, abs(log_dd - log_m1))
+        times = np.sort(rng.uniform(0.0, cfg.horizon, 16)).tolist()
+        # np.max keeps a NaN defect, which Python's max drops after the first
+        worst = np.max([abs(dd.log_value(t) - ev.log_growth(t)[0])
+                        for t in times])
         return {"index": index, "max_log_defect": worst}
     return row
 
@@ -501,12 +499,13 @@ def _agg_example_2d_exact(cfg, rows):
     checks.append(CheckOutcome(
         "gap_invariance", okg,
         f"|mean gap - {gt.gap}| = {dg:.2e}, se = {sg:.2e}"))
-    worst_angle = max(max(r["angles"]) for r in rows)
+    # np.max, not max, in these folds: a NaN must fail its check
+    worst_angle = float(np.max([a for r in rows for a in r["angles"]]))
     summary["max_principal_angle"] = worst_angle
     checks.append(CheckOutcome(
         "oseledets_axes", worst_angle <= ANGLE_TOL,
         f"max principal angle {worst_angle:.2e} <= {ANGLE_TOL}"))
-    worst_sum = max(r["sum_defect"] for r in rows)
+    worst_sum = float(np.max([r["sum_defect"] for r in rows]))
     summary["max_sum_rule_defect"] = worst_sum
     checks.append(CheckOutcome(
         "sum_rule", worst_sum <= 1e-8,
@@ -543,7 +542,7 @@ def _agg_example_2d_euler(cfg, rows):
         "euler_convergence", ok,
         f"halving ratios {np.round(ratios, 3).tolist()} within "
         f"[{RATIO_LO}, {RATIO_HI}]"))
-    worst = max(r["exact_residual"] for r in rows)
+    worst = float(np.max([r["exact_residual"] for r in rows]))
     summary["max_exact_cocycle_residual"] = worst
     checks.append(CheckOutcome(
         "cocycle_law_exact", worst <= RESIDUAL_TOL,
@@ -575,7 +574,7 @@ def _agg_stable_1d(cfg, rows):
 
 
 def _agg_doleans_1d(cfg, rows):
-    worst = max(r["max_log_defect"] for r in rows)
+    worst = float(np.max([r["max_log_defect"] for r in rows]))
     checks = [CheckOutcome(
         "stochastic_exponential", worst <= DOLEANS_TOL,
         f"max |log Y - log M^1| = {worst:.2e} <= {DOLEANS_TOL}")]
@@ -677,6 +676,15 @@ def _check_example_2d_euler(cfg):
                          "halving ratio is exactly 1; lower dt_int")
 
 
+def _check_flag_convergence(cfg):
+    gt = ground_truth_2d(cfg.build_measure(), cfg.delta)
+    if not gt.gap > 0.0:
+        raise ParseError(f"{cfg.experiment} needs a gap > 0 between the "
+                         "closed-form exponents 2 + I and -4 + I; with "
+                         f"I = {gt.compensator_integral:.3g} it rounds to "
+                         f"{gt.gap}")
+
+
 # Largest batch of paths, unless an experiment sets its own cap.  The
 # per-window LAPACK overhead of a lockstep stage falls with the batch size,
 # but every path of a batch keeps what its stage reads until the stage is
@@ -722,7 +730,8 @@ EXPERIMENTS = {
                             keys=("drift",)),
     "doleans_1d": Experiment(_lockstep(_row_doleans_1d), _agg_doleans_1d),
     "flag_convergence": Experiment(_lockstep(_row_flag_convergence),
-                                   _agg_flag_convergence),
+                                   _agg_flag_convergence,
+                                   _check_flag_convergence),
     "backward_spectrum": Experiment(
         _lockstep(_exact_cocycle, _spectra, _finish_backward_spectrum),
         _agg_backward_spectrum, _check_qr_horizon, batch_paths=64,
@@ -733,8 +742,9 @@ EXPERIMENTS = {
 def _check_runnable(cfg):
     """What a built config meets past its range checks: the experiment's
     own check, then, on the drivers every experiment samples, their grid
-    on [0, horizon] at step dt and its size, their jump sizes and their
-    expected jump count.  No factor 1 + u may be <= 0, and no jump may
+    on [0, horizon] at step dt and its size, their jump sizes, their
+    expected jump count and, with ``drift``, their skeleton's constants
+    times the horizon.  No factor 1 + u may be <= 0, and no jump may
     exceed delta (the exact cocycle and stable_1d's target take small
     jumps only).  Raises a LevyMetError."""
     EXPERIMENTS[cfg.experiment].check(cfg)
@@ -756,24 +766,8 @@ def _check_runnable(cfg):
         raise SupportError(f"the measure charges |u| up to "
                            f"{measure.support_bound} > delta = {cfg.delta}; "
                            + reason)
-    check_jump_budget(scalar_triplet(measure=measure, delta=cfg.delta),
-                      cfg.horizon)
-
-
-def _n_workers(cfg):
-    """Pool size: ``threads`` if set, else LEVY_MET_THREADS, else 1; a set
-    LEVY_MET_THREADS also caps ``threads``."""
-    raw = os.environ.get("LEVY_MET_THREADS", "")
-    if not raw:
-        return max(1, cfg.threads)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ConfigurationError(
-            f"LEVY_MET_THREADS must be a non-negative integer, got {raw!r}")
-    return max(1, min(cfg.threads or cap, cap))
+    check_jump_budget(scalar_triplet(drift=cfg.drift, measure=measure,
+                                     delta=cfg.delta), cfg.horizon)
 
 
 def _batches(n_paths, workers, cap):
@@ -810,10 +804,9 @@ def run_experiment(cfg):
     from . import __version__
 
     t0 = time.perf_counter()
-    workers = _n_workers(cfg)
     cap = EXPERIMENTS[cfg.experiment].batch_paths
-    tasks = [(cfg, b) for b in _batches(cfg.n_paths, workers, cap)]
-    procs = min(workers, len(tasks))
+    tasks = [(cfg, b) for b in _batches(cfg.n_paths, cfg.threads, cap)]
+    procs = min(cfg.threads, len(tasks))
     if procs > 1:  # a pool of procs - 1 processes, and this one's own share
         split = len(tasks) - len(tasks) // procs
         with ProcessPoolExecutor(max_workers=procs - 1) as pool:

@@ -223,15 +223,18 @@ SAMPLER_BUDGET = 5e6
 def check_jump_budget(triplet, T):
     """The triplet's jump bands (lo, hi, rate) of nonzero rate, sampled on
     (0, T).  Raises ConfigurationError for an infinite rate, an expected
-    jump count above :data:`SAMPLER_BUDGET`, or a drift, Gaussian scale or
-    compensation rate that is not finite (a sampled leg's skeleton then
-    vanishes at 0 by construction)."""
+    jump count above :data:`SAMPLER_BUDGET`, a Gaussian scale that is not
+    finite, or a drift or compensation rate whose product with T is not (a
+    sampled leg's skeleton then is finite and vanishes at 0 by
+    construction)."""
     m = triplet.measure
     comp = 0.0 if m.is_empty else triplet.compensation_rate()
-    if not all(map(math.isfinite, (triplet.drift, triplet.gaussian, comp))):
+    if not all(map(math.isfinite,
+                   (triplet.gaussian, triplet.drift * T, comp * T))):
         raise ConfigurationError(
-            f"drift {triplet.drift}, Gaussian scale {triplet.gaussian} and "
-            f"compensation rate {comp} must be finite")
+            f"the Gaussian scale {triplet.gaussian}, and the drift "
+            f"{triplet.drift} and compensation rate {comp} times T = {T}, "
+            "must be finite")
     bands = []
     for lo, hi, rate in triplet._band_constants[1]:
         if rate == 0.0:

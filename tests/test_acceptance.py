@@ -4,7 +4,6 @@ and prints one pass/fail line (run with `pytest tests/test_acceptance.py -v -s`)
 
 import itertools
 import math
-import os
 import subprocess
 import sys
 
@@ -284,17 +283,15 @@ def test_criterion_11_stochastic_exponential():
 
 
 def test_criterion_12_reproducibility(tmp_path):
-    cfgfile = tmp_path / "crit2.cfg"
-    cfgfile.write_text(CRIT2_CONFIG)
     outs = {}
-    for label, threads in (("a", "1"), ("b", "1"), ("c", "3")):
-        env = dict(os.environ)
-        env["LEVY_MET_THREADS"] = threads
+    for label, threads in (("a", 1), ("b", 1), ("c", 3)):
+        cfgfile = tmp_path / f"crit2_{label}.cfg"
+        cfgfile.write_text(CRIT2_CONFIG + f"threads = {threads}\n")
         out_dir = tmp_path / f"run_{label}"
         proc = subprocess.run(
             [sys.executable, "-m", "levymet.cli", "run",
              "--config", str(cfgfile), "--output", str(out_dir)],
-            env=env, capture_output=True)
+            capture_output=True)
         assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
         outs[label] = {
             name: (out_dir / name).read_bytes()

@@ -289,7 +289,6 @@ def test_batch_build_error_fails_every_path(monkeypatch, experiment):
     # what the config alone determines is computed once per batch: if that
     # raises, every path of the batch reports it, and a run in which no
     # path succeeded fails on its error rate alone
-    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     cfg = lm.parse_config(f"experiment = {experiment}\n"
                           + _CONFIG.get(experiment, SHORT) + "n_paths = 3\n")
 

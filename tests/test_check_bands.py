@@ -1,6 +1,9 @@
 """Every check can fail: each aggregator judged on hand-made rows just
 inside and just outside its band.  An aggregator is a pure function of
-(cfg, rows), so no path is sampled here."""
+(cfg, rows), so no path is sampled here, except by the tests of a NaN
+inside a row."""
+
+import math
 
 import pytest
 
@@ -198,10 +201,76 @@ def test_error_rate_edge(monkeypatch, errored, passed):
                 else (i, {"index": i, "max_log_defect": 0.0}, None)
                 for i in indices]
 
-    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
     monkeypatch.setitem(EXPERIMENTS, "doleans_1d",
                         EXPERIMENTS["doleans_1d"]._replace(rows=rows))
     report = lm.run_experiment(_cfg("doleans_1d", "n_paths = 100\n"))
     assert len(report.path_errors) == errored
     failed = [c.check_id for c in report.checks if not c.passed]
     assert failed == ([] if passed else ["error_rate"])
+
+
+
+# Python's max drops a NaN that is not its first argument (max(0.0, nan) is
+# 0.0), so a worst case folded by it would pass its check on a NaN defect
+
+
+def _with_nan(ok, nan, at, n=3):
+    values = [ok] * n
+    values[at] = nan
+    return values
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["nan_first", "nan_last"])
+def test_a_nan_worst_case_over_rows_fails(at):
+    cfg = _cfg("doleans_1d")
+    rows = [{"index": i, "max_log_defect": d}
+            for i, d in enumerate(_with_nan(0.0, math.nan, at))]
+    assert _judge(cfg, rows, "stochastic_exponential")[0] is False
+    cfg = _cfg("example_2d_euler")
+    rows = [{"index": i, "euler_errors": [0.4, 0.2, 0.1, 0.05, 0.025],
+             "exact_residual": r}
+            for i, r in enumerate(_with_nan(0.0, math.nan, at))]
+    assert _judge(cfg, rows, "cocycle_law_exact")[0] is False
+    cfg = _cfg("example_2d_exact")
+    raws = [_targets(cfg)] * 3
+    for angles in ([math.nan, 0.0], [0.0, math.nan]):
+        rows = _exact_rows(raws, angles=_with_nan([0.0, 0.0], angles, at))
+        assert _judge(cfg, rows, "oseledets_axes")[0] is False
+    rows = _exact_rows(raws, sum_defect=_with_nan(0.0, math.nan, at))
+    assert _judge(cfg, rows, "sum_rule")[0] is False
+
+
+@pytest.mark.parametrize("at", [0, 15], ids=["nan_first", "nan_last"])
+def test_a_nan_defect_inside_a_doleans_row_fails(monkeypatch, at):
+    # one of the row's 16 reads of log Y is NaN
+    log_value = lm.StochasticExponential1D.log_value
+    calls = []
+
+    def patched(self, t):
+        calls.append(t)
+        return math.nan if len(calls) - 1 == at else log_value(self, t)
+
+    monkeypatch.setattr(lm.StochasticExponential1D, "log_value", patched)
+    report = lm.run_experiment(_cfg("doleans_1d", "n_paths = 1\n"))
+    assert len(calls) == 16 and not report.path_errors
+    assert math.isnan(report.rows[0]["max_log_defect"])
+    failed = [c.check_id for c in report.checks if not c.passed]
+    assert failed == ["stochastic_exponential"]
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["nan_first", "nan_last"])
+def test_a_nan_residual_inside_an_euler_row_fails(monkeypatch, at):
+    # one of the row's 8 cocycle-law residuals is NaN
+    residual = experiments.cocycle_residual
+
+    def patched(ev, s, t):
+        out = residual(ev, s, t)
+        out[at] = math.nan
+        return out
+
+    monkeypatch.setattr(experiments, "cocycle_residual", patched)
+    report = lm.run_experiment(_cfg("example_2d_euler", "n_paths = 1\n"))
+    assert not report.path_errors
+    assert math.isnan(report.rows[0]["exact_residual"])
+    failed = [c.check_id for c in report.checks if not c.passed]
+    assert failed == ["cocycle_law_exact"]

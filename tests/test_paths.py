@@ -185,10 +185,14 @@ def test_origin_check_is_evaluate_at_zero(zero_node_value):
 
 @pytest.mark.parametrize("law", [
     {"drift": math.inf}, {"gauss": math.nan},
-    {"measure": lm.LevyMeasure.from_atoms([(10.0, 1e308)]), "delta": 10.0}])
+    {"measure": lm.LevyMeasure.from_atoms([(10.0, 1e308)]), "delta": 10.0},
+    # finite constants whose products with T = 2 are not
+    {"drift": 1e308},
+    {"measure": lm.LevyMeasure.from_atoms([(10.0, 1e307)]), "delta": 10.0}])
 def test_sampler_refuses_non_finite_constants(law):
-    # with these finite a sampled leg vanishes at 0 by construction, so the
-    # two-sided origin check reads only hand-built legs
+    # with these and their products with T finite, a sampled leg is finite
+    # and vanishes at 0 by construction, so the two-sided origin check reads
+    # only hand-built legs
     tri = lm.scalar_triplet(**law)
     with np.errstate(over="ignore"), pytest.raises(ConfigurationError,
                                                    match="must be finite"):

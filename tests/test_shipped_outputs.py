@@ -49,8 +49,7 @@ def test_every_shipped_config_is_pinned():
     assert set(PINNED) == {p.stem for p in (ROOT / "configs").glob("*.cfg")}
 
 
-def _assert_pinned(name, threads, tmp_path, monkeypatch):
-    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+def _assert_pinned(name, threads, tmp_path):
     cfg = lm.parse_config((ROOT / "configs" / f"{name}.cfg").read_text())
     report = run_experiment(replace(cfg, threads=threads))
     write_outputs(report, tmp_path)
@@ -63,13 +62,12 @@ def _assert_pinned(name, threads, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_shipped_outputs_are_pinned(name, tmp_path, monkeypatch):
-    _assert_pinned(name, 1, tmp_path, monkeypatch)
+def test_shipped_outputs_are_pinned(name, tmp_path):
+    _assert_pinned(name, 1, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_shipped_outputs_are_pinned_on_two_processes(name, tmp_path,
-                                                     monkeypatch):
+def test_shipped_outputs_are_pinned_on_two_processes(name, tmp_path):
     # a pool worker and the calling process each build their share of the
     # paths; the bytes are the serial run's
-    _assert_pinned(name, 2, tmp_path, monkeypatch)
+    _assert_pinned(name, 2, tmp_path)

@@ -6,7 +6,6 @@ loaded scipy already."""
 
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -27,8 +26,7 @@ def _fresh(code):
         "print(json.dumps({'scipy': sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy'), 'value': value}))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=300,
-                          env=dict(os.environ, LEVY_MET_THREADS="1"))
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     return set(out["scipy"]), out["value"]

@@ -56,9 +56,7 @@ def test_every_workload_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_workload_outputs_are_pinned_on_other_seeds(name, tmp_path,
-                                                    monkeypatch):
-    monkeypatch.delenv("LEVY_MET_THREADS", raising=False)
+def test_workload_outputs_are_pinned_on_other_seeds(name, tmp_path):
     workload = _workloads()[name]
     got = []
     for seed in SEEDS:
