@@ -23,7 +23,7 @@ Backends:
   built from one array lookup of the driver increments, and each window is
   folded sequentially (M <- F M) in the order a step-by-step loop would use;
   :func:`_euler_propagators` folds the windows of several evaluators, each
-  at its own step size, in lockstep groups of bounded size;
+  at its own step size, in lockstep runs of a fixed byte budget;
 * :func:`picard_solve` -- successive substitution for the equivalent random
   integral equation, used as an independent oracle for the Euler backend.
 """
@@ -468,14 +468,14 @@ class EulerEvaluator(_EvaluatorBase):
                               self.dt_int, self.scheme)
 
 
-# Byte budget of one fold.  _euler_propagators sorts the windows of a batch
-# by lattice length and folds them in groups whose (longest lattice, windows,
-# d, d) float64 stack stays within it, so the factor arrays and running
-# products stay near one group's size however many paths and rungs the batch
-# has (jumps add factors beyond the lattice).  A window over the budget is
-# folded alone.  An euler_ladder batch (at most 16 paths x 5 rungs of at most
-# ~420 factors, d = 2, about 1 MB) is one group.
-_FOLD_BYTES = 2 * 2**20
+# Byte budget of one fold's (longest window, windows, d, d) float64 stack,
+# a window's length being its lattice steps plus two per jump (its factor
+# and the step it may split), so the fold buffers stay near one run's size
+# however many paths and rungs a batch has.  A 40-path euler_ladder batch
+# (5 rungs of at most ~430 factors a path, d = 2) folds in runs of about
+# eight paths and peaks at 3.1 MB under tracemalloc; at a 1 MiB budget it
+# peaks at 5.9 MB.
+_FOLD_BYTES = 2**19
 
 
 def _euler_propagators(jobs):
@@ -487,17 +487,17 @@ def _euler_propagators(jobs):
     the step size h_k of each window's lattice.  ``ev.propagate(t0, t1)``
     is the one-job case, with h_k = ev.dt_int; a halving ladder is one
     window per step size.  The evaluators share one dimension.  The
-    windows of all jobs are sorted by lattice length and cut into groups
-    of at most :data:`_FOLD_BYTES`; a group builds its factors with one
-    ``_factors`` call per job in it and folds them in one :func:`_fold`.
-    Returns per job the (n, d, d) stack, bitwise what each window folded on its own
-    gives, or the error ``propagate`` would raise: that of the first
-    window with a failing factor, else a HorizonError if a window leaves
-    the sampled horizon.
+    windows of all jobs, in job order and then window order, are cut into
+    contiguous runs whose padded stack stays within :data:`_FOLD_BYTES`
+    unless the run is one window; a run builds its factors with one
+    ``_factors`` call per job slice it holds and folds them in one
+    :func:`_fold`.  Returns per job the (n, d, d) stack, bitwise what each
+    window folded on its own gives, or the error ``propagate`` would
+    raise: that of the first window with a failing factor, else a
+    HorizonError if a window leaves the sampled horizon.
     """
-    plans, windows, prods, errs = [], [], [], []
-    job_of, local, steps = [], [], []
-    for j, (ev, t0, t1, h) in enumerate(jobs):
+    plans, windows, sizes = [], [], []
+    for ev, t0, t1, h in jobs:
         t0, t1 = np.asarray(t0, float), np.asarray(t1, float)
         outside = (_outside_horizon(t0, ev.horizon)
                    | _outside_horizon(t1, ev.horizon))
@@ -509,40 +509,42 @@ def _euler_propagators(jobs):
         b = np.maximum(t0[live], t1[live])
         h = np.asarray(h, float)[live]
         windows.append((a, b, h))
-        prods.append(np.empty((live.size, ev.d, ev.d)))
-        errs.append([None] * live.size)
-        job_of.append(np.full(live.size, j))
-        local.append(np.arange(live.size))
-        steps.append(_window_count(b - a, h))
-    job_of, local, steps = map(np.concatenate, (job_of, local, steps))
-    order = np.argsort(-steps, kind="stable")
-    cap = _FOLD_BYTES // (8 * jobs[0][0].d ** 2)
-    i = 0
-    while i < order.size:
-        group = order[i:i + max(1, int(cap // steps[order[i]]))]
-        i += group.size
-        sels = [(j, np.sort(local[group[job_of[group] == j]]))
-                for j in np.unique(job_of[group])]
-        built = [jobs[j][0]._factors(*(x[sel] for x in windows[j]))
-                 for j, sel in sels]
+        size = _window_count(b - a, h)
+        for p in ev.driver_paths:
+            times = p.jumps_in(-np.inf, np.inf)[0]
+            size = size + 2 * (np.searchsorted(times, b, side="right")
+                               - np.searchsorted(times, a, side="right"))
+        sizes.append(size)
+    bounds = np.cumsum([0] + [s.size for s in sizes]).tolist()
+    sizes = np.concatenate(sizes).tolist()
+    d = jobs[0][0].d
+    cap = _FOLD_BYTES // (8 * d * d)
+    cuts, longest = [], 0  # the first window of each run
+    for i, n in enumerate(sizes):
+        longest = max(longest, n)
+        if not cuts or longest * (i + 1 - cuts[-1]) > cap:
+            cuts.append(i)
+            longest = n
+    prods, errs = np.empty((len(sizes), d, d)), [None] * len(sizes)
+    for lo, hi in zip(cuts, cuts[1:] + [len(sizes)]):
+        built = [jobs[j][0]._factors(*(x[max(lo - o, 0):hi - o]
+                                       for x in windows[j]))
+                 for j, o in enumerate(bounds[:-1])
+                 if max(lo, o) < min(hi, bounds[j + 1])]
         win, pos, factors, count, first_sing, errors = zip(*built)
-        stop = np.cumsum([c.size for c in count])
-        start = stop - [c.size for c in count]
+        start = np.cumsum([0] + [c.size for c in count])
         count = np.concatenate(count)
         running, rank, first_bad = _fold(
             np.concatenate([w + s for w, s in zip(win, start)]),
             np.concatenate(pos), np.concatenate(factors), count)
-        M = running[count - 1, rank]
-        for (j, sel), s, e, fs, group_errs in zip(sels, start, stop,
-                                                 first_sing, errors):
-            prods[j][sel] = M[s:e]
-            for k, err in zip(sel, group_errs):
-                errs[j][k] = err
-            # a running product overflows before any singular jump factor
-            for k in sel[first_bad[s:e] < fs]:
-                errs[j][k] = InstabilityError(_OVERFLOW_MSG)
+        prods[lo:hi] = running[count - 1, rank]
+        errs[lo:hi] = [e for run_errs in errors for e in run_errs]
+        # a running product overflows before any singular jump factor
+        for k in np.flatnonzero(first_bad < np.concatenate(first_sing)):
+            errs[lo + k] = InstabilityError(_OVERFLOW_MSG)
     out = []
-    for (ev, n, n_in, live, back), P, E in zip(plans, prods, errs):
+    for (ev, n, n_in, live, back), lo, hi in zip(plans, bounds, bounds[1:]):
+        P, E = prods[lo:hi], errs[lo:hi]
         ok = np.array([E[j] is None for j in back], bool)
         singular = np.zeros(back.size, bool)
         singular[ok] = np.abs(np.linalg.det(P[back[ok]])) == 0.0

@@ -8,15 +8,12 @@ reads their jumps alone, so only ``example_2d_euler``'s ladder builds
 their skeletons; the Doléans exponential of ``stable_1d`` and
 ``doleans_1d`` takes the forward leg (leg 0) of a triplet with the drift.
 
-Paths run in contiguous batches of at most the experiment's
-``batch_paths`` indices, at least one batch per process and the same
-number in each.  With N = ``threads`` > 1 processes, a pool of N - 1
-runs the first shares and the calling process runs the last one itself.
-The cap is set by what a stage holds per path: 64 for the two QR
-experiments, whose build keeps only the path's window stacks (about
-14 KB) and drops its evaluator, so that a 100-path run is one batch per
-process; :data:`BATCH_PATHS` (16) for the others, since the Euler ladder
-fold grows with its batch.  An experiment's ``rows(cfg, indices)`` turns
+Paths run in contiguous batches of at most :data:`BATCH_PATHS`
+indices, at least one batch per process and the same number in each.
+With N = ``threads`` > 1 processes, a pool of N - 1 runs the first
+shares and the calling process runs the last one itself.  A QR path's
+build keeps only its window stacks (about 14 KB), so a 100-path run is
+one batch per process.  An experiment's ``rows(cfg, indices)`` turns
 one batch into (index, row, error) triples, and every experiment gets it
 from :func:`_lockstep`: compute what the config determines once, build
 each path, run at most one stage on the whole batch, finish each path.
@@ -24,12 +21,11 @@ each path, run at most one stage on the whole batch, finish each path.
 a batch in one lockstep push; ``example_2d_exact``'s also stacks the
 Oseledets splits, their angles and integrability_alpha over the batch;
 ``example_2d_euler`` folds the Euler factors of every rung of its batch's
-halving ladders in lockstep (in groups of bounded size, so long horizons do
-not multiply the buffers by the batch) and stacks each path's cocycle-law
-probes; the others have no stage, their build being the row.  A path's
-row does not depend on the batch it falls in, and aggregation is in
-path-index order, so outputs are byte-identical regardless of worker
-count.  A path's error is the first its build (a QR path's window stacks
+halving ladders in lockstep, in contiguous runs whose fold buffers have a
+fixed byte budget, and stacks each path's cocycle-law probes; the others
+have no stage, their build being the row.  A path's row does not depend on
+the batch it falls in, and aggregation is in path-index order, so outputs
+are byte-identical regardless of worker count.  A path's error is the first its build (a QR path's window stacks
 included), the stage or its finish raises; it is quarantined as
 ``"<Type>: <msg>"``, and so is every path of a batch whose worker crashed;
 an experiment fails outright if more than 1% of its paths error out.
@@ -51,6 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cocycle import (
+    _LOG_OVERFLOW,
     BENCHMARK_DRIFTS,
     EulerEvaluator,
     ExactDiagonal2D,
@@ -61,7 +58,13 @@ from .cocycle import (
     _window_count,
     cocycle_residual,
 )
-from .errors import ConfigurationError, LevyMetError, ParseError, SupportError
+from .errors import (
+    ConfigurationError,
+    LevyMetError,
+    ParseError,
+    ResolutionError,
+    SupportError,
+)
 from .measures import ATOMS, scalar_triplet, stable_scaling_residual
 from .oracle import (
     benchmark_drivers,
@@ -396,6 +399,10 @@ def _row_flag_convergence(cfg):
 def _finish_backward_spectrum(cfg, index, stacks, spectra):
     est, best = spectra
     p = est.p
+    if best.p < p:  # the pair sums would index past the backward groups
+        raise ResolutionError(f"the backward spectrum resolves {best.p} "
+                              f"exponent groups, the forward one {p}; "
+                              "increase the horizon")
     pair_sums = [best.lambdas[k] + est.lambdas[p - 1 - k] for k in range(p)]
     return {
         "index": index,
@@ -630,7 +637,22 @@ def _agg_backward_spectrum(cfg, rows):
 _STEP_BUDGET = 1e6
 
 
-def _check_qr_horizon(cfg):
+def _check_exp_range(cfg, span):
+    """Refuse a run that exponentiates the closed form over spans up to
+    ``span`` if its exponents times the span leave exp's range, where the
+    exact cocycle raises on every path."""
+    gt = ground_truth_2d(cfg.build_measure(), cfg.delta)
+    reach = max(abs(gt.lambda1), abs(gt.lambda2)) * span
+    if not reach <= _LOG_OVERFLOW:
+        raise ParseError(f"{cfg.experiment} exponentiates spans of {span:g}, "
+                         f"where the closed-form exponents ({gt.lambda1:.4g}, "
+                         f"{gt.lambda2:.4g}) reach log-entries of "
+                         f"{reach:.3g}, past {_LOG_OVERFLOW:g}")
+
+
+def _check_qr_horizon(cfg, longest=0.0):
+    """The QR window count, and the closed form's range over a QR window
+    or, if longer, the ``longest`` span the run exponentiates."""
     if cfg.horizon < _QR_MIN_WINDOWS * cfg.renorm_step:
         raise ParseError(f"{cfg.experiment} needs horizon >= "
                          f"{_QR_MIN_WINDOWS} * renorm_step (at least "
@@ -640,6 +662,7 @@ def _check_qr_horizon(cfg):
         raise ParseError(f"{cfg.experiment} needs {windows:.3g} QR windows "
                          f"per direction, above {_STEP_BUDGET:.0e}; raise "
                          "renorm_step")
+    _check_exp_range(cfg, max(cfg.renorm_step, longest))
 
 
 def _check_example_2d_exact(cfg):
@@ -649,7 +672,7 @@ def _check_example_2d_exact(cfg):
     if cfg.horizon < _ALPHA_GRID.t_end:
         raise ParseError(f"{cfg.experiment} needs horizon >= "
                          f"{_ALPHA_GRID.t_end:g} (integrability_alpha's grid)")
-    _check_qr_horizon(cfg)
+    _check_qr_horizon(cfg, _ALPHA_GRID.t_end)
 
 
 def _check_example_2d_euler(cfg):
@@ -674,6 +697,7 @@ def _check_example_2d_euler(cfg):
         raise ParseError(f"{cfg.experiment} needs dt_int / 2 < horizon: the "
                          "first two rungs are one Euler step each, so their "
                          "halving ratio is exactly 1; lower dt_int")
+    _check_exp_range(cfg, cfg.horizon)
 
 
 def _check_flag_convergence(cfg):
@@ -685,19 +709,14 @@ def _check_flag_convergence(cfg):
                          f"{gt.gap}")
 
 
-# Largest batch of paths, unless an experiment sets its own cap.  The
-# per-window LAPACK overhead of a lockstep stage falls with the batch size,
-# but every path of a batch keeps what its stage reads until the stage is
-# done.  The example_2d_euler ladder fold grows with its batch: 40 paths of
-# the euler_ladder bench config in one batch peak at 10.4 MB under
-# tracemalloc and run at 293-329 paths/s, in three batches of at most 16 at
-# 4.2 MB and 339-373 paths/s (serial, wall clock, medians of 15 runs with
-# the two caps interleaved, two sessions).  The QR experiments build each
-# path from its drivers' jump tables alone, keep its window stacks only
-# (about 14 KB per path; an evaluator is about 170 KB) and cap at 64: a
-# 64-path example_2d_exact batch of the shipped config peaks at 3.4 MB,
-# below the 3.85 MB of a 16-path batch that kept its evaluators.
-BATCH_PATHS = 16
+# Largest batch of paths.  The per-window LAPACK overhead of a lockstep
+# stage falls with the batch size, but every path of a batch keeps what its
+# stage reads until the stage is done.  The QR experiments build each path
+# from its drivers' jump tables alone and keep its window stacks only (about
+# 14 KB per path; an evaluator is about 170 KB): a 64-path example_2d_exact
+# batch of the shipped config peaks at 3.4 MB.  The Euler ladder fold bounds
+# its own memory (cocycle._FOLD_BYTES), whatever the batch.
+BATCH_PATHS = 64
 
 
 class Experiment(NamedTuple):
@@ -705,14 +724,12 @@ class Experiment(NamedTuple):
     a batch, in the order of ``indices``, with each path's error quarantined
     as ``"<Type>: <msg>"`` (row None) and a path's row independent of the
     rest of its batch; ``aggregate(cfg, rows)`` -> (checks, summary, csv
-    tables); ``check(cfg)`` raises ParseError; ``batch_paths`` caps the
-    paths of one batch; ``keys`` names the config fields it reads that
-    not every experiment does."""
+    tables); ``check(cfg)`` raises ParseError; ``keys`` names the config
+    fields it reads that not every experiment does."""
 
     rows: Callable
     aggregate: Callable
     check: Callable = lambda cfg: None
-    batch_paths: int = BATCH_PATHS
     keys: tuple = ()
 
 
@@ -720,8 +737,7 @@ EXPERIMENTS = {
     "example_2d_exact": Experiment(
         _lockstep(partial(_exact_cocycle, alpha=True), _oseledets_stage,
                   _finish_example_2d_exact),
-        _agg_example_2d_exact, _check_example_2d_exact, batch_paths=64,
-        keys=("renorm_step",)),
+        _agg_example_2d_exact, _check_example_2d_exact, keys=("renorm_step",)),
     "example_2d_euler": Experiment(
         _lockstep(_ladder_path, _ladder_rungs, _finish_example_2d_euler),
         _agg_example_2d_euler, _check_example_2d_euler,
@@ -734,8 +750,7 @@ EXPERIMENTS = {
                                    _check_flag_convergence),
     "backward_spectrum": Experiment(
         _lockstep(_exact_cocycle, _spectra, _finish_backward_spectrum),
-        _agg_backward_spectrum, _check_qr_horizon, batch_paths=64,
-        keys=("renorm_step",)),
+        _agg_backward_spectrum, _check_qr_horizon, keys=("renorm_step",)),
 }
 
 
@@ -804,8 +819,8 @@ def run_experiment(cfg):
     from . import __version__
 
     t0 = time.perf_counter()
-    cap = EXPERIMENTS[cfg.experiment].batch_paths
-    tasks = [(cfg, b) for b in _batches(cfg.n_paths, cfg.threads, cap)]
+    tasks = [(cfg, b) for b in _batches(cfg.n_paths, cfg.threads,
+                                        BATCH_PATHS)]
     procs = min(cfg.threads, len(tasks))
     if procs > 1:  # a pool of procs - 1 processes, and this one's own share
         split = len(tasks) - len(tasks) // procs

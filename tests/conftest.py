@@ -16,3 +16,19 @@ def _src_on_subprocess_path():
         mp.setenv("PYTHONPATH", os.pathsep.join(
             filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         yield
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """(windows, bytes of the padded (longest window, windows, d, d)
+    factor stack) of every ``cocycle._fold`` call the test makes."""
+    import levymet.cocycle
+
+    seen, fold = [], levymet.cocycle._fold
+
+    def spy(win, pos, factors, count):
+        seen.append((count.size, int(count.max()) * count.size
+                     * factors[0].nbytes))
+        return fold(win, pos, factors, count)
+    monkeypatch.setattr(levymet.cocycle, "_fold", spy)
+    return seen

@@ -143,6 +143,10 @@ def _public_triple(cfg, index):
                "logdet_over_T": est.logdet_over_T}
         if cfg.experiment == "backward_spectrum":
             p = est.p
+            if best.p < p:
+                raise ResolutionError(
+                    f"the backward spectrum resolves {best.p} exponent "
+                    f"groups, the forward one {p}; increase the horizon")
             return index, {
                 **row,
                 "pair_sums": [best.lambdas[k] + est.lambdas[p - 1 - k]
@@ -178,6 +182,39 @@ def test_batch_rows_equal_public_single_path_rows(experiment, indices, seed):
                           f"master_seed = {seed}\n")
     batch = EXPERIMENTS[experiment].rows(cfg, indices)
     assert repr(batch) == repr([_public_triple(cfg, i) for i in indices])
+
+
+def test_fewer_backward_groups_are_a_resolution_error():
+    # at horizon 1.7 a quarter of the paths resolve two exponent groups
+    # forward and one backward: their pair sums would index past the
+    # backward groups, so each such path is quarantined by name.  Paths
+    # with more backward groups keep their row and fail the multiplicity
+    # check
+    text = ((ROOT / "configs" / "backward_spectrum.cfg").read_text()
+            .replace("horizon = 200", "horizon = 1.7")
+            .replace("dt = 0.5", "dt = 0.1")
+            .replace("n_paths = 100", "n_paths = 40") + "renorm_step = 0.1\n")
+    cfg = lm.parse_config(text)
+    report = lm.run_experiment(cfg)
+    errors = dict(report.path_errors)
+    rows = {r["index"]: r for r in report.rows}
+    fewer = 0
+    for index in range(cfg.n_paths):
+        ev = _public_cocycle(cfg, index)
+        est = lm.spectrum_qr(ev, cfg.horizon, cfg.renorm_step)
+        best = lm.backward_spectrum(ev, cfg.horizon, cfg.renorm_step)
+        if best.p < est.p:
+            fewer += 1
+            assert errors.pop(index) == (
+                "ResolutionError: the backward spectrum resolves 1 exponent "
+                "groups, the forward one 2; increase the horizon")
+        elif best.p > est.p:
+            assert rows[index]["mult_reversed"] is False
+    assert fewer >= 10
+    assert not report.passed
+    for err in errors.values():
+        assert issubclass(getattr(lm.errors, err.split(":")[0]),
+                          lm.LevyMetError)
 
 
 def test_stage_failure_quarantines_only_its_path(monkeypatch):
@@ -371,6 +408,41 @@ def test_qr_batch_holds_stacks_not_evaluators():
         tracemalloc.stop()
     assert all(err is None for _, _, err in batch)
     assert peak <= 3.85e6
+
+
+# the euler_ladder bench workload's config
+_LADDER = ("experiment = example_2d_euler\n" + ATOMS + "delta = 0.5\n"
+           "horizon = 2\ndt = 0.1\ndt_int = 0.08\nhalvings = 4\n"
+           "master_seed = 3\n")
+
+
+def test_euler_ladder_batch_folds_fit_the_byte_budget(folds):
+    # 40 paths of 5 rungs in one batch fold in several runs, each within
+    # _FOLD_BYTES
+    batch = EXPERIMENTS["example_2d_euler"].rows(lm.parse_config(_LADDER),
+                                                 tuple(range(40)))
+    assert all(err is None for _, _, err in batch)
+    assert len(folds) > 1
+    assert all(size <= lm.cocycle._FOLD_BYTES for _, size in folds)
+
+
+def test_euler_ladder_batch_peak_does_not_grow_with_the_batch():
+    # the ladder fold bounds its own memory, so a 40-path batch peaks below
+    # 1.5x an 8-path one under tracemalloc (about 3.1 and 2.3 MB); folded in
+    # one run, the 40 paths would peak at about 10.7 MB
+    cfg = lm.parse_config(_LADDER)
+    rows = EXPERIMENTS["example_2d_euler"].rows
+    rows(cfg, (0,))  # first-call allocations are not the batch's
+    peaks = []
+    for n in (8, 40):
+        tracemalloc.start()
+        try:
+            batch = rows(cfg, tuple(range(n)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(err is None for _, _, err in batch)
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("index", [0, 1])

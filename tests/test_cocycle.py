@@ -600,12 +600,29 @@ def test_euler_batch_failing_job_leaves_others_unchanged(monkeypatch, budget):
 @pytest.mark.parametrize("budget", [1, 600, 3000])
 def test_euler_batch_groups_fold_bitwise_like_one_group(monkeypatch, budget):
     # a fold budget of 1 byte folds every window alone, the others cut the
-    # sorted windows into groups mixing jobs and rungs
+    # windows into runs mixing jobs and rungs
     jobs = list(_ladder_jobs("euler"))
     whole = lm.cocycle._euler_propagators(jobs)
     monkeypatch.setattr(lm.cocycle, "_FOLD_BYTES", budget)
     for want, got in zip(whole, lm.cocycle._euler_propagators(jobs)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_euler_folds_fit_the_byte_budget(folds):
+    # windows of mixed length, backward and empty ones, and one over the
+    # budget alone: every fold's padded stack fits _FOLD_BYTES unless it
+    # holds one window, and each window's bits are its own fold's
+    ev = lm.EulerEvaluator(conjugated_system(), benchmark_paths(ATOM, 2.0, 45),
+                           1e-4)
+    t0 = np.array([0.0, 0.0, 0.01, 0.5, 0.3, 1.9, 2.0, 1.95, 0.02])
+    t1 = np.array([2.0, 0.01, 0.02, 0.52, 0.3, 1.95, 1.0, 2.0, 0.5])
+    stack = ev.propagate(t0, t1)
+    assert len(folds) > 2 and max(w for w, _ in folds) > 2
+    assert all(w == 1 or size <= lm.cocycle._FOLD_BYTES for w, size in folds)
+    assert any(w == 1 and size > lm.cocycle._FOLD_BYTES for w, size in folds)
+    for k in range(t0.size):
+        alone = ev.propagate(t0[k:k + 1], t1[k:k + 1])
+        assert stack[k].tobytes() == alone[0].tobytes()
 
 
 def _ladder_peak_bytes(n_paths):
@@ -1126,6 +1143,17 @@ def test_integrability_deterministic_values():
     ap, am = lm.integrability_alpha(ev, lm.TimeGrid(0.0, 1.0, 0.05))
     assert ap == pytest.approx(2.0 + 0.5 * math.log1p(math.exp(-12.0)), abs=1e-12)
     assert am == pytest.approx(4.0 + 0.5 * math.log1p(math.exp(-12.0)), abs=1e-12)
+
+
+def test_integrability_alpha_of_a_contracting_cocycle_is_its_t0_floor():
+    # phi(t) = (1 - h)^n I for a = -I without jumps: the norm on [0, 1]
+    # never exceeds its value sqrt(2) at t = 0, which is the sup
+    system = lm.LinearSystem(-np.eye(2), (np.diag([1.0, 0.0]),
+                                          np.diag([0.0, 1.0])))
+    ev = lm.EulerEvaluator(system, benchmark_paths(EMPTY, 2.0, 37), 0.01)
+    ap, am = lm.integrability_alpha(ev, lm.TimeGrid(0.0, 1.0, 0.05))
+    assert ap == math.log(math.sqrt(2.0))
+    assert am > ap
 
 
 def test_integrability_sup_monotone_in_grid():

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import levymet as lm
@@ -129,10 +129,24 @@ def _configs(draw):
             lambda h: horizon / (h / 2.0**n) <= 1e6
             and _window_count(horizon, h / 2) > 1))
     assert set(own) == set(EXPERIMENTS[experiment].keys)
+    keys = draw(_measure_keys(kind, delta, horizon))
+    # the closed form's exponents times the longest span the exact cocycle
+    # exponentiates stay within exp's range
+    span = {"backward_spectrum": own.get("renorm_step"),
+            "example_2d_exact": max(own.get("renorm_step", 0.0), 1.0),
+            "example_2d_euler": horizon}.get(experiment)
+    if span is not None:
+        measure = (lm.LevyMeasure.from_atoms(keys["measure_atoms"])
+                   if kind == "atoms" else
+                   lm.LevyMeasure.power_law(keys["measure_alpha"],
+                                            keys["measure_c"], delta)
+                   if kind == "power_law" else lm.LevyMeasure.empty())
+        gt = lm.ground_truth_2d(measure, delta)
+        assume(max(abs(gt.lambda1), abs(gt.lambda2)) * span <= 700.0)
     return lm.ExperimentConfig(
         experiment=experiment,
         measure_kind=kind,
-        **draw(_measure_keys(kind, delta, horizon)),
+        **keys,
         **own,
         delta=delta,
         horizon=horizon,
@@ -573,6 +587,38 @@ def test_qr_horizon_over_the_window_budget_fails_before_any_path(
         lm.parse_config(edge.format(8e-6))
 
 
+# closed-form exponents about (-92.5, -98.5); and about -3e17 for both
+_STEEP = "measure.atoms = 0.49999:1e3\n"
+_HUGE = "measure.atoms = 1e17:3.0\ndelta = 1e17\n"
+
+
+@pytest.mark.parametrize("experiment,extra,message", [
+    ("backward_spectrum", _HUGE + "horizon = 120\n",
+     "backward_spectrum exponentiates spans of 1, where the closed-form "
+     "exponents (-3e+17, -3e+17) reach log-entries of 3e+17, past 700"),
+    ("example_2d_euler", _HUGE + "horizon = 20\n", "spans of 20, "),
+    ("example_2d_euler", _STEEP + "horizon = 20\ndt = 0.5\n",
+     "exponents (-92.53, -98.53) reach log-entries of 1.97e+03, past 700"),
+    ("backward_spectrum", _STEEP + "horizon = 100\nrenorm_step = 7.2\n",
+     "spans of 7.2, "),
+    ("example_2d_exact", _STEEP + "horizon = 100\nrenorm_step = 7.2\n",
+     "spans of 7.2, "),
+    # integrability_alpha's grid runs to 1
+    ("example_2d_exact", "measure.atoms = 0.49999:8e3\nhorizon = 10\n"
+     "renorm_step = 0.5\n", "spans of 1, "),
+])
+def test_closed_form_past_the_range_of_exp_fails_at_parse(
+        tmp_path, capsys, experiment, extra, message):
+    # every path would raise InstabilityError: diagonal entry overflows
+    text = (f"experiment = {experiment}\nmeasure.kind = atoms\n{extra}"
+            "n_paths = 3\n")
+    _fails_before_any_path(tmp_path, capsys, text, message)
+    if "7.2" in text:  # 98.53 * 7 = 689.7
+        lm.parse_config(text.replace("7.2", "7"))
+    if "horizon = 20\ndt" in text:
+        lm.parse_config(text.replace("20", "7"))
+
+
 @pytest.mark.parametrize("experiment,grid,message", [
     ("stable_1d", "horizon = 60\ndt = 1e-320\n",
      "(t_end - t_start)/dt = inf steps"),
@@ -814,27 +860,28 @@ def test_a_process_count_variable_in_the_environment_is_ignored(tmp_path):
 
 
 def test_batches_split_paths_contiguously():
-    # the QR experiments cap a batch at 64 paths, the others at BATCH_PATHS
-    caps = {name: e.batch_paths for name, e in EXPERIMENTS.items()}
-    assert caps == {**dict.fromkeys(EXPERIMENTS, experiments.BATCH_PATHS),
-                    "example_2d_exact": 64, "backward_spectrum": 64}
-    for cap in sorted(set(caps.values())):
-        for workers in (1, 2, 3):
-            for n in range(1, 300):
-                batches = experiments._batches(n, workers, cap)
-                assert [i for b in batches for i in b] == list(range(n))
-                sizes = [len(b) for b in batches]
-                assert max(sizes) <= cap
-                assert max(sizes) - min(sizes) <= 1
-                assert len(batches) >= min(n, workers)
-                # every process gets the same number of batches
-                assert len(batches) % min(len(batches), workers) == 0
+    # one cap for every experiment: no entry carries its own
+    assert experiments.Experiment._fields == ("rows", "aggregate", "check",
+                                              "keys")
+    cap = experiments.BATCH_PATHS
+    assert cap == 64
+    for workers in (1, 2, 3):
+        for n in range(1, 300):
+            batches = experiments._batches(n, workers, cap)
+            assert [i for b in batches for i in b] == list(range(n))
+            sizes = [len(b) for b in batches]
+            assert max(sizes) <= cap
+            assert max(sizes) - min(sizes) <= 1
+            assert len(batches) >= min(n, workers)
+            # every process gets the same number of batches
+            assert len(batches) % min(len(batches), workers) == 0
 
 
-@pytest.mark.parametrize("experiment", ["example_2d_exact", "backward_spectrum"])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_rows_do_not_depend_on_batching(experiment):
+    horizon = 2 if experiment == "example_2d_euler" else 40
     cfg = lm.parse_config(MINIMAL.replace("example_2d_exact", experiment) +
-                          "horizon = 40\ndt = 0.5\nmaster_seed = 3\n")
+                          f"horizon = {horizon}\ndt = 0.5\nmaster_seed = 3\n")
     k = 5
     seen = set()
     # batches of at most 64: serial 1, 2 and 3 batches; pooled on 2

@@ -439,6 +439,24 @@ def test_array_lookups_outside_horizon():
         ts.continuous_increment(np.array([0.0, -1.0]), np.array([0.3, 1.6]))
 
 
+@pytest.mark.parametrize("leg", ["forward", "two_sided"])
+def test_reads_past_the_horizon_by_more_than_rounding(leg):
+    # a read 1e-9 past a sampled horizon is refused; one 1e-13 past, the
+    # rounding of a horizon computed elsewhere, reads the end value
+    path = (lm.sample_forward(ATOM_TRIPLET, lm.TimeGrid(0.0, 2.0, 0.5), 58)
+            if leg == "forward" else
+            lm.sample_two_sided(ATOM_TRIPLET, 2.0, 0.5, 58))
+    lo, hi = path.horizon
+    for end in (lo, hi):
+        side = 1.0 if end == hi else -1.0
+        with pytest.raises(HorizonError):
+            path.evaluate(end + side * 1e-9)
+        with pytest.raises(HorizonError):
+            path.continuous_increment(np.array([0.0]),
+                                      np.array([end + side * 1e-9]))
+        assert path.evaluate(end + side * 1e-13) == path.evaluate(end)
+
+
 def _bits(a):
     return np.ascontiguousarray(a, float).view(np.uint64)
 

@@ -309,6 +309,9 @@ def test_flag_validation():
     f = lm.coordinate_flag((1, 2))
     assert f.dims == (1, 2)
     assert f.nested_basis(2).shape == (3, 2)
+    # a basis 1e-8 off orthonormal is refused, not rounded into a flag
+    with pytest.raises(StructuralError, match="not orthonormal"):
+        lm.Flag([np.array([[1.0], [0.0]]), np.array([[1e-8], [1.0]])])
 
 
 def test_flag_metric_params_constraint():
@@ -317,6 +320,11 @@ def test_flag_metric_params_constraint():
         lm.FlagMetricParams((2.0, -4.0), 6.0, 3)
     with pytest.raises(ConfigurationError):
         lm.FlagMetricParams((2.0, 2.0), 1.0, 2)
+    # a gap 1e-6 short of (d - 1) h is refused, not rounded up
+    for d in (2, 3):
+        with pytest.raises(ConfigurationError, match=r"\|l_i - l_j\|/h"):
+            lm.FlagMetricParams((0.0, (d - 1) - 1e-6), 1.0, d)
+        lm.FlagMetricParams((0.0, float(d - 1)), 1.0, d)
 
 
 def test_flag_distance_axioms():
